@@ -26,7 +26,7 @@ candidates = [
     ("away from origin", FeedbackRule(lambda t, X: np.where(X[:, 0] >= 0, 1.0, -1.0),
                                       name="away")),
 ]
-report = verification_check(u, oracle, actions, sim, candidates)
+report = verification_check(u, oracle, sim, candidates)
 print(f"u(0, 0.5) from the PDE: {report.u_start:.4f}\n")
 print("control              J simulated     margin over u - 3SE - tol   ok")
 for row in report.rows:

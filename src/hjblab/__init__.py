@@ -22,8 +22,6 @@ from .grids import (  # noqa: F401
     field_from_csv,
     field_from_function,
     field_to_csv,
-    field_to_json,
-    holder_seminorm,
     lp_norm,
     periodic_boundary,
     spatial_gradient,
@@ -59,9 +57,6 @@ from .hamiltonian import (  # noqa: F401
     Policy,
     SlackSchedule,
     constant_policy,
-    ham_min,
-    select_policy,
-    truncate_action_set,
 )
 from .hjb import (  # noqa: F401
     IterationTrace,

@@ -74,9 +74,16 @@ def _finish(manifest, out_dir):
     return 0 if ok else 1
 
 
-def _write_field(field, path, manifest):
-    field_to_csv(field, path)
+def _artifact(out_dir, name, manifest):
+    """Path of one output file, recorded in the manifest."""
+    path = os.path.join(out_dir, name)
     manifest.add_artifact(path)
+    return path
+
+
+def _write_text(out_dir, name, text, manifest):
+    with open(_artifact(out_dir, name, manifest), "w") as fh:
+        fh.write(text)
 
 
 def _build(cfg, args):
@@ -91,14 +98,13 @@ def cmd_solve_hjb(cfg, args, out_dir):
     oracle, aset, _ = _build(cfg, args)
     u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
     res = hjb_residual(u, oracle, aset, cfg.grid, scheme=cfg.scheme)
-    _write_field(u, os.path.join(out_dir, "value.csv"), manifest)
+    field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
     manifest.add_check("inner_sweeps_converged", u.meta["converged"],
                        f"{len(u.meta['inner_flagged_steps'])} flagged steps")
     manifest.add_check("hjb_residual", res <= 1e-9 * max(1.0, float(np.max(np.abs(u.values)))) + 1e-9,
                        f"residual {res:.3e}")
     if hasattr(u, "policy"):
-        u.policy.to_csv(os.path.join(out_dir, "policy.csv"))
-        manifest.add_artifact(os.path.join(out_dir, "policy.csv"))
+        u.policy.to_csv(_artifact(out_dir, "policy.csv", manifest))
     return _finish(manifest, out_dir)
 
 
@@ -112,11 +118,9 @@ def cmd_policy_iter(cfg, args, out_dir):
     )
     u_dir = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
     sup = float(np.max(np.abs(u.values - u_dir.values)))
-    _write_field(u, os.path.join(out_dir, "value.csv"), manifest)
-    trace.to_csv(os.path.join(out_dir, "trace.csv"))
-    manifest.add_artifact(os.path.join(out_dir, "trace.csv"))
-    policy.to_csv(os.path.join(out_dir, "policy.csv"))
-    manifest.add_artifact(os.path.join(out_dir, "policy.csv"))
+    field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
+    trace.to_csv(_artifact(out_dir, "trace.csv", manifest))
+    policy.to_csv(_artifact(out_dir, "policy.csv", manifest))
     manifest.add_check("converged", trace.converged, f"{trace.iterations} iterations")
     manifest.add_check("oracle_agreement", sup <= 10 * cfg.tol, f"sup diff {sup:.3e}")
     manifest.add_check("monotone_descent", max(trace.max_pos_diffs[1:], default=0.0) <= 1e-10,
@@ -130,10 +134,8 @@ def cmd_verify(cfg, args, out_dir):
     u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
     candidates = [(f"const_{i}", constant_control(aset.action(i)))
                   for i in range(min(len(aset), 5))]
-    rep = verification_check(u, oracle, aset, sim, candidates)
-    with open(os.path.join(out_dir, "verification.json"), "w") as fh:
-        fh.write(_report_json(cfg, rep.to_json()))
-    manifest.add_artifact(os.path.join(out_dir, "verification.json"))
+    rep = verification_check(u, oracle, sim, candidates)
+    _write_text(out_dir, "verification.json", _report_json(cfg, rep.to_json()), manifest)
     manifest.add_check("verification", rep.passed, rep.summary())
     return _finish(manifest, out_dir)
 
@@ -149,9 +151,9 @@ def cmd_dpp_check(cfg, args, out_dir):
         subopt.append((f"const_{sub_idx}", constant_control(aset.action(int(sub_idx)))))
     rep = dpp_battery(u, oracle, GridPolicyControl(u.policy, name="argmin"), sim,
                       t_mids, suboptimal_controls=subopt)
-    with open(os.path.join(out_dir, "dpp.json"), "w") as fh:
-        fh.write(json.dumps([vars(r) for r in rep.rows], indent=2, sort_keys=True) + "\n")
-    manifest.add_artifact(os.path.join(out_dir, "dpp.json"))
+    _write_text(out_dir, "dpp.json",
+                json.dumps([vars(r) for r in rep.rows], indent=2, sort_keys=True) + "\n",
+                manifest)
     manifest.add_check("dpp", rep.passed, f"{len(rep.rows)} rows")
     return _finish(manifest, out_dir)
 
@@ -173,15 +175,11 @@ def cmd_mollify_sweep(cfg, args, out_dir):
     sweep = mollify_value_sweep(oracle, aset, cfg.grid, cfg.eps_list,
                                 scheme=cfg.scheme, scenario=cfg.label,
                                 store_fields=True)
-    with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
-        fh.write(_report_json(cfg, sweep.to_json()))
-    manifest.add_artifact(os.path.join(out_dir, "sweep.json"))
+    _write_text(out_dir, "sweep.json", _report_json(cfg, sweep.to_json()), manifest)
     for rung in sweep.resolved_rungs():
-        path = os.path.join(out_dir, f"gap_eps_{rung.epsilon:g}.csv")
-        _write_field(rung.gap_field, path, manifest)
+        field_to_csv(rung.gap_field, _artifact(out_dir, f"gap_eps_{rung.epsilon:g}.csv", manifest))
     ladder = coefficient_ladder(oracle, aset.action(0), cfg.grid, cfg.eps_list)
-    ladder.to_csv(os.path.join(out_dir, "ladder.csv"))
-    manifest.add_artifact(os.path.join(out_dir, "ladder.csv"))
+    ladder.to_csv(_artifact(out_dir, "ladder.csv", manifest))
     manifest.add_check("liminf", sweep.liminf_pass, "")
     manifest.add_check("countable_convergence", sweep.countable_pass,
                        f"threshold {sweep.countable_threshold:.4f}")
@@ -194,9 +192,7 @@ def cmd_truncation_study(cfg, args, out_dir):
     rep = countable_truncation_study(oracle, cfg.family(), cfg.experiment["N_list"],
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list,
                                      scheme=cfg.scheme)
-    with open(os.path.join(out_dir, "truncation.json"), "w") as fh:
-        fh.write(_report_json(cfg, rep.to_json()))
-    manifest.add_artifact(os.path.join(out_dir, "truncation.json"))
+    _write_text(out_dir, "truncation.json", _report_json(cfg, rep.to_json()), manifest)
     manifest.add_check("value_monotone_in_N", rep.monotone_pass, "")
     manifest.add_check("eps_convergence_per_N", rep.eps_pass, "")
     manifest.add_check("open_loop_costs", rep.open_loop_pass, "")
@@ -218,9 +214,8 @@ def cmd_simulate(cfg, args, out_dir):
     else:
         raise ConfigError([f"experiment.control.type: unknown control {kind!r}"])
     est = simulate_cost(oracle, control, sim, cfg.grid, scenario=cfg.label)
-    with open(os.path.join(out_dir, "estimate.json"), "w") as fh:
-        fh.write(est.to_json(scenario=cfg.label, control=control.name) + "\n")
-    manifest.add_artifact(os.path.join(out_dir, "estimate.json"))
+    _write_text(out_dir, "estimate.json",
+                est.to_json(scenario=cfg.label, control=control.name) + "\n", manifest)
     manifest.add_check("finite_estimate", np.isfinite(est.mean) and np.isfinite(est.se),
                        f"{est.mean:.6g} +- {est.se:.2g}")
     return _finish(manifest, out_dir)
@@ -231,16 +226,8 @@ def cmd_counterexample(cfg, args, out_dir):
     sim = cfg.build_sim(seed_override=args.seed_override, n_threads=args.threads)
     rep = counterexample_report(cfg.grid.T, cfg.experiment["x_samples"], cfg.grid,
                                 sim=sim, mc_enabled=True)
-    with open(os.path.join(out_dir, "counterexample.json"), "w") as fh:
-        fh.write(_report_json(cfg, rep.to_json()))
-    manifest.add_artifact(os.path.join(out_dir, "counterexample.json"))
-    lines = ["s,x,v_exact,v_num,v_lim_exact,v_lim_num,gap_num"]
-    for r in rep.rows:
-        lines.append(f"{r.s!r},{r.x!r},{r.v_exact!r},{r.v_num!r},"
-                     f"{r.v_lim_exact!r},{r.v_lim_num!r},{r.gap_num!r}")
-    with open(os.path.join(out_dir, "counterexample_rows.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    manifest.add_artifact(os.path.join(out_dir, "counterexample_rows.csv"))
+    _write_text(out_dir, "counterexample.json", _report_json(cfg, rep.to_json()), manifest)
+    rep.to_csv(_artifact(out_dir, "counterexample_rows.csv", manifest))
     manifest.add_check("strict_gap", rep.gap_pass, f"gap(0,0)={rep.gap_at_origin:.4f}")
     manifest.add_check("mc_crosscheck", rep.mc_pass, "")
     manifest.add_check("boundary_contamination", rep.contamination <= rep.contamination_tol,

@@ -11,7 +11,7 @@ full-cylinder metrics are reported alongside.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .grids import (
     default_boundary,
     dirichlet_boundary,
     lp_norm,
+    write_csv,
 )
 from .hjb import solve_hjb_direct, solve_hjb_tables
 from .mollify import MollifierKernel, mollify_samples
@@ -61,7 +62,7 @@ class VerificationReport:
                            "rows": [asdict(r) for r in self.rows]})
 
 
-def verification_check(u_field, oracle, action_set, sim, candidate_controls,
+def verification_check(u_field, oracle, sim, candidate_controls,
                        argmin_control=None, tol_pde=None, dt_sim_tol=True):
     """Check the two faces of the verification theorem by Monte Carlo.
 
@@ -331,6 +332,10 @@ class CounterexampleReport:
         verdict = "pass" if (self.gap_pass and self.mc_pass) else "FAIL"
         return (f"counterexample report {verdict}: gap(0,0)={self.gap_at_origin:.4f}, "
                 f"boundary contamination {self.contamination:.2e}")
+
+    def to_csv(self, path_or_buf):
+        write_csv(path_or_buf, [f.name for f in fields(CounterexampleRow)],
+                  [astuple(r) for r in self.rows])
 
     def to_json(self):
         return json.dumps({

@@ -9,7 +9,6 @@ immutable snapshots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,54 +410,41 @@ def gradient_pair(values, grid, time_leading=True):
     return np.stack(gp, axis=-1), np.stack(gm, axis=-1)
 
 
-def holder_seminorm(slice_values, alpha, grid):
-    """Max over node pairs of |f(x) - f(y)| / |x - y|^alpha on a space slice.
-
-    Uses the torus metric on periodic domains.  Pairwise scan, intended for
-    small diagnostic grids.
-    """
-    if not (0 < alpha <= 1):
-        raise FieldError(f"alpha must be in (0, 1], got {alpha}")
-    vals = np.asarray(slice_values, dtype=float).reshape(-1)
-    pts = grid.points().reshape(-1, grid.dim)
-    diff = np.abs(vals[:, None] - vals[None, :])
-    dist2 = np.zeros((pts.shape[0], pts.shape[0]))
-    for k in range(grid.dim):
-        d = np.abs(pts[:, None, k] - pts[None, :, k])
-        if grid.domain_kind == TORUS:
-            L = grid.periods[k]
-            d = np.minimum(d, L - d)
-        dist2 += d**2
-    dist = np.sqrt(dist2)
-    mask = dist > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(diff[mask] / dist[mask] ** alpha))
-
-
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def write_csv(path_or_buf, columns, rows, grid=None):
+    """Write a CSV header of ``columns`` and then ``rows``; every cell is
+    the ``repr`` of a Python int or float.
+
+    Without ``grid`` each row is a sequence of cells.  With ``grid``,
+    ``rows`` holds one array of node values per time level, and the columns
+    and every line are prefixed with t,x[,y]: node coordinate strings are
+    formatted once and the file is written one level at a time.
+    """
+    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+    fh = open(path_or_buf, "w") if own else path_or_buf
+    try:
+        if grid is None:
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            return
+        fh.write(",".join(["t", "x", "y"][:grid.dim + 1] + list(columns)) + "\n")
+        nodes = [",".join(map(repr, x)) for x in grid.points().reshape(-1, grid.dim).tolist()]
+        for t, level in zip(grid.times().tolist(), rows):
+            fh.write("".join(f"{t!r},{x},{v!r}\n"
+                             for x, v in zip(nodes, np.reshape(level, -1).tolist())))
+    finally:
+        if own:
+            fh.close()
 
 
 def field_to_csv(field, path_or_buf):
     """Write a scalar field as CSV rows t,x[,y],value."""
     if field.is_vector:
         raise FieldError("CSV serialization is defined for scalar fields")
-    grid = field.grid
-    X = grid.points().reshape(-1, grid.dim)
-    cols = ["t"] + (["x"] if grid.dim == 1 else ["x", "y"]) + ["value"]
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w") if own else path_or_buf
-    try:
-        fh.write(",".join(cols) + "\n")
-        for it, t in enumerate(grid.times()):
-            flat = field.values[it].reshape(-1)
-            for xrow, v in zip(X, flat):
-                coords = ",".join(repr(float(c)) for c in xrow)
-                fh.write(f"{float(t)!r},{coords},{float(v)!r}\n")
-    finally:
-        if own:
-            fh.close()
+    write_csv(path_or_buf, ["value"], field.values, grid=field.grid)
 
 
 def field_from_csv(grid, path):
@@ -471,43 +457,3 @@ def field_from_csv(grid, path):
             f"CSV holds {vals.size} samples, grid wants {grid.n_levels * n_nodes}"
         )
     return SpaceTimeField(grid, vals.reshape((grid.n_levels,) + grid.space_shape))
-
-
-def field_to_json(field):
-    """Compact JSON form embedding the grid descriptor."""
-    grid = field.grid
-    return json.dumps(
-        {
-            "grid": grid_to_dict(grid),
-            "vector": bool(field.is_vector),
-            "values": field.values.tolist(),
-        }
-    )
-
-
-def field_from_json(text):
-    obj = json.loads(text)
-    grid = grid_from_dict(obj["grid"])
-    return SpaceTimeField(grid, np.asarray(obj["values"], dtype=float))
-
-
-def grid_to_dict(grid):
-    return {
-        "domain_kind": grid.domain_kind,
-        "dim": grid.dim,
-        "extent": [list(e) for e in grid.extent],
-        "nx": list(grid.nx),
-        "T": grid.T,
-        "nt": grid.nt,
-    }
-
-
-def grid_from_dict(d):
-    return build_grid(
-        d["domain_kind"],
-        int(d["dim"]),
-        [tuple(e) for e in d["extent"]],
-        d["nx"],
-        float(d["T"]),
-        int(d["nt"]),
-    )

@@ -5,11 +5,13 @@ is an epsilon = 0 selector: it always returns the exact minimizer (ties break
 to the lowest action index) and trivially satisfies every positive slack
 schedule.  Slack schedules are kept as verifiable objects, never exploited.
 
-The discrete Hamiltonian can be evaluated against a single (central)
-gradient or against one-sided gradient pairs, matching the advection stencil
-of the solver that consumes the policy; mixing conventions between selection
-and solve would break the discrete comparison argument behind monotone
-policy iteration.
+The discrete Hamiltonian takes the gradient of the value iterate in the
+convention of the advection stencil of the solver that consumes the policy:
+a central gradient, or one-sided gradient pairs for upwind advection.  Mixing
+conventions between selection and solve would break the discrete comparison
+argument behind monotone policy iteration.  ``argmin_level`` is the one
+argmin kernel: policy iteration, the direct march and the HJB residual all
+select through it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ActionSet, CoefficientError
-from .grids import SpaceTimeField
+from .coefficients import CoefficientError
+from .grids import UPWIND, gradient_pair, spatial_gradient, write_csv
 
 
 @dataclass(frozen=True)
@@ -64,125 +66,36 @@ class Policy:
         """Action values per node (levels, ..., [components])."""
         return self.action_set.values[self.indices]
 
-    def changed_fraction(self, other):
-        return float(np.mean(self.indices != other.indices))
-
     def to_csv(self, path_or_buf):
-        grid = self.grid
-        X = grid.points().reshape(-1, grid.dim)
-        cols = ["t"] + (["x"] if grid.dim == 1 else ["x", "y"]) + ["action_index"]
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w") if own else path_or_buf
-        try:
-            fh.write(",".join(cols) + "\n")
-            for it, t in enumerate(grid.times()):
-                flat = self.indices[it].reshape(-1)
-                for xrow, v in zip(X, flat):
-                    coords = ",".join(repr(float(c)) for c in xrow)
-                    fh.write(f"{float(t)!r},{coords},{int(v)}\n")
-        finally:
-            if own:
-                fh.close()
+        write_csv(path_or_buf, ["action_index"], self.indices, grid=self.grid)
 
 
 def constant_policy(grid, action_set, index=0):
     return Policy(grid, np.full((grid.n_levels,) + grid.space_shape, int(index)), action_set)
 
 
-def ham_min(t, x, p_vec, oracle, action_set):
-    """Exact min over the action list of b(t,x,a) . p + f(t,x,a).
+def hamiltonian_values(B, F, u, grid, advection):
+    """Per-action discrete Hamiltonian b . grad u + f at every node.
 
-    Returns (value, argmin index); ties break to the lowest index.  Accepts a
-    single point or a batch (leading axes of x and p_vec agree).
+    ``B`` has shape (n_a, levels, ..., dim), ``F`` (n_a, levels, ...) and
+    ``u`` (levels, ...), for any number of leading time levels.  With upwind
+    advection the gradient is the one-sided pair and the Hamiltonian is
+    b+ . g_plus + b- . g_minus + f, the discrete face of b . grad u
+    consistent with the monotone stencil; otherwise it is central.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p_vec, dtype=float)
-    if oracle.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        x = x[..., None]
-    if p.shape != x.shape:
-        p = np.broadcast_to(p, x.shape)
-    vals = []
-    for ia in range(len(action_set)):
-        b, f = oracle.eval(t, x, action_set.action(ia))
-        vals.append(np.sum(b * p, axis=-1) + f)
-    stack = np.stack(vals, axis=0)
-    idx = np.argmin(stack, axis=0)
-    best = np.take_along_axis(stack, idx[None, ...], axis=0)[0]
-    if best.ndim == 0:
-        return float(best), int(idx)
-    return best, idx
-
-
-def hamiltonian_values(B_lvl, F_lvl, grad=None, grad_pair=None):
-    """Per-action discrete Hamiltonian values at one time level.
-
-    ``B_lvl`` has shape (n_a, ..., dim) and ``F_lvl`` (n_a, ...).  Either a
-    central gradient (..., dim) or an upwind pair (g_plus, g_minus) is used:
-    the upwind Hamiltonian is b+ . g_plus + b- . g_minus + f, the discrete
-    face of b . grad u consistent with the monotone stencil.
-    """
-    if grad_pair is not None:
-        gp, gm = grad_pair
-        adv = np.sum(np.maximum(B_lvl, 0.0) * gp[None], axis=-1)
-        adv += np.sum(np.minimum(B_lvl, 0.0) * gm[None], axis=-1)
+    if advection == UPWIND:
+        gp, gm = gradient_pair(u, grid, time_leading=True)
+        adv = np.sum(np.maximum(B, 0.0) * gp[None], axis=-1)
+        adv += np.sum(np.minimum(B, 0.0) * gm[None], axis=-1)
     else:
-        adv = np.sum(B_lvl * np.asarray(grad)[None], axis=-1)
-    return adv + F_lvl
+        adv = np.sum(B * spatial_gradient(u, grid)[None], axis=-1)
+    return adv + F
 
 
-def argmin_level(B_lvl, F_lvl, grad=None, grad_pair=None):
-    """(indices, values) of the exact Hamiltonian minimum at one level."""
-    H = hamiltonian_values(B_lvl, F_lvl, grad=grad, grad_pair=grad_pair)
+def argmin_level(B, F, u, grid, advection):
+    """(indices, values) of the exact Hamiltonian minimum at every node of
+    ``u``'s levels (shapes as in ``hamiltonian_values``); ties break to the
+    lowest action index."""
+    H = hamiltonian_values(B, F, u, grid, advection)
     idx = np.argmin(H, axis=0)
-    best = np.take_along_axis(H, idx[None, ...], axis=0)[0]
-    return idx, best
-
-
-def select_policy(grad_field, oracle, action_set, grid=None, slack=None, advection="central"):
-    """Exact-argmin policy from a gradient field.
-
-    ``grad_field`` is a vector field (central convention) or a (g_plus,
-    g_minus) pair of one-sided gradient arrays (upwind convention).  ``slack``
-    is accepted for interface compatibility with slack schedules; the
-    implementation always returns the exact argmin, which satisfies any
-    positive slack.
-    """
-    from .coefficients import sample_all
-
-    if isinstance(grad_field, SpaceTimeField):
-        grid = grad_field.grid
-        grads = grad_field.values
-        pair = None
-    elif isinstance(grad_field, tuple):
-        if grid is None:
-            raise CoefficientError("grid required with a gradient pair")
-        pair = grad_field
-        grads = None
-    else:
-        grads = np.asarray(grad_field, dtype=float)
-        if grid is None:
-            raise CoefficientError("grid required for bare arrays")
-        pair = None
-
-    B, F = sample_all(oracle, grid, action_set)
-    indices = np.empty((grid.n_levels,) + grid.space_shape, dtype=np.int64)
-    for n in range(grid.n_levels):
-        if pair is not None:
-            gp, gm = pair
-            idx, _ = argmin_level(B[:, n], F[:, n], grad_pair=(gp[n], gm[n]))
-        else:
-            idx, _ = argmin_level(B[:, n], F[:, n], grad=grads[n])
-        indices[n] = idx
-    return Policy(grid, indices, action_set)
-
-
-def truncate_action_set(action_set, N):
-    """Length-min(N, |A|) prefix, flagged as a truncation."""
-    N = int(N)
-    if N < 1:
-        raise CoefficientError(f"truncation length must be >= 1, got {N}")
-    if N >= len(action_set):
-        return ActionSet(action_set.values.copy(), truncated=True,
-                         family=action_set.family or "explicit")
-    return ActionSet(action_set.values[:N].copy(), truncated=True,
-                     family=action_set.family or "explicit")
+    return idx, np.take_along_axis(H, idx[None], axis=0)[0]

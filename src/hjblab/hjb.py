@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientOracle, sample_all
-from .grids import SpaceTimeField, default_boundary, gradient_pair, spatial_gradient
+from .coefficients import sample_all
+from .grids import SpaceTimeField, default_boundary, write_csv
 from .hamiltonian import Policy, SlackSchedule, argmin_level
 from .parabolic import (
     IMPLICIT_EULER,
-    UPWIND,
     SchemeError,
     _interior_mask,
     _step,
@@ -45,37 +44,10 @@ class IterationTrace:
     iterations: int = 0
 
     def to_csv(self, path_or_buf):
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w") if own else path_or_buf
-        try:
-            fh.write("k,sup_change,monotone_violation,residual,policy_changes\n")
-            for k in range(self.iterations):
-                fh.write(
-                    f"{k + 1},{self.sup_changes[k]!r},{self.monotone_violations[k]!r},"
-                    f"{self.residuals[k]!r},{self.policy_changes[k]}\n"
-                )
-        finally:
-            if own:
-                fh.close()
-
-
-def _grads_all_levels(u_values, grid, advection):
-    """Scheme-consistent gradient data for every time level."""
-    if advection == UPWIND:
-        return {"grad_pair_all": gradient_pair(u_values, grid, time_leading=True)}
-    return {"grad_all": spatial_gradient(u_values, grid)}
-
-
-def _argmin_all_levels(B, F, grid, grads):
-    indices = np.empty((grid.n_levels,) + grid.space_shape, dtype=np.int64)
-    for n in range(grid.n_levels):
-        if "grad_pair_all" in grads:
-            gp, gm = grads["grad_pair_all"]
-            idx, _ = argmin_level(B[:, n], F[:, n], grad_pair=(gp[n], gm[n]))
-        else:
-            idx, _ = argmin_level(B[:, n], F[:, n], grad=grads["grad_all"][n])
-        indices[n] = idx
-    return indices
+        write_csv(path_or_buf,
+                  ["k", "sup_change", "monotone_violation", "residual", "policy_changes"],
+                  zip(range(1, self.iterations + 1), self.sup_changes,
+                      self.monotone_violations, self.residuals, self.policy_changes))
 
 
 def _select_fields(B, F, indices):
@@ -116,8 +88,7 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
     policy_indices = None
 
     for k in range(1, max_iters + 1):
-        grads = _grads_all_levels(u, grid, scheme.advection)
-        policy_indices = _argmin_all_levels(B, F, grid, grads)
+        policy_indices, _ = argmin_level(B, F, u, grid, scheme.advection)
         bsel, fsel = _select_fields(B, F, policy_indices)
         u_new = solve_frozen(bsel, fsel, grid, boundary, scheme).values
 
@@ -169,38 +140,14 @@ def solve_policy_value(oracle, policy, grid, boundary=None, scheme=None):
                         scheme or default_scheme())
 
 
-def _grad_level(u_lvl, grid, advection):
-    if advection == UPWIND:
-        gp, gm = gradient_pair(u_lvl[None], grid, time_leading=True)
-        return {"grad_pair": (gp[0], gm[0])}
-    g = spatial_gradient(u_lvl[None], grid)
-    return {"grad": g[0]}
-
-
-def solve_hjb_direct(oracle_or_H, action_set, grid, boundary=None, scheme=None):
+def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=None):
     """Nonlinear backward march with per-step policy-freeze sweeps.
 
     Diffusion (and the frozen advection) is implicit; the minimization is
     explicit at the current step's gradient and is tightened by at most
     ``scheme.max_sweeps`` inner sweeps.  Steps whose policy keeps chattering
     are flagged in the output metadata, the value is still returned.
-
-    ``oracle_or_H`` is a CoefficientOracle, or a callable H(t, X, P) giving
-    an effective Hamiltonian directly (the analytic-injection escape hatch;
-    solved with explicit H and implicit diffusion).
     """
-    scheme = scheme or default_scheme()
-    if scheme.time_stepping != IMPLICIT_EULER:
-        raise SchemeError("the direct HJB marcher supports implicit Euler only")
-    boundary = boundary or default_boundary(grid)
-    boundary.check_domain(grid)
-
-    if isinstance(oracle_or_H, CoefficientOracle):
-        return _direct_oracle(oracle_or_H, action_set, grid, boundary, scheme)
-    return _direct_callable(oracle_or_H, grid, boundary, scheme)
-
-
-def _direct_oracle(oracle, action_set, grid, boundary, scheme):
     B, F = sample_all(oracle, grid, action_set)
     return solve_hjb_tables(B, F, grid, boundary, scheme, action_set=action_set)
 
@@ -220,32 +167,28 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     indices = np.zeros((grid.n_levels,) + grid.space_shape, dtype=np.int64)
-    idx_T, _ = argmin_level(B[:, grid.nt], F[:, grid.nt],
-                            grad=np.zeros(grid.space_shape + (grid.dim,)))
-    indices[grid.nt] = idx_T
+    nt = grid.nt
+    indices[nt:], _ = argmin_level(B[:, nt:], F[:, nt:], u[nt:], grid, scheme.advection)
     flagged_steps = []
 
-    for n in range(grid.nt - 1, -1, -1):
+    for n in range(nt - 1, -1, -1):
+        Bn, Fn = B[:, n:n + 1], F[:, n:n + 1]
         u_guess = u[n + 1]
         prev_idx = None
         stable = False
         for _ in range(scheme.max_sweeps):
-            grads = _grad_level(u_guess, grid, scheme.advection)
-            if "grad_pair" in grads:
-                idx, _ = argmin_level(B[:, n], F[:, n], grad_pair=grads["grad_pair"])
-            else:
-                idx, _ = argmin_level(B[:, n], F[:, n], grad=grads["grad"])
+            idx, _ = argmin_level(Bn, Fn, u_guess[None], grid, scheme.advection)
             if prev_idx is not None and np.array_equal(idx, prev_idx):
                 stable = True
                 break
-            bsel, fsel = _select_fields(B[:, n][:, None], F[:, n][:, None], idx[None])
+            bsel, fsel = _select_fields(Bn, Fn, idx)
             u_guess = _step(u[n + 1], bsel[0], fsel[0], grid, boundary, scheme,
                             times[n], times[n + 1])
             prev_idx = idx
         if not stable:
             flagged_steps.append(n)
         u[n] = u_guess
-        indices[n] = prev_idx
+        indices[n] = prev_idx[0]
 
     meta = {"inner_flagged_steps": flagged_steps, "converged": len(flagged_steps) == 0}
     out = SpaceTimeField(grid, u, meta=meta)
@@ -254,37 +197,7 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     return out
 
 
-def _direct_callable(H, grid, boundary, scheme):
-    times = grid.times()
-    X = grid.points()
-    u = np.zeros((grid.n_levels,) + grid.space_shape)
-    zero_b = np.zeros(grid.space_shape + (grid.dim,))
-    flagged_steps = []
-    for n in range(grid.nt - 1, -1, -1):
-        u_guess = u[n + 1]
-        prev_cand = None
-        stable = False
-        for _ in range(scheme.max_sweeps):
-            grad = spatial_gradient(u_guess[None], grid)[0]
-            h_vals = np.asarray(H(times[n], X, grad), dtype=float)
-            cand = _step(u[n + 1], zero_b, h_vals, grid, boundary, scheme,
-                         times[n], times[n + 1])
-            if prev_cand is not None:
-                scale = max(1.0, float(np.max(np.abs(cand))))
-                if float(np.max(np.abs(cand - prev_cand))) < scheme.sweep_tol * scale:
-                    stable = True
-                    u_guess = cand
-                    break
-            prev_cand = cand
-            u_guess = cand
-        if not stable:
-            flagged_steps.append(n)
-        u[n] = u_guess
-    meta = {"inner_flagged_steps": flagged_steps, "converged": len(flagged_steps) == 0}
-    return SpaceTimeField(grid, u, meta=meta)
-
-
-def hjb_residual(u, oracle_or_H, action_set, grid, boundary=None, scheme=None,
+def hjb_residual(u, oracle, action_set, grid, boundary=None, scheme=None,
                  tables=None):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
@@ -294,33 +207,14 @@ def hjb_residual(u, oracle_or_H, action_set, grid, boundary=None, scheme=None,
     """
     scheme = scheme or default_scheme()
     U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)
-    dt = grid.dt
+    B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
+    nt, dt = grid.nt, grid.dt
+    idx, _ = argmin_level(B[:, :nt], F[:, :nt], U[:nt], grid, scheme.advection)
+    bsel, fsel = _select_fields(B[:, :nt], F[:, :nt], idx)
     mask = _interior_mask(grid)
-    X = grid.points()
     worst = 0.0
-
-    callable_H = not isinstance(oracle_or_H, CoefficientOracle)
-    if not callable_H:
-        if tables is None:
-            tables = sample_all(oracle_or_H, grid, action_set)
-        B, F = tables
-
-    times = grid.times()
-    for n in range(grid.nt):
-        if callable_H:
-            grad = spatial_gradient(U[n][None], grid)[0]
-            h_vals = np.asarray(oracle_or_H(times[n], X, grad), dtype=float)
-            lhs = _step_operator(U[n], np.zeros(grid.space_shape + (grid.dim,)),
-                                 grid, scheme, dt)
-            r = (U[n + 1] + dt * h_vals - lhs) / dt
-        else:
-            grads = _grad_level(U[n], grid, scheme.advection)
-            if "grad_pair" in grads:
-                idx, _ = argmin_level(B[:, n], F[:, n], grad_pair=grads["grad_pair"])
-            else:
-                idx, _ = argmin_level(B[:, n], F[:, n], grad=grads["grad"])
-            bsel, fsel = _select_fields(B[:, n][:, None], F[:, n][:, None], idx[None])
-            lhs = _step_operator(U[n], bsel[0], grid, scheme, dt)
-            r = (U[n + 1] + dt * fsel[0] - lhs) / dt
+    for n in range(nt):
+        lhs = _step_operator(U[n], bsel[n], grid, scheme, dt)
+        r = (U[n + 1] + dt * fsel[n] - lhs) / dt
         worst = max(worst, float(np.max(np.abs(np.where(mask, r, 0.0)))))
     return worst

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .grids import SpaceTimeField, TORUS
+from .grids import TORUS, SpaceTimeField, write_csv
 
 
 class MollifyError(ValueError):
@@ -249,18 +249,9 @@ class LadderReport:
         return np.array([r.lp_distance_b + r.lp_distance_f for r in self.rungs])
 
     def to_csv(self, path_or_buf):
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w") if own else path_or_buf
-        try:
-            fh.write("epsilon,lp_distance,sup_norm\n")
-            for r in self.rungs:
-                fh.write(
-                    f"{r.epsilon!r},{r.lp_distance_b + r.lp_distance_f!r},"
-                    f"{max(r.sup_norm_b, r.sup_norm_f)!r}\n"
-                )
-        finally:
-            if own:
-                fh.close()
+        write_csv(path_or_buf, ["epsilon", "lp_distance", "sup_norm"],
+                  [(r.epsilon, r.lp_distance_b + r.lp_distance_f,
+                    max(r.sup_norm_b, r.sup_norm_f)) for r in self.rungs])
 
 
 def coefficient_ladder(oracle, action, grid, eps_list, p=2):

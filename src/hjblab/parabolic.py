@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tridiag
-from .grids import BOX, TORUS, SpaceTimeField, default_boundary
+from .grids import BOX, CENTRAL, TORUS, UPWIND, SpaceTimeField, default_boundary
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
-UPWIND = "upwind"
-CENTRAL = "central"
 
 
 class SchemeError(RuntimeError):

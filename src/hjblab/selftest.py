@@ -37,7 +37,7 @@ from .experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from .grids import build_grid, periodic_boundary, spatial_gradient
+from .grids import CENTRAL, build_grid, periodic_boundary, write_csv
 from .hamiltonian import Policy, hamiltonian_values
 from .hjb import policy_iteration, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
@@ -151,10 +151,9 @@ def _crit1_counterexample(out_dir, artifacts):
     ok_vl = abs(row0.v_lim_num - 4.0 / 3.0) <= 0.02 * (4.0 / 3.0)
     ok = ok_v and ok_vl and rep.gap_pass and rt < 10.0 and not rep.advice
     _write(out_dir, "counterexample.json", rep.to_json() + "\n", artifacts)
-    lines = ["s,x,v_exact,v_num,v_lim_exact,v_lim_num,gap_num"]
-    for r in rep.rows:
-        lines.append(f"{r.s!r},{r.x!r},{r.v_exact!r},{r.v_num!r},{r.v_lim_exact!r},{r.v_lim_num!r},{r.gap_num!r}")
-    _write(out_dir, "counterexample_rows.csv", "\n".join(lines) + "\n", artifacts)
+    path = os.path.join(out_dir, "counterexample_rows.csv")
+    rep.to_csv(path)
+    artifacts.append(path)
     detail = (f"V(0,0)={row0.v_num:.4f} Vlim(0,0)={row0.v_lim_num:.4f} "
               f"gap={row0.gap_num:.4f} contamination={rep.contamination:.1e}")
     return CheckOutcome(1, "counterexample gap (closed forms)", ok, detail, rt), rep
@@ -223,10 +222,7 @@ def _crit3_crit4_agreement(out_dir, artifacts):
 def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
     """Five fixed candidate controls for the verification battery."""
     B, F = sample_all(oracle, grid, aset)
-    grads = spatial_gradient(u_dir.values, grid)
-    H = np.stack([
-        hamiltonian_values(B[:, n], F[:, n], grad=grads[n]) for n in range(grid.n_levels)
-    ], axis=1)  # (n_a, levels, space)
+    H = hamiltonian_values(B, F, u_dir.values, grid, CENTRAL)  # (n_a, levels, space)
     worst = Policy(grid, np.argmax(H, axis=0), aset)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     random_policy = Policy(grid, rng.integers(0, len(aset), size=(grid.n_levels,) + grid.space_shape), aset)
@@ -251,7 +247,7 @@ def _crit5_verification(out_dir, artifacts, pi_fields, threads):
     sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 1,
                     start_time=0.0, start_state=(0.5,), n_threads=threads)
     candidates = _bang_bang_candidates(grid, oracle, aset, u_dir, MASTER_SEED + 2)
-    rep1 = verification_check(u_dir, oracle, aset, sim, candidates)
+    rep1 = verification_check(u_dir, oracle, sim, candidates)
     ok = ok and rep1.passed
     details.append(f"bang_bang u={rep1.u_start:.4f}")
     _write(out_dir, "verification_bang_bang.json", rep1.to_json() + "\n", artifacts)
@@ -272,7 +268,7 @@ def _crit5_verification(out_dir, artifacts, pi_fields, threads):
         ("shifted_diag", FeedbackRule(lambda t, X: X[:, 0] + 1.0, name="shifted_diag")),
         ("double_diag", FeedbackRule(lambda t, X: 2.0 * X[:, 0], name="double_diag")),
     ]
-    rep2 = verification_check(u0, ce, None, simc, cand_c,
+    rep2 = verification_check(u0, ce, simc, cand_c,
                               argmin_control=FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x"))
     ok = ok and rep2.passed
     details.append(f"counterexample u={rep2.u_start:.4f}")
@@ -329,11 +325,12 @@ def _crit7_sweeps(out_dir, artifacts, gap_report):
                                     SWEEP_LADDERS.get(name, DEFAULT_LADDER),
                                     scheme=scheme, scenario=name)
         _write(out_dir, f"sweep_{name}.json", sweep.to_json() + "\n", artifacts)
-        lines = ["epsilon,resolved,sup_gap_full,sup_gap_interior,min_gap_interior,lp_gap"]
-        for r in sweep.rungs:
-            lines.append(f"{r.epsilon!r},{int(r.resolved)},{r.sup_gap_full!r},"
-                         f"{r.sup_gap_interior!r},{r.min_gap_interior!r},{r.lp_gap!r}")
-        _write(out_dir, f"sweep_{name}.csv", "\n".join(lines) + "\n", artifacts)
+        path = os.path.join(out_dir, f"sweep_{name}.csv")
+        write_csv(path, ["epsilon", "resolved", "sup_gap_full", "sup_gap_interior",
+                         "min_gap_interior", "lp_gap"],
+                  [(r.epsilon, int(r.resolved), r.sup_gap_full, r.sup_gap_interior,
+                    r.min_gap_interior, r.lp_gap) for r in sweep.rungs])
+        artifacts.append(path)
         if not (sweep.liminf_pass and sweep.countable_pass):
             ok = False
             details.append(f"{name}: liminf={sweep.liminf_pass} countable={sweep.countable_pass}")

@@ -38,7 +38,7 @@ def test_verification_single_action_coincides():
     aset = ActionSet(np.array([1.0]))
     u = solve_hjb_direct(oracle, aset, grid)
     sim = SimConfig(n_paths=8000, dt_sim=2e-3, seed=101, start_state=(0.25,))
-    rep = verification_check(u, oracle, aset, sim,
+    rep = verification_check(u, oracle, sim,
                              [("const_only", constant_control(1.0))])
     assert rep.passed
     # with a single action the candidate and argmin rows estimate the same J
@@ -50,7 +50,7 @@ def test_verification_bang_bang(bang):
     grid, oracle, aset, scheme, u = bang
     sim = SimConfig(n_paths=10000, dt_sim=2e-3, seed=103, start_state=(0.5,))
     rep = verification_check(
-        u, oracle, aset, sim,
+        u, oracle, sim,
         [("const_minus", constant_control(-1.0)),
          ("const_plus", constant_control(1.0))],
     )

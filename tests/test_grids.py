@@ -13,14 +13,12 @@ from hjblab.grids import (
     dirichlet_boundary,
     field_from_csv,
     field_from_function,
-    field_from_json,
     field_to_csv,
-    field_to_json,
     gradient_pair,
-    holder_seminorm,
     lp_norm,
     periodic_boundary,
     spatial_gradient,
+    write_csv,
 )
 
 
@@ -158,24 +156,6 @@ def test_torus_translation_equivariance_bitwise():
     assert np.array_equal(np.roll(g1, 5, axis=1), g2)
 
 
-def test_holder_seminorm_values():
-    g = build_grid("box", 1, (0.0, 1.0), 41, 1.0, 1)
-    assert holder_seminorm(np.ones(41), 0.5, g) == 0.0
-    assert holder_seminorm(g.space_axis(0), 1.0, g) == pytest.approx(1.0, abs=1e-12)
-    root = np.sqrt(g.space_axis(0))
-    assert holder_seminorm(root, 0.5, g) == pytest.approx(1.0, abs=1e-2)
-    with pytest.raises(FieldError):
-        holder_seminorm(root, 1.5, g)
-
-
-def test_holder_uses_torus_metric():
-    g = build_grid("torus", 1, 1.0, 8, 1.0, 1)
-    vals = np.zeros(8)
-    vals[-1] = 1.0
-    # nodes 7 and 0 are dx apart through the wrap, not 7 dx
-    assert holder_seminorm(vals, 1.0, g) == pytest.approx(1.0 / g.dx[0], rel=1e-12)
-
-
 def test_field_validation():
     g = build_grid("torus", 1, 1.0, 8, 1.0, 2)
     with pytest.raises(FieldError):
@@ -218,9 +198,32 @@ def test_csv_header_2d():
     assert buf.getvalue().splitlines()[0] == "t,x,y,value"
 
 
-def test_json_roundtrip():
-    g = build_grid("torus", 1, 2.0, 8, 1.0, 2)
-    f = field_from_function(g, lambda t, X: np.cos(X[..., 0]) * (1 + t))
-    back = field_from_json(field_to_json(f))
-    assert np.array_equal(back.values, f.values)
-    assert back.grid == g
+def test_csv_golden_bytes():
+    g1 = build_grid("box", 1, (0.0, 1.0), 2, 1.0, 1)
+    buf = io.StringIO()
+    field_to_csv(SpaceTimeField(g1, np.array([[0.1, 1e-05], [1e16, -0.0]])), buf)
+    assert buf.getvalue() == (
+        "t,x,value\n"
+        "0.0,0.0,0.1\n"
+        "0.0,1.0,1e-05\n"
+        "1.0,0.0,1e+16\n"
+        "1.0,1.0,-0.0\n"
+    )
+    g2 = build_grid("torus", 2, 1.0, 2, 0.5, 1)
+    values = np.array([[[0.1, 1e-05], [1e16, -0.0]], [[-2.5, 3.0], [1e-300, 123456789.0]]])
+    buf = io.StringIO()
+    field_to_csv(SpaceTimeField(g2, values), buf)
+    assert buf.getvalue() == (
+        "t,x,y,value\n"
+        "0.0,0.25,0.25,0.1\n"
+        "0.0,0.25,0.75,1e-05\n"
+        "0.0,0.75,0.25,1e+16\n"
+        "0.0,0.75,0.75,-0.0\n"
+        "0.5,0.25,0.25,-2.5\n"
+        "0.5,0.25,0.75,3.0\n"
+        "0.5,0.75,0.25,1e-300\n"
+        "0.5,0.75,0.75,123456789.0\n"
+    )
+    buf = io.StringIO()
+    write_csv(buf, ["k", "value"], [(1, 0.1), (2, -0.0), (3, 1e16)])
+    assert buf.getvalue() == "k,value\n1,0.1\n2,-0.0\n3,1e+16\n"

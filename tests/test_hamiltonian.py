@@ -2,21 +2,26 @@ import numpy as np
 import pytest
 
 from hjblab.coefficients import (
+    ActionFamily,
     ActionSet,
     CoefficientError,
+    CoefficientOracle,
     make_bang_bang,
+    make_checkerboard,
     make_counterexample,
     bang_bang_actions,
+    sample_all,
 )
-from hjblab.grids import build_grid, field_from_function, spatial_gradient
+from hjblab.grids import build_grid, gradient_pair, spatial_gradient
 from hjblab.hamiltonian import (
     Policy,
     SlackSchedule,
+    argmin_level,
     constant_policy,
-    ham_min,
-    select_policy,
-    truncate_action_set,
 )
+
+ADVECTIONS = ("central", "upwind")
+CASES = ("1d_box", "1d_torus", "2d_torus", "2d_box")
 
 
 @pytest.fixture
@@ -24,117 +29,197 @@ def torus():
     return build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 4)
 
 
-def test_ham_min_bang_bang(torus):
-    bb = make_bang_bang(torus)
-    aset = bang_bang_actions()
-    val, idx = ham_min(0.0, 0.25, 2.0, bb, aset)
-    # b = a, f = dist^2: min over {-1, 1} of 2a + 0.0625 is at a = -1
-    assert idx == 0
-    assert val == pytest.approx(-2.0 + 0.25**2)
+def _compass(grid):
+    """2d test oracle: b = a * (1 + x y / 2), actions the four unit steps and
+    zero, cost depending on t and x."""
+
+    def eval_fn(t, X, a):
+        scale = 1.0 + 0.5 * X[..., 0] * X[..., 1]
+        b = np.asarray(a, dtype=float) * scale[..., None]
+        return b, np.sin(X[..., 0] + t) + 0.5 * X[..., 1] ** 2
+
+    oracle = CoefficientOracle("compass", 2, eval_fn, lambda t, X: np.full(X.shape[:-1], 4.0))
+    aset = ActionSet(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]))
+    return oracle, aset
 
 
-def test_ham_min_zero_gradient_tie_break(torus):
-    bb = make_bang_bang(torus)
-    aset = bang_bang_actions()
-    val, idx = ham_min(0.0, 0.5, 0.0, bb, aset)
-    assert idx == 0  # lowest index on ties
-    assert val == pytest.approx(0.25)
+def _case(name):
+    """(grid, oracle, action set, u values) with a time-dependent u."""
+    if name == "1d_box":
+        grid = build_grid("box", 1, (-1.0, 1.0), 17, 1.0, 6)
+        oracle, aset = make_checkerboard(grid, kx=2), ActionSet(np.array([-1.0, 0.5, 1.0]))
+    elif name == "1d_torus":
+        grid = build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 6)
+        oracle, aset = make_bang_bang(grid), bang_bang_actions()
+    else:
+        kind = "box" if name == "2d_box" else "torus"
+        grid = build_grid(kind, 2, (-1.0, 1.0), 8, 0.5, 4)
+        oracle, aset = _compass(grid)
+    X = grid.points()
+    u = np.stack([np.sin(np.pi * X[..., 0] + t) * np.cos(0.5 * np.pi * X[..., -1]) + t * X[..., 0]
+                  for t in grid.times()])
+    return grid, oracle, aset, u
+
+
+def _bruteforce(grid, oracle, aset, u, advection):
+    """Min over the action list of the discrete Hamiltonian, from oracle.eval:
+    one action at a time, replacing the incumbent only on a strict decrease."""
+    if advection == "upwind":
+        gp, gm = gradient_pair(u, grid)
+    else:
+        g = spatial_gradient(u, grid)
+    X = grid.points()
+    best = np.full(u.shape, np.inf)
+    arg = np.zeros(u.shape, dtype=np.int64)
+    for n, t in enumerate(grid.times()):
+        for ia in range(len(aset)):
+            b, f = oracle.eval(t, X, aset.action(ia))
+            if advection == "upwind":
+                h = (np.sum(np.maximum(b, 0.0) * gp[n], axis=-1)
+                     + np.sum(np.minimum(b, 0.0) * gm[n], axis=-1) + f)
+            else:
+                h = np.sum(b * g[n], axis=-1) + f
+            better = h < best[n]
+            best[n] = np.where(better, h, best[n])
+            arg[n] = np.where(better, ia, arg[n])
+    return arg, best
+
+
+def _linear_box(slope):
+    grid = build_grid("box", 1, (-1.0, 1.0), 9, 1.0, 4)
+    u = np.broadcast_to(slope * grid.space_axis(0), (grid.n_levels, 9)).copy()
+    return grid, u
+
+
+def test_ham_min_bang_bang():
+    grid, u = _linear_box(2.0)
+    B, F = sample_all(make_bang_bang(grid), grid, bang_bang_actions())
+    for advection in ADVECTIONS:
+        idx, H = argmin_level(B, F, u, grid, advection)
+        # b = a, f = x^2: min over {-1, 1} of 2a + x^2 is at a = -1
+        i = 5  # x = 0.25
+        assert np.all(idx[:, i] == 0)
+        assert H[0, i] == pytest.approx(-2.0 + 0.25**2)
+
+
+def test_ham_min_zero_gradient_tie_break():
+    grid, u = _linear_box(0.0)
+    B, F = sample_all(make_bang_bang(grid), grid, bang_bang_actions())
+    for advection in ADVECTIONS:
+        idx, H = argmin_level(B, F, u, grid, advection)
+        assert np.all(idx == 0)  # lowest index on ties
+        assert H[0, 6] == pytest.approx(0.25)  # x = 0.5
 
 
 def test_ham_min_counterexample_diagonal():
     g = build_grid("box", 1, (-6.0, 6.0), 25, 1.0, 4)
-    ce = make_counterexample(g)
     nodes = g.space_axis(0)
-    aset = ActionSet(nodes)
-    x = nodes[14]  # a node, positive gradient below
-    val, idx = ham_min(0.0, x, 2.0, ce, aset)
-    assert nodes[idx] == x  # picks a = x, switching the drift off
-    assert val == pytest.approx(x**2)
+    B, F = sample_all(make_counterexample(g), g, ActionSet(nodes))
+    u = np.broadcast_to(2.0 * nodes, (g.n_levels, 25)).copy()
+    for advection in ADVECTIONS:
+        idx, H = argmin_level(B, F, u, g, advection)
+        # a positive gradient everywhere: each node picks a = x, switching the drift off
+        assert np.array_equal(nodes[idx], np.broadcast_to(nodes, idx.shape))
+        assert np.allclose(H, nodes**2, rtol=0.0, atol=1e-12)
 
 
-def test_lower_envelope(torus):
-    bb = make_bang_bang(torus)
-    aset = bang_bang_actions()
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        x = rng.uniform(-1, 1)
-        p = rng.normal() * 3
-        val, _ = ham_min(0.1, x, p, bb, aset)
-        for ia in range(len(aset)):
-            b, f = bb.eval(0.1, x, aset.action(ia))
-            assert val <= b[0] * p + f + 1e-15
+def test_lower_envelope():
+    # pointwise minimality and the lowest-index tie-break, against oracle.eval
+    for case in CASES:
+        grid, oracle, aset, u = _case(case)
+        B, F = sample_all(oracle, grid, aset)
+        for advection in ADVECTIONS:
+            idx, H = argmin_level(B, F, u, grid, advection)
+            arg, best = _bruteforce(grid, oracle, aset, u, advection)
+            assert len(np.unique(idx)) > 1  # the case exercises a real choice
+            assert np.array_equal(idx, arg)
+            assert np.allclose(H, best, rtol=0.0, atol=1e-12)
 
 
-def test_concavity_in_p(torus):
-    bb = make_bang_bang(torus)
-    aset = bang_bang_actions()
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("advection", ADVECTIONS)
+def test_all_levels_equals_per_level(case, advection):
+    grid, oracle, aset, u = _case(case)
+    B, F = sample_all(oracle, grid, aset)
+    idx, H = argmin_level(B, F, u, grid, advection)
+    for n in range(grid.n_levels):
+        idx_n, H_n = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u[n:n + 1], grid, advection)
+        assert np.array_equal(idx_n[0], idx[n])
+        assert np.array_equal(H_n[0], H[n])
+
+
+def test_concavity_in_p():
+    # level n of u carries the uniform gradient p[n], so one call per slope set
+    grid = build_grid("box", 1, (-1.0, 1.0), 9, 1.0, 49)
+    B, F = sample_all(make_bang_bang(grid), grid, bang_bang_actions())
     rng = np.random.default_rng(9)
-    for _ in range(50):
-        x = rng.uniform(-1, 1)
-        p1, p2 = rng.normal(size=2) * 4
-        lam = rng.uniform()
-        h1, _ = ham_min(0.0, x, p1, bb, aset)
-        h2, _ = ham_min(0.0, x, p2, bb, aset)
-        hmid, _ = ham_min(0.0, x, lam * p1 + (1 - lam) * p2, bb, aset)
-        assert hmid >= lam * h1 + (1 - lam) * h2 - 1e-12
+    p1, p2 = rng.normal(size=(2, grid.n_levels)) * 4
+    lam = rng.uniform(size=grid.n_levels)
+    x = grid.space_axis(0)
+    for advection in ADVECTIONS:
+        def H(p):
+            return argmin_level(B, F, p[:, None] * x, grid, advection)[1]
+
+        hmid = H(lam * p1 + (1 - lam) * p2)
+        assert np.all(hmid >= lam[:, None] * H(p1) + (1 - lam[:, None]) * H(p2) - 1e-12)
 
 
 def test_select_policy_single_action(torus):
-    bb = make_bang_bang(torus)
-    single = ActionSet(np.array([1.0]))
-    grad = field_from_function(torus, lambda t, X: np.zeros(X.shape[:-1]))
-    grad_vec = spatial_gradient(grad)
-    pol = select_policy(grad_vec, bb, single)
-    assert np.all(pol.indices == 0)
+    B, F = sample_all(make_bang_bang(torus), torus, ActionSet(np.array([1.0])))
+    u = np.zeros((torus.n_levels,) + torus.space_shape)
+    for advection in ADVECTIONS:
+        idx, _ = argmin_level(B, F, u, torus, advection)
+        assert np.all(idx == 0)
 
 
 def test_select_policy_sign_rule(torus):
-    bb = make_bang_bang(torus)
-    aset = bang_bang_actions()
-    u = field_from_function(torus, lambda t, X: X[..., 0] ** 2)
-    grad = spatial_gradient(u)
-    pol = select_policy(grad, bb, aset)
+    B, F = sample_all(make_bang_bang(torus), torus, bang_bang_actions())
     x = torus.space_axis(0)
+    u = np.broadcast_to(x**2, (torus.n_levels,) + torus.space_shape).copy()
     interior = np.abs(np.abs(x) - 1.0) > 0.1  # away from the periodic seam
     # argmin of a * p over {-1, +1} is -sign(p) = -sign(2x)
     expected = np.where(x[interior] > 0, 0, 1)
-    assert np.array_equal(pol.indices[0][interior], expected)
+    for advection in ADVECTIONS:
+        idx, _ = argmin_level(B, F, u, torus, advection)
+        assert np.array_equal(idx[0][interior], expected)
 
 
-def test_selector_ignores_slack(torus):
-    bb = make_bang_bang(torus)
-    aset = bang_bang_actions()
-    u = field_from_function(torus, lambda t, X: X[..., 0] ** 2)
-    grad = spatial_gradient(u)
-    p_exact = select_policy(grad, bb, aset)
-    p_slack = select_policy(grad, bb, aset, slack=SlackSchedule(delta=1.0, k=0))
-    assert np.array_equal(p_exact.indices, p_slack.indices)
+def test_selector_ignores_slack():
+    # the exact argmin meets the near-minimality bound of every slack schedule
+    grid, oracle, aset, u = _case("1d_torus")
+    B, F = sample_all(oracle, grid, aset)
+    _, H = argmin_level(B, F, u, grid, "upwind")
+    _, best = _bruteforce(grid, oracle, aset, u, "upwind")
+    X = grid.points()
+    for k in range(0, 40, 13):
+        slack = SlackSchedule(delta=1.0, k=k).value(X[..., 0])
+        assert np.all(H - best <= slack)
 
 
 def test_selector_realizes_ham_min(torus):
     bb = make_bang_bang(torus)
     aset = bang_bang_actions()
-    u = field_from_function(torus, lambda t, X: np.sin(np.pi * X[..., 0]))
-    grad = spatial_gradient(u)
-    pol = select_policy(grad, bb, aset)
     X = torus.points()
+    u = np.stack([np.sin(np.pi * X[..., 0]) for _ in torus.times()])
+    B, F = sample_all(bb, torus, aset)
+    idx, H = argmin_level(B, F, u, torus, "central")
+    grad = spatial_gradient(u, torus)
     for n, t in enumerate(torus.times()):
         for i in range(torus.nx[0]):
-            p = grad.values[n, i, 0]
-            val, _ = ham_min(t, X[i], p, bb, aset)
-            a = aset.action(pol.indices[n, i])
-            b, f = bb.eval(t, X[i], a)
-            assert b[0] * p + f == pytest.approx(val, abs=1e-15)
+            p = grad[n, i, 0]
+            b, f = bb.eval(t, X[i], aset.action(idx[n, i]))
+            assert b[0] * p + f == pytest.approx(H[n, i], abs=1e-15)
 
 
 def test_truncate_action_set():
-    aset = ActionSet(np.array([1.0, 2.0, 3.0]))
-    t2 = truncate_action_set(aset, 2)
+    # truncation to the length-N prefix is ActionFamily.prefix
+    fam = ActionFamily("three", lambda i: float(i + 1), size=3)
+    t2 = fam.prefix(2)
     assert list(t2.values) == [1.0, 2.0] and t2.truncated
-    t5 = truncate_action_set(aset, 5)
-    assert np.array_equal(t5.values, aset.values)
+    t5 = fam.prefix(5)
+    assert list(t5.values) == [1.0, 2.0, 3.0] and t5.truncated
     with pytest.raises(CoefficientError):
-        truncate_action_set(aset, 0)
+        fam.prefix(0)
 
 
 def test_slack_schedule():

@@ -118,25 +118,30 @@ def test_direct_flags_are_clean(bang):
     assert hasattr(u, "policy")
 
 
-def test_callable_hamiltonian_p_independent():
-    grid = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
-    oracle = make_constant_drift(grid, c=0.0)
+def _constant_drift_problem(grid, c):
+    """Single-action constant-drift oracle: H = c p + x^2, exact boundary."""
+    oracle = make_constant_drift(grid, c=c)
     exact = oracle.exact_value
     bc = dirichlet_boundary(lambda t, X: exact(t, X, grid.T))
-    u_call = solve_hjb_direct(lambda t, X, P: X[..., 0] ** 2, None, grid, boundary=bc)
-    B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
-    u_oracle = solve_frozen(B[0], F[0], grid, bc)
-    assert np.max(np.abs(u_call.values - u_oracle.values)) < 1e-12
-    res = hjb_residual(u_call, lambda t, X, P: X[..., 0] ** 2, None, grid)
-    assert res < 1e-9
+    return oracle, ActionSet(np.array([1.0])), bc
 
 
-def test_callable_hamiltonian_with_gradient_term():
+def test_single_action_p_independent_hamiltonian():
+    grid = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
+    oracle, single, bc = _constant_drift_problem(grid, 0.0)
+    u = solve_hjb_direct(oracle, single, grid, boundary=bc)
+    B, F = sample_all(oracle, grid, single)
+    u_frozen = solve_frozen(B[0], F[0], grid, bc)
+    assert np.max(np.abs(u.values - u_frozen.values)) < 1e-12
+    assert hjb_residual(u, oracle, single, grid) < 1e-9
+
+
+def test_single_action_hamiltonian_with_gradient_term():
     grid = build_grid("box", 1, (-6.0, 6.0), 241, 1.0, 256)
-    exact_fn = lambda t, X: ((X[..., 0] + grid.T - t) ** 3 - X[..., 0] ** 3) / 3.0 + (grid.T - t) ** 2
-    bc = dirichlet_boundary(exact_fn)
-    H = lambda t, X, P: P[..., 0] + X[..., 0] ** 2
-    u = solve_hjb_direct(H, None, grid, boundary=bc)
+    oracle, single, bc = _constant_drift_problem(grid, 1.0)
+    # central advection, the gradient the callable-H march used
+    u = solve_hjb_direct(oracle, single, grid, boundary=bc,
+                         scheme=ParabolicScheme(advection="central"))
     assert u.values[0, 120] == pytest.approx(4.0 / 3.0, rel=0.02)
 
 
