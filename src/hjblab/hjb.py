@@ -104,7 +104,7 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
         changed = n_nodes if prev_indices is None else int(np.sum(policy_indices != prev_indices))
         trace.policy_changes.append(changed)
         trace.residuals.append(
-            hjb_residual(u_new, oracle, action_set, grid, boundary, scheme, tables=(B, F))
+            hjb_residual(u_new, oracle, action_set, grid, scheme, tables=(B, F))
         )
 
         prev_indices = policy_indices
@@ -197,13 +197,14 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     return out
 
 
-def hjb_residual(u, oracle, action_set, grid, boundary=None, scheme=None,
-                 tables=None):
+def hjb_residual(u, oracle, action_set, grid, scheme=None, tables=None):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
     For each marching step the exact-argmin Hamiltonian of the given field's
     own gradient enters the inverted step operator; solver output therefore
-    has residual at roundoff scale (or the inner sweep tolerance).
+    has residual at roundoff scale (or the inner sweep tolerance).  Box
+    boundary nodes hold Dirichlet data and are left out, so no boundary
+    condition enters.
     """
     scheme = scheme or default_scheme()
     U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)

@@ -3,7 +3,11 @@
 Implicit Euler (default) or Crank-Nicolson in time, upwind (default) or
 central advection in space.  One dimension solves a (cyclic) tridiagonal
 system per step; two dimensions use an alternating-direction factorization
-with tridiagonal line solves.  With upwind advection and implicit Euler every
+with tridiagonal line solves.  Every axis sweep is one pivoting LAPACK call
+over all of its lines (``tridiag``), with partial pivoting: line systems
+that are not diagonally dominant, such as central advection at large b dx,
+are solved stably, and an exactly singular line raises.
+With upwind advection and implicit Euler every
 step matrix is an M-matrix for any dt, dx and bounded drift, which is checked
 at assembly; the discrete comparison principle is then a theorem of the
 scheme, not an aspiration.

@@ -1,14 +1,53 @@
-"""Batched tridiagonal and cyclic-tridiagonal direct solves.
+"""Batched tridiagonal and cyclic-tridiagonal direct solves on LAPACK ``gtsv``.
 
-Thomas elimination vectorized over an arbitrary batch of independent lines
-(the leading axes); the cyclic variant handles periodic wraparound via the
-Sherman-Morrison correction.  No pivoting: every system assembled by the
-parabolic steppers is strictly diagonally dominant.
+Every line of a call (the leading axes index independent lines) is stacked
+into one tridiagonal system whose couplings across line boundaries are
+exactly zero, so one ``dgtsv`` call solves the whole batch.  ``gtsv`` is
+Gaussian elimination with partial pivoting; it never swaps rows across a line
+boundary, because the candidate pivot there is the zero coupling.  The
+cyclic variant handles periodic wraparound with the Sherman-Morrison
+correction, its two right-hand sides solved as two columns of the same call.
+An exactly singular line raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
+
+
+def _bands(lower, diag, upper, shape):
+    """A fresh (3, ..., n) float array of the three bands, each broadcast to
+    the line shape (..., n)."""
+    bands = np.empty((3,) + shape)
+    bands[0], bands[1], bands[2] = lower, diag, upper
+    return bands
+
+
+def _solve_lines(dl, d, du, b):
+    """Solve tri(dl, d, du) x = b on every line in one ``dgtsv`` call.
+
+    ``dl``, ``d`` and ``du`` are C-contiguous bands of the line shape (..., n)
+    and ``b`` a C-contiguous (k, ..., n) stack of k right-hand sides; the call
+    overwrites all four, so callers pass copies.  The couplings across line
+    boundaries are zeroed before the call.
+    """
+    k, shape = b.shape[0], b.shape[1:]
+    n = shape[-1]
+    dl[..., 0] = 0.0
+    du[..., -1] = 0.0
+    _, _, _, x, info = dgtsv(dl.reshape(-1)[1:], d.reshape(-1), du.reshape(-1)[:-1],
+                             b.reshape(k, -1).T,
+                             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        line, row = divmod(info - 1, n)
+        batch = shape[:-1]
+        name = f"line {tuple(int(i) for i in np.unravel_index(line, batch))}" if batch else "the line"
+        raise ValueError(f"singular tridiagonal system: {name} has an exactly zero pivot "
+                         f"at row {row}")
+    if info < 0:
+        raise ValueError(f"dgtsv rejected argument {-info}")
+    return x.T.reshape(b.shape)
 
 
 def solve_tridiag(lower, diag, upper, rhs):
@@ -17,26 +56,8 @@ def solve_tridiag(lower, diag, upper, rhs):
     ``lower[..., i]`` multiplies x[..., i-1] in row i (lower[..., 0] unused);
     ``upper[..., i]`` multiplies x[..., i+1] (upper[..., -1] unused).
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[-1]
-
-    cp = np.empty_like(diag)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = upper[..., 0] / diag[..., 0]
-    dp[..., 0] = rhs[..., 0] / diag[..., 0]
-    for i in range(1, n):
-        denom = diag[..., i] - lower[..., i] * cp[..., i - 1]
-        cp[..., i] = upper[..., i] / denom
-        dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / denom
-
-    x = np.empty_like(rhs)
-    x[..., -1] = dp[..., -1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
-    return x
+    b = np.array(rhs, dtype=float)[None]
+    return _solve_lines(*_bands(lower, diag, upper, b.shape[1:]), b)[0]
 
 
 def solve_cyclic(lower, diag, upper, rhs):
@@ -45,28 +66,25 @@ def solve_cyclic(lower, diag, upper, rhs):
     Row 0 additionally couples to x[..., -1] with weight lower[..., 0] and
     row n-1 couples to x[..., 0] with weight upper[..., -1].
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[-1]
-    if n < 3:
+    shape = rhs.shape
+    if shape[-1] < 3:
         raise ValueError("cyclic solve needs n >= 3")
+    dl, d, du = _bands(lower, diag, upper, shape)
 
-    beta = lower[..., 0]   # A[0, n-1]
-    alpha = upper[..., -1]  # A[n-1, 0]
+    beta = dl[..., 0].copy()   # A[0, n-1]
+    alpha = du[..., -1].copy()  # A[n-1, 0]
 
-    gamma = -diag[..., 0]
-    d = diag.copy()
-    d[..., 0] = diag[..., 0] - gamma
-    d[..., -1] = diag[..., -1] - alpha * beta / gamma
+    gamma = -d[..., 0]
+    d[..., 0] = d[..., 0] - gamma
+    d[..., -1] = d[..., -1] - alpha * beta / gamma
 
-    y = solve_tridiag(lower, d, upper, rhs)
-
-    u = np.zeros_like(rhs)
-    u[..., 0] = gamma
-    u[..., -1] = alpha
-    z = solve_tridiag(lower, d, upper, u)
+    # two right-hand sides: rhs, and the correction vector gamma e_0 + alpha e_{n-1}
+    b = np.zeros((2,) + shape)
+    b[0] = rhs
+    b[1, ..., 0] = gamma
+    b[1, ..., -1] = alpha
+    y, z = _solve_lines(dl, d, du, b)
 
     vy = y[..., 0] + (beta / gamma) * y[..., -1]
     vz = z[..., 0] + (beta / gamma) * z[..., -1]

@@ -12,11 +12,25 @@ from hjblab.grids import build_grid, constant_field, field_from_function, spatia
 from hjblab.mollify import (
     MollifierKernel,
     MollifyError,
+    _kernel_constants,
     coefficient_ladder,
     kernel_normalization_error,
     kernel_value,
     mollify_field,
 )
+
+
+# (Z, G / Z, M / Z) from adaptive quadrature (scipy.integrate.quad, limit=200)
+QUAD_CONSTANTS = {
+    1: (0.4665123931783276, 2.9899478159838386, 0.30096296595550287),
+    2: (0.4410888872765992, 4.230552223237379, 0.2763726731469139),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_constants_match_adaptive_quadrature(dim):
+    for value, reference in zip(_kernel_constants(dim), QUAD_CONSTANTS[dim]):
+        assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 def test_kernel_support_and_positivity():

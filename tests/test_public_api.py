@@ -1,6 +1,9 @@
 """The package's exported names, pinned so that a removal or a new export
 is a deliberate edit of this list."""
 
+import os
+import subprocess
+import sys
 import types
 
 import hjblab
@@ -38,3 +41,13 @@ def test_exported_names():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == EXPORTS
     assert hjblab.__version__ == "0.1.0"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(hjblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, hjblab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

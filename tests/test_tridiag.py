@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hjblab import parabolic, tridiag
+from hjblab.grids import build_grid, default_boundary
 from hjblab.tridiag import solve_cyclic, solve_tridiag
 
 
@@ -12,9 +16,17 @@ def _random_dd_system(rng, n, batch=()):
     return lower, diag, upper, rhs
 
 
-def _dense_tridiag(lower, diag, upper):
+def _dense_lines(lower, diag, upper, cyclic=False):
+    """Dense (..., n, n) matrices of a batch of (cyclic) tridiagonal lines."""
     n = diag.shape[-1]
-    A = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+    A = np.zeros(diag.shape + (n,))
+    i = np.arange(n)
+    A[..., i, i] = diag
+    A[..., i[1:], i[:-1]] = lower[..., 1:]
+    A[..., i[:-1], i[1:]] = upper[..., :-1]
+    if cyclic:
+        A[..., 0, -1] = lower[..., 0]
+        A[..., -1, 0] = upper[..., -1]
     return A
 
 
@@ -23,7 +35,7 @@ def test_tridiag_matches_dense():
     for n in (3, 7, 40):
         lower, diag, upper, rhs = _random_dd_system(rng, n)
         x = solve_tridiag(lower, diag, upper, rhs)
-        A = _dense_tridiag(lower, diag, upper)
+        A = _dense_lines(lower, diag, upper)
         assert np.allclose(A @ x, rhs, atol=1e-12)
 
 
@@ -33,7 +45,7 @@ def test_tridiag_batched():
     x = solve_tridiag(lower, diag, upper, rhs)
     for i in range(4):
         for j in range(3):
-            A = _dense_tridiag(lower[i, j], diag[i, j], upper[i, j])
+            A = _dense_lines(lower[i, j], diag[i, j], upper[i, j])
             assert np.allclose(A @ x[i, j], rhs[i, j], atol=1e-12)
 
 
@@ -42,9 +54,7 @@ def test_cyclic_matches_dense():
     for n in (4, 9, 33):
         lower, diag, upper, rhs = _random_dd_system(rng, n)
         x = solve_cyclic(lower, diag, upper, rhs)
-        A = _dense_tridiag(lower, diag, upper)
-        A[0, -1] = lower[0]
-        A[-1, 0] = upper[-1]
+        A = _dense_lines(lower, diag, upper, cyclic=True)
         assert np.allclose(A @ x, rhs, atol=1e-11)
 
 
@@ -53,12 +63,126 @@ def test_cyclic_batched():
     lower, diag, upper, rhs = _random_dd_system(rng, 16, batch=(5,))
     x = solve_cyclic(lower, diag, upper, rhs)
     for i in range(5):
-        A = _dense_tridiag(lower[i], diag[i], upper[i])
-        A[0, -1] = lower[i, 0]
-        A[-1, 0] = upper[i, -1]
+        A = _dense_lines(lower[i], diag[i], upper[i], cyclic=True)
         assert np.allclose(A @ x[i], rhs[i], atol=1e-11)
 
 
 def test_cyclic_needs_three_nodes():
     with pytest.raises(ValueError):
         solve_cyclic(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+
+
+def test_zero_leading_pivot_matches_dense():
+    # nonsingular, not diagonally dominant, first pivot exactly 0: elimination
+    # without row interchanges divides by zero here
+    lower = np.array([0.0, 1.0, 1.0])
+    diag = np.array([0.0, 1.0, 1.0])
+    upper = np.array([1.0, 1.0, 0.0])
+    rhs = np.array([1.0, 2.0, 3.0])
+    x = solve_tridiag(lower, diag, upper, rhs)
+    expected = np.linalg.solve(_dense_lines(lower, diag, upper), rhs)
+    assert np.allclose(x, expected, rtol=0.0, atol=1e-14)
+
+
+def test_singular_system_raises():
+    # rows 0 and 1 are equal
+    lower = np.array([0.0, 1.0, 0.0])
+    diag = np.array([1.0, 1.0, 1.0])
+    upper = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="row 1"):
+        solve_tridiag(lower, diag, upper, np.ones(3))
+    # the same system as line 1 behind a nonsingular line 0
+    two = lambda a: np.stack([a, a])  # noqa: E731
+    diags = np.stack([np.full(3, 2.0), diag])
+    with pytest.raises(ValueError, match=r"line \(1,\) .* row 1"):
+        solve_tridiag(two(lower), diags, two(upper), np.ones((2, 3)))
+
+
+def test_inputs_are_not_modified():
+    rng = np.random.default_rng(3)
+    args = _random_dd_system(rng, 6, batch=(3,))
+    copies = [a.copy() for a in args]
+    solve_tridiag(*args)
+    solve_cyclic(*args)
+    for a, c in zip(args, copies):
+        assert np.array_equal(a, c)
+
+
+def test_zero_pivot_lines_do_not_couple():
+    # every other line has a zero leading pivot and needs a row interchange;
+    # the couplings across line boundaries are nonzero in the inputs and must
+    # be ignored, so each line solves alone
+    rng = np.random.default_rng(17)
+    shape = (3, 4, 5)
+    lower = rng.uniform(0.5, 1.5, size=shape)
+    upper = rng.uniform(0.5, 1.5, size=shape)
+    diag = rng.uniform(-1.0, 1.0, size=shape)
+    diag[:, ::2, 0] = 0.0
+    rhs = rng.normal(size=shape)
+    x = solve_tridiag(lower, diag, upper, rhs)
+    expected = np.linalg.solve(_dense_lines(lower, diag, upper), rhs[..., None])[..., 0]
+    assert np.allclose(x, expected, rtol=1e-10, atol=1e-10)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            alone = solve_tridiag(lower[i, j], diag[i, j], upper[i, j], rhs[i, j])
+            assert np.array_equal(alone, x[i, j])
+
+
+_batch_shapes = st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=_batch_shapes, n=st.integers(3, 12))
+def test_tridiag_property_against_dense(seed, batch, n):
+    # general sign pattern, not diagonally dominant: partial pivoting matters
+    rng = np.random.default_rng(seed)
+    shape = batch + (n,)
+    lower, diag, upper = (rng.uniform(-2.0, 2.0, size=shape) for _ in range(3))
+    rhs = rng.normal(size=shape)
+    A = _dense_lines(lower, diag, upper)
+    assume(np.all(np.linalg.cond(A) < 1e4))
+    x = solve_tridiag(lower, diag, upper, rhs)
+    expected = np.linalg.solve(A, rhs[..., None])[..., 0]
+    assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=_batch_shapes, n=st.integers(3, 12))
+def test_cyclic_property_against_dense(seed, batch, n):
+    # diagonally dominant with random signs, as the Sherman-Morrison
+    # correction divides by the leading diagonal entry
+    rng = np.random.default_rng(seed)
+    shape = batch + (n,)
+    lower, upper = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(2))
+    sign = rng.choice([-1.0, 1.0], size=shape)
+    diag = sign * (0.5 + np.abs(lower) + np.abs(upper) + rng.uniform(0.0, 1.0, size=shape))
+    rhs = rng.normal(size=shape)
+    x = solve_cyclic(lower, diag, upper, rhs)
+    A = _dense_lines(lower, diag, upper, cyclic=True)
+    expected = np.linalg.solve(A, rhs[..., None])[..., 0]
+    assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind,dim,sweeps", [
+    ("box", 1, 1), ("torus", 1, 1), ("box", 2, 2), ("torus", 2, 2),
+])
+def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim, sweeps):
+    calls = []
+    original = tridiag.dgtsv
+
+    def counting(dl, d, du, b, **kw):
+        calls.append(b.shape)
+        return original(dl, d, du, b, **kw)
+
+    monkeypatch.setattr(tridiag, "dgtsv", counting)
+    grid = build_grid(kind, dim, (-1.0, 1.0), 9, 1.0, 4)
+    rng = np.random.default_rng(7)
+    u_next = rng.normal(size=grid.space_shape)
+    b_lvl = rng.uniform(-1.0, 1.0, size=grid.space_shape + (dim,))
+    f_lvl = rng.normal(size=grid.space_shape)
+    u = parabolic._step(u_next, b_lvl, f_lvl, grid, default_boundary(grid),
+                        parabolic.default_scheme(), 0.0, grid.dt)
+    assert np.all(np.isfinite(u))
+    assert len(calls) == sweeps
+    # torus lines carry rhs and the Sherman-Morrison vector as two columns
+    assert all(shape[1] == (2 if kind == "torus" else 1) for shape in calls)
