@@ -33,7 +33,6 @@ from .coefficients import (  # noqa: F401
     bang_bang_actions,
     bang_bang_family,
     catalog_names,
-    eval_coeff,
     make_oracle,
     make_tabulated,
     sample_to_grid,
@@ -73,7 +72,6 @@ from .montecarlo import (  # noqa: F401
     OpenLoopControl,
     SimConfig,
     constant_control,
-    cost_bound_check,
     dpp_residual,
     simulate_cost,
     value_at,

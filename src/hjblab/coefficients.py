@@ -102,48 +102,27 @@ class CoefficientOracle:
     ``eval_fn(t, X, a)`` receives points X of shape (..., dim) and an action
     broadcastable over the leading shape; it returns (b, f) with b of shape
     (..., dim) and f of shape (...).  ``bound_fn(t, X)`` returns Phi values.
-    ``action_ok(a)`` guards the action universe for the checked entry point.
     """
 
-    def __init__(self, name, dim, eval_fn, bound_fn, action_ok=None,
+    def __init__(self, name, dim, eval_fn, bound_fn,
                  params=None, exact_value=None, p_exponent=None):
         self.name = name
         self.dim = int(dim)
         self._eval_fn = eval_fn
         self._bound_fn = bound_fn
-        self._action_ok = action_ok
         self.params = dict(params or {})
         self.exact_value = exact_value  # closed-form value under action a=+1, if any
         self.p_exponent = p_exponent
 
     def eval(self, t, X, a):
-        """Unchecked vectorized evaluation (hot path)."""
+        """Vectorized evaluation (hot path)."""
         return self._eval_fn(float(t), _promote_points(X, self.dim), a)
 
     def bound(self, t, X):
         return self._bound_fn(float(t), _promote_points(X, self.dim))
 
-    def action_ok(self, a):
-        if self._action_ok is None:
-            return True
-        return bool(np.all(self._action_ok(np.asarray(a, dtype=float))))
-
     def __repr__(self):
         return f"CoefficientOracle({self.name!r}, dim={self.dim}, params={self.params})"
-
-
-def eval_coeff(oracle, t, x, a):
-    """Checked single-point/batch evaluation of an oracle.
-
-    Raises on an action outside the scenario's universe and on non-finite
-    output (an internal fault of the catalog entry).
-    """
-    if not oracle.action_ok(a):
-        raise CoefficientError(f"action {a!r} outside the universe of {oracle.name!r}")
-    b, f = oracle.eval(t, x, a)
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(f))):
-        raise RuntimeError(f"catalog entry {oracle.name!r} produced non-finite values")
-    return b, f
 
 
 def sample_to_grid(oracle, grid, action):
@@ -251,11 +230,8 @@ def make_counterexample(domain):
     def bound_fn(t, X):
         return 1.0 + _dist2(X, domain)
 
-    return CoefficientOracle(
-        "counterexample", dim, eval_fn, bound_fn,
-        action_ok=None,  # the action universe is the whole state space
-        params={}, p_exponent=dim + 3,
-    )
+    return CoefficientOracle("counterexample", dim, eval_fn, bound_fn,
+                             params={}, p_exponent=dim + 3)
 
 
 def _multiplier_entry(name, domain, shape_fn, shape_sup, params, action_bound=1.0):
@@ -271,10 +247,7 @@ def _multiplier_entry(name, domain, shape_fn, shape_sup, params, action_bound=1.
     def bound_fn(t, X):
         return action_bound * shape_sup + _dist2(X, domain)
 
-    def action_ok(a):
-        return np.abs(a) <= action_bound + 1e-12
-
-    return CoefficientOracle(name, dim, eval_fn, bound_fn, action_ok=action_ok,
+    return CoefficientOracle(name, dim, eval_fn, bound_fn,
                              params=params, p_exponent=dim + 3)
 
 
@@ -352,11 +325,8 @@ def make_bang_bang(domain):
     def bound_fn(t, X):
         return 1.0 + _dist2(X, domain)
 
-    def action_ok(a):
-        return np.isin(np.round(np.abs(a), 12), [1.0]).all()
-
     return CoefficientOracle("bang_bang", dim, eval_fn, bound_fn,
-                             action_ok=action_ok, params={}, p_exponent=dim + 3)
+                             params={}, p_exponent=dim + 3)
 
 
 def bang_bang_actions():
@@ -407,7 +377,6 @@ def make_smooth_baseline(domain, T, amplitude=0.25):
 
     oracle = CoefficientOracle(
         "smooth_baseline", dim, eval_fn, bound_fn,
-        action_ok=lambda a: np.abs(a) <= 1.0 + 1e-12,
         params={"T": T, "amplitude": A}, p_exponent=dim + 3,
     )
     oracle.exact_value = lambda t, X, T_=T: u_exact(t, X, T_)
@@ -448,12 +417,7 @@ def make_tabulated(grid, b_values, f_values, phi_values=None, name="tabulated"):
         loc = lookup(t, X)
         return phi_values[loc]
 
-    def action_ok(a):
-        a = np.asarray(a)
-        return np.all((a == np.round(a)) & (a >= 0) & (a < n_actions))
-
     oracle = CoefficientOracle(name, grid.dim, eval_fn, bound_fn,
-                               action_ok=action_ok,
                                params={"n_actions": int(n_actions)},
                                p_exponent=grid.dim + 3)
     oracle.grid = grid

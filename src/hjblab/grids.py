@@ -354,13 +354,10 @@ def _diff_axis(values, axis, dx, periodic, mode):
     return out
 
 
-def spatial_gradient(field, grid=None, scheme=CENTRAL, sign_field=None):
+def spatial_gradient(field, grid=None):
     """Per-node finite-difference gradient, returned as a vector field.
 
-    scheme "central" uses second-order central differences (one-sided at box
-    edges).  scheme "upwind" picks the one-sided difference in the direction
-    of ``sign_field`` (forward where sign >= 0), matching the monotone solver
-    convention.
+    Second-order central differences, one-sided at box edges.
     """
     if isinstance(field, SpaceTimeField):
         grid = field.grid
@@ -375,19 +372,7 @@ def spatial_gradient(field, grid=None, scheme=CENTRAL, sign_field=None):
     comps = []
     for k in range(grid.dim):
         axis = k + (1 if time_leading else 0)
-        if scheme == CENTRAL:
-            comps.append(_diff_axis(values, axis, grid.dx[k], periodic, "central"))
-        elif scheme == UPWIND:
-            if sign_field is None:
-                raise FieldError("upwind gradient requires a sign field")
-            sgn = np.asarray(sign_field)
-            if sgn.ndim == values.ndim + 1:
-                sgn = sgn[..., k]  # vector sign field: one component per axis
-            fwd = _diff_axis(values, axis, grid.dx[k], periodic, "forward")
-            bwd = _diff_axis(values, axis, grid.dx[k], periodic, "backward")
-            comps.append(np.where(sgn >= 0, fwd, bwd))
-        else:
-            raise FieldError(f"unknown gradient scheme {scheme!r}")
+        comps.append(_diff_axis(values, axis, grid.dx[k], periodic, "central"))
     grad = np.stack(comps, axis=-1)
     if isinstance(field, SpaceTimeField):
         return SpaceTimeField(grid, grad)

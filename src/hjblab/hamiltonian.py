@@ -62,10 +62,6 @@ class Policy:
         self.indices = indices.astype(np.int64)
         self.action_set = action_set
 
-    def actions(self):
-        """Action values per node (levels, ..., [components])."""
-        return self.action_set.values[self.indices]
-
     def to_csv(self, path_or_buf):
         write_csv(path_or_buf, ["action_index"], self.indices, grid=self.grid)
 

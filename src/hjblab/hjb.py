@@ -21,10 +21,9 @@ from .hamiltonian import Policy, SlackSchedule, argmin_level
 from .parabolic import (
     IMPLICIT_EULER,
     SchemeError,
-    _interior_mask,
     _step,
-    _step_operator,
     default_scheme,
+    pde_residual,
     solve_frozen,
 )
 
@@ -182,8 +181,7 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
                 stable = True
                 break
             bsel, fsel = _select_fields(Bn, Fn, idx)
-            u_guess = _step(u[n + 1], bsel[0], fsel[0], grid, boundary, scheme,
-                            times[n], times[n + 1])
+            u_guess = _step(u[n + 1], bsel[0], fsel[0], grid, boundary, scheme, times[n])
             prev_idx = idx
         if not stable:
             flagged_steps.append(n)
@@ -200,22 +198,15 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
 def hjb_residual(u, oracle, action_set, grid, scheme=None, tables=None):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
-    For each marching step the exact-argmin Hamiltonian of the given field's
-    own gradient enters the inverted step operator; solver output therefore
-    has residual at roundoff scale (or the inner sweep tolerance).  Box
-    boundary nodes hold Dirichlet data and are left out, so no boundary
-    condition enters.
+    The exact-argmin policy of the given field's own gradient selects the
+    coefficients, and ``pde_residual`` takes the scheme's own theta-step with
+    them; solver output therefore has residual at roundoff scale (or the
+    inner sweep tolerance).  Box boundary nodes hold Dirichlet data and are
+    left out, so no boundary condition enters.
     """
     scheme = scheme or default_scheme()
     U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)
     B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
-    nt, dt = grid.nt, grid.dt
-    idx, _ = argmin_level(B[:, :nt], F[:, :nt], U[:nt], grid, scheme.advection)
-    bsel, fsel = _select_fields(B[:, :nt], F[:, :nt], idx)
-    mask = _interior_mask(grid)
-    worst = 0.0
-    for n in range(nt):
-        lhs = _step_operator(U[n], bsel[n], grid, scheme, dt)
-        r = (U[n + 1] + dt * fsel[n] - lhs) / dt
-        worst = max(worst, float(np.max(np.abs(np.where(mask, r, 0.0)))))
-    return worst
+    idx, _ = argmin_level(B, F, U, grid, scheme.advection)
+    bsel, fsel = _select_fields(B, F, idx)
+    return float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme))))

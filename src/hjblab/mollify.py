@@ -145,37 +145,6 @@ def _stencil(kernel, grid):
     return offsets
 
 
-def _shift_time_zero(values, shift):
-    """values[n - shift] with zero extension outside the time range."""
-    out = np.zeros_like(values)
-    n = values.shape[0]
-    if shift == 0:
-        return values.copy()
-    if shift > 0:
-        out[shift:] = values[: n - shift]
-    else:
-        out[:shift] = values[-shift:]
-    return out
-
-
-def _shift_space(values, axis, shift, periodic):
-    if shift == 0:
-        return values
-    if periodic:
-        return np.roll(values, shift, axis=axis)
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if shift > 0:
-        dst[axis] = slice(shift, None)
-        src[axis] = slice(None, -shift)
-    else:
-        dst[axis] = slice(None, shift)
-        src[axis] = slice(-shift, None)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def mollify_field(field, kernel, grid=None):
     """Discrete space-time convolution zeta_eps * field.
 
@@ -199,12 +168,20 @@ def mollify_field(field, kernel, grid=None):
             stacklevel=2,
         )
     periodic = grid.domain_kind == TORUS
+    offsets = _stencil(kernel, grid)
+    # pad once (zeros in time, wrap or zeros in space): the term of shift s
+    # on an axis of stencil radius r is the window padded[r - s : r - s + n]
+    radii = np.max(np.abs([(s_t,) + s_x for s_t, s_x, _ in offsets]), axis=0).tolist()
+    pad = [(r, r) for r in radii] + [(0, 0)] * (values.ndim - 1 - grid.dim)
+    if periodic:
+        padded = np.pad(values, [(0, 0)] + pad[1:], mode="wrap")
+        padded = np.pad(padded, pad[:1] + [(0, 0)] * (values.ndim - 1))
+    else:
+        padded = np.pad(values, pad)
     out = np.zeros_like(values)
-    for shift_t, shift_x, w in _stencil(kernel, grid):
-        term = _shift_time_zero(values, shift_t)
-        for k, s in enumerate(shift_x):
-            term = _shift_space(term, 1 + k, s, periodic)
-        out += w * term
+    for shift_t, shift_x, w in offsets:
+        out += w * padded[tuple(slice(r - s, r - s + n) for r, s, n
+                                in zip(radii, (shift_t,) + shift_x, values.shape))]
     meta = {"epsilon": eps}
     if not periodic:
         meta["boundary_layer_width"] = eps

@@ -68,9 +68,6 @@ class MCEstimate:
     config: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def ci95(self):
-        return (self.mean - 1.96 * self.se, self.mean + 1.96 * self.se)
-
     def within(self, target, k_se=3.0, atol=0.0):
         return abs(self.mean - target) <= k_se * self.se + atol
 
@@ -317,35 +314,3 @@ def dpp_residual(u_field, oracle, policy, t_mid, sim):
         config=sim.echo(),
         extra={"u_start": u_start, "t_mid": t_mid, "off_box_fraction": off_frac},
     )
-
-
-@dataclass
-class BoundCheckReport:
-    passed: bool
-    bound: float
-    rows: list  # (control name, |mean|, allowance)
-
-    def summary(self):
-        verdict = "passed" if self.passed else "FAILED"
-        return f"cost bound check {verdict}: sup bound {self.bound:.6g}, {len(self.rows)} controls"
-
-
-def cost_bound_check(oracle, controls, sim, grid):
-    """Desk-scale Krylov-type check: |J| <= sup(Phi) (T - s) + 3 SE per control."""
-    phi_max = 0.0
-    X = grid.points()
-    for t in grid.times():
-        phi_max = max(phi_max, float(np.max(oracle.bound(t, X))))
-    horizon = grid.T - sim.start_time
-    rows = []
-    ok = True
-    for control in controls:
-        control = as_control(control)
-        est = simulate_cost(oracle, control, sim, grid)
-        # tiny absolute guard: the saturating case |J| = sup(Phi) (T - s)
-        # must not fail by accumulation roundoff
-        allowance = phi_max * horizon + 3.0 * est.se + 1e-12 * (1.0 + phi_max * horizon)
-        rows.append((control.name, abs(est.mean), allowance))
-        if abs(est.mean) > allowance:
-            ok = False
-    return BoundCheckReport(passed=ok, bound=phi_max * horizon, rows=rows)

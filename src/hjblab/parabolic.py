@@ -1,9 +1,11 @@
 """Backward linear parabolic solver: d_s u + Lap u + b . grad u + f = 0, u(T) = 0.
 
 Implicit Euler (default) or Crank-Nicolson in time, upwind (default) or
-central advection in space.  One dimension solves a (cyclic) tridiagonal
-system per step; two dimensions use an alternating-direction factorization
-with tridiagonal line solves.  Every axis sweep is one pivoting LAPACK call
+central advection in space, as one theta-step from level n+1 to level n:
+its right-hand side (``_step_rhs``) against the implicit operator
+(I - theta dt L_x)(I - theta dt L_y), one factor per axis (``_step_operator``),
+which the solve inverts with one line sweep per axis and the residuals apply.
+Every axis sweep is one pivoting LAPACK call
 over all of its lines (``tridiag``), with partial pivoting: line systems
 that are not diagonally dominant, such as central advection at large b dx,
 are solved stably, and an exactly singular line raises.
@@ -51,14 +53,6 @@ class ParabolicScheme:
 
     def claims_monotone(self):
         return self.time_stepping == IMPLICIT_EULER and self.advection == UPWIND
-
-    def is_monotone(self, grid, b_max):
-        """Whether the step matrices are M-matrices on this grid."""
-        if self.time_stepping != IMPLICIT_EULER:
-            return False
-        if self.advection == UPWIND:
-            return True
-        return all(b_max * dx / 2.0 <= 1.0 + 1e-12 for dx in grid.dx)
 
 
 def default_scheme():
@@ -141,50 +135,41 @@ def _solve_axis(rhs, beta, h, gamma, scheme, axis, grid, edge_values=None):
 
 
 def _edge_values(boundary, grid, t):
-    """Dirichlet values on the full mesh at time t (box only)."""
-    g = boundary.evaluator(t, grid.points())
-    return np.asarray(g, dtype=float)
+    """Dirichlet values at time t on the two edges of each axis, one (2, ...)
+    array (lo, hi) per axis, evaluated on the edge nodes only (box only)."""
+    edges = []
+    for k in range(grid.dim):
+        axes = grid.space_axes()
+        axes[k] = axes[k][[0, -1]]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        edges.append(np.moveaxis(np.asarray(boundary.evaluator(t, points), dtype=float), k, 0))
+    return edges
 
 
-def _step(u_next, b_lvl, f_lvl, grid, boundary, scheme, t_n, t_next,
-          b_next_lvl=None, f_next_lvl=None):
-    """One backward step from level n+1 to level n."""
+def _step_rhs(u_next, b_next, f_n, f_next, grid, scheme):
+    """Right-hand side of the theta-step from level n+1 to level n: the
+    explicit factor (I + (1 - theta) dt L) of u_next (none under implicit
+    Euler) plus dt times the theta-mixed cost."""
     dt = grid.dt
     theta = scheme.theta
-    periodic = grid.domain_kind == TORUS
+    if theta == 1.0:
+        return u_next + dt * f_n
+    expl = _step_operator(u_next, b_next, grid, scheme, -(1.0 - theta) * dt)
+    return expl + dt * (theta * f_n + (1.0 - theta) * f_next)
 
-    if theta < 1.0:
-        f_mix = theta * f_lvl + (1.0 - theta) * f_next_lvl
-        # factorized explicit part (I + g L_x)(I + g L_y) u, one factor in 1d
-        g = (1.0 - theta) * dt
-        expl = u_next
-        for k in range(grid.dim - 1, -1, -1):
-            expl = expl + g * _apply_L_axis(expl, b_next_lvl[..., k], grid.dx[k],
-                                            scheme.advection, k, periodic)
-        rhs = expl + dt * f_mix
-    else:
-        rhs = u_next + dt * f_lvl
 
-    gamma = theta * dt
-    if periodic:
-        u = rhs
-        for k in range(grid.dim):
-            u = _solve_axis(u, b_lvl[..., k], grid.dx[k], gamma, scheme, k, grid)
-        return u
-
-    g_n = _edge_values(boundary, grid, t_n)
-    if grid.dim == 1:
-        return _solve_axis(rhs, b_lvl[..., 0], grid.dx[0], gamma, scheme, 0, grid,
-                           edge_values=(g_n[0], g_n[-1]))
-    # 2d box: x-sweep with x-edges pinned, then y-sweep, then pin the ring
-    u_star = _solve_axis(rhs, b_lvl[..., 0], grid.dx[0], gamma, scheme, 0, grid,
-                         edge_values=(g_n[0, :], g_n[-1, :]))
-    u = _solve_axis(u_star, b_lvl[..., 1], grid.dx[1], gamma, scheme, 1, grid,
-                    edge_values=(g_n[:, 0], g_n[:, -1]))
-    u[0, :] = g_n[0, :]
-    u[-1, :] = g_n[-1, :]
-    u[:, 0] = g_n[:, 0]
-    u[:, -1] = g_n[:, -1]
+def _step(u_next, b_lvl, f_lvl, grid, boundary, scheme, t_n,
+          b_next_lvl=None, f_next_lvl=None):
+    """One backward step from level n+1 to level n."""
+    edges = _edge_values(boundary, grid, t_n) if grid.domain_kind == BOX else [None] * grid.dim
+    gamma = scheme.theta * grid.dt
+    u = _step_rhs(u_next, b_next_lvl, f_lvl, f_next_lvl, grid, scheme)
+    for k in range(grid.dim):
+        u = _solve_axis(u, b_lvl[..., k], grid.dx[k], gamma, scheme, k, grid, edges[k])
+    if grid.domain_kind == BOX:
+        # a later sweep overwrites the edges an earlier one pinned: pin them all
+        for k, g in enumerate(edges):
+            np.moveaxis(u, k, 0)[[0, -1]] = g
     return u
 
 
@@ -205,10 +190,8 @@ def solve_frozen(b_field, f_field, grid, boundary=None, scheme=None):
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     for n in range(grid.nt - 1, -1, -1):
-        u[n] = _step(
-            u[n + 1], B[n], F[n], grid, boundary, scheme, times[n], times[n + 1],
-            b_next_lvl=B[n + 1], f_next_lvl=F[n + 1],
-        )
+        u[n] = _step(u[n + 1], B[n], F[n], grid, boundary, scheme, times[n],
+                     b_next_lvl=B[n + 1], f_next_lvl=F[n + 1])
     out = SpaceTimeField(grid, u)
     if not np.all(np.isfinite(u)):
         raise SchemeError("solver produced non-finite values")
@@ -228,8 +211,9 @@ def _interior_mask(grid):
 
 
 def _step_operator(u_lvl, b_lvl, grid, scheme, gamma):
-    """Apply the exact implicit operator the stepper inverts: factorized
-    (I - gamma L_x)(I - gamma L_y) in 2d, (I - gamma L) in 1d."""
+    """Apply (I - gamma L_x)(I - gamma L_y), one factor in 1d: at gamma =
+    theta dt the exact implicit operator the stepper inverts, at gamma =
+    -(1 - theta) dt the explicit factor of its right-hand side."""
     periodic = grid.domain_kind == TORUS
     out = u_lvl
     for k in range(grid.dim - 1, -1, -1):
@@ -238,39 +222,24 @@ def _step_operator(u_lvl, b_lvl, grid, scheme, gamma):
     return out
 
 
-def pde_residual(u, b_field, f_field, grid, boundary=None, scheme=None):
+def pde_residual(u, b_field, f_field, grid, scheme=None):
     """Discrete residual of the marching equations, solver stencils included.
 
-    Returns an array over (step, space); interior nodes carry the residual,
-    box boundary nodes are zeroed.  Solver output has residual at roundoff
-    scale; it grows with truncation error when ``u`` is an exact solution
-    sampled on the grid.
+    Returns an array over (step, space): (step right-hand side - step
+    operator) / dt on interior nodes, box boundary nodes zeroed.  Solver
+    output has residual at roundoff scale; it grows with truncation error
+    when ``u`` is an exact solution sampled on the grid.
     """
     scheme = scheme or default_scheme()
     B = b_field.values if isinstance(b_field, SpaceTimeField) else np.asarray(b_field, dtype=float)
     F = f_field.values if isinstance(f_field, SpaceTimeField) else np.asarray(f_field, dtype=float)
     U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)
-    dt = grid.dt
-    theta = scheme.theta
-    res = np.zeros((grid.nt,) + grid.space_shape)
+    gamma = scheme.theta * grid.dt
     mask = _interior_mask(grid)
-    periodic = grid.domain_kind == TORUS
+    res = np.zeros((grid.nt,) + grid.space_shape)
     for n in range(grid.nt):
-        if theta == 1.0:
-            lhs = _step_operator(U[n], B[n], grid, scheme, dt)
-            r = (U[n + 1] + dt * F[n] - lhs) / dt
-        else:
-            g = 0.5 * dt
-            lhs = _step_operator(U[n], B[n], grid, scheme, g)
-            if grid.dim == 1:
-                expl = U[n + 1] + g * _apply_L_axis(U[n + 1], B[n + 1][..., 0], grid.dx[0],
-                                                    scheme.advection, 0, periodic)
-            else:
-                tmp = U[n + 1] + g * _apply_L_axis(U[n + 1], B[n + 1][..., 1], grid.dx[1],
-                                                   scheme.advection, 1, periodic)
-                expl = tmp + g * _apply_L_axis(tmp, B[n + 1][..., 0], grid.dx[0],
-                                               scheme.advection, 0, periodic)
-            r = (expl + dt * (0.5 * F[n] + 0.5 * F[n + 1]) - lhs) / dt
+        r = (_step_rhs(U[n + 1], B[n + 1], F[n], F[n + 1], grid, scheme)
+             - _step_operator(U[n], B[n], grid, scheme, gamma)) / grid.dt
         res[n] = np.where(mask, r, 0.0)
     return res
 

@@ -7,7 +7,8 @@ Gaussian elimination with partial pivoting; it never swaps rows across a line
 boundary, because the candidate pivot there is the zero coupling.  The
 cyclic variant handles periodic wraparound with the Sherman-Morrison
 correction, its two right-hand sides solved as two columns of the same call.
-An exactly singular line raises ``ValueError``.
+An exactly singular line, or a periodic line whose correction has no finite
+solution, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ def _bands(lower, diag, upper, shape):
     bands = np.empty((3,) + shape)
     bands[0], bands[1], bands[2] = lower, diag, upper
     return bands
+
+
+def _line_name(flat_index, batch):
+    """Name of line ``flat_index`` of a batch of lines of shape ``batch``."""
+    if not batch:
+        return "the line"
+    return f"line {tuple(int(i) for i in np.unravel_index(flat_index, batch))}"
 
 
 def _solve_lines(dl, d, du, b):
@@ -41,10 +49,8 @@ def _solve_lines(dl, d, du, b):
                              overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info > 0:
         line, row = divmod(info - 1, n)
-        batch = shape[:-1]
-        name = f"line {tuple(int(i) for i in np.unravel_index(line, batch))}" if batch else "the line"
-        raise ValueError(f"singular tridiagonal system: {name} has an exactly zero pivot "
-                         f"at row {row}")
+        raise ValueError(f"singular tridiagonal system: {_line_name(line, shape[:-1])} has an "
+                         f"exactly zero pivot at row {row}")
     if info < 0:
         raise ValueError(f"dgtsv rejected argument {-info}")
     return x.T.reshape(b.shape)
@@ -75,7 +81,8 @@ def solve_cyclic(lower, diag, upper, rhs):
     beta = dl[..., 0].copy()   # A[0, n-1]
     alpha = du[..., -1].copy()  # A[n-1, 0]
 
-    gamma = -d[..., 0]
+    # Sherman-Morrison shift -d[0], or a nonzero one where d[0] is zero
+    gamma = np.where(d[..., 0] != 0.0, -d[..., 0], -1.0 - np.abs(du[..., 0]) - np.abs(beta))
     d[..., 0] = d[..., 0] - gamma
     d[..., -1] = d[..., -1] - alpha * beta / gamma
 
@@ -88,5 +95,10 @@ def solve_cyclic(lower, diag, upper, rhs):
 
     vy = y[..., 0] + (beta / gamma) * y[..., -1]
     vz = z[..., 0] + (beta / gamma) * z[..., -1]
-    factor = vy / (1.0 + vz)
-    return y - z * factor[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = y - z * (vy / (1.0 + vz))[..., None]
+    bad = ~np.all(np.isfinite(x), axis=-1)  # 1 + vz == 0 too, as z != 0
+    if np.any(bad):
+        raise ValueError(f"singular periodic tridiagonal system: "
+                         f"{_line_name(np.flatnonzero(bad)[0], shape[:-1])} has no finite solution")
+    return x

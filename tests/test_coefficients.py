@@ -8,7 +8,6 @@ from hjblab.coefficients import (
     CoefficientOracle,
     bang_bang_actions,
     bang_bang_family,
-    make_bang_bang,
     make_checkerboard,
     make_counterexample,
     make_constant_drift,
@@ -16,7 +15,6 @@ from hjblab.coefficients import (
     make_smooth_baseline,
     make_step_drift,
     make_tabulated,
-    eval_coeff,
     sample_all,
     sample_to_grid,
     verify_bound,
@@ -36,11 +34,11 @@ def torus():
 
 def test_counterexample_drift_values(box):
     ce = make_counterexample(box)
-    b, f = eval_coeff(ce, 0.0, 0.5, 0.5)
+    b, f = ce.eval(0.0, 0.5, 0.5)
     assert b[0] == 0.0
-    b, f = eval_coeff(ce, 0.0, 0.5, 0.3)
+    b, f = ce.eval(0.0, 0.5, 0.3)
     assert b[0] == 1.0
-    _, f = eval_coeff(ce, 0.3, 2.0, 0.1)
+    _, f = ce.eval(0.3, 2.0, 0.1)
     assert f == pytest.approx(4.0)
 
 
@@ -103,24 +101,6 @@ def test_verify_bound_zero_slack(box):
     assert rep.passed and rep.min_slack == 0.0
 
 
-def test_action_universe_guard(torus):
-    bb = make_bang_bang(torus)
-    with pytest.raises(CoefficientError):
-        eval_coeff(bb, 0.0, 0.25, 0.5)
-    b, f = eval_coeff(bb, 0.0, 0.25, -1.0)
-    assert b[0] == -1.0
-
-
-def test_nan_oracle_is_internal_fault(torus):
-    broken = CoefficientOracle(
-        "broken", 1,
-        lambda t, X, a: (np.full(X.shape, np.nan), np.zeros(X.shape[:-1])),
-        lambda t, X: np.ones(X.shape[:-1]),
-    )
-    with pytest.raises(RuntimeError):
-        eval_coeff(broken, 0.0, 0.1, 0.0)
-
-
 def test_action_set_invariants():
     with pytest.raises(CoefficientError):
         ActionSet(np.array([]))
@@ -158,7 +138,6 @@ def test_tabulated_matches_source(torus):
             b_tab, f_tab = tab.eval(t, X, ia)
             assert np.array_equal(b_src, b_tab)
             assert np.array_equal(f_src, f_tab)
-    assert tab.action_ok(0) and not tab.action_ok(2)
     rep = verify_bound(tab, torus, ActionSet(np.array([0.0, 1.0])))
     assert rep.passed
 

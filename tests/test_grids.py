@@ -120,13 +120,6 @@ def test_gradient_richardson_ratio():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
-def test_gradient_upwind_needs_sign():
-    g = build_grid("torus", 1, 1.0, 8, 1.0, 2)
-    f = constant_field(g, 1.0)
-    with pytest.raises(FieldError):
-        spatial_gradient(f, scheme="upwind")
-
-
 def test_gradient_pair_on_linear_field():
     g = build_grid("torus", 1, 1.0, 16, 1.0, 2)
     vals = np.tile(np.arange(16, dtype=float), (g.n_levels, 1))

@@ -17,7 +17,7 @@ from hjblab.hjb import (
     solve_hjb_direct,
     solve_policy_value,
 )
-from hjblab.parabolic import ParabolicScheme, SchemeError, solve_frozen
+from hjblab.parabolic import ParabolicScheme, SchemeError, pde_residual, solve_frozen
 
 
 @pytest.fixture
@@ -109,6 +109,30 @@ def test_residual_bound_at_convergence(bang):
     u_pi, _, trace = policy_iteration(oracle, aset, grid, tol=tol)
     bmax = 1.0
     assert trace.residuals[-1] <= tol * (1.0 + bmax / grid.dx[0])
+
+
+def test_crank_nicolson_policy_iteration_residual_roundoff():
+    # the residual takes the solver's own theta-step; an implicit-Euler
+    # residual of this Crank-Nicolson solution reads about 0.09
+    grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
+    scheme = ParabolicScheme(time_stepping="crank_nicolson", advection="central")
+    _, _, trace = policy_iteration(make_bang_bang(grid), bang_bang_actions(), grid, scheme=scheme)
+    assert trace.converged
+    assert trace.residuals[-1] < 1e-10
+
+
+@pytest.mark.parametrize("time_stepping", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 2)])
+def test_one_action_hjb_residual_is_pde_residual(time_stepping, kind, dim):
+    grid = build_grid(kind, dim, (-1.0, 1.0), 9, 0.5, 6)
+    scheme = ParabolicScheme(time_stepping=time_stepping)
+    rng = np.random.default_rng(8)
+    B = rng.uniform(-1.0, 1.0, size=(1, grid.n_levels) + grid.space_shape + (dim,))
+    F = rng.normal(size=(1, grid.n_levels) + grid.space_shape)
+    u = rng.normal(size=(grid.n_levels,) + grid.space_shape)
+    res = hjb_residual(u, None, None, grid, scheme, tables=(B, F))
+    assert res > 0.0
+    assert res == float(np.max(np.abs(pde_residual(u, B[0], F[0], grid, scheme=scheme))))
 
 
 def test_direct_flags_are_clean(bang):

@@ -143,11 +143,29 @@ def test_monotonicity_flags():
     s_up = ParabolicScheme()
     s_cn = ParabolicScheme(time_stepping="crank_nicolson")
     s_ce = ParabolicScheme(advection="central")
-    g = build_grid("torus", 1, 1.0, 16, 1.0, 8)  # dx = 1/16
-    assert s_up.claims_monotone() and s_up.is_monotone(g, b_max=100.0)
-    assert not s_cn.is_monotone(g, b_max=0.0)
-    assert s_ce.is_monotone(g, b_max=1.0)       # Peclet below threshold
-    assert not s_ce.is_monotone(g, b_max=100.0)
+    assert s_up.claims_monotone()
+    assert not s_cn.claims_monotone()
+    assert not s_ce.claims_monotone()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dirichlet_data_evaluated_on_edge_nodes_only(dim):
+    g = build_grid("box", dim, (-1.0, 1.0), 9, 1.0, 4)
+    seen = []
+
+    def data(t, X):
+        seen.append(np.array(X).reshape(-1, dim))
+        return t + np.sum(X, axis=-1)
+
+    u = solve_frozen(constant_field(g, 0.5, components=dim), constant_field(g, 1.0), g,
+                     dirichlet_boundary(data))
+    points = np.concatenate(seen)
+    assert np.all(np.any(np.abs(points) == 1.0, axis=1))
+    edge = np.any(np.abs(g.points()) == 1.0, axis=-1)
+    assert len(np.unique(points, axis=0)) == np.sum(edge)
+    # and the solution holds the data on every edge node
+    for n, t in enumerate(g.times()[:-1]):
+        assert np.array_equal(u.values[n][edge], t + np.sum(g.points(), axis=-1)[edge])
 
 
 def test_scheme_validation():

@@ -1,10 +1,13 @@
 """The package's exported names, pinned so that a removal or a new export
 is a deliberate edit of this list."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import hjblab
 
@@ -15,7 +18,7 @@ EXPORTS = {
     "field_to_csv", "lp_norm", "periodic_boundary", "spatial_gradient",
     # coefficients
     "ActionFamily", "ActionSet", "CoefficientOracle", "bang_bang_actions",
-    "bang_bang_family", "catalog_names", "eval_coeff", "make_oracle", "make_tabulated",
+    "bang_bang_family", "catalog_names", "make_oracle", "make_tabulated",
     "sample_to_grid", "verify_bound",
     # mollify
     "MollifierKernel", "coefficient_ladder", "kernel_normalization_error", "kernel_value",
@@ -29,7 +32,7 @@ EXPORTS = {
     "solve_hjb_tables", "solve_policy_value",
     # montecarlo
     "FeedbackRule", "GridPolicyControl", "MCEstimate", "OpenLoopControl", "SimConfig",
-    "constant_control", "cost_bound_check", "dpp_residual", "simulate_cost", "value_at",
+    "constant_control", "dpp_residual", "simulate_cost", "value_at",
     # experiments
     "counterexample_report", "countable_truncation_study", "dpp_battery",
     "mollify_value_sweep", "verification_check",
@@ -51,3 +54,47 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# names defined in src/hjblab that no program code refers to, kept on purpose
+ALLOWED_UNUSED = {
+    "constant_field": "public fixture constructor: a constant scalar or vector field",
+    "field_from_function": "public fixture constructor: samples fn(t, X) at every node",
+    "grad_l1": "documents the mollifier gradient bound |grad g_eps| <= grad_l1 / eps sup|g|",
+}
+
+
+def _defined_names(tree):
+    """Module-level functions and classes, and the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+
+
+def _referenced_names(tree):
+    """Every Name and Attribute, and the parts of "module:qualname" strings
+    (the benchmark tracer's targets)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = re.fullmatch(r"\w+:([\w.]+)", node.value)
+            if match:
+                yield from match.group(1).split(".")
+
+
+def test_no_test_only_helpers():
+    modules = sorted((ROOT / "src" / "hjblab").glob("*.py"))
+    defined = {name for path in modules for name in _defined_names(ast.parse(path.read_text()))}
+    callers = ([path for path in modules if path.name != "__init__.py"]
+               + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
+    referenced = {name for path in callers for name in _referenced_names(ast.parse(path.read_text()))}
+    assert set(ALLOWED_UNUSED) <= defined
+    assert defined - referenced - set(ALLOWED_UNUSED) == set()

@@ -128,6 +128,29 @@ def test_zero_pivot_lines_do_not_couple():
             assert np.array_equal(alone, x[i, j])
 
 
+def test_cyclic_zero_leading_diagonal_matches_dense():
+    # nonsingular (cond 7.2), but the usual Sherman-Morrison shift -diag[0]
+    # is zero here
+    lower = upper = np.ones(4)
+    diag = np.array([0.0, 3.0, 3.0, 3.0])
+    rhs = np.array([1.0, 2.0, 3.0, 4.0])
+    x = solve_cyclic(lower, diag, upper, rhs)
+    expected = np.linalg.solve(_dense_lines(lower, diag, upper, cyclic=True), rhs)
+    assert np.all(np.isfinite(x))
+    assert np.allclose(x, expected, rtol=0.0, atol=1e-14)
+
+
+def test_singular_cyclic_system_raises():
+    # the periodic second difference: constants span its null space
+    n = 5
+    with pytest.raises(ValueError, match="the line"):
+        solve_cyclic(-np.ones(n), np.full(n, 2.0), -np.ones(n), np.arange(n, dtype=float))
+    # the same system as line 1 behind a nonsingular line 0
+    diags = np.stack([np.full(n, 3.0), np.full(n, 2.0)])
+    with pytest.raises(ValueError, match=r"line \(1,\)"):
+        solve_cyclic(-np.ones((2, n)), diags, -np.ones((2, n)), np.ones((2, n)))
+
+
 _batch_shapes = st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple)
 
 
@@ -149,16 +172,16 @@ def test_tridiag_property_against_dense(seed, batch, n):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), batch=_batch_shapes, n=st.integers(3, 12))
 def test_cyclic_property_against_dense(seed, batch, n):
-    # diagonally dominant with random signs, as the Sherman-Morrison
-    # correction divides by the leading diagonal entry
+    # general sign pattern, not diagonally dominant, and a zero leading
+    # diagonal entry on about a quarter of the lines
     rng = np.random.default_rng(seed)
     shape = batch + (n,)
-    lower, upper = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(2))
-    sign = rng.choice([-1.0, 1.0], size=shape)
-    diag = sign * (0.5 + np.abs(lower) + np.abs(upper) + rng.uniform(0.0, 1.0, size=shape))
+    lower, diag, upper = (rng.uniform(-2.0, 2.0, size=shape) for _ in range(3))
+    diag[..., 0] = np.where(rng.uniform(size=batch) < 0.25, 0.0, diag[..., 0])
     rhs = rng.normal(size=shape)
-    x = solve_cyclic(lower, diag, upper, rhs)
     A = _dense_lines(lower, diag, upper, cyclic=True)
+    assume(np.all(np.linalg.cond(A) < 1e4))
+    x = solve_cyclic(lower, diag, upper, rhs)
     expected = np.linalg.solve(A, rhs[..., None])[..., 0]
     assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
 
@@ -181,7 +204,7 @@ def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim, sweeps):
     b_lvl = rng.uniform(-1.0, 1.0, size=grid.space_shape + (dim,))
     f_lvl = rng.normal(size=grid.space_shape)
     u = parabolic._step(u_next, b_lvl, f_lvl, grid, default_boundary(grid),
-                        parabolic.default_scheme(), 0.0, grid.dt)
+                        parabolic.default_scheme(), 0.0)
     assert np.all(np.isfinite(u))
     assert len(calls) == sweeps
     # torus lines carry rhs and the Sherman-Morrison vector as two columns
