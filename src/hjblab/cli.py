@@ -275,6 +275,8 @@ def main(argv=None):
     parser.add_argument("--strict", action="store_true",
                         help="treat warnings as check failures")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
 
     out_dir = _out_dir(args)
     if args.subcommand == "catalog":

@@ -36,7 +36,7 @@ def _torus_dist2(X, domain):
     d2 = np.zeros(X.shape[:-1])
     for k in range(X.shape[-1]):
         L = domain.extent[k][1] - domain.extent[k][0]
-        d = np.mod(X[..., k] + 0.5 * L, L) - 0.5 * L
+        d = X[..., k] - L * np.rint(X[..., k] / L)
         d2 = d2 + d**2
     return d2
 

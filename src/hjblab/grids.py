@@ -99,14 +99,21 @@ class Grid:
         return w
 
     def wrap(self, x):
-        """Map points into the fundamental domain (torus only)."""
+        """Map points into the fundamental domain [lo, hi) (torus only)."""
         x = np.asarray(x, dtype=float)
         if self.domain_kind != TORUS:
             return x
         out = np.empty_like(x)
         for k in range(self.dim):
             lo, hi = self.extent[k]
-            out[..., k] = lo + np.mod(x[..., k] - lo, hi - lo)
+            r, xk = out[..., k], x[..., k]
+            # r = x - L floor((x - lo) / L), which can round onto hi or below lo
+            np.subtract(xk, lo, out=r)
+            r /= hi - lo
+            np.floor(r, out=r)
+            r *= lo - hi
+            r += xk
+            np.copyto(r, lo, where=(r >= hi) | (r < lo))
         return out
 
     def clamp(self, x):

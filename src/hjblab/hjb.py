@@ -84,10 +84,11 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
     horizon = (grid.T - times).reshape((-1,) + (1,) * grid.dim)
     n_nodes = u.size
     prev_indices = None
-    policy_indices = None
+    # the residual of each iterate takes the argmin the next iteration freezes
+    next_indices, _ = argmin_level(B, F, u, grid, scheme.advection)
 
     for k in range(1, max_iters + 1):
-        policy_indices, _ = argmin_level(B, F, u, grid, scheme.advection)
+        policy_indices = next_indices
         bsel, fsel = _select_fields(B, F, policy_indices)
         u_new = solve_frozen(bsel, fsel, grid, boundary, scheme).values
 
@@ -102,9 +103,9 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
         trace.max_pos_diffs.append(max_pos)
         changed = n_nodes if prev_indices is None else int(np.sum(policy_indices != prev_indices))
         trace.policy_changes.append(changed)
-        trace.residuals.append(
-            hjb_residual(u_new, oracle, action_set, grid, scheme, tables=(B, F))
-        )
+        residual, next_indices = hjb_residual(u_new, oracle, action_set, grid, scheme,
+                                              tables=(B, F), with_indices=True)
+        trace.residuals.append(residual)
 
         prev_indices = policy_indices
         u = u_new
@@ -195,18 +196,20 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     return out
 
 
-def hjb_residual(u, oracle, action_set, grid, scheme=None, tables=None):
+def hjb_residual(u, oracle, action_set, grid, scheme=None, tables=None, with_indices=False):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
     The exact-argmin policy of the given field's own gradient selects the
     coefficients, and ``pde_residual`` takes the scheme's own theta-step with
     them; solver output therefore has residual at roundoff scale (or the
     inner sweep tolerance).  Box boundary nodes hold Dirichlet data and are
-    left out, so no boundary condition enters.
+    left out, so no boundary condition enters.  ``with_indices`` also
+    returns the argmin indices.
     """
     scheme = scheme or default_scheme()
     U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)
     B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
     idx, _ = argmin_level(B, F, U, grid, scheme.advection)
     bsel, fsel = _select_fields(B, F, idx)
-    return float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme))))
+    res = float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme))))
+    return (res, idx) if with_indices else res

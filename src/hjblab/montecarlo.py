@@ -2,9 +2,11 @@
 
 X_{n+1} = X_n + b(t_n, X_n, a_n) dt + sqrt(2 dt) xi_n with left-endpoint cost
 quadrature.  Paths run in fixed-size blocks; block j draws from a Philox
-stream keyed by (seed, j), so results are bit-identical for a given SimConfig
-regardless of how many worker threads process the blocks, and different
-controls under one seed share noise (common random numbers).
+stream keyed by (seed, j) and reduces its own mean and M2, so results are
+bit-identical for a given SimConfig whatever the thread count, and different
+controls under one seed share noise (common random numbers).  Each worker
+thread advances a contiguous group of blocks in one step loop, drawing noise
+step-major NOISE_CHUNK steps at a time, so memory is bounded in n_steps.
 
 Coordinates wrap into the fundamental domain on the torus; on a box the paths
 may leave and coefficients (and any value-function lookup) see the nearest
@@ -28,6 +30,7 @@ class SimulationError(ValueError):
 
 
 BLOCK_SIZE = 4096
+NOISE_CHUNK = 16  # steps of noise drawn per block at a time
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,9 @@ class SimConfig:
             raise SimulationError(f"path count must be >= 1, got {self.n_paths}")
         if not (self.dt_sim > 0):
             raise SimulationError(f"dt_sim must be positive, got {self.dt_sim}")
+        if self.block_size < 1 or self.n_threads < 1:
+            raise SimulationError(
+                f"block_size and n_threads must be >= 1, got {self.block_size}, {self.n_threads}")
         state = np.atleast_1d(np.asarray(self.start_state, dtype=float))
         object.__setattr__(self, "start_state", tuple(float(v) for v in state))
 
@@ -201,76 +207,81 @@ def value_at(u_field, t, X):
 # path engine
 
 
-def _block_totals(oracle, control, sim, grid, t_end, u_field, block_index, n_block):
+def _block_totals(oracle, control, sim, grid, t_end, u_field, blocks):
+    """Advance every path of a group of (block index, paths) in one step loop.
+
+    Each block draws the next NOISE_CHUNK steps of its own stream into its
+    columns of one (chunk, paths, d) buffer; drawn in turn, the chunks are
+    one (n_steps, n_block, d) draw, and memory does not grow with n_steps.
+    Returns (paths, per-block means, per-block M2, off-box steps, n_steps).
+    """
     d = grid.dim
     s = sim.start_time
     n_steps = max(1, int(round((t_end - s) / sim.dt_sim)))
     dt = (t_end - s) / n_steps
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([sim.seed & (2**64 - 1), block_index], dtype=np.uint64))
-    )
-    noise = rng.standard_normal((n_block, n_steps, d))
-    X = np.tile(np.asarray(sim.start_state, dtype=float), (n_block, 1))
-    cost = np.zeros(n_block)
+    edges = np.cumsum([0] + [n_block for _, n_block in blocks])
+    cols = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    key = sim.seed & (2**64 - 1)
+    rngs = [np.random.Generator(np.random.Philox(key=np.array([key, bi], dtype=np.uint64)))
+            for bi, _ in blocks]
+    n = int(edges[-1])
+    noise = np.empty((min(NOISE_CHUNK, n_steps), n, d))
+    X = grid.wrap(np.tile(np.asarray(sim.start_state, dtype=float), (n, 1)))
+    cost = np.zeros(n)
     off_box = 0
     sqrt2dt = np.sqrt(2.0 * dt)
     torus = grid.domain_kind == TORUS
     for i in range(n_steps):
+        j = i % NOISE_CHUNK
+        if j == 0:
+            c = min(NOISE_CHUNK, n_steps - i)
+            for rng, col in zip(rngs, cols):
+                noise[:c, col] = rng.standard_normal((c, col.stop - col.start, d))
         t = s + i * dt
-        X_eval = grid.wrap(X) if torus else grid.clamp(X)
+        # torus paths are kept wrapped, so coefficients see X itself
+        X_eval = X if torus else grid.clamp(X)
         if not torus:
-            off_box += int(np.sum(np.any(X != X_eval, axis=-1)))
+            off_box += int(np.count_nonzero(np.any(X != X_eval, axis=-1)))
         a = control.values(t, X_eval)
         b, f = oracle.eval(t, X_eval, a)
         cost += f * dt
-        X = X + b * dt + sqrt2dt * noise[:, i, :]
+        X += b * dt
+        X += sqrt2dt * noise[j]
         if torus:
             X = grid.wrap(X)
     if u_field is not None:
         cost += value_at(u_field, t_end, X)
-    mean = float(np.mean(cost))
-    m2 = float(np.sum((cost - mean) ** 2))
-    return n_block, mean, m2, off_box, n_steps
+    means = [float(np.mean(cost[col])) for col in cols]
+    m2s = [float(np.sum((cost[col] - m) ** 2)) for col, m in zip(cols, means)]
+    return n, means, m2s, off_box, n_steps
 
 
 def _run(oracle, control, sim, grid, t_end, u_field=None):
     control = as_control(control)
     M = sim.n_paths
-    blocks = []
-    start = 0
-    bi = 0
-    while start < M:
-        n_block = min(sim.block_size, M - start)
-        blocks.append((bi, n_block))
-        start += n_block
-        bi += 1
+    blocks = [(bi, min(sim.block_size, M - start))
+              for bi, start in enumerate(range(0, M, sim.block_size))]
+    # one contiguous group of blocks per worker; per-block streams and
+    # moments make the estimate independent of the grouping
+    groups = np.array_split(np.arange(len(blocks)), min(sim.n_threads, len(blocks)))
+    with ThreadPoolExecutor(max_workers=len(groups)) as ex:
+        results = list(ex.map(
+            lambda g: _block_totals(oracle, control, sim, grid, t_end, u_field,
+                                    [blocks[i] for i in g]),
+            groups))
 
-    results = [None] * len(blocks)
-
-    def work(item):
-        bi, n_block = item
-        results[bi] = _block_totals(oracle, control, sim, grid, t_end, u_field, bi, n_block)
-
-    if sim.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=sim.n_threads) as ex:
-            list(ex.map(work, blocks))
-    else:
-        for item in blocks:
-            work(item)
-
-    # fixed block order regardless of completion order; Chan-style pairwise
-    # moment combination keeps the variance exact for constant integrands
-    n_acc = 0
-    mean = 0.0
-    m2 = 0.0
-    off_box = 0
-    for n_b, mean_b, m2_b, off_b, _ in results:
+    # fixed block order; Chan-style pairwise moment combination keeps the
+    # variance exact for constant integrands
+    n_acc, mean, m2 = 0, 0.0, 0.0
+    means = [m for r in results for m in r[1]]
+    m2s = [v for r in results for v in r[2]]
+    for (_, n_b), mean_b, m2_b in zip(blocks, means, m2s):
         delta = mean_b - mean
         n_new = n_acc + n_b
         mean += delta * n_b / n_new
         m2 += m2_b + delta * delta * n_acc * n_b / n_new
         n_acc = n_new
-        off_box += off_b
+    off_box = sum(r[3] for r in results)
     n_steps = results[0][4]
     var = m2 / (M - 1) if M > 1 else 0.0
     se = float(np.sqrt(var / M))

@@ -18,6 +18,7 @@ from hjblab.coefficients import (
     sample_all,
     sample_to_grid,
     verify_bound,
+    _torus_dist2,
 )
 from hjblab.grids import build_grid
 
@@ -170,3 +171,12 @@ def test_constant_drift_exact_value_limit():
     # terminal condition: both closed forms vanish at t = T
     assert np.all(c0.exact_value(1.0, x, 1.0) == 0.0)
     assert np.all(c1.exact_value(1.0, x, 1.0) == 0.0)
+
+
+@pytest.mark.parametrize("extent", [(-1.0, 1.0), (0.1, 0.7), (-3.0, 3.0)])
+def test_torus_dist2_matches_mod_formula(extent):
+    grid = build_grid("torus", 2, extent, 8, 1.0, 2)
+    L = extent[1] - extent[0]
+    X = np.random.default_rng(5).uniform(-3 * L, 3 * L, (5000, 2))
+    d = np.mod(X + 0.5 * L, L) - 0.5 * L
+    assert np.max(np.abs(_torus_dist2(X, grid) - np.sum(d**2, axis=-1))) <= 1e-15

@@ -240,3 +240,12 @@ def test_cli_counterexample_small(tmp_path):
     rows = (out / "counterexample_rows.csv").read_text().splitlines()
     assert rows[0] == "s,x,v_exact,v_num,v_lim_exact,v_lim_num,gap_num"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_nonpositive_threads(tmp_path, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", shipped("counterexample.cfg"), "--out", str(tmp_path),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())

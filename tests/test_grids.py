@@ -220,3 +220,23 @@ def test_csv_golden_bytes():
     buf = io.StringIO()
     write_csv(buf, ["k", "value"], [(1, 0.1), (2, -0.0), (3, 1e16)])
     assert buf.getvalue() == "k,value\n1,0.1\n2,-0.0\n3,1e+16\n"
+
+
+@pytest.mark.parametrize("extent", [(-1.0, 1.0), (0.1, 0.7), (-0.3, 2.9), (0.0, 2 * np.pi)])
+def test_wrap_stays_in_fundamental_domain(extent):
+    lo, hi = extent
+    L = hi - lo
+    grid = build_grid("torus", 2, extent, 8, 1.0, 2)
+    edge = np.array([hi, lo - 1e-300, -0.0, np.nextafter(hi, -np.inf), np.nextafter(lo, -np.inf),
+                     lo + 1e6 * L, lo - 1e6 * L, hi + 3e15 * L, 1e300, -1e300])
+    rng = np.random.default_rng(7)
+    inner = rng.uniform(lo - L, hi + L, 20000)
+    for x in (edge, inner):
+        w = grid.wrap(np.stack([x, x[::-1]], axis=-1))
+        assert np.all((w >= lo) & (w < hi))
+    assert np.all(np.abs(grid.wrap(np.array([[hi, hi]])) - lo) <= np.spacing(L))
+    # near the domain it agrees with lo + mod(x - lo, L) to 1 ulp of L, up to
+    # the identification of lo with hi
+    w = grid.wrap(np.stack([inner, inner], axis=-1))
+    diff = np.abs(w - (lo + np.mod(inner - lo, L))[:, None])
+    assert np.max(np.minimum(diff, L - diff)) <= np.spacing(L)

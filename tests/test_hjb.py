@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,28 @@ def test_2d_agreement():
     u_dir = solve_hjb_direct(oracle, aset, grid)
     assert np.max(np.abs(u_pi.values - u_dir.values)) <= 1e-7
     assert trace.converged
+
+
+def test_policy_iteration_takes_each_argmin_once(monkeypatch):
+    # the residual's argmin of each iterate is the policy the next iteration
+    # freezes: k iterations make k + 1 argmin calls, not 2k
+    import hjblab.hjb as hjb_module
+    from hjblab.config import load_config
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "bench", "inputs",
+                                   "bang_bang_2d.cfg"))
+    calls = []
+    real = hjb_module.argmin_level
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hjb_module, "argmin_level", counting)
+    u, policy, trace = policy_iteration(cfg.build_oracle(), cfg.build_action_set(), cfg.grid,
+                                        scheme=cfg.scheme, tol=cfg.tol, max_iters=cfg.max_iters)
+    assert trace.converged and trace.iterations >= 3
+    assert len(calls) == trace.iterations + 1
+    # the returned policy is the one frozen for the last solve
+    expect = solve_policy_value(cfg.build_oracle(), policy, cfg.grid, scheme=cfg.scheme)
+    assert np.array_equal(expect.values, u.values)

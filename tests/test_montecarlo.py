@@ -4,16 +4,20 @@ import pytest
 from hjblab.coefficients import (
     ActionSet,
     CoefficientOracle,
+    bang_bang_actions,
+    make_bang_bang,
     make_constant_drift,
     make_counterexample,
 )
 from hjblab.grids import SpaceTimeField, build_grid, field_from_function
 from hjblab.hamiltonian import Policy
 from hjblab.montecarlo import (
+    NOISE_CHUNK,
     FeedbackRule,
     GridPolicyControl,
     SimConfig,
     SimulationError,
+    as_control,
     constant_control,
     dpp_residual,
     simulate_cost,
@@ -174,6 +178,15 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, dt_sim=-0.1, seed=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"block_size": 0}, {"block_size": -4}, {"n_threads": 0}, {"n_threads": -1},
+])
+def test_sim_config_rejects_nonpositive_block_size_and_threads(kwargs):
+    # a zero block size would make the block list in _run grow forever
+    with pytest.raises(SimulationError):
+        SimConfig(n_paths=10, dt_sim=0.01, seed=1, **kwargs)
+
+
 def test_simulate_2d_deterministic_cost():
     grid = build_grid("torus", 2, 1.0, 6, 0.5, 4)
     sim = SimConfig(n_paths=200, dt_sim=0.01, seed=21, start_state=(0.2, 0.3))
@@ -191,3 +204,103 @@ def test_simulate_accepts_bare_policy():
     est = simulate_cost(oracle, pol, sim, grid)  # a = 0 everywhere: zero drift
     est2 = simulate_cost(oracle, constant_control(0.0), sim, grid)
     assert est.mean == est2.mean
+
+
+# ---------------------------------------------------------------------------
+# grouped stepping and chunked noise
+
+# 700 paths in blocks of 128 (five full blocks and one of 60); T = 1 at
+# dt_sim = 1/37 gives 37 steps, two full noise chunks and one of 5
+GROUP_SIM = dict(n_paths=700, dt_sim=1.0 / 37, seed=2024, block_size=128)
+
+
+def _mc_case(kind):
+    if kind == "box":
+        grid = build_grid("box", 1, (-2.0, 2.0), 41, 1.0, 37)
+        oracle = make_counterexample(grid)
+        control = FeedbackRule(lambda t, X: np.round(X[:, 0], 1), name="a_near_x")
+        start = (0.3,)
+    else:
+        grid = build_grid("torus", 2, (-1.0, 1.0), 8, 1.0, 37)
+        oracle = make_bang_bang(grid)
+        rng = np.random.default_rng(0)
+        idx = rng.integers(0, 2, size=(grid.n_levels,) + grid.space_shape)
+        control = Policy(grid, idx, bang_bang_actions())
+        start = (0.9, -0.95)
+    u = field_from_function(grid, lambda t, X: np.cos(np.pi * X[..., 0]) + t * X[..., -1])
+    return grid, oracle, control, u, start
+
+
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_estimates_bit_identical_across_thread_counts(kind):
+    grid, oracle, control, u, start = _mc_case(kind)
+    out = []
+    for threads in (1, 2, 3):
+        sim = SimConfig(start_state=start, n_threads=threads, **GROUP_SIM)
+        est = simulate_cost(oracle, control, sim, grid)
+        dpp = dpp_residual(u, oracle, control, 14.0 / 37, sim)
+        out.append((est.mean, est.se, est.extra["off_box_fraction"], dpp.mean, dpp.se))
+    assert out[0] == out[1] == out[2]
+    assert out[0][1] > 0 and out[0][4] > 0
+
+
+def _one_draw_estimate(oracle, control, sim, grid, t_end):
+    """The engine's estimate from a loop drawing each block's noise at once."""
+    n_steps = max(1, int(round((t_end - sim.start_time) / sim.dt_sim)))
+    dt = (t_end - sim.start_time) / n_steps
+    stats = []
+    for bi, start in enumerate(range(0, sim.n_paths, sim.block_size)):
+        n_b = min(sim.block_size, sim.n_paths - start)
+        key = np.array([sim.seed, bi], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        noise = rng.standard_normal((n_steps, n_b, grid.dim))
+        X = grid.wrap(np.tile(np.asarray(sim.start_state), (n_b, 1)))
+        cost = np.zeros(n_b)
+        for i in range(n_steps):
+            t = sim.start_time + i * dt
+            X_eval = grid.clamp(X) if grid.domain_kind == "box" else X
+            b, f = oracle.eval(t, X_eval, control.values(t, X_eval))
+            cost += f * dt
+            X = grid.wrap(X + b * dt + np.sqrt(2.0 * dt) * noise[i])
+        stats.append((n_b, float(np.mean(cost)), float(np.sum((cost - np.mean(cost)) ** 2))))
+    n_acc, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in stats:
+        delta = mean_b - mean
+        n_new = n_acc + n_b
+        mean += delta * n_b / n_new
+        m2 += m2_b + delta * delta * n_acc * n_b / n_new
+        n_acc = n_new
+    return mean, float(np.sqrt(m2 / (sim.n_paths - 1) / sim.n_paths))
+
+
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_chunked_noise_equals_one_draw_per_block(kind):
+    grid, oracle, control, _, start = _mc_case(kind)
+    for threads in (1, 2):
+        sim = SimConfig(start_state=start, n_threads=threads, **GROUP_SIM)
+        est = simulate_cost(oracle, control, sim, grid)
+        expect = _one_draw_estimate(oracle, as_control(control), sim, grid, grid.T)
+        assert (est.mean, est.se) == expect
+
+
+def test_noise_draws_span_at_most_one_chunk(monkeypatch):
+    shapes = []
+    real = np.random.Generator
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self.gen = real(bit_generator)
+
+        def standard_normal(self, size=None, *args, **kwargs):
+            shapes.append(size)
+            return self.gen.standard_normal(size, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    grid = build_grid("torus", 2, (-1.0, 1.0), 8, 1.0, 4)
+    sim = SimConfig(n_paths=40, dt_sim=1.0 / 200, seed=3, start_state=(0.0, 0.0),
+                    block_size=24, n_threads=2)
+    simulate_cost(make_bang_bang(grid), constant_control(1.0), sim, grid)
+    # step-major (steps, paths, d) draws of at most NOISE_CHUNK steps
+    assert shapes and all(s[0] <= NOISE_CHUNK and s[1:] in ((24, 2), (16, 2)) for s in shapes)
+    # every block draws all 200 steps of its 24 and 16 paths, no more
+    assert sum(shape[0] * shape[1] for shape in shapes) == 200 * 40
