@@ -26,7 +26,7 @@ for label, oracle in (
     ("smooth ", make_smooth_baseline(grid, T=grid.T)),
     ("step   ", make_step_drift(grid, c=1.0)),
 ):
-    ladder = coefficient_ladder(oracle, 1.0, grid, [0.4, 0.2, 0.1], p=2)
+    ladder = coefficient_ladder(oracle, 1.0, grid, [0.4, 0.2, 0.1])
     d = ladder.distances()
     ratios = " ".join(f"{a / b:4.2f}" for a, b in zip(d, d[1:]))
     print(f"  {label}: " + "  ".join(f"{x:.5f}" for x in d) + f"   halving ratios {ratios}")

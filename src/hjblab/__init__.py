@@ -54,7 +54,6 @@ from .parabolic import (  # noqa: F401
 )
 from .hamiltonian import (  # noqa: F401
     Policy,
-    SlackSchedule,
     constant_policy,
 )
 from .hjb import (  # noqa: F401

@@ -93,14 +93,20 @@ def _build(cfg, args):
     return oracle, aset, sim
 
 
+def _solve_direct(cfg, oracle, aset, manifest):
+    """Direct HJB march, with its inner-sweep convergence recorded as a check."""
+    u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
+    manifest.add_check("inner_sweeps_converged", u.meta["converged"],
+                       f"{len(u.meta['inner_flagged_steps'])} flagged steps")
+    return u
+
+
 def cmd_solve_hjb(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, _ = _build(cfg, args)
-    u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
+    u = _solve_direct(cfg, oracle, aset, manifest)
     res = hjb_residual(u, oracle, aset, cfg.grid, scheme=cfg.scheme)
     field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
-    manifest.add_check("inner_sweeps_converged", u.meta["converged"],
-                       f"{len(u.meta['inner_flagged_steps'])} flagged steps")
     manifest.add_check("hjb_residual", res <= 1e-9 * max(1.0, float(np.max(np.abs(u.values)))) + 1e-9,
                        f"residual {res:.3e}")
     if hasattr(u, "policy"):
@@ -113,10 +119,9 @@ def cmd_policy_iter(cfg, args, out_dir):
     oracle, aset, _ = _build(cfg, args)
     u, policy, trace = policy_iteration(
         oracle, aset, cfg.grid, scheme=cfg.scheme, tol=cfg.tol,
-        max_iters=cfg.max_iters, slack_delta=cfg.slack_delta,
-        C_monotone=cfg.C_monotone,
+        max_iters=cfg.max_iters, C_monotone=cfg.C_monotone,
     )
-    u_dir = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
+    u_dir = _solve_direct(cfg, oracle, aset, manifest)
     sup = float(np.max(np.abs(u.values - u_dir.values)))
     field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
     trace.to_csv(_artifact(out_dir, "trace.csv", manifest))
@@ -131,7 +136,7 @@ def cmd_policy_iter(cfg, args, out_dir):
 def cmd_verify(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, sim = _build(cfg, args)
-    u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
+    u = _solve_direct(cfg, oracle, aset, manifest)
     candidates = [(f"const_{i}", constant_control(aset.action(i)))
                   for i in range(min(len(aset), 5))]
     rep = verification_check(u, oracle, sim, candidates)
@@ -143,7 +148,7 @@ def cmd_verify(cfg, args, out_dir):
 def cmd_dpp_check(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, sim = _build(cfg, args)
-    u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
+    u = _solve_direct(cfg, oracle, aset, manifest)
     t_mids = [frac * cfg.grid.T for frac in cfg.experiment["t_mid"]]
     subopt = []
     sub_idx = cfg.experiment.get("suboptimal_action")
@@ -209,7 +214,7 @@ def cmd_simulate(cfg, args, out_dir):
     elif kind == "diagonal":
         control = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
     elif kind == "argmin":
-        u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
+        u = _solve_direct(cfg, oracle, aset, manifest)
         control = GridPolicyControl(u.policy, name="argmin_feedback")
     else:
         raise ConfigError([f"experiment.control.type: unknown control {kind!r}"])

@@ -104,15 +104,13 @@ class CoefficientOracle:
     (..., dim) and f of shape (...).  ``bound_fn(t, X)`` returns Phi values.
     """
 
-    def __init__(self, name, dim, eval_fn, bound_fn,
-                 params=None, exact_value=None, p_exponent=None):
+    def __init__(self, name, dim, eval_fn, bound_fn, params=None):
         self.name = name
         self.dim = int(dim)
         self._eval_fn = eval_fn
         self._bound_fn = bound_fn
         self.params = dict(params or {})
-        self.exact_value = exact_value  # closed-form value under action a=+1, if any
-        self.p_exponent = p_exponent
+        self.exact_value = None  # closed-form value under action a=+1, if any
 
     def eval(self, t, X, a):
         """Vectorized evaluation (hot path)."""
@@ -162,18 +160,10 @@ class BoundReport:
     n_checked: int
     violations: list = field(default_factory=list)  # (t, x, action, excess)
 
-    def summary(self):
-        if self.passed:
-            return f"bound check passed: min slack {self.min_slack:.3e} over {self.n_checked} samples"
-        t, x, a, excess = self.violations[0]
-        return (
-            f"bound check FAILED at t={t:.6g}, x={np.asarray(x).ravel()}, a={a}: "
-            f"|b|+|f| exceeds Phi by {excess:.3e} ({len(self.violations)} violations)"
-        )
 
-
-def verify_bound(oracle, grid, action_set, slack_tol=1e-12, max_violations=16):
-    """Scan every (node, action) pair for the dominating-bound condition."""
+def verify_bound(oracle, grid, action_set):
+    """Scan every (node, action) pair for |b| + |f| <= Phi (+ 1e-12);
+    the first 16 violations are recorded."""
     X = grid.points()
     min_slack = np.inf
     violations = []
@@ -189,8 +179,8 @@ def verify_bound(oracle, grid, action_set, slack_tol=1e-12, max_violations=16):
             m = float(np.min(slack))
             if m < min_slack:
                 min_slack = m
-            bad = np.argwhere(slack < -slack_tol)
-            for loc in bad[: max(0, max_violations - len(violations))]:
+            bad = np.argwhere(slack < -1e-12)
+            for loc in bad[: max(0, 16 - len(violations))]:
                 loc = tuple(loc)
                 violations.append((float(t), X[loc], np.asarray(a).tolist(), float(-slack[loc])))
     return BoundReport(
@@ -230,12 +220,11 @@ def make_counterexample(domain):
     def bound_fn(t, X):
         return 1.0 + _dist2(X, domain)
 
-    return CoefficientOracle("counterexample", dim, eval_fn, bound_fn,
-                             params={}, p_exponent=dim + 3)
+    return CoefficientOracle("counterexample", dim, eval_fn, bound_fn, params={})
 
 
-def _multiplier_entry(name, domain, shape_fn, shape_sup, params, action_bound=1.0):
-    """Drift a * shape(t, x) along the first axis, quadratic cost."""
+def _multiplier_entry(name, domain, shape_fn, shape_sup, params):
+    """Drift a * shape(t, x) along the first axis, quadratic cost; |a| <= 1."""
     dim = domain.dim
 
     def eval_fn(t, X, a):
@@ -245,10 +234,9 @@ def _multiplier_entry(name, domain, shape_fn, shape_sup, params, action_bound=1.
         return b, _dist2(X, domain)
 
     def bound_fn(t, X):
-        return action_bound * shape_sup + _dist2(X, domain)
+        return shape_sup + _dist2(X, domain)
 
-    return CoefficientOracle(name, dim, eval_fn, bound_fn,
-                             params=params, p_exponent=dim + 3)
+    return CoefficientOracle(name, dim, eval_fn, bound_fn, params=params)
 
 
 def make_constant_drift(domain, c=1.0):
@@ -314,19 +302,7 @@ def make_checkerboard(domain, kx=1, kt=0):
 
 def make_bang_bang(domain):
     """b(x, a) = a with A = {-1, +1}; cost dist(x, 0)^2."""
-    dim = domain.dim
-
-    def eval_fn(t, X, a):
-        a = np.asarray(a, dtype=float)
-        b = np.zeros(X.shape)
-        b[..., 0] = a * np.ones(X.shape[:-1])
-        return b, _dist2(X, domain)
-
-    def bound_fn(t, X):
-        return 1.0 + _dist2(X, domain)
-
-    return CoefficientOracle("bang_bang", dim, eval_fn, bound_fn,
-                             params={}, p_exponent=dim + 3)
+    return _multiplier_entry("bang_bang", domain, lambda t, X: np.ones(X.shape[:-1]), 1.0, {})
 
 
 def bang_bang_actions():
@@ -375,28 +351,24 @@ def make_smooth_baseline(domain, T, amplitude=0.25):
     def bound_fn(t, X):
         return np.full(X.shape[:-1], 1.0 + sup_f + 1.0)
 
-    oracle = CoefficientOracle(
-        "smooth_baseline", dim, eval_fn, bound_fn,
-        params={"T": T, "amplitude": A}, p_exponent=dim + 3,
-    )
+    oracle = CoefficientOracle("smooth_baseline", dim, eval_fn, bound_fn,
+                               params={"T": T, "amplitude": A})
     oracle.exact_value = lambda t, X, T_=T: u_exact(t, X, T_)
     return oracle
 
 
-def make_tabulated(grid, b_values, f_values, phi_values=None, name="tabulated"):
+def make_tabulated(grid, b_values, f_values, name="tabulated"):
     """Oracle backed by per-action sampled fields with nearest-node lookup.
 
     ``b_values`` has shape (n_actions, levels, ..., dim), ``f_values``
     (n_actions, levels, ...).  Actions are addressed by integer index.  Time
     lookup is constant from the left node; off-box points clamp to the
-    nearest node (torus points wrap).
+    nearest node (torus points wrap).  Phi is the max of |b| + |f| over actions.
     """
     b_values = np.asarray(b_values, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
     n_actions = b_values.shape[0]
-    if phi_values is None:
-        phi_values = (np.sqrt(np.sum(b_values**2, axis=-1)) + np.abs(f_values)).max(axis=0)
-    phi_values = np.asarray(phi_values, dtype=float)
+    phi_values = (np.sqrt(np.sum(b_values**2, axis=-1)) + np.abs(f_values)).max(axis=0)
 
     def lookup(t, X):
         it = grid.time_index_left(t)
@@ -418,8 +390,7 @@ def make_tabulated(grid, b_values, f_values, phi_values=None, name="tabulated"):
         return phi_values[loc]
 
     oracle = CoefficientOracle(name, grid.dim, eval_fn, bound_fn,
-                               params={"n_actions": int(n_actions)},
-                               p_exponent=grid.dim + 3)
+                               params={"n_actions": int(n_actions)})
     oracle.grid = grid
     return oracle
 

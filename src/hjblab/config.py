@@ -3,13 +3,15 @@
 Config files are YAML documents (shipped with a .cfg extension): key/value
 pairs in nested sections.  Loading validates every constraint the downstream
 modules impose and reports all violations at once with field-pathed
-messages, not just the first.  The fully resolved config, defaults included,
-is echoed into the run manifest so no default stays silent.
+messages, not just the first; unknown keys and catalog parameters are
+violations too.  The fully resolved config, defaults included, is echoed
+into the run manifest so no default stays silent.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
@@ -19,6 +21,7 @@ import yaml
 
 from . import __version__
 from .coefficients import (
+    CATALOG,
     ActionSet,
     bang_bang_actions,
     bang_bang_family,
@@ -46,10 +49,9 @@ DEFAULTS = {
         "advection": "upwind",
         "tol": 1e-8,
         "max_iters": 200,
-        "slack_delta": 1.0,
         "C_monotone": None,
     },
-    "mollify": {"eps": [], "kernel": "bump"},
+    "mollify": {"eps": []},
     "mc": {
         "M": 20000,
         "dt_sim": 2e-3,
@@ -66,6 +68,16 @@ DEFAULTS = {
     },
 }
 
+# every key a section may hold; sections with defaults take exactly those
+KNOWN_KEYS = {
+    "scenario": None,
+    "domain": ("kind", "dim", "extent", "nx"),
+    "time": ("T", "nt"),
+    "coefficients": ("catalog", "params", "tabulated"),
+    "actions": ("list", "family", "N"),
+    **{section: tuple(keys) for section, keys in DEFAULTS.items()},
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -80,10 +92,8 @@ class ScenarioConfig:
     scheme: ParabolicScheme
     tol: float
     max_iters: int
-    slack_delta: float
     C_monotone: object
     eps_list: list
-    kernel_id: str
     mc: dict
     experiment: dict
     echo: dict = field(default_factory=dict)
@@ -164,8 +174,38 @@ def load_config(path):
     return validate_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _unknown_keys(raw):
+    """Violations for sections and keys that no code reads; raises at once on
+    a section that is not a mapping."""
+    out = []
+    for section, body in raw.items():
+        if section not in KNOWN_KEYS:
+            out.append(f"{section}: unknown section")
+        elif KNOWN_KEYS[section] is None or body is None:
+            continue
+        elif not isinstance(body, dict):
+            raise ConfigError(out + [f"{section}: expected a mapping"])
+        else:
+            out.extend(f"{section}.{key}: unknown key"
+                       for key in body if key not in KNOWN_KEYS[section])
+    return out
+
+
+def _param_violations(name, params):
+    """Catalog parameters that the entry's constructor would not accept."""
+    if not isinstance(params, dict):
+        return ["coefficients.params: expected a mapping"]
+    sig = list(inspect.signature(CATALOG[name]).parameters.values())[1:]  # after domain
+    takes = ", ".join(p.name for p in sig) or "none"
+    out = [f"coefficients.params.{key}: not a parameter of {name} (takes {takes})"
+           for key in params if key not in {p.name for p in sig}]
+    out += [f"coefficients.params.{p.name}: missing, required by {name}"
+            for p in sig if p.default is inspect.Parameter.empty and p.name not in params]
+    return out
+
+
 def validate_config(raw, base_dir="."):
-    violations = []
+    violations = _unknown_keys(raw)
 
     def need(section, key, typ, pred=None, msg=""):
         sec = raw.get(section)
@@ -185,7 +225,7 @@ def validate_config(raw, base_dir="."):
 
     kind = need("domain", "kind", str, lambda v: v in (TORUS, BOX), "must be torus or box")
     dim = need("domain", "dim", int, lambda v: v in (1, 2), "must be 1 or 2")
-    extent = raw.get("domain", {}).get("extent")
+    extent = (raw.get("domain") or {}).get("extent")
     nx = need("domain", "nx", (int, list), lambda v: True, "")
     T = need("time", "T", (int, float), lambda v: v > 0, "must be positive")
     nt = need("time", "nt", int, lambda v: v >= 1, "must be >= 1")
@@ -206,10 +246,10 @@ def validate_config(raw, base_dir="."):
     else:
         if "catalog" in coeffs:
             coeff_spec = {"catalog": coeffs["catalog"], "params": coeffs.get("params", {}) or {}}
-            from .coefficients import CATALOG
-
             if coeffs["catalog"] not in CATALOG:
                 violations.append(f"coefficients.catalog: unknown entry {coeffs['catalog']!r}")
+            else:
+                violations.extend(_param_violations(coeffs["catalog"], coeff_spec["params"]))
         elif "tabulated" in coeffs:
             tab = coeffs["tabulated"]
             if not isinstance(tab, dict) or "b" not in tab or "f" not in tab:
@@ -246,8 +286,6 @@ def validate_config(raw, base_dir="."):
         violations.append("solver.tol: must be positive")
     if not (isinstance(solver["max_iters"], int) and solver["max_iters"] >= 1):
         violations.append("solver.max_iters: must be >= 1")
-    if not (isinstance(solver["slack_delta"], (int, float)) and solver["slack_delta"] > 0):
-        violations.append("solver.slack_delta: must be positive")
 
     mol = _merge_defaults(raw.get("mollify"), DEFAULTS["mollify"])
     eps_list = list(mol["eps"] or [])
@@ -255,8 +293,6 @@ def validate_config(raw, base_dir="."):
         violations.append("mollify.eps: entries must be positive numbers")
     elif any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         violations.append("mollify.eps: ladder must be strictly decreasing")
-    if mol["kernel"] != "bump":
-        violations.append(f"mollify.kernel: unknown kernel {mol['kernel']!r}")
 
     mc = _merge_defaults(raw.get("mc"), DEFAULTS["mc"])
     if not (isinstance(mc["M"], int) and mc["M"] >= 1):
@@ -278,7 +314,7 @@ def validate_config(raw, base_dir="."):
         "actions": {"list": action_values, "family": action_family, "N": family_N},
         "coefficients": coeff_spec,
         "solver": solver,
-        "mollify": {"eps": eps_list, "kernel": mol["kernel"]},
+        "mollify": {"eps": eps_list},
         "mc": mc,
         "experiment": exp,
     }
@@ -292,10 +328,8 @@ def validate_config(raw, base_dir="."):
         scheme=scheme,
         tol=float(solver["tol"]),
         max_iters=int(solver["max_iters"]),
-        slack_delta=float(solver["slack_delta"]),
         C_monotone=solver["C_monotone"],
         eps_list=eps_list,
-        kernel_id=mol["kernel"],
         mc=mc,
         experiment=exp,
         echo=echo,

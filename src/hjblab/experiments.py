@@ -2,7 +2,7 @@
 countable-action truncation studies, and the strict-gap counterexample report.
 
 Limits are replaced by monotonicity-and-threshold checks along finite epsilon
-ladders; every threshold is an explicit, config-visible number carried in the
+ladders; each threshold is fixed by the grid and MC step and carried in the
 report.  Interior metrics exclude the epsilon-wide time bands (and, on a box,
 space bands) where the zero extension of the mollified coefficients bites;
 full-cylinder metrics are reported alongside.
@@ -15,20 +15,32 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .coefficients import make_constant_drift, sample_all
+from .coefficients import (
+    ActionSet,
+    make_constant_drift,
+    make_counterexample,
+    make_tabulated,
+    sample_all,
+)
 from .grids import (
     BOX,
     SpaceTimeField,
     build_grid,
-    default_boundary,
     dirichlet_boundary,
     lp_norm,
     write_csv,
 )
 from .hjb import solve_hjb_direct, solve_hjb_tables
 from .mollify import MollifierKernel, mollify_samples
-from .montecarlo import GridPolicyControl, dpp_residual, simulate_cost, value_at
-from .parabolic import ParabolicScheme, default_scheme
+from .montecarlo import (
+    FeedbackRule,
+    GridPolicyControl,
+    constant_control,
+    dpp_residual,
+    simulate_cost,
+    value_at,
+)
+from .parabolic import ParabolicScheme, default_scheme, solve_frozen
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +74,18 @@ class VerificationReport:
                            "rows": [asdict(r) for r in self.rows]})
 
 
-def verification_check(u_field, oracle, sim, candidate_controls,
-                       argmin_control=None, tol_pde=None, dt_sim_tol=True):
+def verification_check(u_field, oracle, sim, candidate_controls, argmin_control=None):
     """Check the two faces of the verification theorem by Monte Carlo.
 
     (i) every candidate control alpha satisfies J(alpha) >= u(s,x) - 3 SE -
     tol; (ii) the exact-argmin feedback satisfies |J - u(s,x)| <= 3 SE + tol
-    (the epsilon = 0 case of near-optimality).  ``candidate_controls`` is a
-    list of (name, control) pairs; ``argmin_control`` defaults to the policy
-    attached to the value field by the direct solver.
+    + 5 dt_sim (the epsilon = 0 case of near-optimality).  ``candidate_controls``
+    is a list of (name, control) pairs; ``argmin_control`` defaults to the
+    policy attached to the value field by the direct solver.
     """
     grid = u_field.grid
-    if tol_pde is None:
-        tol_pde = 5.0 * (max(grid.dx) ** 2 + grid.dt)
-    tol_feedback = tol_pde + (5.0 * sim.dt_sim if dt_sim_tol else 0.0)
+    tol_pde = 5.0 * (max(grid.dx) ** 2 + grid.dt)
+    tol_feedback = tol_pde + 5.0 * sim.dt_sim
     u_start = float(value_at(u_field, sim.start_time,
                              np.asarray(sim.start_state)[None, :])[0])
 
@@ -126,22 +136,16 @@ class DPPReport:
     rows: list
     passed: bool
 
-    def summary(self):
-        verdict = "passed" if self.passed else "FAILED"
-        return f"DPP battery {verdict} over {len(self.rows)} rows"
 
-
-def dpp_battery(u_field, oracle, argmin_control, sim, t_mids,
-                suboptimal_controls=(), tol_pde=None):
+def dpp_battery(u_field, oracle, argmin_control, sim, t_mids, suboptimal_controls=()):
     """Principle-of-optimality residuals at intermediate times.
 
-    The exact-argmin feedback must give |residual| <= 3 SE + tol; any
-    deliberately suboptimal control must give residual > 3 SE (the one-sided
-    inequality for arbitrary controls).
+    The exact-argmin feedback must give |residual| <= 3 SE + tol (the row's
+    allowance); any deliberately suboptimal control must give residual > 3 SE
+    (the one-sided inequality for arbitrary controls).
     """
     grid = u_field.grid
-    if tol_pde is None:
-        tol_pde = 5.0 * (max(grid.dx) ** 2 + grid.dt + sim.dt_sim)
+    tol_pde = 5.0 * (max(grid.dx) ** 2 + grid.dt + sim.dt_sim)
     rows = []
     for t_mid in t_mids:
         est = dpp_residual(u_field, oracle, argmin_control, t_mid, sim)
@@ -186,11 +190,6 @@ class SweepReport:
     def resolved_rungs(self):
         return [r for r in self.rungs if r.resolved]
 
-    def summary(self):
-        a = "pass" if self.liminf_pass else "FAIL"
-        b = "pass" if self.countable_pass else "FAIL"
-        return f"sweep[{self.scenario}]: liminf {a}, countable convergence {b}"
-
     def to_json(self):
         rows = []
         for r in self.rungs:
@@ -221,28 +220,25 @@ def _interior_gap_mask(grid, eps):
 
 
 def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
-                        boundary=None, p=2, scenario=None,
-                        liminf_atol=None, liminf_eps_coeff=None,
-                        countable_threshold=None, store_fields=False):
+                        scenario=None, store_fields=False):
     """Solve the regularized problems along an epsilon ladder and compare.
 
     Per rung: mollify the per-action coefficient tables, run the direct HJB
     solver, and tabulate V_eps - V.  The liminf check asserts, at the two
     smallest resolved epsilons, min over interior nodes of (V_eps - V) >=
-    -(liminf_atol + liminf_eps_coeff * eps); the default epsilon coefficient
+    -(liminf_atol + coeff * eps); the epsilon coefficient
     2 * kernel_time_moment * sup Phi bounds the mass lost to the zero
-    extension at the time boundary, and the default atol covers scheme error.
+    extension at the time boundary, and the atol covers scheme error.
     The countable-convergence check asserts the interior sup gap decreasing
-    along the ladder and below ``countable_threshold`` (default 5 dx) at the
+    along the ladder and below ``countable_threshold`` (5 dx) at the
     smallest epsilon.  Rungs with eps below the grid spacing are refused.
     """
     scheme = scheme or default_scheme()
-    boundary = boundary or default_boundary(grid)
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
 
-    V = solve_hjb_direct(oracle, action_set, grid, boundary, scheme)
+    V = solve_hjb_direct(oracle, action_set, grid, scheme=scheme)
     B, F = sample_all(oracle, grid, action_set)
 
     phi_sup = 0.0
@@ -250,10 +246,8 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
     for t in grid.times():
         phi_sup = max(phi_sup, float(np.max(oracle.bound(t, X))))
 
-    if liminf_atol is None:
-        liminf_atol = 10.0 * (max(grid.dx) ** 2 + grid.dt)
-    if countable_threshold is None:
-        countable_threshold = 5.0 * max(grid.dx)
+    liminf_atol = 10.0 * (max(grid.dx) ** 2 + grid.dt)
+    countable_threshold = 5.0 * max(grid.dx)
 
     rungs = []
     liminf_tols = {}
@@ -263,12 +257,11 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
             continue
         kernel = MollifierKernel(eps, dim=grid.dim)
         B_eps, F_eps = mollify_samples(B, F, kernel, grid)
-        V_eps = solve_hjb_tables(B_eps, F_eps, grid, boundary, scheme)
+        V_eps = solve_hjb_tables(B_eps, F_eps, grid, scheme=scheme)
         gap = V_eps.values - V.values
         mask = _interior_gap_mask(grid, eps)
         interior = gap[mask]
-        coeff = (2.0 * kernel.abs_time_moment * phi_sup
-                 if liminf_eps_coeff is None else liminf_eps_coeff)
+        coeff = 2.0 * kernel.abs_time_moment * phi_sup
         liminf_tols[float(eps)] = float(liminf_atol + coeff * eps)
         rungs.append(SweepRung(
             epsilon=float(eps),
@@ -276,7 +269,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
             sup_gap_full=float(np.max(np.abs(gap))),
             sup_gap_interior=float(np.max(np.abs(interior))) if interior.size else np.nan,
             min_gap_interior=float(np.min(interior)) if interior.size else np.nan,
-            lp_gap=lp_norm(gap, p, grid),
+            lp_gap=lp_norm(gap, 2, grid),
             frac_nonneg_interior=float(np.mean(interior >= -1e-12)) if interior.size else np.nan,
             gap_field=SpaceTimeField(grid, gap) if store_fields else None,
         ))
@@ -328,11 +321,6 @@ class CounterexampleReport:
     contamination_tol: float
     advice: str
 
-    def summary(self):
-        verdict = "pass" if (self.gap_pass and self.mc_pass) else "FAIL"
-        return (f"counterexample report {verdict}: gap(0,0)={self.gap_at_origin:.4f}, "
-                f"boundary contamination {self.contamination:.2e}")
-
     def to_csv(self, path_or_buf):
         write_csv(path_or_buf, [f.name for f in fields(CounterexampleRow)],
                   [astuple(r) for r in self.rows])
@@ -358,32 +346,24 @@ def _solve_effective(c, grid, scheme):
     exact = oracle.exact_value
     boundary = (dirichlet_boundary(lambda t, X: exact(t, X, grid.T))
                 if grid.domain_kind == BOX else None)
-    bf, ff = sample_all(oracle, grid, _single_action())
-    from .parabolic import solve_frozen
-
+    bf, ff = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     u = solve_frozen(bf[0], ff[0], grid, boundary, scheme)
     return u, oracle
 
 
-def _single_action():
-    from .coefficients import ActionSet
-
-    return ActionSet(np.array([1.0]))
-
-
-def counterexample_report(T, x_samples, grid, sim=None, scheme=None,
-                          mc_enabled=True, big_factor=4.0 / 3.0,
-                          contamination_tol=1e-3, gap_threshold=0.30):
+def counterexample_report(T, x_samples, grid, sim=None, mc_enabled=True):
     """Numbers behind the strict mollification gap.
 
     For each sample x at s = 0: the exact and numerical original value (drift
     switched off on the diagonal null set, effective Hamiltonian |x|^2) and
     the exact and numerical mollified-limit value (drift identically one).
-    The numerical gap at (0, 0) must reach ``gap_threshold`` when T = 1.
-    Boundary contamination is estimated a posteriori by re-solving on an
-    enlarged box; above tolerance the report advises a larger box.
+    The numerical gap at (0, 0) must reach 0.30 when T = 1.  Boundary
+    contamination is estimated a posteriori by re-solving on a 4/3-enlarged
+    box; above tolerance the report advises a larger box.
     """
-    scheme = scheme or ParabolicScheme(advection="central")
+    scheme = ParabolicScheme(advection="central")
+    big_factor = 4.0 / 3.0
+    contamination_tol = 1e-3
     if abs(grid.T - T) > 1e-12:
         raise ValueError("grid terminal time differs from requested T")
 
@@ -400,17 +380,13 @@ def counterexample_report(T, x_samples, grid, sim=None, scheme=None,
         rows.append(CounterexampleRow(0.0, float(x), v_ex, v_num, vl_ex, vl_num,
                                       vl_num - v_num))
 
-    gap_origin = np.nan
-    for r in rows:
-        if abs(r.x) < 1e-12:
-            gap_origin = r.gap_num
-    gap_pass = bool(gap_origin >= gap_threshold) if np.isfinite(gap_origin) else False
+    gap_origin = next((r.gap_num for r in rows if abs(r.x) < 1e-12), np.nan)
+    gap_pass = bool(gap_origin >= 0.30)
 
     # boundary contamination: same spacing, enlarged box
     contamination = 0.0
     if grid.domain_kind == BOX:
         lo, hi = grid.extent[0]
-        width = hi - lo
         big_nx = int(round((grid.nx[0] - 1) * big_factor)) + 1
         big = build_grid(BOX, grid.dim,
                          [(lo * big_factor, hi * big_factor)] * grid.dim,
@@ -432,23 +408,16 @@ def counterexample_report(T, x_samples, grid, sim=None, scheme=None,
     mc_rows = []
     mc_pass = True
     if mc_enabled and sim is not None:
-        from .coefficients import make_counterexample
-        from .montecarlo import FeedbackRule, constant_control
-
-        ce = make_counterexample(grid)
+        start = np.asarray(sim.start_state)[None, :]
         diag = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
-        est0 = simulate_cost(ce, diag, sim, grid)
-        target0 = float(oracle0.exact_value(sim.start_time,
-                                            np.asarray(sim.start_state)[None, :], T)[0])
-        ok0 = est0.within(target0, 3.0, atol=5.0 * sim.dt_sim)
-        mc_rows.append(("feedback a=x", est0.mean, est0.se, target0, bool(ok0)))
-
-        est1 = simulate_cost(oracle1, constant_control(1.0), sim, grid)
-        target1 = float(oracle1.exact_value(sim.start_time,
-                                            np.asarray(sim.start_state)[None, :], T)[0])
-        ok1 = est1.within(target1, 3.0, atol=5.0 * sim.dt_sim)
-        mc_rows.append(("drift 1", est1.mean, est1.se, target1, bool(ok1)))
-        mc_pass = bool(ok0 and ok1)
+        for label, oracle, control, exact in (
+                ("feedback a=x", make_counterexample(grid), diag, oracle0),
+                ("drift 1", oracle1, constant_control(1.0), oracle1)):
+            est = simulate_cost(oracle, control, sim, grid)
+            target = float(exact.exact_value(sim.start_time, start, T)[0])
+            ok = bool(est.within(target, 3.0, atol=5.0 * sim.dt_sim))
+            mc_rows.append((label, est.mean, est.se, target, ok))
+        mc_pass = all(row[-1] for row in mc_rows)
 
     return CounterexampleReport(
         rows=rows,
@@ -491,7 +460,7 @@ class TruncationReport:
 
 
 def countable_truncation_study(oracle, family, N_list, grid, sim=None,
-                               eps_list=(), scheme=None, boundary=None):
+                               eps_list=(), scheme=None):
     """Double limit behind countable-action convergence, realized numerically.
 
     V^N from the truncated action prefix is pointwise nonincreasing in N; for
@@ -501,13 +470,13 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     config is given).
     """
     scheme = scheme or default_scheme()
-    boundary = boundary or default_boundary(grid)
     N_list = sorted(int(N) for N in N_list)
+    resolved = [eps for eps in eps_list if eps >= max(grid.dx) and eps >= grid.dt]
 
     values = {}
     for N in N_list:
         aset = family.prefix(N)
-        values[N] = solve_hjb_direct(oracle, aset, grid, boundary, scheme)
+        values[N] = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
 
     monotone_pass = True
     value_table = {}
@@ -528,12 +497,10 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
         aset = family.prefix(N)
         B, F = sample_all(oracle, grid, aset)
         sups = []
-        for eps in eps_list:
-            if eps < max(grid.dx) or eps < grid.dt:
-                continue
+        for eps in resolved:
             kernel = MollifierKernel(eps, dim=grid.dim)
             B_eps, F_eps = mollify_samples(B, F, kernel, grid)
-            V_eps = solve_hjb_tables(B_eps, F_eps, grid, boundary, scheme)
+            V_eps = solve_hjb_tables(B_eps, F_eps, grid, scheme=scheme)
             mask = _interior_gap_mask(grid, eps)
             sup = float(np.max(np.abs((V_eps.values - values[N].values)[mask])))
             sups.append(sup)
@@ -544,16 +511,11 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     open_rows = []
     open_pass = True
     if sim is not None and eps_list:
-        from .coefficients import make_tabulated
-        from .montecarlo import constant_control
-
         a1 = family.prefix(1).action(0)
         j_raw = simulate_cost(oracle, constant_control(a1), sim, grid)
         B1, F1 = sample_all(oracle, grid, family.prefix(1))
         gaps = []
-        for eps in eps_list:
-            if eps < max(grid.dx) or eps < grid.dt:
-                continue
+        for eps in resolved:
             kernel = MollifierKernel(eps, dim=grid.dim)
             B_eps, F_eps = mollify_samples(B1, F1, kernel, grid)
             tab = make_tabulated(grid, B_eps, F_eps, name=f"{oracle.name}_eps")

@@ -240,9 +240,6 @@ class SpaceTimeField:
     def is_vector(self):
         return self.values.ndim == self.grid.dim + 2
 
-    def copy(self):
-        return SpaceTimeField(self.grid, self.values.copy(), self.meta)
-
     def __repr__(self):
         kind = "vector" if self.is_vector else "scalar"
         return f"SpaceTimeField({kind}, shape={self.values.shape})"

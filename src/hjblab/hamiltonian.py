@@ -2,8 +2,8 @@
 
 With a finite list the exact argmin exists, so the selector implemented here
 is an epsilon = 0 selector: it always returns the exact minimizer (ties break
-to the lowest action index) and trivially satisfies every positive slack
-schedule.  Slack schedules are kept as verifiable objects, never exploited.
+to the lowest action index).  The slack schedule C_k(x) that the theory
+needs when the infimum may not be attained is therefore not implemented.
 
 The discrete Hamiltonian takes the gradient of the value iterate in the
 convention of the advection stencil of the solver that consumes the policy:
@@ -16,36 +16,10 @@ select through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coefficients import CoefficientError
 from .grids import UPWIND, gradient_pair, spatial_gradient, write_csv
-
-
-@dataclass(frozen=True)
-class SlackSchedule:
-    """Slack C_k(x) = 2^-k (1 + |x|^2)^-delta used to verify near-minimality."""
-
-    delta: float = 1.0
-    k: int = 1
-
-    def __post_init__(self):
-        if not (self.delta > 0):
-            raise CoefficientError(f"delta must be positive, got {self.delta}")
-
-    def check_exponent(self, dim, p):
-        """The schedule is admissible when delta > d / (2p)."""
-        return self.delta > dim / (2.0 * p)
-
-    def value(self, x, k=None):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = x[None]
-        x2 = np.sum(np.atleast_2d(x) ** 2, axis=-1) if x.ndim > 1 else x**2
-        kk = self.k if k is None else k
-        return 2.0 ** (-kk) * (1.0 + x2) ** (-self.delta)
 
 
 class Policy:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import sample_all
 from .grids import SpaceTimeField, default_boundary, write_csv
-from .hamiltonian import Policy, SlackSchedule, argmin_level
+from .hamiltonian import Policy, argmin_level
 from .parabolic import (
     IMPLICIT_EULER,
     SchemeError,
@@ -26,6 +26,9 @@ from .parabolic import (
     pde_residual,
     solve_frozen,
 )
+
+# inner policy-freeze sweeps per time step of the direct marcher
+MAX_SWEEPS = 5
 
 
 @dataclass
@@ -57,28 +60,20 @@ def _select_fields(B, F, indices):
 
 
 def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
-                     u0=None, tol=1e-8, max_iters=200, slack_delta=1.0,
-                     C_monotone=None):
+                     tol=1e-8, max_iters=200, C_monotone=None):
     """Howard-type iteration: exact-argmin policy, then frozen linear solve.
 
+    Starts from u^0 = 0; the argmin is exact, so no slack schedule enters.
     Stops when the sup-norm change drops below ``tol`` and the policy is
     unchanged on at least 99.9 percent of nodes, or at ``max_iters`` (the
     best iterate is then returned with the trace flagged, not an error).
-    ``slack_delta`` parametrizes the verified (never exploited) slack
-    schedule; ``C_monotone`` overrides the trace-calibrated adjusted-sequence
-    constant.
+    ``C_monotone`` overrides the trace-calibrated adjusted-sequence constant.
     """
     scheme = scheme or default_scheme()
     boundary = boundary or default_boundary(grid)
-    schedule = SlackSchedule(delta=slack_delta)
-    p_exp = oracle.p_exponent or (grid.dim + 3)
-    if not schedule.check_exponent(grid.dim, p_exp):
-        raise SchemeError(
-            f"slack_delta={slack_delta} violates delta > d/(2p) = {grid.dim / (2 * p_exp):g}"
-        )
     B, F = sample_all(oracle, grid, action_set)
 
-    u = np.zeros((grid.n_levels,) + grid.space_shape) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.zeros((grid.n_levels,) + grid.space_shape)
     trace = IterationTrace()
     times = grid.times()
     horizon = (grid.T - times).reshape((-1,) + (1,) * grid.dim)
@@ -145,8 +140,9 @@ def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=None):
 
     Diffusion (and the frozen advection) is implicit; the minimization is
     explicit at the current step's gradient and is tightened by at most
-    ``scheme.max_sweeps`` inner sweeps.  Steps whose policy keeps chattering
-    are flagged in the output metadata, the value is still returned.
+    ``MAX_SWEEPS`` inner sweeps, until the argmin indices repeat.  Steps whose
+    policy keeps chattering are flagged in the output metadata, the value is
+    still returned.
     """
     B, F = sample_all(oracle, grid, action_set)
     return solve_hjb_tables(B, F, grid, boundary, scheme, action_set=action_set)
@@ -176,7 +172,7 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
         u_guess = u[n + 1]
         prev_idx = None
         stable = False
-        for _ in range(scheme.max_sweeps):
+        for _ in range(MAX_SWEEPS):
             idx, _ = argmin_level(Bn, Fn, u_guess[None], grid, scheme.advection)
             if prev_idx is not None and np.array_equal(idx, prev_idx):
                 stable = True
@@ -201,8 +197,8 @@ def hjb_residual(u, oracle, action_set, grid, scheme=None, tables=None, with_ind
 
     The exact-argmin policy of the given field's own gradient selects the
     coefficients, and ``pde_residual`` takes the scheme's own theta-step with
-    them; solver output therefore has residual at roundoff scale (or the
-    inner sweep tolerance).  Box boundary nodes hold Dirichlet data and are
+    them; solver output therefore has residual at roundoff scale (but for
+    flagged steps).  Box boundary nodes hold Dirichlet data and are
     left out, so no boundary condition enters.  ``with_indices`` also
     returns the argmin indices.
     """

@@ -99,7 +99,7 @@ def kernel_value(kernel, t, x):
     return _bump(r2) / Z * eps ** (-(kernel.dim + 1))
 
 
-def kernel_normalization_error(kernel, n_per_axis=None):
+def kernel_normalization_error(kernel):
     """|midpoint quadrature of zeta_eps over its support - 1|.
 
     The midpoint grid scales with eps, so the result is eps-independent; the
@@ -107,7 +107,7 @@ def kernel_normalization_error(kernel, n_per_axis=None):
     superalgebraically accurate.
     """
     dim = kernel.dim
-    n = n_per_axis or (401 if dim == 1 else 161)
+    n = 401 if dim == 1 else 161
     eps = kernel.epsilon
     axis = (-eps + (np.arange(n) + 0.5) * (2 * eps / n))
     grids = np.meshgrid(*([axis] * (dim + 1)), indexing="ij")
@@ -224,8 +224,8 @@ class LadderReport:
                     max(r.sup_norm_b, r.sup_norm_f)) for r in self.rungs])
 
 
-def coefficient_ladder(oracle, action, grid, eps_list, p=2):
-    """Mollify one action's coefficients along an eps ladder, tracking L^p gaps.
+def coefficient_ladder(oracle, action, grid, eps_list):
+    """Mollify one action's coefficients along an eps ladder, tracking L^2 gaps.
 
     Distances are computed on a refined quadrature grid at least four times
     finer than the smallest eps, time restricted to the interior band
@@ -262,10 +262,10 @@ def coefficient_ladder(oracle, action, grid, eps_list, p=2):
         rungs.append(
             LadderRung(
                 epsilon=float(eps),
-                lp_distance_b=lp_norm(db, p, fine),
-                lp_distance_f=lp_norm(df, p, fine),
+                lp_distance_b=lp_norm(db, 2, fine),
+                lp_distance_f=lp_norm(df, 2, fine),
                 sup_norm_b=float(np.max(np.abs(b_eps.values))),
                 sup_norm_f=float(np.max(np.abs(f_eps.values))),
             )
         )
-    return LadderReport(oracle.name, np.asarray(action).tolist(), float(p), rungs)
+    return LadderReport(oracle.name, np.asarray(action).tolist(), 2.0, rungs)

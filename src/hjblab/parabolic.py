@@ -38,8 +38,6 @@ class ParabolicScheme:
 
     time_stepping: str = IMPLICIT_EULER
     advection: str = UPWIND
-    max_sweeps: int = 5       # inner policy sweeps of the nonlinear marcher
-    sweep_tol: float = 1e-12  # sup-norm stall tolerance for those sweeps
 
     def __post_init__(self):
         if self.time_stepping not in (IMPLICIT_EULER, CRANK_NICOLSON):

@@ -348,7 +348,7 @@ def _crit7_sweeps(out_dir, artifacts, gap_report):
             oracle = make_smooth_baseline(gridl, T=gridl.T)
         else:
             oracle = make_step_drift(gridl, c=1.0)
-        ladder = coefficient_ladder(oracle, action, gridl, [0.4, 0.2, 0.1], p=2)
+        ladder = coefficient_ladder(oracle, action, gridl, [0.4, 0.2, 0.1])
         path = os.path.join(out_dir, f"ladder_{entry}.csv")
         ladder.to_csv(path)
         artifacts.append(path)

@@ -1,15 +1,20 @@
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
+from hjblab import hjb
 from hjblab.cli import main
 from hjblab.coefficients import ActionSet, make_step_drift, sample_to_grid
 from hjblab.config import ConfigError, RunManifest, load_config, validate_config
 from hjblab.grids import build_grid, field_to_csv
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
+EVERY_CONFIG = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))
+                      + glob.glob(os.path.join(ROOT, "bench", "inputs", "*.cfg")))
 
 
 def shipped(name):
@@ -35,6 +40,72 @@ def test_all_shipped_configs_load(name):
     aset = cfg.build_action_set()
     assert len(aset) >= 1
     assert oracle.dim == cfg.grid.dim
+
+
+def test_every_shipped_and_bench_config_is_known():
+    # every section, key and catalog parameter they set is one the code reads
+    assert len(EVERY_CONFIG) == 12
+    for path in EVERY_CONFIG:
+        cfg = load_config(path)
+        assert cfg.build_oracle().dim == cfg.grid.dim
+
+
+BASE = {
+    "domain": {"kind": "torus", "dim": 1, "extent": [-1.0, 1.0], "nx": 8},
+    "time": {"T": 1.0, "nt": 4},
+    "coefficients": {"catalog": "step_drift", "params": {"c": 1.0}},
+}
+
+
+@pytest.mark.parametrize("section, body, path", [
+    ("solver", {"tol": 1.0e-3, "sweep_tol": 5}, "solver.sweep_tol"),
+    ("solver", {"tolerance": 1.0e-3}, "solver.tolerance"),
+    ("solver", {"slack_delta": 0.01}, "solver.slack_delta"),
+    ("mollify", {"eps": [0.2], "kernel": "bump"}, "mollify.kernel"),
+    ("domain", dict(BASE["domain"], periodic=True), "domain.periodic"),
+    ("mc", {"M": 10, "paths": 10}, "mc.paths"),
+    ("solvers", {"tol": 1.0e-3}, "solvers: unknown section"),
+])
+def test_unknown_keys_rejected(section, body, path):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(BASE, **{section: body}))
+    assert any(v.startswith(path) for v in err.value.violations), err.value.violations
+
+
+@pytest.mark.parametrize("catalog, params, path", [
+    ("step_drift", {"c": 1.0, "amplitude": 3}, "coefficients.params.amplitude"),
+    ("bang_bang", {"c": 1.0}, "coefficients.params.c"),
+    ("smooth_baseline", {"amplitude": 0.5}, "coefficients.params.T"),
+    ("checkerboard", [2, 1], "coefficients.params"),
+])
+def test_catalog_params_checked_against_constructor(catalog, params, path):
+    raw = dict(BASE, coefficients={"catalog": catalog, "params": params})
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert any(v.startswith(path) for v in err.value.violations), err.value.violations
+
+
+def test_section_that_is_not_a_mapping_rejected():
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(BASE, solver=3))
+    assert err.value.violations == ["solver: expected a mapping"]
+
+
+@pytest.mark.parametrize("line, path", [
+    ("solver: {slack_delta: 0.01}", "solver.slack_delta"),
+    ("coefficients: {catalog: step_drift, params: {amplitude: 3}}",
+     "coefficients.params.amplitude"),
+])
+def test_cli_bad_key_exits_2_naming_the_field(tmp_path, capsys, line, path):
+    lines = ["domain: {kind: torus, dim: 1, extent: [-1.0, 1.0], nx: 8}",
+             "time: {T: 1.0, nt: 4}", line]
+    if not line.startswith("coefficients"):
+        lines.append("coefficients: {catalog: bang_bang}")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["policy-iter", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
 
 
 def test_invalid_nt_field_path(tmp_path):
@@ -207,6 +278,23 @@ def test_cli_verify_and_dpp(tmp_path):
     assert main(["verify", cfg, "--out", str(out)]) == 0
     out2 = tmp_path / "dpp"
     assert main(["dpp-check", cfg, "--out", str(out2)]) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "dpp-check", "simulate"])
+def test_cli_records_inner_sweep_convergence(tmp_path, monkeypatch, subcommand):
+    # every handler that marches directly records the marcher's convergence;
+    # one sweep per step can never see the argmin repeat, so all steps flag
+    cfg = _small_cfg(tmp_path)
+    assert main([subcommand, cfg, "--out", str(tmp_path / "ok")]) == 0
+    checks = json.loads((tmp_path / "ok" / "manifest.json").read_text())["checks"]
+    assert {"name": "inner_sweeps_converged", "passed": True,
+            "detail": "0 flagged steps"} in checks
+    monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
+    assert main([subcommand, cfg, "--out", str(tmp_path / "capped")]) == 1
+    checks = json.loads((tmp_path / "capped" / "manifest.json").read_text())["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert failed[0] == {"name": "inner_sweeps_converged", "passed": False,
+                         "detail": "32 flagged steps"}
 
 
 def test_cli_catalog(capsys):

@@ -15,7 +15,6 @@ from hjblab.coefficients import (
 from hjblab.grids import build_grid, gradient_pair, spatial_gradient
 from hjblab.hamiltonian import (
     Policy,
-    SlackSchedule,
     argmin_level,
     constant_policy,
 )
@@ -184,18 +183,6 @@ def test_select_policy_sign_rule(torus):
         assert np.array_equal(idx[0][interior], expected)
 
 
-def test_selector_ignores_slack():
-    # the exact argmin meets the near-minimality bound of every slack schedule
-    grid, oracle, aset, u = _case("1d_torus")
-    B, F = sample_all(oracle, grid, aset)
-    _, H = argmin_level(B, F, u, grid, "upwind")
-    _, best = _bruteforce(grid, oracle, aset, u, "upwind")
-    X = grid.points()
-    for k in range(0, 40, 13):
-        slack = SlackSchedule(delta=1.0, k=k).value(X[..., 0])
-        assert np.all(H - best <= slack)
-
-
 def test_selector_realizes_ham_min(torus):
     bb = make_bang_bang(torus)
     aset = bang_bang_actions()
@@ -220,16 +207,6 @@ def test_truncate_action_set():
     assert list(t5.values) == [1.0, 2.0, 3.0] and t5.truncated
     with pytest.raises(CoefficientError):
         fam.prefix(0)
-
-
-def test_slack_schedule():
-    s = SlackSchedule(delta=1.0, k=3)
-    assert s.value(0.0) == pytest.approx(2.0**-3)
-    assert s.value(1.0) == pytest.approx(2.0**-3 / 2.0)
-    assert s.value(0.0, k=4) == pytest.approx(2.0**-4)  # halves in k
-    assert s.check_exponent(dim=1, p=4)  # delta=1 > 1/8
-    with pytest.raises(CoefficientError):
-        SlackSchedule(delta=0.0)
 
 
 def test_policy_validation(torus):

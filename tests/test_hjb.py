@@ -171,13 +171,6 @@ def test_single_action_hamiltonian_with_gradient_term():
     assert u.values[0, 120] == pytest.approx(4.0 / 3.0, rel=0.02)
 
 
-def test_inadmissible_slack_delta_rejected(bang):
-    grid, oracle, aset = bang
-    # oracle declares p = d + 3 = 4, so delta must exceed 1/8
-    with pytest.raises(SchemeError):
-        policy_iteration(oracle, aset, grid, slack_delta=0.05)
-
-
 def test_direct_rejects_crank_nicolson(bang):
     grid, oracle, aset = bang
     with pytest.raises(SchemeError):

@@ -149,7 +149,7 @@ def test_gradient_bound_proxy():
 def test_ladder_rates_and_monotonicity():
     g = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
     smooth = make_smooth_baseline(g, T=g.T)
-    lad = coefficient_ladder(smooth, 1.0, g, [0.4, 0.2, 0.1], p=2)
+    lad = coefficient_ladder(smooth, 1.0, g, [0.4, 0.2, 0.1])
     d = lad.distances()
     assert all(b <= a + 1e-10 for a, b in zip(d, d[1:]))
     # smooth data: O(eps^2) decay, ratio near 4 per halving
@@ -157,7 +157,7 @@ def test_ladder_rates_and_monotonicity():
     assert d[1] / d[2] > 2.5
 
     step = make_step_drift(g, c=1.0)
-    lad2 = coefficient_ladder(step, 1.0, g, [0.4, 0.2, 0.1], p=2)
+    lad2 = coefficient_ladder(step, 1.0, g, [0.4, 0.2, 0.1])
     d2 = lad2.distances()
     assert all(b < a for a, b in zip(d2, d2[1:]))
 
@@ -165,7 +165,7 @@ def test_ladder_rates_and_monotonicity():
 def test_ladder_constant_drift_component():
     g = build_grid("torus", 1, (-1.0, 1.0), 32, 1.0, 32)
     oracle = make_constant_drift(g, c=1.0)
-    lad = coefficient_ladder(oracle, 1.0, g, [0.3, 0.15], p=2)
+    lad = coefficient_ladder(oracle, 1.0, g, [0.3, 0.15])
     for rung in lad.rungs:
         assert rung.lp_distance_b <= 1e-8  # constants are reproduced exactly
 

@@ -26,7 +26,7 @@ EXPORTS = {
     # parabolic
     "ParabolicScheme", "convergence_order", "default_scheme", "pde_residual", "solve_frozen",
     # hamiltonian
-    "Policy", "SlackSchedule", "constant_policy",
+    "Policy", "constant_policy",
     # hjb
     "IterationTrace", "hjb_residual", "policy_iteration", "solve_hjb_direct",
     "solve_hjb_tables", "solve_policy_value",
