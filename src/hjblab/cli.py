@@ -93,11 +93,14 @@ def _build(cfg, args):
     return oracle, aset, sim
 
 
+def _check_inner_sweeps(manifest, n_flagged):
+    manifest.add_check("inner_sweeps_converged", n_flagged == 0, f"{n_flagged} flagged steps")
+
+
 def _solve_direct(cfg, oracle, aset, manifest):
     """Direct HJB march, with its inner-sweep convergence recorded as a check."""
     u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
-    manifest.add_check("inner_sweeps_converged", u.meta["converged"],
-                       f"{len(u.meta['inner_flagged_steps'])} flagged steps")
+    _check_inner_sweeps(manifest, len(u.meta["inner_flagged_steps"]))
     return u
 
 
@@ -117,10 +120,8 @@ def cmd_solve_hjb(cfg, args, out_dir):
 def cmd_policy_iter(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, _ = _build(cfg, args)
-    u, policy, trace = policy_iteration(
-        oracle, aset, cfg.grid, scheme=cfg.scheme, tol=cfg.tol,
-        max_iters=cfg.max_iters, C_monotone=cfg.C_monotone,
-    )
+    u, policy, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme,
+                                        tol=cfg.tol, max_iters=cfg.max_iters)
     u_dir = _solve_direct(cfg, oracle, aset, manifest)
     sup = float(np.max(np.abs(u.values - u_dir.values)))
     field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
@@ -180,6 +181,7 @@ def cmd_mollify_sweep(cfg, args, out_dir):
     sweep = mollify_value_sweep(oracle, aset, cfg.grid, cfg.eps_list,
                                 scheme=cfg.scheme, scenario=cfg.label,
                                 store_fields=True)
+    _check_inner_sweeps(manifest, sweep.flagged_steps)
     _write_text(out_dir, "sweep.json", _report_json(cfg, sweep.to_json()), manifest)
     for rung in sweep.resolved_rungs():
         field_to_csv(rung.gap_field, _artifact(out_dir, f"gap_eps_{rung.epsilon:g}.csv", manifest))
@@ -197,6 +199,7 @@ def cmd_truncation_study(cfg, args, out_dir):
     rep = countable_truncation_study(oracle, cfg.family(), cfg.experiment["N_list"],
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list,
                                      scheme=cfg.scheme)
+    _check_inner_sweeps(manifest, rep.flagged_steps)
     _write_text(out_dir, "truncation.json", _report_json(cfg, rep.to_json()), manifest)
     manifest.add_check("value_monotone_in_N", rep.monotone_pass, "")
     manifest.add_check("eps_convergence_per_N", rep.eps_pass, "")

@@ -377,12 +377,8 @@ def make_tabulated(grid, b_values, f_values, name="tabulated"):
         return (it,) + idx
 
     def eval_fn(t, X, a):
-        ia = np.asarray(a)
+        ib = np.asarray(a).astype(np.int64)
         loc = lookup(t, X)
-        if ia.ndim == 0:
-            ib = int(ia)
-            return b_values[(ib,) + loc], f_values[(ib,) + loc]
-        ib = ia.astype(np.int64)
         return b_values[(ib,) + loc], f_values[(ib,) + loc]
 
     def bound_fn(t, X):

@@ -49,7 +49,6 @@ DEFAULTS = {
         "advection": "upwind",
         "tol": 1e-8,
         "max_iters": 200,
-        "C_monotone": None,
     },
     "mollify": {"eps": []},
     "mc": {
@@ -92,7 +91,6 @@ class ScenarioConfig:
     scheme: ParabolicScheme
     tol: float
     max_iters: int
-    C_monotone: object
     eps_list: list
     mc: dict
     experiment: dict
@@ -249,7 +247,13 @@ def validate_config(raw, base_dir="."):
             if coeffs["catalog"] not in CATALOG:
                 violations.append(f"coefficients.catalog: unknown entry {coeffs['catalog']!r}")
             else:
-                violations.extend(_param_violations(coeffs["catalog"], coeff_spec["params"]))
+                bad = _param_violations(coeffs["catalog"], coeff_spec["params"])
+                violations.extend(bad)
+                if grid is not None and not bad:
+                    try:  # values the constructor refuses on this grid
+                        make_oracle(coeffs["catalog"], grid, **coeff_spec["params"])
+                    except (TypeError, ValueError) as e:
+                        violations.append(f"coefficients.params: {e}")
         elif "tabulated" in coeffs:
             tab = coeffs["tabulated"]
             if not isinstance(tab, dict) or "b" not in tab or "f" not in tab:
@@ -328,7 +332,6 @@ def validate_config(raw, base_dir="."):
         scheme=scheme,
         tol=float(solver["tol"]),
         max_iters=int(solver["max_iters"]),
-        C_monotone=solver["C_monotone"],
         eps_list=eps_list,
         mc=mc,
         experiment=exp,

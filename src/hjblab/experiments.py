@@ -30,7 +30,7 @@ from .grids import (
     lp_norm,
     write_csv,
 )
-from .hjb import solve_hjb_direct, solve_hjb_tables
+from .hjb import solve_hjb_tables
 from .mollify import MollifierKernel, mollify_samples
 from .montecarlo import (
     FeedbackRule,
@@ -186,6 +186,7 @@ class SweepReport:
     liminf_pass: bool
     countable_pass: bool
     value_sup: float
+    flagged_steps: int          # inner-sweep flagged steps over every march
 
     def resolved_rungs(self):
         return [r for r in self.rungs if r.resolved]
@@ -200,6 +201,7 @@ class SweepReport:
             "liminf_pass": self.liminf_pass,
             "countable_pass": self.countable_pass,
             "countable_threshold": self.countable_threshold,
+            "flagged_steps": self.flagged_steps,
             "rungs": rows,
         })
 
@@ -219,6 +221,32 @@ def _interior_gap_mask(grid, eps):
     return tmask.reshape((-1,) + (1,) * grid.dim) & smask
 
 
+def _eps_walk(B, F, grid, eps_list, scheme, flagged):
+    """March the raw tables, then mollify and march them down an epsilon ladder.
+
+    Returns V and an iterator of (eps, kernel, (B_eps, F_eps), V_eps) over the
+    rungs the grid resolves (eps >= max dx and eps >= dt); the ladder must
+    decrease strictly, so the unresolved rungs are its tail.  Every march adds
+    its flagged inner steps to ``flagged``.
+    """
+    eps_list = [float(e) for e in eps_list]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps ladder must be strictly decreasing")
+
+    def march(tables):
+        V = solve_hjb_tables(*tables, grid, scheme=scheme)
+        flagged.extend(V.meta["inner_flagged_steps"])
+        return V
+
+    def rung(eps):
+        kernel = MollifierKernel(eps, dim=grid.dim)
+        tables = mollify_samples(B, F, kernel, grid)
+        return eps, kernel, tables, march(tables)
+
+    return march((B, F)), (rung(eps) for eps in eps_list
+                           if eps >= max(grid.dx) and eps >= grid.dt)
+
+
 def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
                         scenario=None, store_fields=False):
     """Solve the regularized problems along an epsilon ladder and compare.
@@ -234,12 +262,9 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
     smallest epsilon.  Rungs with eps below the grid spacing are refused.
     """
     scheme = scheme or default_scheme()
-    eps_list = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-
-    V = solve_hjb_direct(oracle, action_set, grid, scheme=scheme)
+    flagged = []
     B, F = sample_all(oracle, grid, action_set)
+    V, walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
 
     phi_sup = 0.0
     X = grid.points()
@@ -249,22 +274,16 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
     liminf_atol = 10.0 * (max(grid.dx) ** 2 + grid.dt)
     countable_threshold = 5.0 * max(grid.dx)
 
-    rungs = []
+    resolved = []
     liminf_tols = {}
-    for eps in eps_list:
-        if eps < max(grid.dx) or eps < grid.dt:
-            rungs.append(SweepRung(epsilon=float(eps), resolved=False))
-            continue
-        kernel = MollifierKernel(eps, dim=grid.dim)
-        B_eps, F_eps = mollify_samples(B, F, kernel, grid)
-        V_eps = solve_hjb_tables(B_eps, F_eps, grid, scheme=scheme)
+    for eps, kernel, _, V_eps in walk:
         gap = V_eps.values - V.values
         mask = _interior_gap_mask(grid, eps)
         interior = gap[mask]
         coeff = 2.0 * kernel.abs_time_moment * phi_sup
-        liminf_tols[float(eps)] = float(liminf_atol + coeff * eps)
-        rungs.append(SweepRung(
-            epsilon=float(eps),
+        liminf_tols[eps] = float(liminf_atol + coeff * eps)
+        resolved.append(SweepRung(
+            epsilon=eps,
             resolved=True,
             sup_gap_full=float(np.max(np.abs(gap))),
             sup_gap_interior=float(np.max(np.abs(interior))) if interior.size else np.nan,
@@ -273,13 +292,10 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
             frac_nonneg_interior=float(np.mean(interior >= -1e-12)) if interior.size else np.nan,
             gap_field=SpaceTimeField(grid, gap) if store_fields else None,
         ))
+    rungs = resolved + [SweepRung(epsilon=float(eps), resolved=False)
+                        for eps in eps_list[len(resolved):]]
 
-    resolved = [r for r in rungs if r.resolved]
-    liminf_pass = True
-    for r in resolved[-2:]:
-        if r.min_gap_interior < -liminf_tols[r.epsilon]:
-            liminf_pass = False
-
+    liminf_pass = not any(r.min_gap_interior < -liminf_tols[r.epsilon] for r in resolved[-2:])
     sups = [r.sup_gap_interior for r in resolved]
     decreasing = all(b <= a + 1e-10 for a, b in zip(sups, sups[1:]))
     countable_pass = bool(decreasing and sups and sups[-1] <= countable_threshold)
@@ -292,6 +308,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
         liminf_pass=liminf_pass,
         countable_pass=countable_pass,
         value_sup=float(np.max(np.abs(V.values))),
+        flagged_steps=len(flagged),
     )
 
 
@@ -445,6 +462,7 @@ class TruncationReport:
     eps_pass: bool
     open_loop_rows: list     # (eps, |J_eps - J|, se)
     open_loop_pass: bool
+    flagged_steps: int       # inner-sweep flagged steps over every march
 
     def summary(self):
         verdict = "pass" if (self.monotone_pass and self.eps_pass and self.open_loop_pass) else "FAIL"
@@ -456,6 +474,7 @@ class TruncationReport:
             "monotone_pass": self.monotone_pass, "eps_pass": self.eps_pass,
             "open_loop_pass": self.open_loop_pass,
             "eps_table": self.eps_table, "open_loop_rows": self.open_loop_rows,
+            "flagged_steps": self.flagged_steps,
         })
 
 
@@ -471,14 +490,31 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     """
     scheme = scheme or default_scheme()
     N_list = sorted(int(N) for N in N_list)
-    resolved = [eps for eps in eps_list if eps >= max(grid.dx) and eps >= grid.dt]
+    j_raw = None
+    if sim is not None and eps_list:
+        j_raw = simulate_cost(oracle, constant_control(family.prefix(1).action(0)), sim, grid)
 
     values = {}
+    flagged = []
+    eps_rows = []
+    eps_pass = True
+    open_rows = []
     for N in N_list:
-        aset = family.prefix(N)
-        values[N] = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
+        B, F = sample_all(oracle, grid, family.prefix(N))
+        values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
+        sups = []
+        for eps, _, (B_eps, F_eps), V_eps in walk:
+            mask = _interior_gap_mask(grid, eps)
+            sups.append(float(np.max(np.abs((V_eps.values - values[N].values)[mask]))))
+            eps_rows.append([N, eps, sups[-1]])
+            if j_raw is not None and N == N_list[0]:
+                # action 0 of every prefix is a_1: its mollified tables are prefix 1's
+                tab = make_tabulated(grid, B_eps[:1], F_eps[:1], name=f"{oracle.name}_eps")
+                j_eps = simulate_cost(tab, constant_control(0), sim, grid)
+                open_rows.append([eps, abs(j_eps.mean - j_raw.mean), j_eps.se])
+        if not all(b <= a + 1e-10 for a, b in zip(sups, sups[1:])):
+            eps_pass = False
 
-    monotone_pass = True
     value_table = {}
     for N0, N1 in zip(N_list, N_list[1:]):
         diff = values[N1].values - values[N0].values
@@ -488,45 +524,11 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
             "max_violation": float(np.max(diff)),
             "min_decrement": float(np.min(diff)),
         }
-        if np.max(diff) > 1e-10:
-            monotone_pass = False
+    monotone_pass = all(v["max_violation"] <= 1e-10 for v in value_table.values())
 
-    eps_rows = []
-    eps_pass = True
-    for N in N_list:
-        aset = family.prefix(N)
-        B, F = sample_all(oracle, grid, aset)
-        sups = []
-        for eps in resolved:
-            kernel = MollifierKernel(eps, dim=grid.dim)
-            B_eps, F_eps = mollify_samples(B, F, kernel, grid)
-            V_eps = solve_hjb_tables(B_eps, F_eps, grid, scheme=scheme)
-            mask = _interior_gap_mask(grid, eps)
-            sup = float(np.max(np.abs((V_eps.values - values[N].values)[mask])))
-            sups.append(sup)
-            eps_rows.append([int(N), float(eps), sup])
-        if sups and not all(b <= a + 1e-10 for a, b in zip(sups, sups[1:])):
-            eps_pass = False
-
-    open_rows = []
-    open_pass = True
-    if sim is not None and eps_list:
-        a1 = family.prefix(1).action(0)
-        j_raw = simulate_cost(oracle, constant_control(a1), sim, grid)
-        B1, F1 = sample_all(oracle, grid, family.prefix(1))
-        gaps = []
-        for eps in resolved:
-            kernel = MollifierKernel(eps, dim=grid.dim)
-            B_eps, F_eps = mollify_samples(B1, F1, kernel, grid)
-            tab = make_tabulated(grid, B_eps, F_eps, name=f"{oracle.name}_eps")
-            j_eps = simulate_cost(tab, constant_control(0), sim, grid)
-            gap = abs(j_eps.mean - j_raw.mean)
-            gaps.append(gap)
-            open_rows.append([float(eps), gap, j_eps.se])
-        # decreasing within combined statistical noise
-        for a, b, row_a, row_b in zip(gaps, gaps[1:], open_rows, open_rows[1:]):
-            if b > a + 3.0 * (row_a[2] + row_b[2]):
-                open_pass = False
+    # J_eps gaps decreasing within combined statistical noise
+    open_pass = all(b[1] <= a[1] + 3.0 * (a[2] + b[2])
+                    for a, b in zip(open_rows, open_rows[1:]))
 
     return TruncationReport(
         family=family.name,
@@ -537,4 +539,5 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
         eps_pass=eps_pass,
         open_loop_rows=open_rows,
         open_loop_pass=open_pass,
+        flagged_steps=len(flagged),
     )

@@ -39,17 +39,14 @@ class IterationTrace:
     residuals: list = field(default_factory=list)
     policy_changes: list = field(default_factory=list)
     max_pos_diffs: list = field(default_factory=list)      # max (u^k - u^{k-1})^+
-    adjusted_ratios: list = field(default_factory=list)    # calibrates C per step
-    monotone_violations: list = field(default_factory=list)
-    C_monotone: float = 0.0
     converged: bool = False
     iterations: int = 0
 
     def to_csv(self, path_or_buf):
         write_csv(path_or_buf,
-                  ["k", "sup_change", "monotone_violation", "residual", "policy_changes"],
+                  ["k", "sup_change", "max_ascent", "residual", "policy_changes"],
                   zip(range(1, self.iterations + 1), self.sup_changes,
-                      self.monotone_violations, self.residuals, self.policy_changes))
+                      self.max_pos_diffs, self.residuals, self.policy_changes))
 
 
 def _select_fields(B, F, indices):
@@ -60,14 +57,13 @@ def _select_fields(B, F, indices):
 
 
 def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
-                     tol=1e-8, max_iters=200, C_monotone=None):
+                     tol=1e-8, max_iters=200):
     """Howard-type iteration: exact-argmin policy, then frozen linear solve.
 
     Starts from u^0 = 0; the argmin is exact, so no slack schedule enters.
     Stops when the sup-norm change drops below ``tol`` and the policy is
     unchanged on at least 99.9 percent of nodes, or at ``max_iters`` (the
     best iterate is then returned with the trace flagged, not an error).
-    ``C_monotone`` overrides the trace-calibrated adjusted-sequence constant.
     """
     scheme = scheme or default_scheme()
     boundary = boundary or default_boundary(grid)
@@ -75,8 +71,6 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
 
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     trace = IterationTrace()
-    times = grid.times()
-    horizon = (grid.T - times).reshape((-1,) + (1,) * grid.dim)
     n_nodes = u.size
     prev_indices = None
     # the residual of each iterate takes the argmin the next iteration freezes
@@ -89,13 +83,8 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
 
         diff = u_new - u
         sup_change = float(np.max(np.abs(diff)))
-        pos = np.maximum(diff, 0.0)
-        max_pos = float(np.max(pos))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(horizon > 0, pos / (2.0 ** (-k) * np.maximum(horizon, 1e-300)), 0.0)
-        trace.adjusted_ratios.append(float(np.max(ratio)))
         trace.sup_changes.append(sup_change)
-        trace.max_pos_diffs.append(max_pos)
+        trace.max_pos_diffs.append(float(np.max(np.maximum(diff, 0.0))))
         changed = n_nodes if prev_indices is None else int(np.sum(policy_indices != prev_indices))
         trace.policy_changes.append(changed)
         residual, next_indices = hjb_residual(u_new, oracle, action_set, grid, scheme,
@@ -108,19 +97,6 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
         if sup_change < tol and changed <= max(1e-3 * n_nodes, 0):
             trace.converged = True
             break
-
-    # adjusted-sequence constant: calibrated from k >= 2 transitions unless given
-    if C_monotone is None:
-        C = max(trace.adjusted_ratios[1:], default=0.0)
-    else:
-        C = float(C_monotone)
-    trace.C_monotone = C
-    # violation of u^k - u^{k-1} <= C 2^-k (T - s), in the ratio normalization;
-    # the first transition starts from an arbitrary u^0 and is not compared
-    trace.monotone_violations = [
-        0.0 if k == 1 else max(0.0, trace.adjusted_ratios[k - 1] - C)
-        for k in range(1, trace.iterations + 1)
-    ]
 
     policy = Policy(grid, policy_indices, action_set)
     out = SpaceTimeField(grid, u, meta={"converged": trace.converged, "iterations": trace.iterations})

@@ -31,6 +31,7 @@ from .coefficients import (
     verify_bound,
 )
 from .experiments import (
+    _solve_effective,
     counterexample_report,
     countable_truncation_study,
     dpp_battery,
@@ -194,20 +195,17 @@ def _crit3_crit4_agreement(out_dir, artifacts):
         u_dir = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
         sup = float(np.max(np.abs(u_pi.values - u_dir.values)))
         descent = max(trace.max_pos_diffs[1:], default=0.0)
-        adjusted = max(trace.monotone_violations, default=0.0)
         rows[name] = {
             "sup_diff": sup,
             "iterations": trace.iterations,
             "converged": trace.converged,
             "descent_violation": descent,
-            "adjusted_violation": adjusted,
-            "C_monotone": trace.C_monotone,
             "residual": trace.residuals[-1],
         }
         pi_fields[name] = (u_pi, policy, trace, u_dir)
         if sup > 10 * tol or trace.iterations > 50 or not trace.converged:
             ok3 = False
-        if descent > 1e-10 or adjusted > 1e-10:
+        if descent > 1e-10:
             ok4 = False
     rt = time.perf_counter() - t0
     _write(out_dir, "oracle_agreement.json",
@@ -236,7 +234,7 @@ def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
     ]
 
 
-def _crit5_verification(out_dir, artifacts, pi_fields, threads):
+def _crit5_verification(out_dir, artifacts, pi_fields, u0, threads):
     t0 = time.perf_counter()
     ok = True
     details = []
@@ -253,12 +251,7 @@ def _crit5_verification(out_dir, artifacts, pi_fields, threads):
     _write(out_dir, "verification_bang_bang.json", rep1.to_json() + "\n", artifacts)
 
     # scenario 2: counterexample against the injected effective Hamiltonian
-    gridc = scenario_counterexample_grid()
-    ce = make_counterexample(gridc)
-    cd0 = make_constant_drift(gridc, c=0.0)
-    from .experiments import _solve_effective
-
-    u0, _ = _solve_effective(0.0, gridc, ParabolicScheme(advection="central"))
+    ce = make_counterexample(u0.grid)
     simc = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 3,
                      start_time=0.0, start_state=(0.0,), n_threads=threads)
     cand_c = [
@@ -278,7 +271,7 @@ def _crit5_verification(out_dir, artifacts, pi_fields, threads):
     return CheckOutcome(5, "verification theorem battery", ok, "; ".join(details), rt)
 
 
-def _crit6_dpp(out_dir, artifacts, pi_fields, threads):
+def _crit6_dpp(out_dir, artifacts, pi_fields, u0, threads):
     t0 = time.perf_counter()
     grid, oracle, aset, scheme = scenario_bang_bang()
     _, _, _, u_dir = pi_fields["bang_bang"]
@@ -289,11 +282,7 @@ def _crit6_dpp(out_dir, artifacts, pi_fields, threads):
                        sim, t_mids,
                        suboptimal_controls=[("const_plus", constant_control(1.0))])
 
-    gridc = scenario_counterexample_grid()
-    from .experiments import _solve_effective
-
-    u0, _ = _solve_effective(0.0, gridc, ParabolicScheme(advection="central"))
-    ce = make_counterexample(gridc)
+    ce = make_counterexample(u0.grid)
     simc = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 5,
                      start_time=0.0, start_state=(0.0,), n_threads=threads)
     rep2 = dpp_battery(u0, ce, FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x"),
@@ -343,12 +332,9 @@ def _crit7_sweeps(out_dir, artifacts, gap_report):
 
     # coefficient ladders (external-interface CSV) for two contrasting entries
     gridl = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
-    for entry, action in (("step_drift", 1.0), ("smooth_baseline", 1.0)):
-        if entry == "smooth_baseline":
-            oracle = make_smooth_baseline(gridl, T=gridl.T)
-        else:
-            oracle = make_step_drift(gridl, c=1.0)
-        ladder = coefficient_ladder(oracle, action, gridl, [0.4, 0.2, 0.1])
+    for entry, oracle in (("step_drift", make_step_drift(gridl, c=1.0)),
+                          ("smooth_baseline", make_smooth_baseline(gridl, T=gridl.T))):
+        ladder = coefficient_ladder(oracle, 1.0, gridl, [0.4, 0.2, 0.1])
         path = os.path.join(out_dir, f"ladder_{entry}.csv")
         ladder.to_csv(path)
         artifacts.append(path)
@@ -494,8 +480,11 @@ def run_selftest(out_dir, threads=1):
 
     out3, out4, pi_fields = _crit3_crit4_agreement(out_dir, artifacts)
     outcomes.extend([out3, out4])
-    outcomes.append(_crit5_verification(out_dir, artifacts, pi_fields, threads))
-    outcomes.append(_crit6_dpp(out_dir, artifacts, pi_fields, threads))
+    # the counterexample's effective value u0, which criteria 5 and 6 both test
+    u0, _ = _solve_effective(0.0, scenario_counterexample_grid(),
+                             ParabolicScheme(advection="central"))
+    outcomes.append(_crit5_verification(out_dir, artifacts, pi_fields, u0, threads))
+    outcomes.append(_crit6_dpp(out_dir, artifacts, pi_fields, u0, threads))
     outcomes.append(_crit7_sweeps(out_dir, artifacts, gap_report))
     outcomes.append(_crit_truncation(out_dir, artifacts, threads))
     outcomes.append(_crit8_solver_validation(out_dir, artifacts))

@@ -77,6 +77,7 @@ def test_unknown_keys_rejected(section, body, path):
     ("bang_bang", {"c": 1.0}, "coefficients.params.c"),
     ("smooth_baseline", {"amplitude": 0.5}, "coefficients.params.T"),
     ("checkerboard", [2, 1], "coefficients.params"),
+    ("checkerboard", {"kx": 0}, "coefficients.params: checkerboard needs kx >= 1"),
 ])
 def test_catalog_params_checked_against_constructor(catalog, params, path):
     raw = dict(BASE, coefficients={"catalog": catalog, "params": params})
@@ -95,6 +96,8 @@ def test_section_that_is_not_a_mapping_rejected():
     ("solver: {slack_delta: 0.01}", "solver.slack_delta"),
     ("coefficients: {catalog: step_drift, params: {amplitude: 3}}",
      "coefficients.params.amplitude"),
+    ("coefficients: {catalog: checkerboard, params: {kx: 0}}",
+     "coefficients.params: checkerboard needs kx >= 1"),
 ])
 def test_cli_bad_key_exits_2_naming_the_field(tmp_path, capsys, line, path):
     lines = ["domain: {kind: torus, dim: 1, extent: [-1.0, 1.0], nx: 8}",
@@ -104,6 +107,22 @@ def test_cli_bad_key_exits_2_naming_the_field(tmp_path, capsys, line, path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     assert main(["policy-iter", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
+def test_catalog_value_refused_on_the_grid_exits_2(tmp_path, capsys):
+    # smooth_baseline needs an integer torus period; a period of 1.5 is a
+    # config violation, not a traceback from the solver
+    raw = dict(BASE, domain=dict(BASE["domain"], extent=[0.0, 1.5]),
+               coefficients={"catalog": "smooth_baseline", "params": {"T": 1.0}})
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    path = "coefficients.params: smooth_baseline needs an integer torus period"
+    assert err.value.violations == [path]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(json.dumps(raw) + "\n")  # JSON is YAML
+    assert main(["solve-hjb", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
 
@@ -214,19 +233,20 @@ def test_manifest_write_atomic(tmp_path):
 
 
 def _small_cfg(tmp_path, **overrides):
-    lines = [
-        "scenario: small_bang",
-        "domain: {kind: torus, dim: 1, extent: [-1.0, 1.0], nx: 32}",
-        "time: {T: 1.0, nt: 32}",
-        "coefficients: {catalog: bang_bang}",
-        "actions: {list: [-1.0, 1.0]}",
-        "solver: {advection: central, tol: 1.0e-8}",
-        "mollify: {eps: [0.3, 0.15]}",
-        "mc: {M: 2000, dt_sim: 0.005, seed: 99, start_state: [0.5]}",
-        "experiment: {t_mid: [0.5], suboptimal_action: 1}",
-    ]
+    sections = {
+        "scenario": "small_bang",
+        "domain": "{kind: torus, dim: 1, extent: [-1.0, 1.0], nx: 32}",
+        "time": "{T: 1.0, nt: 32}",
+        "coefficients": "{catalog: bang_bang}",
+        "actions": "{list: [-1.0, 1.0]}",
+        "solver": "{advection: central, tol: 1.0e-8}",
+        "mollify": "{eps: [0.3, 0.15]}",
+        "mc": "{M: 2000, dt_sim: 0.005, seed: 99, start_state: [0.5]}",
+        "experiment": "{t_mid: [0.5], suboptimal_action: 1}",
+        **overrides,
+    }
     path = tmp_path / "small.cfg"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(f"{key}: {body}\n" for key, body in sections.items()))
     return str(path)
 
 
@@ -280,11 +300,18 @@ def test_cli_verify_and_dpp(tmp_path):
     assert main(["dpp-check", cfg, "--out", str(out2)]) == 0
 
 
-@pytest.mark.parametrize("subcommand", ["verify", "dpp-check", "simulate"])
+# direct marches per run: one for a solve; a sweep adds one per resolved rung
+# (two), and the truncation study marches that for each of its two prefixes
+MARCHES = {"verify": 1, "dpp-check": 1, "simulate": 1, "mollify-sweep": 3,
+           "truncation-study": 6}
+
+
+@pytest.mark.parametrize("subcommand", list(MARCHES))
 def test_cli_records_inner_sweep_convergence(tmp_path, monkeypatch, subcommand):
     # every handler that marches directly records the marcher's convergence;
     # one sweep per step can never see the argmin repeat, so all steps flag
-    cfg = _small_cfg(tmp_path)
+    family = {"actions": "{family: bang_bang, N: 2}"} if subcommand == "truncation-study" else {}
+    cfg = _small_cfg(tmp_path, **family)
     assert main([subcommand, cfg, "--out", str(tmp_path / "ok")]) == 0
     checks = json.loads((tmp_path / "ok" / "manifest.json").read_text())["checks"]
     assert {"name": "inner_sweeps_converged", "passed": True,
@@ -294,7 +321,7 @@ def test_cli_records_inner_sweep_convergence(tmp_path, monkeypatch, subcommand):
     checks = json.loads((tmp_path / "capped" / "manifest.json").read_text())["checks"]
     failed = [c for c in checks if not c["passed"]]
     assert failed[0] == {"name": "inner_sweeps_converged", "passed": False,
-                         "detail": "32 flagged steps"}
+                         "detail": f"{32 * MARCHES[subcommand]} flagged steps"}
 
 
 def test_cli_catalog(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hjblab import experiments, hjb
 from hjblab.coefficients import (
     ActionFamily,
     ActionSet,
@@ -149,3 +150,35 @@ def test_truncation_open_loop_mc(bang):
     assert len(rep.open_loop_rows) == 2
     gaps = [row[1] for row in rep.open_loop_rows]
     assert gaps[1] <= gaps[0] + 3.0 * (rep.open_loop_rows[0][2] + rep.open_loop_rows[1][2])
+
+
+def test_truncation_rejects_a_ladder_that_is_not_decreasing(bang):
+    grid, oracle, _, scheme, _ = bang
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
+                                   eps_list=[0.1, 0.2], scheme=scheme)
+
+
+def test_each_table_sampled_and_mollified_once(bang, monkeypatch):
+    # one sample per prefix (and per sweep); one mollification per prefix and
+    # rung, the open-loop rows reusing the first prefix's tables
+    grid, oracle, aset, scheme, _ = bang
+    calls = {"sample_all": 0, "mollify_samples": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((experiments, "sample_all"), (hjb, "sample_all"),
+                         (experiments, "mollify_samples")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    sim = SimConfig(n_paths=500, dt_sim=5e-3, seed=113, start_state=(0.5,))
+    rep = countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
+                                     sim=sim, eps_list=[0.2, 0.1], scheme=scheme)
+    assert len(rep.open_loop_rows) == 2
+    assert calls == {"sample_all": 2, "mollify_samples": 4}
+    calls["sample_all"] = 0
+    mollify_value_sweep(oracle, aset, grid, [0.2, 0.1], scheme=scheme)
+    assert calls["sample_all"] == 1
