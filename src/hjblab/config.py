@@ -307,6 +307,9 @@ def validate_config(raw, base_dir="."):
         violations.append("mc.seed: must be an integer")
 
     exp = _merge_defaults(raw.get("experiment"), DEFAULTS["experiment"])
+    if not (isinstance(exp["N_list"], list) and exp["N_list"]
+            and all(isinstance(N, int) and N >= 1 for N in exp["N_list"])):
+        violations.append("experiment.N_list: expected a nonempty list of integers >= 1")
 
     if violations:
         raise ConfigError(violations)

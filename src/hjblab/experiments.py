@@ -464,9 +464,14 @@ class TruncationReport:
     open_loop_pass: bool
     flagged_steps: int       # inner-sweep flagged steps over every march
 
+    @property
+    def passed(self):
+        return (self.monotone_pass and self.eps_pass and self.open_loop_pass
+                and self.flagged_steps == 0)
+
     def summary(self):
-        verdict = "pass" if (self.monotone_pass and self.eps_pass and self.open_loop_pass) else "FAIL"
-        return f"truncation study[{self.family}] {verdict} over N={self.N_list}"
+        return (f"truncation study[{self.family}] {'pass' if self.passed else 'FAIL'} "
+                f"over N={self.N_list}, {self.flagged_steps} flagged steps")
 
     def to_json(self):
         return json.dumps({

@@ -6,7 +6,10 @@ epsilon.  Coefficient fields are extended by zero outside [0, T] in time;
 space wraps on the torus and zero-extends on the box (with a boundary layer
 of width epsilon, recorded on the output).  Discrete stencil weights are
 renormalized to sum exactly to one at each epsilon so that quadrature drift
-never contaminates small-gap experiments.
+never contaminates small-gap experiments.  The convolution multiplies real
+FFTs over the time and space axes (the kernel's is taken once per call):
+circular on torus axes, zero-padded on the time axis and box axes so that it
+is linear there.
 """
 
 from __future__ import annotations
@@ -118,31 +121,15 @@ def kernel_normalization_error(kernel):
 
 
 def _stencil(kernel, grid):
-    """Grid-aligned stencil: offsets (time shift, space shifts...) and weights.
-
-    Weights are kernel values times the cell volume, renormalized to sum to 1.
-    """
+    """Grid-aligned stencil: kernel weights on the node offsets -r..r of each
+    axis (time first), renormalized to sum to 1, and the radii r."""
     eps = kernel.epsilon
-    dt, dxs = grid.dt, grid.dx
-    jt = int(np.floor(eps / dt))
-    jis = [int(np.floor(eps / dx)) for dx in dxs]
-    taus = np.arange(-jt, jt + 1) * dt
-    xi_axes = [np.arange(-j, j + 1) * dx for j, dx in zip(jis, dxs)]
-    mesh = np.meshgrid(taus, *xi_axes, indexing="ij")
-    tau = mesh[0]
-    xi = np.stack(mesh[1:], axis=-1)
-    w = kernel_value(kernel, tau, xi)
-    total = w.sum()
-    if total <= 0:
-        raise MollifyError("kernel support does not resolve any grid node")
-    w = w / total
-    offsets = []
-    it = np.argwhere(w > 0)
-    for loc in it:
-        shift_t = int(loc[0]) - jt
-        shift_x = tuple(int(loc[k + 1]) - jis[k] for k in range(grid.dim))
-        offsets.append((shift_t, shift_x, float(w[tuple(loc)])))
-    return offsets
+    steps = (grid.dt,) + tuple(grid.dx)
+    radii = [int(np.floor(eps / h)) for h in steps]
+    mesh = np.meshgrid(*(np.arange(-r, r + 1) * h for r, h in zip(radii, steps)), indexing="ij")
+    # the center node always carries weight, so the sum is positive
+    w = kernel_value(kernel, mesh[0], np.stack(mesh[1:], axis=-1))
+    return w / w.sum(), radii
 
 
 def mollify_field(field, kernel, grid=None):
@@ -150,8 +137,9 @@ def mollify_field(field, kernel, grid=None):
 
     Time uses zero extension outside [0, T]; torus space wraps periodically;
     box space zero-extends (an eps-wide boundary layer is distorted and its
-    width is recorded in the output metadata).  Warns when eps is not
-    resolved by the grid spacing.
+    width is recorded in the output metadata).  Axes after the time and space
+    axes are components and are convolved independently.  Warns when eps is
+    not resolved by the grid spacing.
     """
     if isinstance(field, SpaceTimeField):
         grid = field.grid
@@ -168,20 +156,23 @@ def mollify_field(field, kernel, grid=None):
             stacklevel=2,
         )
     periodic = grid.domain_kind == TORUS
-    offsets = _stencil(kernel, grid)
-    # pad once (zeros in time, wrap or zeros in space): the term of shift s
-    # on an axis of stencil radius r is the window padded[r - s : r - s + n]
-    radii = np.max(np.abs([(s_t,) + s_x for s_t, s_x, _ in offsets]), axis=0).tolist()
-    pad = [(r, r) for r in radii] + [(0, 0)] * (values.ndim - 1 - grid.dim)
-    if periodic:
-        padded = np.pad(values, [(0, 0)] + pad[1:], mode="wrap")
-        padded = np.pad(padded, pad[:1] + [(0, 0)] * (values.ndim - 1))
-    else:
-        padded = np.pad(values, pad)
-    out = np.zeros_like(values)
-    for shift_t, shift_x, w in offsets:
-        out += w * padded[tuple(slice(r - s, r - s + n) for r, s, n
-                                in zip(radii, (shift_t,) + shift_x, values.shape))]
+    weights, radii = _stencil(kernel, grid)
+    axes = tuple(range(1 + grid.dim))
+    shape = values.shape[:len(axes)]
+    # circular convolution of length n on a torus axis; on the time axis and
+    # box axes length n + r, where no shift of at most r wraps onto a node
+    sizes = [n if periodic and ax else n + r for ax, n, r in zip(axes, shape, radii)]
+    # offset s sits at index s mod size; add.at sums the offsets that fold
+    # onto one index when a torus stencil is wider than the period
+    kern = np.zeros(sizes)
+    np.add.at(kern, np.ix_(*[np.arange(-r, r + 1) % n for r, n in zip(radii, sizes)]), weights)
+    spectrum = np.fft.rfftn(kern)
+    crop = tuple(slice(n) for n in shape)
+    # one component at a time: padded complex copies of one table only are held
+    out = np.empty_like(values)
+    for c in np.ndindex(values.shape[len(axes):]):
+        spec = np.fft.rfftn(values[(...,) + c], sizes, axes) * spectrum
+        out[(...,) + c] = np.fft.irfftn(spec, sizes, axes)[crop]
     meta = {"epsilon": eps}
     if not periodic:
         meta["boundary_layer_width"] = eps
@@ -191,10 +182,12 @@ def mollify_field(field, kernel, grid=None):
 
 
 def mollify_samples(B, F, kernel, grid):
-    """Mollify stacked per-action coefficient samples (see sample_all)."""
-    B_eps = np.stack([mollify_field(B[i], kernel, grid) for i in range(B.shape[0])])
-    F_eps = np.stack([mollify_field(F[i], kernel, grid) for i in range(F.shape[0])])
-    return B_eps, F_eps
+    """Mollify stacked per-action coefficient samples (see sample_all) in one
+    mollify_field call: the action axis moves behind the space axes, and F
+    rides as one more component behind those of B."""
+    stacked = np.concatenate([np.moveaxis(B, 0, -2), np.moveaxis(F, 0, -1)[..., None]], axis=-1)
+    out = np.moveaxis(mollify_field(stacked, kernel, grid), -2, 0)
+    return np.ascontiguousarray(out[..., :-1]), np.ascontiguousarray(out[..., -1])
 
 
 @dataclass
@@ -252,10 +245,9 @@ def coefficient_ladder(oracle, action, grid, eps_list):
     rungs = []
     for eps in eps_list:
         kernel = MollifierKernel(eps, dim=grid.dim)
-        b_eps = mollify_field(b_raw, kernel)
-        f_eps = mollify_field(f_raw, kernel)
-        db = b_eps.values - b_raw.values
-        df = f_eps.values - f_raw.values
+        B_eps, F_eps = mollify_samples(b_raw.values[None], f_raw.values[None], kernel, fine)
+        db = B_eps[0] - b_raw.values
+        df = F_eps[0] - f_raw.values
         # zero out the time boundary layers so the distance reflects interior decay
         db = np.where(band.reshape((-1,) + (1,) * (db.ndim - 1)), db, 0.0)
         df = np.where(band.reshape((-1,) + (1,) * (df.ndim - 1)), df, 0.0)
@@ -264,8 +256,8 @@ def coefficient_ladder(oracle, action, grid, eps_list):
                 epsilon=float(eps),
                 lp_distance_b=lp_norm(db, 2, fine),
                 lp_distance_f=lp_norm(df, 2, fine),
-                sup_norm_b=float(np.max(np.abs(b_eps.values))),
-                sup_norm_f=float(np.max(np.abs(f_eps.values))),
+                sup_norm_b=float(np.max(np.abs(B_eps))),
+                sup_norm_f=float(np.max(np.abs(F_eps))),
             )
         )
     return LadderReport(oracle.name, np.asarray(action).tolist(), 2.0, rungs)

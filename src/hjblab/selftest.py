@@ -320,9 +320,10 @@ def _crit7_sweeps(out_dir, artifacts, gap_report):
                   [(r.epsilon, int(r.resolved), r.sup_gap_full, r.sup_gap_interior,
                     r.min_gap_interior, r.lp_gap) for r in sweep.rungs])
         artifacts.append(path)
-        if not (sweep.liminf_pass and sweep.countable_pass):
+        if not (sweep.liminf_pass and sweep.countable_pass and sweep.flagged_steps == 0):
             ok = False
-            details.append(f"{name}: liminf={sweep.liminf_pass} countable={sweep.countable_pass}")
+            details.append(f"{name}: liminf={sweep.liminf_pass} countable={sweep.countable_pass}"
+                           f" flagged_steps={sweep.flagged_steps}")
         last = sweep.resolved_rungs()[-1]
         details.append(f"{name}: sup={last.sup_gap_interior:.4f}<=5dx={sweep.countable_threshold:.4f}")
     # the counterexample regime must NOT converge: strict gap stays
@@ -421,9 +422,8 @@ def _crit_truncation(out_dir, artifacts, threads):
     rep = countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
                                      sim=sim, eps_list=[0.2, 0.1], scheme=scheme)
     _write(out_dir, "truncation.json", rep.to_json() + "\n", artifacts)
-    ok = rep.monotone_pass and rep.eps_pass and rep.open_loop_pass
     rt = time.perf_counter() - t0
-    return CheckOutcome(7, "countable truncation study", ok, rep.summary(), rt)
+    return CheckOutcome(7, "countable truncation study", rep.passed, rep.summary(), rt)
 
 
 def _crit9_reproducibility(out_dir, artifacts, threads):

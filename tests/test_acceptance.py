@@ -8,10 +8,13 @@ pass/fail line per criterion is printed (visible with pytest -s; the CLI
 
 import filecmp
 import os
+import re
+from types import SimpleNamespace
 
 import pytest
 
-from hjblab.selftest import run_selftest
+from hjblab import hjb
+from hjblab.selftest import _crit7_sweeps, multi_action_scenarios, run_selftest
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +117,12 @@ def test_criterion_9_full_rerun_bit_identical(battery, tmp_path):
             continue
         assert filecmp.cmp(os.path.join(out1, name), os.path.join(out2, name),
                            shallow=False), f"artifact {name} differs between runs"
+
+
+def test_criterion_7_sweeps_fail_on_flagged_inner_steps(tmp_path, monkeypatch):
+    # one sweep per step can never see the argmin repeat, so every march flags
+    monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
+    o = _crit7_sweeps(str(tmp_path), [], SimpleNamespace(gap_at_origin=1.0 / 3.0))
+    assert not o.passed
+    flagged = [int(n) for n in re.findall(r"flagged_steps=(\d+)", o.detail)]
+    assert len(flagged) == len(multi_action_scenarios()) and min(flagged) > 0, o.detail

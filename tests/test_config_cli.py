@@ -86,6 +86,14 @@ def test_catalog_params_checked_against_constructor(catalog, params, path):
     assert any(v.startswith(path) for v in err.value.violations), err.value.violations
 
 
+@pytest.mark.parametrize("N_list", [[0, 1], [], [1, 2.5], 2])
+def test_bad_truncation_lengths_rejected(N_list):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(BASE, experiment={"N_list": N_list}))
+    assert err.value.violations == [
+        "experiment.N_list: expected a nonempty list of integers >= 1"]
+
+
 def test_section_that_is_not_a_mapping_rejected():
     with pytest.raises(ConfigError) as err:
         validate_config(dict(BASE, solver=3))
@@ -335,7 +343,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("time: {T: 1.0, nt: 0}\n")
     assert main(["solve-hjb", str(path)]) == 2
-    assert "time.nt" in capsys.readouterr().err or True
+    assert "time.nt: must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_truncation_study_bad_N_list_exits_2(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path, actions="{family: bang_bang, N: 2}",
+                     experiment="{N_list: [0, 1]}")
+    assert main(["truncation-study", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.N_list" in err and "Traceback" not in err
 
 
 def test_cli_counterexample_small(tmp_path):

@@ -182,3 +182,12 @@ def test_each_table_sampled_and_mollified_once(bang, monkeypatch):
     calls["sample_all"] = 0
     mollify_value_sweep(oracle, aset, grid, [0.2, 0.1], scheme=scheme)
     assert calls["sample_all"] == 1
+
+
+def test_truncation_fails_on_flagged_inner_steps(bang, monkeypatch):
+    grid, oracle, _, scheme, _ = bang
+    monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
+    rep = countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
+                                     eps_list=[0.2, 0.1], scheme=scheme)
+    assert rep.flagged_steps > 0 and not rep.passed
+    assert rep.summary().startswith("truncation study[bang_bang] FAIL")

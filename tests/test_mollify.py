@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hjblab import mollify
 from hjblab.coefficients import (
     make_constant_drift,
     make_counterexample,
@@ -206,29 +207,57 @@ def test_ladder_csv_format(tmp_path):
 def _mollify_by_loops(values, kernel, grid):
     """zeta_eps * values by a loop over nodes and stencil offsets: zero
     outside [0, T] in time, wrapped on torus axes, zero off a box."""
+    weights, radii = _stencil(kernel, grid)
     out = np.zeros_like(values)
     for node in np.ndindex(values.shape[:1 + grid.dim]):
-        for shift_t, shift_x, w in _stencil(kernel, grid):
-            src = [node[0] - shift_t] + [i - s for i, s in zip(node[1:], shift_x)]
+        for loc in np.ndindex(weights.shape):
+            src = [i - (k - r) for i, k, r in zip(node, loc, radii)]
             if not 0 <= src[0] < grid.n_levels:
                 continue
             if grid.domain_kind == "torus":
                 src[1:] = [j % n for j, n in zip(src[1:], grid.nx)]
             elif not all(0 <= j < n for j, n in zip(src[1:], grid.nx)):
                 continue
-            out[node] += w * values[tuple(src)]
+            out[node] += weights[loc] * values[tuple(src)]
     return out
 
 
 @pytest.mark.parametrize("kind,dim,eps,components", [
     ("box", 1, 0.3, None),   # the zero-extension layer reaches 3 nodes into the box
+    ("box", 2, 0.6, 2),      # a vector field, zero-extended off both space axes
+    ("torus", 1, 0.6, None),  # radius 4 on 8 nodes: the stencil wraps past itself
     ("torus", 2, 0.3, 2),    # a vector field, wrapped on both axes
 ])
 def test_mollify_matches_direct_loops(kind, dim, eps, components):
     g = build_grid(kind, dim, (-1.0, 1.0) if kind == "box" else 1.0,
-                   21 if dim == 1 else 8, 1.0, 16 if dim == 1 else 8)
+                   21 if (kind, dim) == ("box", 1) else 8, 1.0, 16 if dim == 1 else 8)
     rng = np.random.default_rng(5)
     values = rng.normal(size=(g.n_levels,) + g.space_shape + ((components,) if components else ()))
     kernel = MollifierKernel(eps, dim=dim)
     out = mollify_field(values, kernel, g)
     assert np.max(np.abs(out - _mollify_by_loops(values, kernel, g))) < 1e-14
+
+
+@pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 2)])
+def test_mollify_samples_one_field_call_matches_per_action(kind, dim, monkeypatch):
+    # B and F of every action go through one mollify_field call (one kernel
+    # transform), and each table equals its own mollify_field
+    g = build_grid(kind, dim, (-1.0, 1.0), 16 if dim == 1 else 8, 1.0, 16)
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(3, g.n_levels) + g.space_shape + (dim,))
+    F = rng.normal(size=(3, g.n_levels) + g.space_shape)
+    kernel = MollifierKernel(0.3, dim=dim)
+    expected = [(mollify_field(B[i], kernel, g), mollify_field(F[i], kernel, g)) for i in range(3)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return mollify_field(*args, **kwargs)
+
+    monkeypatch.setattr(mollify, "mollify_field", counted)
+    B_eps, F_eps = mollify.mollify_samples(B, F, kernel, g)
+    assert len(calls) == 1
+    assert B_eps.shape == B.shape and F_eps.shape == F.shape
+    for i, (b, f) in enumerate(expected):
+        assert np.max(np.abs(B_eps[i] - b)) < 1e-14
+        assert np.max(np.abs(F_eps[i] - f)) < 1e-14
