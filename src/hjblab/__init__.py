@@ -12,18 +12,12 @@ Euler-Maruyama cost estimation (montecarlo), and the experiment layer
 __version__ = "0.1.0"
 
 from .grids import (  # noqa: F401
-    BoundaryCondition,
     Grid,
     SpaceTimeField,
     build_grid,
-    constant_field,
-    default_boundary,
-    dirichlet_boundary,
     field_from_csv,
-    field_from_function,
     field_to_csv,
     lp_norm,
-    periodic_boundary,
     spatial_gradient,
 )
 from .coefficients import (  # noqa: F401

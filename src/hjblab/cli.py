@@ -12,7 +12,6 @@ import datetime
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -108,7 +107,7 @@ def cmd_solve_hjb(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, _ = _build(cfg, args)
     u = _solve_direct(cfg, oracle, aset, manifest)
-    res = hjb_residual(u, oracle, aset, cfg.grid, scheme=cfg.scheme)
+    res = hjb_residual(u.values, oracle, aset, cfg.grid, scheme=cfg.scheme)
     field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
     manifest.add_check("hjb_residual", res <= 1e-9 * max(1.0, float(np.max(np.abs(u.values)))) + 1e-9,
                        f"residual {res:.3e}")
@@ -273,15 +272,11 @@ def main(argv=None):
     )
     parser.add_argument("--version", action="version", version=f"hjblab {__version__}")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("config_positional", nargs="?", default=None,
-                        help="scenario config path (alternative to --config)")
-    parser.add_argument("--config", default=None, help="scenario config path")
+    parser.add_argument("config", nargs="?", default=None, help="scenario config path")
     parser.add_argument("--out", default=None,
                         help="output directory (default $HJBLAB_OUT or cwd)")
     parser.add_argument("--seed-override", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings as check failures")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
@@ -292,11 +287,10 @@ def main(argv=None):
     if args.subcommand == "selftest":
         return cmd_selftest(None, args, out_dir)
 
-    path = args.config or args.config_positional
-    if not path:
-        parser.error(f"{args.subcommand} needs a scenario config (--config PATH)")
+    if not args.config:
+        parser.error(f"{args.subcommand} needs a scenario config path")
     try:
-        cfg = load_config(path)
+        cfg = load_config(args.config)
     except ConfigError as e:
         print("config invalid:", file=sys.stderr)
         for v in e.violations:
@@ -314,16 +308,6 @@ def main(argv=None):
         "counterexample": cmd_counterexample,
     }
     try:
-        if args.strict:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = handlers[args.subcommand](cfg, args, out_dir)
-            if caught and code == 0:
-                for w in caught:
-                    print(f"strict: warning treated as failure: {w.message}",
-                          file=sys.stderr)
-                return 1
-            return code
         return handlers[args.subcommand](cfg, args, out_dir)
     except ConfigError as e:
         print("config invalid for this subcommand:", file=sys.stderr)

@@ -22,14 +22,7 @@ from .coefficients import (
     make_tabulated,
     sample_all,
 )
-from .grids import (
-    BOX,
-    SpaceTimeField,
-    build_grid,
-    dirichlet_boundary,
-    lp_norm,
-    write_csv,
-)
+from .grids import BOX, SpaceTimeField, build_grid, lp_norm, write_csv
 from .hjb import solve_hjb_tables
 from .mollify import MollifierKernel, mollify_samples
 from .montecarlo import (
@@ -276,7 +269,8 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
 
     resolved = []
     liminf_tols = {}
-    for eps, kernel, _, V_eps in walk:
+    for eps, kernel, tables, V_eps in walk:
+        del tables  # held here, it would outlive the making of the next rung
         gap = V_eps.values - V.values
         mask = _interior_gap_mask(grid, eps)
         interior = gap[mask]
@@ -361,8 +355,7 @@ def _solve_effective(c, grid, scheme):
     """
     oracle = make_constant_drift(grid, c=c)
     exact = oracle.exact_value
-    boundary = (dirichlet_boundary(lambda t, X: exact(t, X, grid.T))
-                if grid.domain_kind == BOX else None)
+    boundary = (lambda t, X: exact(t, X, grid.T)) if grid.domain_kind == BOX else None
     bf, ff = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     u = solve_frozen(bf[0], ff[0], grid, boundary, scheme)
     return u, oracle
@@ -514,9 +507,12 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
             eps_rows.append([N, eps, sups[-1]])
             if j_raw is not None and N == N_list[0]:
                 # action 0 of every prefix is a_1: its mollified tables are prefix 1's
-                tab = make_tabulated(grid, B_eps[:1], F_eps[:1], name=f"{oracle.name}_eps")
-                j_eps = simulate_cost(tab, constant_control(0), sim, grid)
+                j_eps = simulate_cost(
+                    make_tabulated(grid, B_eps[:1], F_eps[:1], name=f"{oracle.name}_eps"),
+                    constant_control(0), sim, grid)
                 open_rows.append([eps, abs(j_eps.mean - j_raw.mean), j_eps.se])
+            # held here, they would outlive the making of the next rung
+            del B_eps, F_eps
         if not all(b <= a + 1e-10 for a, b in zip(sups, sups[1:])):
             eps_pass = False
 

@@ -2,9 +2,9 @@
 
 The computational domain is the cylinder [0, T] x D with D either a periodic
 torus (cell-centered nodes) or a box (endpoint-inclusive nodes).  Fields are
-plain numpy arrays indexed (time level, space..., [component]) wrapped with a
-reference to their grid.  All operations here are pure; fields are treated as
-immutable snapshots.
+plain numpy arrays indexed (time level, space..., [component]); the calculus
+here takes them with their grid, and SpaceTimeField pairs a validated array
+with its grid for the solvers' results.  All operations here are pure.
 """
 
 from __future__ import annotations
@@ -245,80 +245,18 @@ class SpaceTimeField:
         return f"SpaceTimeField({kind}, shape={self.values.shape})"
 
 
-def constant_field(grid, value, components=None):
-    shape = (grid.n_levels,) + grid.space_shape
-    if components is not None:
-        shape = shape + (components,)
-    return SpaceTimeField(grid, np.full(shape, float(value)))
-
-
-def field_from_function(grid, fn, components=None):
-    """Sample fn(t, X) at every node; X has shape (*space_shape, dim)."""
-    X = grid.points()
-    out = []
-    for t in grid.times():
-        out.append(np.asarray(fn(t, X), dtype=float))
-    return SpaceTimeField(grid, np.stack(out, axis=0))
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Boundary data: periodic on the torus, exact Dirichlet on the box.
-
-    ``evaluator`` maps (t, X) -> values on an arbitrary set of points; it is
-    required (and only allowed) for dirichlet_exact.
-    """
-
-    kind: str
-    evaluator: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("periodic", "dirichlet_exact"):
-            raise GridError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "dirichlet_exact" and self.evaluator is None:
-            raise GridError("dirichlet_exact requires an evaluator g(t, x)")
-
-    def check_domain(self, grid):
-        if self.kind == "periodic" and grid.domain_kind != TORUS:
-            raise GridError("periodic boundary only valid on torus")
-        if self.kind == "dirichlet_exact" and grid.domain_kind != BOX:
-            raise GridError("dirichlet_exact boundary only valid on box")
-
-
-def periodic_boundary():
-    return BoundaryCondition("periodic")
-
-
-def dirichlet_boundary(evaluator=None):
-    if evaluator is None:
-        evaluator = lambda t, X: np.zeros(X.shape[:-1])
-    return BoundaryCondition("dirichlet_exact", evaluator)
-
-
-def default_boundary(grid):
-    if grid.domain_kind == TORUS:
-        return periodic_boundary()
-    return dirichlet_boundary()
-
-
-def lp_norm(field, p, grid=None):
+def lp_norm(values, p, grid):
     """Discrete L^p norm over the space-time cylinder.
 
     Trapezoid weights in time, midpoint (torus) or trapezoid (box) weights in
     space; p = inf returns the max of |values|.  Vector fields use the
     Euclidean magnitude pointwise.
     """
-    if isinstance(field, SpaceTimeField):
-        grid = field.grid
-        values = field.values
-    else:
-        values = np.asarray(field, dtype=float)
-        if grid is None:
-            raise FieldError("grid required for bare arrays")
+    values = np.asarray(values, dtype=float)
     mag = np.abs(values)
     if values.ndim == grid.dim + 2:
         mag = np.sqrt(np.sum(values**2, axis=-1))
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(mag))
     p = float(p)
     if p < 1:
@@ -358,18 +296,12 @@ def _diff_axis(values, axis, dx, periodic, mode):
     return out
 
 
-def spatial_gradient(field, grid=None):
-    """Per-node finite-difference gradient, returned as a vector field.
+def spatial_gradient(values, grid):
+    """Per-node finite-difference gradient, stacked on a trailing axis.
 
     Second-order central differences, one-sided at box edges.
     """
-    if isinstance(field, SpaceTimeField):
-        grid = field.grid
-        values = field.values
-    else:
-        values = np.asarray(field, dtype=float)
-        if grid is None:
-            raise FieldError("grid required for bare arrays")
+    values = np.asarray(values, dtype=float)
     periodic = grid.domain_kind == TORUS
     time_leading = values.ndim == grid.dim + 1
 
@@ -377,10 +309,7 @@ def spatial_gradient(field, grid=None):
     for k in range(grid.dim):
         axis = k + (1 if time_leading else 0)
         comps.append(_diff_axis(values, axis, grid.dx[k], periodic, "central"))
-    grad = np.stack(comps, axis=-1)
-    if isinstance(field, SpaceTimeField):
-        return SpaceTimeField(grid, grad)
-    return grad
+    return np.stack(comps, axis=-1)
 
 
 def gradient_pair(values, grid, time_leading=True):

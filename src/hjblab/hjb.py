@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import sample_all
-from .grids import SpaceTimeField, default_boundary, write_csv
+from .grids import SpaceTimeField, write_csv
 from .hamiltonian import Policy, argmin_level
 from .parabolic import (
     IMPLICIT_EULER,
     SchemeError,
     _step,
+    check_boundary,
     default_scheme,
     pde_residual,
     solve_frozen,
@@ -66,7 +67,6 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
     best iterate is then returned with the trace flagged, not an error).
     """
     scheme = scheme or default_scheme()
-    boundary = boundary or default_boundary(grid)
     B, F = sample_all(oracle, grid, action_set)
 
     u = np.zeros((grid.n_levels,) + grid.space_shape)
@@ -107,8 +107,7 @@ def solve_policy_value(oracle, policy, grid, boundary=None, scheme=None):
     """Frozen value under an arbitrary fixed grid policy (u^alpha of the theory)."""
     B, F = sample_all(oracle, grid, policy.action_set)
     bsel, fsel = _select_fields(B, F, policy.indices)
-    return solve_frozen(bsel, fsel, grid, boundary or default_boundary(grid),
-                        scheme or default_scheme())
+    return solve_frozen(bsel, fsel, grid, boundary, scheme)
 
 
 def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=None):
@@ -130,12 +129,12 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     ``B`` has shape (n_actions, levels, ..., dim) and ``F`` (n_actions,
     levels, ...); this is the entry point for mollified-coefficient sweeps
     where the tables are produced by convolution rather than sampling.
+    ``boundary`` is the Dirichlet data g(t, X) of a box (None: zero data).
     """
     scheme = scheme or default_scheme()
     if scheme.time_stepping != IMPLICIT_EULER:
         raise SchemeError("the direct HJB marcher supports implicit Euler only")
-    boundary = boundary or default_boundary(grid)
-    boundary.check_domain(grid)
+    check_boundary(grid, boundary)
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     indices = np.zeros((grid.n_levels,) + grid.space_shape, dtype=np.int64)
@@ -168,18 +167,17 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     return out
 
 
-def hjb_residual(u, oracle, action_set, grid, scheme=None, tables=None, with_indices=False):
+def hjb_residual(U, oracle, action_set, grid, scheme=None, tables=None, with_indices=False):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
-    The exact-argmin policy of the given field's own gradient selects the
-    coefficients, and ``pde_residual`` takes the scheme's own theta-step with
-    them; solver output therefore has residual at roundoff scale (but for
-    flagged steps).  Box boundary nodes hold Dirichlet data and are
+    The exact-argmin policy of the gradient of the value array ``U`` selects
+    the coefficients, and ``pde_residual`` takes the scheme's own theta-step
+    with them; solver output therefore has residual at roundoff scale (but
+    for flagged steps).  Box boundary nodes hold Dirichlet data and are
     left out, so no boundary condition enters.  ``with_indices`` also
     returns the argmin indices.
     """
     scheme = scheme or default_scheme()
-    U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)
     B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
     idx, _ = argmin_level(B, F, U, grid, scheme.advection)
     bsel, fsel = _select_fields(B, F, idx)

@@ -4,9 +4,9 @@ The kernel is the standard radial bump exp(-1/(1 - r^2)) on the unit ball of
 R^(1+d) (time is one coordinate), normalized to unit mass and rescaled by
 epsilon.  Coefficient fields are extended by zero outside [0, T] in time;
 space wraps on the torus and zero-extends on the box (with a boundary layer
-of width epsilon, recorded on the output).  Discrete stencil weights are
-renormalized to sum exactly to one at each epsilon so that quadrature drift
-never contaminates small-gap experiments.  The convolution multiplies real
+of width epsilon).  Discrete stencil weights are renormalized to sum exactly
+to one at each epsilon so that quadrature drift never contaminates small-gap
+experiments.  The convolution multiplies real
 FFTs over the time and space axes (the kernel's is taken once per call):
 circular on torus axes, zero-padded on the time axis and box axes so that it
 is linear there.
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import TORUS, SpaceTimeField, write_csv
+from .grids import TORUS, write_csv
 
 
 class MollifyError(ValueError):
@@ -132,22 +132,15 @@ def _stencil(kernel, grid):
     return w / w.sum(), radii
 
 
-def mollify_field(field, kernel, grid=None):
-    """Discrete space-time convolution zeta_eps * field.
+def mollify_field(field, kernel, grid):
+    """Discrete space-time convolution zeta_eps * field of an array on ``grid``.
 
     Time uses zero extension outside [0, T]; torus space wraps periodically;
-    box space zero-extends (an eps-wide boundary layer is distorted and its
-    width is recorded in the output metadata).  Axes after the time and space
-    axes are components and are convolved independently.  Warns when eps is
-    not resolved by the grid spacing.
+    box space zero-extends (an eps-wide boundary layer is distorted).  Axes
+    after the time and space axes are components and are convolved
+    independently.  Warns when eps is not resolved by the grid spacing.
     """
-    if isinstance(field, SpaceTimeField):
-        grid = field.grid
-        values = field.values
-    else:
-        values = np.asarray(field, dtype=float)
-        if grid is None:
-            raise MollifyError("grid required for bare arrays")
+    values = np.asarray(field, dtype=float)
     eps = kernel.epsilon
     if eps < max(grid.dx):
         warnings.warn(
@@ -173,11 +166,6 @@ def mollify_field(field, kernel, grid=None):
     for c in np.ndindex(values.shape[len(axes):]):
         spec = np.fft.rfftn(values[(...,) + c], sizes, axes) * spectrum
         out[(...,) + c] = np.fft.irfftn(spec, sizes, axes)[crop]
-    meta = {"epsilon": eps}
-    if not periodic:
-        meta["boundary_layer_width"] = eps
-    if isinstance(field, SpaceTimeField):
-        return SpaceTimeField(grid, out, meta)
     return out
 
 

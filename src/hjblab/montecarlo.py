@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SpaceTimeField, TORUS
+from .grids import TORUS
 
 
 class SimulationError(ValueError):
@@ -92,7 +92,7 @@ class MCEstimate:
 
 
 # ---------------------------------------------------------------------------
-# controls
+# controls: objects whose values(t, X) gives the actions at points X (batch, dim)
 
 
 class FeedbackRule:
@@ -135,16 +135,6 @@ class OpenLoopControl:
 def constant_control(value, name=None):
     value = np.asarray(value, dtype=float)
     return OpenLoopControl(lambda t: value, name or f"const_{np.round(value, 6)}")
-
-
-def as_control(control):
-    if hasattr(control, "indices") and hasattr(control, "action_set"):
-        return GridPolicyControl(control)  # a bare Policy
-    if hasattr(control, "values") and not isinstance(control, SpaceTimeField):
-        return control
-    if callable(control):
-        return FeedbackRule(control)
-    raise SimulationError(f"cannot interpret {control!r} as a control")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +247,6 @@ def _block_totals(oracle, control, sim, grid, t_end, u_field, blocks):
 
 
 def _run(oracle, control, sim, grid, t_end, u_field=None):
-    control = as_control(control)
     M = sim.n_paths
     blocks = [(bi, min(sim.block_size, M - start))
               for bi, start in enumerate(range(0, M, sim.block_size))]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tridiag
-from .grids import BOX, CENTRAL, TORUS, UPWIND, SpaceTimeField, default_boundary
+from .grids import BOX, CENTRAL, TORUS, UPWIND, GridError, SpaceTimeField
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -132,15 +132,23 @@ def _solve_axis(rhs, beta, h, gamma, scheme, axis, grid, edge_values=None):
     return np.moveaxis(x, -1, axis)
 
 
-def _edge_values(boundary, grid, t):
-    """Dirichlet values at time t on the two edges of each axis, one (2, ...)
+def check_boundary(grid, boundary):
+    """Dirichlet data g(t, X) belongs to a box (None there means g = 0); a
+    torus takes none."""
+    if boundary is not None and grid.domain_kind == TORUS:
+        raise GridError("Dirichlet data given on a torus, which is periodic")
+
+
+def _edge_values(g, grid, t):
+    """Dirichlet values g(t, .) on the two edges of each axis, one (2, ...)
     array (lo, hi) per axis, evaluated on the edge nodes only (box only)."""
     edges = []
     for k in range(grid.dim):
         axes = grid.space_axes()
         axes[k] = axes[k][[0, -1]]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        edges.append(np.moveaxis(np.asarray(boundary.evaluator(t, points), dtype=float), k, 0))
+        values = np.zeros(points.shape[:-1]) if g is None else np.asarray(g(t, points), dtype=float)
+        edges.append(np.moveaxis(values, k, 0))
     return edges
 
 
@@ -158,30 +166,37 @@ def _step_rhs(u_next, b_next, f_n, f_next, grid, scheme):
 
 def _step(u_next, b_lvl, f_lvl, grid, boundary, scheme, t_n,
           b_next_lvl=None, f_next_lvl=None):
-    """One backward step from level n+1 to level n."""
-    edges = _edge_values(boundary, grid, t_n) if grid.domain_kind == BOX else [None] * grid.dim
+    """One backward step from level n+1 to level n; ``boundary`` is the
+    Dirichlet data g(t, X) of a box, or None."""
+    box = grid.domain_kind == BOX
+    edges = _edge_values(boundary, grid, t_n) if box else [None] * grid.dim
     gamma = scheme.theta * grid.dt
     u = _step_rhs(u_next, b_next_lvl, f_lvl, f_next_lvl, grid, scheme)
     for k in range(grid.dim):
-        u = _solve_axis(u, b_lvl[..., k], grid.dx[k], gamma, scheme, k, grid, edges[k])
-    if grid.domain_kind == BOX:
+        g = edges[k]
+        if box and k < grid.dim - 1:
+            # the x-sweep solves for (I - gamma L_y) u: its edge rows take (I - gamma L_y) g
+            g = g - gamma * _apply_L_axis(g, b_lvl[[0, -1], :, 1], grid.dx[1],
+                                          scheme.advection, 1, False)
+        u = _solve_axis(u, b_lvl[..., k], grid.dx[k], gamma, scheme, k, grid, g)
+    if box:
         # a later sweep overwrites the edges an earlier one pinned: pin them all
         for k, g in enumerate(edges):
             np.moveaxis(u, k, 0)[[0, -1]] = g
     return u
 
 
-def solve_frozen(b_field, f_field, grid, boundary=None, scheme=None):
+def solve_frozen(B, F, grid, boundary=None, scheme=None):
     """Solve the frozen-coefficient backward problem with zero terminal data.
 
-    ``b_field`` is a vector drift field, ``f_field`` a scalar cost field.
-    Returns the full space-time value field.
+    ``B`` is the drift array (levels, space..., dim), ``F`` the cost array
+    (levels, space...), and ``boundary`` the Dirichlet data g(t, X) of a box
+    (None: zero).  Returns the full space-time value field.
     """
     scheme = scheme or default_scheme()
-    boundary = boundary or default_boundary(grid)
-    boundary.check_domain(grid)
-    B = b_field.values if isinstance(b_field, SpaceTimeField) else np.asarray(b_field, dtype=float)
-    F = f_field.values if isinstance(f_field, SpaceTimeField) else np.asarray(f_field, dtype=float)
+    check_boundary(grid, boundary)
+    B = np.asarray(B, dtype=float)
+    F = np.asarray(F, dtype=float)
     if B.shape != (grid.n_levels,) + grid.space_shape + (grid.dim,):
         raise SchemeError(f"drift field has shape {B.shape}, expected levels x space x dim")
 
@@ -220,18 +235,15 @@ def _step_operator(u_lvl, b_lvl, grid, scheme, gamma):
     return out
 
 
-def pde_residual(u, b_field, f_field, grid, scheme=None):
+def pde_residual(U, B, F, grid, scheme=None):
     """Discrete residual of the marching equations, solver stencils included.
 
     Returns an array over (step, space): (step right-hand side - step
     operator) / dt on interior nodes, box boundary nodes zeroed.  Solver
     output has residual at roundoff scale; it grows with truncation error
-    when ``u`` is an exact solution sampled on the grid.
+    when ``U`` is an exact solution sampled on the grid.
     """
     scheme = scheme or default_scheme()
-    B = b_field.values if isinstance(b_field, SpaceTimeField) else np.asarray(b_field, dtype=float)
-    F = f_field.values if isinstance(f_field, SpaceTimeField) else np.asarray(f_field, dtype=float)
-    U = u.values if isinstance(u, SpaceTimeField) else np.asarray(u, dtype=float)
     gamma = scheme.theta * grid.dt
     mask = _interior_mask(grid)
     res = np.zeros((grid.nt,) + grid.space_shape)
@@ -255,7 +267,7 @@ class ConvergenceOrders:
 def convergence_order(problem_fn, grids, scheme=None, norm=np.inf):
     """Observed orders from a ladder of grids with a known exact solution.
 
-    ``problem_fn(grid)`` returns (b_field, f_field, boundary, exact_values);
+    ``problem_fn(grid)`` returns (B, F, g or None, exact_values);
     the least-squares slopes of log error against log dx and log dt are
     returned.  Ladders shorter than 3 grids are rejected; errors at machine
     precision skip the fit.
@@ -264,8 +276,8 @@ def convergence_order(problem_fn, grids, scheme=None, norm=np.inf):
         raise SchemeError("convergence ladder needs at least 3 grids")
     errors, dxs, dts = [], [], []
     for grid in grids:
-        b_field, f_field, boundary, exact = problem_fn(grid)
-        u = solve_frozen(b_field, f_field, grid, boundary, scheme)
+        B, F, boundary, exact = problem_fn(grid)
+        u = solve_frozen(B, F, grid, boundary, scheme)
         e = np.asarray(exact, dtype=float)
         errors.append(float(np.max(np.abs(u.values - e))))
         dxs.append(grid.dx[0])

@@ -38,7 +38,7 @@ from .experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from .grids import CENTRAL, build_grid, periodic_boundary, write_csv
+from .grids import CENTRAL, build_grid, write_csv
 from .hamiltonian import Policy, hamiltonian_values
 from .hjb import policy_iteration, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
@@ -351,7 +351,7 @@ def _smooth_problem(grid):
     oracle = make_smooth_baseline(grid, T=grid.T)
     B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     exact = np.stack([oracle.exact_value(t, grid.points(), grid.T) for t in grid.times()])
-    return B[0], F[0], periodic_boundary(), exact
+    return B[0], F[0], None, exact
 
 
 def _crit8_solver_validation(out_dir, artifacts):

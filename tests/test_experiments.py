@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,30 @@ def test_each_table_sampled_and_mollified_once(bang, monkeypatch):
     calls["sample_all"] = 0
     mollify_value_sweep(oracle, aset, grid, [0.2, 0.1], scheme=scheme)
     assert calls["sample_all"] == 1
+
+
+@pytest.mark.parametrize("report", ["sweep", "truncation"])
+def test_each_rung_released_before_the_next_is_made(bang, monkeypatch, report):
+    # no earlier rung's mollified tables are alive when the next rung is made
+    grid, oracle, aset, scheme, _ = bang
+    made, alive = [], []
+    real = experiments.mollify_samples
+
+    def probe(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        tables = real(*args, **kwargs)
+        made.extend(weakref.ref(table) for table in tables)
+        return tables
+
+    monkeypatch.setattr(experiments, "mollify_samples", probe)
+    if report == "sweep":
+        mollify_value_sweep(oracle, aset, grid, [0.3, 0.15, 0.1], scheme=scheme,
+                            store_fields=True)
+    else:
+        sim = SimConfig(n_paths=200, dt_sim=5e-3, seed=113, start_state=(0.5,))
+        countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
+                                   sim=sim, eps_list=[0.2, 0.1], scheme=scheme)
+    assert alive == [0] * (3 if report == "sweep" else 4)
 
 
 def test_truncation_fails_on_flagged_inner_steps(bang, monkeypatch):

@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 
 from hjblab.grids import (
-    BoundaryCondition,
     FieldError,
     GridError,
     SpaceTimeField,
     build_grid,
-    constant_field,
-    dirichlet_boundary,
     field_from_csv,
-    field_from_function,
     field_to_csv,
     gradient_pair,
     lp_norm,
-    periodic_boundary,
     spatial_gradient,
     write_csv,
 )
+from hjblab.hjb import solve_hjb_tables
+from hjblab.parabolic import solve_frozen
+
+
+def _const(g, value):
+    return np.full((g.n_levels,) + g.space_shape, float(value))
+
+
+def _sample(g, fn):
+    """fn(t, X) at every node, stacked over the time levels."""
+    return np.stack([np.asarray(fn(t, g.points()), dtype=float) for t in g.times()])
 
 
 def test_build_grid_torus_spacing():
@@ -55,32 +61,32 @@ def test_build_grid_rejects(kwargs):
 
 def test_lp_norm_constant_unit_measure():
     g = build_grid("torus", 1, 1.0, 16, 1.0, 8)
-    f = constant_field(g, 1.0)
+    f = _const(g, 1.0)
     for p in (1, 2, 3.7, np.inf):
-        assert lp_norm(f, p) == pytest.approx(1.0, abs=1e-12)
+        assert lp_norm(f, p, g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_norm_quadrature_consistency():
     # constant c over a cylinder of measure m gives c * m^(1/p)
     g = build_grid("box", 2, [(0.0, 2.0), (0.0, 3.0)], [21, 31], 0.5, 4)
     c = 1.7
-    f = constant_field(g, c)
+    f = _const(g, c)
     m = 2.0 * 3.0 * 0.5
     for p in (1, 2, 5):
-        assert lp_norm(f, p) == pytest.approx(c * m ** (1 / p), rel=1e-12)
+        assert lp_norm(f, p, g) == pytest.approx(c * m ** (1 / p), rel=1e-12)
 
 
 def test_lp_norm_linear_profile():
     g = build_grid("box", 1, (0.0, 1.0), 101, 1.0, 10)
-    f = field_from_function(g, lambda t, X: X[..., 0])
-    assert lp_norm(f, 2) == pytest.approx(3 ** -0.5, abs=2 * g.dx[0] ** 2)
-    assert lp_norm(f, np.inf) == 1.0
+    f = _sample(g, lambda t, X: X[..., 0])
+    assert lp_norm(f, 2, g) == pytest.approx(3 ** -0.5, abs=2 * g.dx[0] ** 2)
+    assert lp_norm(f, np.inf, g) == 1.0
 
 
 def test_lp_norm_rejects_small_p():
     g = build_grid("torus", 1, 1.0, 8, 1.0, 2)
     with pytest.raises(FieldError):
-        lp_norm(constant_field(g, 1.0), 0.5)
+        lp_norm(_const(g, 1.0), 0.5, g)
 
 
 def test_norm_monotonicity():
@@ -96,14 +102,14 @@ def test_norm_monotonicity():
 
 def test_gradient_constant_is_zero():
     g = build_grid("torus", 1, 1.0, 16, 1.0, 4)
-    grad = spatial_gradient(constant_field(g, 3.0))
-    assert np.all(grad.values == 0.0)
+    grad = spatial_gradient(_const(g, 3.0), g)
+    assert np.all(grad == 0.0)
 
 
 def test_gradient_affine_exact_on_box_interior():
     g = build_grid("box", 1, (0.0, 1.0), 33, 1.0, 2)
-    f = field_from_function(g, lambda t, X: 2.0 * X[..., 0] + 1.0)
-    grad = spatial_gradient(f).values[..., 0]
+    f = _sample(g, lambda t, X: 2.0 * X[..., 0] + 1.0)
+    grad = spatial_gradient(f, g)[..., 0]
     assert np.max(np.abs(grad[:, 1:-1] - 2.0)) < 1e-12
     # one-sided edges are exact for affine data too
     assert np.max(np.abs(grad - 2.0)) < 1e-12
@@ -113,8 +119,8 @@ def test_gradient_richardson_ratio():
     errs = []
     for nx in (64, 128):
         g = build_grid("torus", 1, 1.0, nx, 1.0, 2)
-        f = field_from_function(g, lambda t, X: np.sin(2 * np.pi * X[..., 0]))
-        grad = spatial_gradient(f).values[0, :, 0]
+        f = _sample(g, lambda t, X: np.sin(2 * np.pi * X[..., 0]))
+        grad = spatial_gradient(f, g)[0, :, 0]
         exact = 2 * np.pi * np.cos(2 * np.pi * g.space_axis(0))
         errs.append(np.max(np.abs(grad - exact)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -133,19 +139,19 @@ def test_torus_translation_equivariance_bitwise():
     g = build_grid("torus", 1, 1.0, 32, 1.0, 4)
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(g.n_levels,) + g.space_shape)
-    f = SpaceTimeField(g, vals)
-    rolled = SpaceTimeField(g, np.roll(vals, 5, axis=1))
+    f = vals
+    rolled = np.roll(vals, 5, axis=1)
     # shifting by a full period is the identity: norms and gradients bit-equal
-    full = SpaceTimeField(g, np.roll(vals, g.nx[0], axis=1))
-    assert np.array_equal(full.values, vals)
+    full = np.roll(vals, g.nx[0], axis=1)
+    assert np.array_equal(full, vals)
     for p in (1, 2, np.inf):
-        assert lp_norm(f, p) == lp_norm(full, p)
-    assert np.array_equal(spatial_gradient(f).values, spatial_gradient(full).values)
+        assert lp_norm(f, p, g) == lp_norm(full, p, g)
+    assert np.array_equal(spatial_gradient(f, g), spatial_gradient(full, g))
     # partial shifts commute with the stencil exactly and with norms to roundoff
     for p in (1, 2, np.inf):
-        assert lp_norm(f, p) == pytest.approx(lp_norm(rolled, p), rel=1e-14)
-    g1 = spatial_gradient(f).values
-    g2 = spatial_gradient(rolled).values
+        assert lp_norm(f, p, g) == pytest.approx(lp_norm(rolled, p, g), rel=1e-14)
+    g1 = spatial_gradient(f, g)
+    g2 = spatial_gradient(rolled, g)
     assert np.array_equal(np.roll(g1, 5, axis=1), g2)
 
 
@@ -160,21 +166,20 @@ def test_field_validation():
 
 
 def test_boundary_domain_compatibility():
+    # Dirichlet data belongs to a box; a torus is periodic and takes none
     gt = build_grid("torus", 1, 1.0, 8, 1.0, 2)
-    gb = build_grid("box", 1, (0.0, 1.0), 8, 1.0, 2)
-    periodic_boundary().check_domain(gt)
-    dirichlet_boundary().check_domain(gb)
+    data = lambda t, X: np.zeros(X.shape[:-1])
+    B = np.zeros((gt.n_levels,) + gt.space_shape + (1,))
+    F = _const(gt, 1.0)
     with pytest.raises(GridError):
-        periodic_boundary().check_domain(gb)
+        solve_frozen(B, F, gt, data)
     with pytest.raises(GridError):
-        dirichlet_boundary().check_domain(gt)
-    with pytest.raises(GridError):
-        BoundaryCondition("dirichlet_exact")
+        solve_hjb_tables(B[None], F[None], gt, data)
 
 
 def test_csv_roundtrip(tmp_path):
     g = build_grid("box", 1, (0.0, 1.0), 9, 0.5, 3)
-    f = field_from_function(g, lambda t, X: t + X[..., 0] ** 2)
+    f = SpaceTimeField(g, _sample(g, lambda t, X: t + X[..., 0] ** 2))
     path = tmp_path / "field.csv"
     field_to_csv(f, str(path))
     back = field_from_csv(g, str(path))
@@ -185,7 +190,7 @@ def test_csv_roundtrip(tmp_path):
 
 def test_csv_header_2d():
     g = build_grid("torus", 2, 1.0, 4, 0.5, 2)
-    f = constant_field(g, 2.0)
+    f = SpaceTimeField(g, _const(g, 2.0))
     buf = io.StringIO()
     field_to_csv(f, buf)
     assert buf.getvalue().splitlines()[0] == "t,x,y,value"

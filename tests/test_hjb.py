@@ -11,7 +11,7 @@ from hjblab.coefficients import (
     make_constant_drift,
     sample_all,
 )
-from hjblab.grids import build_grid, dirichlet_boundary, spatial_gradient
+from hjblab.grids import build_grid, spatial_gradient
 from hjblab.hamiltonian import Policy, constant_policy
 from hjblab.hjb import (
     hjb_residual,
@@ -146,7 +146,7 @@ def _constant_drift_problem(grid, c):
     """Single-action constant-drift oracle: H = c p + x^2, exact boundary."""
     oracle = make_constant_drift(grid, c=c)
     exact = oracle.exact_value
-    bc = dirichlet_boundary(lambda t, X: exact(t, X, grid.T))
+    bc = lambda t, X: exact(t, X, grid.T)
     return oracle, ActionSet(np.array([1.0])), bc
 
 
@@ -157,7 +157,7 @@ def test_single_action_p_independent_hamiltonian():
     B, F = sample_all(oracle, grid, single)
     u_frozen = solve_frozen(B[0], F[0], grid, bc)
     assert np.max(np.abs(u.values - u_frozen.values)) < 1e-12
-    assert hjb_residual(u, oracle, single, grid) < 1e-9
+    assert hjb_residual(u.values, oracle, single, grid) < 1e-9
 
 
 def test_single_action_hamiltonian_with_gradient_term():

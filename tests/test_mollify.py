@@ -9,7 +9,7 @@ from hjblab.coefficients import (
     make_step_drift,
     sample_to_grid,
 )
-from hjblab.grids import build_grid, constant_field, field_from_function, spatial_gradient
+from hjblab.grids import build_grid, spatial_gradient
 from hjblab.mollify import (
     MollifierKernel,
     MollifyError,
@@ -20,6 +20,15 @@ from hjblab.mollify import (
     kernel_value,
     mollify_field,
 )
+
+
+def _const(g, value):
+    return np.full((g.n_levels,) + g.space_shape, float(value))
+
+
+def _sample(g, fn):
+    """fn(t, X) at every node, stacked over the time levels."""
+    return np.stack([np.asarray(fn(t, g.points()), dtype=float) for t in g.times()])
 
 
 # (Z, G / Z, M / Z) from adaptive quadrature (scipy.integrate.quad, limit=200)
@@ -70,21 +79,21 @@ def test_kernel_rejects_bad_eps():
 def test_mollify_constant_interior_exact():
     g = build_grid("torus", 1, 1.0, 32, 1.0, 64)
     c = 2.5
-    out = mollify_field(constant_field(g, c), MollifierKernel(0.1, dim=1))
+    out = mollify_field(_const(g, c), MollifierKernel(0.1, dim=1), g)
     tt = g.times()
     band = (tt >= 0.1) & (tt <= 0.9)
     # renormalized weights reproduce constants exactly away from the time ends
-    assert np.max(np.abs(out.values[band] - c)) < 1e-12
+    assert np.max(np.abs(out[band] - c)) < 1e-12
 
 
 def test_mollify_step_half_at_jump():
     # the deviation from 1/2 scales like the dx-wide jump column mass ~ dx/eps
     g = build_grid("box", 1, (-1.0, 1.0), 513, 1.0, 64)  # node exactly at 0
-    step = field_from_function(g, lambda t, X: (X[..., 0] > 0).astype(float))
-    out = mollify_field(step, MollifierKernel(0.1, dim=1))
+    step = _sample(g, lambda t, X: (X[..., 0] > 0).astype(float))
+    out = mollify_field(step, MollifierKernel(0.1, dim=1), g)
     i0 = 256
     assert g.space_axis(0)[i0] == 0.0
-    assert out.values[32, i0] == pytest.approx(0.5, abs=0.03)
+    assert out[32, i0] == pytest.approx(0.5, abs=0.03)
 
 
 def test_mollify_washes_out_counterexample_diagonal():
@@ -94,45 +103,45 @@ def test_mollify_washes_out_counterexample_diagonal():
     bf, _ = sample_to_grid(ce, g, a)
     raw = bf.values[..., 0]
     assert raw[0, 256] == 0.0
-    out = mollify_field(bf, MollifierKernel(0.1, dim=1))
+    out = mollify_field(bf.values, MollifierKernel(0.1, dim=1), g)
     # the null set {x = a} is washed out up to its dx-wide discrete column
-    assert out.values[32, 256, 0] == pytest.approx(1.0, abs=0.03)
+    assert out[32, 256, 0] == pytest.approx(1.0, abs=0.03)
 
 
 def test_mollify_warns_underresolved():
     g = build_grid("torus", 1, 1.0, 8, 1.0, 8)
     with pytest.warns(UserWarning):
-        mollify_field(constant_field(g, 1.0), MollifierKernel(0.05, dim=1))
+        mollify_field(_const(g, 1.0), MollifierKernel(0.05, dim=1), g)
 
 
 def test_domination_transfer():
     g = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
     oracle = make_step_drift(g, c=1.0)
     bf, ff = sample_to_grid(oracle, g, 1.0)
-    phi = field_from_function(g, lambda t, X: oracle.bound(t, X))
+    phi = _sample(g, lambda t, X: oracle.bound(t, X))
     kernel = MollifierKernel(0.15, dim=1)
-    f_eps = mollify_field(ff, kernel)
-    phi_eps = mollify_field(phi, kernel)
-    assert np.max(np.abs(f_eps.values)) <= np.max(np.abs(ff.values)) + 1e-12
+    f_eps = mollify_field(ff.values, kernel, g)
+    phi_eps = mollify_field(phi, kernel, g)
+    assert np.max(np.abs(f_eps)) <= np.max(np.abs(ff.values)) + 1e-12
     tt = g.times()
     band = (tt >= 0.15) & (tt <= 1.0 - 0.15)
     # |f_eps| <= (zeta_eps * Phi) pointwise on the time interior
-    b_eps = mollify_field(bf, kernel)
-    mag = np.abs(b_eps.values[band][..., 0]) + np.abs(f_eps.values[band])
-    assert np.all(mag <= phi_eps.values[band] + 1e-10)
+    b_eps = mollify_field(bf.values, kernel, g)
+    mag = np.abs(b_eps[band][..., 0]) + np.abs(f_eps[band])
+    assert np.all(mag <= phi_eps[band] + 1e-10)
 
 
 def test_mass_preserved_on_interior_band():
     g = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
     # time-constant field: torus shifts preserve the space integral exactly
-    f = field_from_function(g, lambda t, X: np.sign(X[..., 0]) + 0.3)
+    f = _sample(g, lambda t, X: np.sign(X[..., 0]) + 0.3)
     kernel = MollifierKernel(0.2, dim=1)
-    out = mollify_field(f, kernel)
+    out = mollify_field(f, kernel, g)
     tt = g.times()
     band = (tt >= 0.2) & (tt <= 0.8)
     w = g.space_weights()
-    raw_int = np.sum(f.values[band] * w)
-    out_int = np.sum(out.values[band] * w)
+    raw_int = np.sum(f[band] * w)
+    out_int = np.sum(out[band] * w)
     assert out_int == pytest.approx(raw_int, abs=1e-10)
 
 
@@ -141,8 +150,8 @@ def test_gradient_bound_proxy():
     oracle = make_step_drift(g, c=1.0)
     bf, _ = sample_to_grid(oracle, g, 1.0)
     kernel = MollifierKernel(0.1, dim=1)
-    out = mollify_field(bf, kernel)
-    grad = spatial_gradient(out.values[..., 0], g)
+    out = mollify_field(bf.values, kernel, g)
+    grad = spatial_gradient(out[..., 0], g)
     bound = kernel.grad_l1 / kernel.epsilon * np.max(np.abs(bf.values))
     assert np.max(np.abs(grad)) <= bound + 1e-10
 
@@ -180,18 +189,18 @@ def test_ladder_requires_decreasing():
 
 def test_mollify_2d_constant_interior():
     g = build_grid("torus", 2, 1.0, 16, 1.0, 16)
-    out = mollify_field(constant_field(g, 3.0), MollifierKernel(0.2, dim=2))
+    out = mollify_field(_const(g, 3.0), MollifierKernel(0.2, dim=2), g)
     tt = g.times()
     band = (tt >= 0.2) & (tt <= 0.8)
-    assert np.max(np.abs(out.values[band] - 3.0)) < 1e-12
+    assert np.max(np.abs(out[band] - 3.0)) < 1e-12
 
 
 def test_mollify_2d_step_plane():
     g = build_grid("box", 2, (-1.0, 1.0), 65, 1.0, 16)
-    step = field_from_function(g, lambda t, X: (X[..., 0] > 0).astype(float))
-    out = mollify_field(step, MollifierKernel(0.2, dim=2))
+    step = _sample(g, lambda t, X: (X[..., 0] > 0).astype(float))
+    out = mollify_field(step, MollifierKernel(0.2, dim=2), g)
     # jump-plane value is 1/2 up to the dx-wide column mass ~ dx / eps
-    assert out.values[8, 32, 32] == pytest.approx(0.5, abs=0.1)
+    assert out[8, 32, 32] == pytest.approx(0.5, abs=0.1)
 
 
 def test_ladder_csv_format(tmp_path):

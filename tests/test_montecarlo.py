@@ -9,7 +9,7 @@ from hjblab.coefficients import (
     make_constant_drift,
     make_counterexample,
 )
-from hjblab.grids import SpaceTimeField, build_grid, field_from_function
+from hjblab.grids import SpaceTimeField, build_grid
 from hjblab.hamiltonian import Policy
 from hjblab.montecarlo import (
     NOISE_CHUNK,
@@ -17,12 +17,16 @@ from hjblab.montecarlo import (
     GridPolicyControl,
     SimConfig,
     SimulationError,
-    as_control,
     constant_control,
     dpp_residual,
     simulate_cost,
     value_at,
 )
+
+
+def _field(grid, fn):
+    """The field of fn(t, X) sampled at every node."""
+    return SpaceTimeField(grid, np.stack([fn(t, grid.points()) for t in grid.times()]))
 
 
 def unit_cost_oracle(dim=1):
@@ -110,14 +114,14 @@ def test_policy_lookup_conventions():
 
 def test_value_at_linear_exact():
     grid = build_grid("box", 1, (0.0, 1.0), 11, 1.0, 2)
-    u = field_from_function(grid, lambda t, X: 3.0 * X[..., 0] + 1.0)
+    u = _field(grid, lambda t, X: 3.0 * X[..., 0] + 1.0)
     out = value_at(u, 0.0, np.array([[0.123], [0.87]]))
     assert out == pytest.approx([1.369, 3.61], abs=1e-12)
 
 
 def test_value_at_torus_wrap():
     grid = build_grid("torus", 1, 1.0, 8, 1.0, 2)
-    u = field_from_function(grid, lambda t, X: np.sin(2 * np.pi * X[..., 0]))
+    u = _field(grid, lambda t, X: np.sin(2 * np.pi * X[..., 0]))
     a = value_at(u, 0.0, np.array([[0.1]]))
     b = value_at(u, 0.0, np.array([[1.1]]))  # one period over
     assert a[0] == pytest.approx(b[0], abs=1e-12)
@@ -125,7 +129,7 @@ def test_value_at_torus_wrap():
 
 def test_value_at_2d_bilinear_exact():
     grid = build_grid("box", 2, (0.0, 1.0), 6, 1.0, 2)
-    u = field_from_function(grid, lambda t, X: 2 * X[..., 0] + 3 * X[..., 1] + X[..., 0] * X[..., 1])
+    u = _field(grid, lambda t, X: 2 * X[..., 0] + 3 * X[..., 1] + X[..., 0] * X[..., 1])
     pts = np.array([[0.31, 0.77], [0.05, 0.5]])
     expect = 2 * pts[:, 0] + 3 * pts[:, 1] + pts[:, 0] * pts[:, 1]
     assert value_at(u, 0.0, pts) == pytest.approx(expect, abs=1e-12)
@@ -133,7 +137,7 @@ def test_value_at_2d_bilinear_exact():
 
 def test_value_at_requires_grid_time():
     grid = build_grid("box", 1, (0.0, 1.0), 5, 1.0, 4)
-    u = field_from_function(grid, lambda t, X: X[..., 0])
+    u = _field(grid, lambda t, X: X[..., 0])
     with pytest.raises(SimulationError):
         value_at(u, 0.33, np.array([[0.5]]))
 
@@ -195,17 +199,6 @@ def test_simulate_2d_deterministic_cost():
     assert est.se <= 1e-9
 
 
-def test_simulate_accepts_bare_policy():
-    grid = build_grid("torus", 1, (-1.0, 1.0), 8, 1.0, 4)
-    aset = ActionSet(np.array([0.0, 1.0]))
-    pol = Policy(grid, np.zeros((grid.n_levels,) + grid.space_shape, dtype=int), aset)
-    oracle = make_constant_drift(grid, c=1.0)
-    sim = SimConfig(n_paths=100, dt_sim=0.05, seed=3)
-    est = simulate_cost(oracle, pol, sim, grid)  # a = 0 everywhere: zero drift
-    est2 = simulate_cost(oracle, constant_control(0.0), sim, grid)
-    assert est.mean == est2.mean
-
-
 # ---------------------------------------------------------------------------
 # grouped stepping and chunked noise
 
@@ -225,9 +218,9 @@ def _mc_case(kind):
         oracle = make_bang_bang(grid)
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 2, size=(grid.n_levels,) + grid.space_shape)
-        control = Policy(grid, idx, bang_bang_actions())
+        control = GridPolicyControl(Policy(grid, idx, bang_bang_actions()))
         start = (0.9, -0.95)
-    u = field_from_function(grid, lambda t, X: np.cos(np.pi * X[..., 0]) + t * X[..., -1])
+    u = _field(grid, lambda t, X: np.cos(np.pi * X[..., 0]) + t * X[..., -1])
     return grid, oracle, control, u, start
 
 
@@ -279,7 +272,7 @@ def test_chunked_noise_equals_one_draw_per_block(kind):
     for threads in (1, 2):
         sim = SimConfig(start_state=start, n_threads=threads, **GROUP_SIM)
         est = simulate_cost(oracle, control, sim, grid)
-        expect = _one_draw_estimate(oracle, as_control(control), sim, grid, grid.T)
+        expect = _one_draw_estimate(oracle, control, sim, grid, grid.T)
         assert (est.mean, est.se) == expect
 
 

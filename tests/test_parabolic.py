@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjblab.coefficients import ActionSet, make_smooth_baseline, sample_all
-from hjblab.grids import (
-    build_grid,
-    constant_field,
-    dirichlet_boundary,
-    field_from_function,
-    periodic_boundary,
-)
+from hjblab.grids import build_grid
 from hjblab.parabolic import (
     ParabolicScheme,
     SchemeError,
@@ -16,6 +12,15 @@ from hjblab.parabolic import (
     pde_residual,
     solve_frozen,
 )
+
+
+def _const(g, value, *components):
+    return np.full((g.n_levels,) + g.space_shape + components, float(value))
+
+
+def _sample(g, fn):
+    """fn(t, X) at every node, stacked over the time levels."""
+    return np.stack([np.asarray(fn(t, g.points()), dtype=float) for t in g.times()])
 
 
 def exact_quadratic(T):
@@ -28,14 +33,14 @@ def exact_cubic(T):
 
 def test_space_constant_exact():
     g = build_grid("torus", 1, 1.0, 16, 1.0, 8)
-    u = solve_frozen(constant_field(g, 0.0, components=1), constant_field(g, 1.0), g)
+    u = solve_frozen(_const(g, 0.0, 1), _const(g, 1.0), g)
     exact = (g.T - g.times())[:, None] * np.ones(g.space_shape)
     assert np.max(np.abs(u.values - exact)) < 1e-13
 
 
 def test_space_constant_exact_crank_nicolson():
     g = build_grid("torus", 1, 1.0, 16, 1.0, 8)
-    u = solve_frozen(constant_field(g, 0.0, components=1), constant_field(g, 1.0), g,
+    u = solve_frozen(_const(g, 0.0, 1), _const(g, 1.0), g,
                      scheme=ParabolicScheme(time_stepping="crank_nicolson"))
     exact = (g.T - g.times())[:, None] * np.ones(g.space_shape)
     assert np.max(np.abs(u.values - exact)) < 1e-13
@@ -47,14 +52,14 @@ def test_solver_residual_roundoff():
     b = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape + (1,))
     f = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape)
     u = solve_frozen(b, f, g)
-    res = pde_residual(u, b, f, g)
+    res = pde_residual(u.values, b, f, g)
     assert np.max(np.abs(res)) < 1e-10
 
 
 def test_residual_of_zero_field():
     g = build_grid("torus", 1, 1.0, 16, 1.0, 8)
-    b = constant_field(g, 0.0, components=1)
-    f = constant_field(g, 1.0)
+    b = _const(g, 0.0, 1)
+    f = _const(g, 1.0)
     res = pde_residual(np.zeros((g.n_levels,) + g.space_shape), b, f, g)
     assert np.allclose(res, 1.0)
 
@@ -62,9 +67,9 @@ def test_residual_of_zero_field():
 def test_quadratic_closed_form_on_box():
     g = build_grid("box", 1, (-6.0, 6.0), 121, 1.0, 128)
     exact_fn = exact_quadratic(g.T)
-    b = constant_field(g, 0.0, components=1)
-    f = field_from_function(g, lambda t, X: X[..., 0] ** 2)
-    u = solve_frozen(b, f, g, dirichlet_boundary(exact_fn),
+    b = _const(g, 0.0, 1)
+    f = _sample(g, lambda t, X: X[..., 0] ** 2)
+    u = solve_frozen(b, f, g, exact_fn,
                      ParabolicScheme(advection="central"))
     exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
     assert np.max(np.abs(u.values - exact)) < 5 * (g.dx[0] ** 2 + g.dt)
@@ -73,21 +78,21 @@ def test_quadratic_closed_form_on_box():
 def test_cubic_closed_form_with_drift():
     g = build_grid("box", 1, (-6.0, 6.0), 241, 1.0, 256)
     exact_fn = exact_cubic(g.T)
-    b = constant_field(g, 1.0, components=1)
-    f = field_from_function(g, lambda t, X: X[..., 0] ** 2)
-    u = solve_frozen(b, f, g, dirichlet_boundary(exact_fn),
+    b = _const(g, 1.0, 1)
+    f = _sample(g, lambda t, X: X[..., 0] ** 2)
+    u = solve_frozen(b, f, g, exact_fn,
                      ParabolicScheme(advection="central"))
     exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
     assert np.max(np.abs(u.values - exact)) < 10 * (g.dx[0] ** 2 + g.dt)
 
 
 def test_exact_field_residual_shrinks_at_rate():
-    b_zero = lambda g: constant_field(g, 0.0, components=1)
+    b_zero = lambda g: _const(g, 0.0, 1)
     res_sup = []
     for nx, nt in ((61, 32), (121, 64)):
         g = build_grid("box", 1, (-6.0, 6.0), nx, 1.0, nt)
         exact_fn = exact_quadratic(g.T)
-        f = field_from_function(g, lambda t, X: X[..., 0] ** 2)
+        f = _sample(g, lambda t, X: X[..., 0] ** 2)
         exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
         res = pde_residual(exact, b_zero(g), f, g, scheme=ParabolicScheme(advection="central"))
         res_sup.append(np.max(np.abs(res)))
@@ -157,8 +162,7 @@ def test_dirichlet_data_evaluated_on_edge_nodes_only(dim):
         seen.append(np.array(X).reshape(-1, dim))
         return t + np.sum(X, axis=-1)
 
-    u = solve_frozen(constant_field(g, 0.5, components=dim), constant_field(g, 1.0), g,
-                     dirichlet_boundary(data))
+    u = solve_frozen(_const(g, 0.5, dim), _const(g, 1.0), g, data)
     points = np.concatenate(seen)
     assert np.all(np.any(np.abs(points) == 1.0, axis=1))
     edge = np.any(np.abs(g.points()) == 1.0, axis=-1)
@@ -179,7 +183,7 @@ def _smooth_problem(grid):
     oracle = make_smooth_baseline(grid, T=grid.T)
     B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     exact = np.stack([oracle.exact_value(t, grid.points(), grid.T) for t in grid.times()])
-    return B[0], F[0], periodic_boundary(), exact
+    return B[0], F[0], None, exact
 
 
 def test_convergence_orders_central():
@@ -201,7 +205,7 @@ def test_convergence_order_skips_machine_precision():
         b = np.zeros((grid.n_levels,) + grid.space_shape + (1,))
         f = np.ones((grid.n_levels,) + grid.space_shape)
         exact = (grid.T - grid.times())[:, None] * np.ones(grid.space_shape)
-        return b, f, periodic_boundary(), exact
+        return b, f, None, exact
 
     grids = [build_grid("torus", 1, 1.0, nx, 1.0, 8) for nx in (8, 16, 32)]
     orders = convergence_order(constant_problem, grids)
@@ -219,7 +223,7 @@ def test_convergence_order_needs_three_grids():
 
 def test_2d_space_constant_exact():
     g = build_grid("torus", 2, 1.0, 8, 1.0, 4)
-    u = solve_frozen(constant_field(g, 0.0, components=2), constant_field(g, 1.0), g)
+    u = solve_frozen(_const(g, 0.0, 2), _const(g, 1.0), g)
     exact = (g.T - g.times())[:, None, None] * np.ones(g.space_shape)
     assert np.max(np.abs(u.values - exact)) < 1e-13
 
@@ -228,9 +232,9 @@ def test_2d_box_quadratic():
     g = build_grid("box", 2, (-3.0, 3.0), 31, 0.5, 32)
     T = g.T
     exact_fn = lambda t, X: (X[..., 0] ** 2 + X[..., 1] ** 2) * (T - t) + 2 * (T - t) ** 2
-    b = constant_field(g, 0.0, components=2)
-    f = field_from_function(g, lambda t, X: X[..., 0] ** 2 + X[..., 1] ** 2)
-    u = solve_frozen(b, f, g, dirichlet_boundary(exact_fn))
+    b = _const(g, 0.0, 2)
+    f = _sample(g, lambda t, X: X[..., 0] ** 2 + X[..., 1] ** 2)
+    u = solve_frozen(b, f, g, exact_fn)
     exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
     assert np.max(np.abs(u.values - exact)) < 10 * (g.dx[0] ** 2 + g.dt)
 
@@ -241,7 +245,7 @@ def test_2d_solver_residual_roundoff():
     b = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape + (2,))
     f = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape)
     u = solve_frozen(b, f, g)
-    res = pde_residual(u, b, f, g)
+    res = pde_residual(u.values, b, f, g)
     assert np.max(np.abs(res)) < 1e-10
 
 
@@ -252,12 +256,12 @@ def test_crank_nicolson_residual_roundoff():
     b = rng.uniform(-1, 1, size=(g1.n_levels,) + g1.space_shape + (1,))
     f = rng.uniform(-1, 1, size=(g1.n_levels,) + g1.space_shape)
     u = solve_frozen(b, f, g1, scheme=sch)
-    assert np.max(np.abs(pde_residual(u, b, f, g1, scheme=sch))) < 1e-12
+    assert np.max(np.abs(pde_residual(u.values, b, f, g1, scheme=sch))) < 1e-12
     g2 = build_grid("torus", 2, 1.0, 8, 0.5, 8)
     b2 = rng.uniform(-1, 1, size=(g2.n_levels,) + g2.space_shape + (2,))
     f2 = rng.uniform(-1, 1, size=(g2.n_levels,) + g2.space_shape)
     u2 = solve_frozen(b2, f2, g2, scheme=sch)
-    assert np.max(np.abs(pde_residual(u2, b2, f2, g2, scheme=sch))) < 1e-12
+    assert np.max(np.abs(pde_residual(u2.values, b2, f2, g2, scheme=sch))) < 1e-12
 
 
 def test_2d_comparison_principle():
@@ -270,3 +274,39 @@ def test_2d_comparison_principle():
         u1 = solve_frozen(b, f1, g)
         u2 = solve_frozen(b, f2, g)
         assert np.max(u1.values - u2.values) <= 1e-12
+
+
+@pytest.mark.parametrize("advection", ["upwind", "central"])
+@pytest.mark.parametrize("time_stepping", ["implicit_euler", "crank_nicolson"])
+def test_2d_box_solver_residual_roundoff(time_stepping, advection):
+    # the x-sweep solves for (I - gamma L_y) u, so its edge rows must hold
+    # (I - gamma L_y) g; data that varies along the x-edges shows it
+    g = build_grid("box", 2, (-3.0, 3.0), 41, 1.0, 32)
+    rng = np.random.default_rng(61)
+    b = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape + (2,))
+    f = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape)
+    sch = ParabolicScheme(time_stepping=time_stepping, advection=advection)
+    for data, b_, f_ in ((lambda t, X: X[..., 1] ** 2, 0.0 * b, 0.0 * f),
+                         (lambda t, X: np.sin(X[..., 1]) + t * X[..., 0], b, f)):
+        u = solve_frozen(b_, f_, g, data, sch)
+        assert np.max(np.abs(pde_residual(u.values, b_, f_, g, scheme=sch))) <= 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["torus", "box"]),
+       dim=st.integers(1, 2), nx=st.integers(3, 10), nt=st.integers(1, 8))
+def test_comparison_principle_fuzz(seed, kind, dim, nx, nt):
+    # upwind implicit Euler: ordered costs give ordered values, on a box
+    # with the same Dirichlet data for both solves
+    rng = np.random.default_rng(seed)
+    g = build_grid(kind, dim, (-1.0, 1.0), nx, 0.5, nt)
+    b = rng.uniform(-3, 3, size=(g.n_levels,) + g.space_shape + (dim,))
+    f1 = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape)
+    f2 = f1 + rng.uniform(0, 1, size=f1.shape)
+    c = rng.normal(size=3)
+    data = None
+    if kind == "box":
+        data = lambda t, X: c[0] + c[1] * np.sin(3.0 * X[..., 0] + t) + c[2] * X[..., -1] ** 2
+    u1 = solve_frozen(b, f1, g, data)
+    u2 = solve_frozen(b, f2, g, data)
+    assert np.max(u1.values - u2.values) <= 1e-12

@@ -13,9 +13,8 @@ import hjblab
 
 EXPORTS = {
     # grids
-    "BoundaryCondition", "Grid", "SpaceTimeField", "build_grid", "constant_field",
-    "default_boundary", "dirichlet_boundary", "field_from_csv", "field_from_function",
-    "field_to_csv", "lp_norm", "periodic_boundary", "spatial_gradient",
+    "Grid", "SpaceTimeField", "build_grid", "field_from_csv", "field_to_csv", "lp_norm",
+    "spatial_gradient",
     # coefficients
     "ActionFamily", "ActionSet", "CoefficientOracle", "bang_bang_actions",
     "bang_bang_family", "catalog_names", "make_oracle", "make_tabulated",
@@ -60,8 +59,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # names defined in src/hjblab that no program code refers to, kept on purpose
 ALLOWED_UNUSED = {
-    "constant_field": "public fixture constructor: a constant scalar or vector field",
-    "field_from_function": "public fixture constructor: samples fn(t, X) at every node",
     "grad_l1": "documents the mollifier gradient bound |grad g_eps| <= grad_l1 / eps sup|g|",
 }
 

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hjblab import parabolic, tridiag
-from hjblab.grids import build_grid, default_boundary
+from hjblab.grids import build_grid
 from hjblab.tridiag import solve_cyclic, solve_tridiag
 
 
@@ -203,8 +203,7 @@ def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim, sweeps):
     u_next = rng.normal(size=grid.space_shape)
     b_lvl = rng.uniform(-1.0, 1.0, size=grid.space_shape + (dim,))
     f_lvl = rng.normal(size=grid.space_shape)
-    u = parabolic._step(u_next, b_lvl, f_lvl, grid, default_boundary(grid),
-                        parabolic.default_scheme(), 0.0)
+    u = parabolic._step(u_next, b_lvl, f_lvl, grid, None, parabolic.default_scheme(), 0.0)
     assert np.all(np.isfinite(u))
     assert len(calls) == sweeps
     # torus lines carry rhs and the Sherman-Morrison vector as two columns
