@@ -92,6 +92,15 @@ def _build(cfg, args):
     return oracle, aset, sim
 
 
+# keys a subcommand cannot run without, though a config may leave them empty
+NEEDS = {"mollify-sweep": ("mollify.eps",), "truncation-study": ("mollify.eps", "actions.family")}
+
+
+def _report(header, violations):
+    print("\n  - ".join([header, *violations]), file=sys.stderr)
+    return 2
+
+
 def _check_inner_sweeps(manifest, n_flagged):
     manifest.add_check("inner_sweeps_converged", n_flagged == 0, f"{n_flagged} flagged steps")
 
@@ -151,9 +160,9 @@ def cmd_dpp_check(cfg, args, out_dir):
     u = _solve_direct(cfg, oracle, aset, manifest)
     t_mids = [frac * cfg.grid.T for frac in cfg.experiment["t_mid"]]
     subopt = []
-    sub_idx = cfg.experiment.get("suboptimal_action")
+    sub_idx = cfg.experiment["suboptimal_action"]
     if sub_idx is not None:
-        subopt.append((f"const_{sub_idx}", constant_control(aset.action(int(sub_idx)))))
+        subopt.append((f"const_{sub_idx}", constant_control(aset.action(sub_idx))))
     rep = dpp_battery(u, oracle, GridPolicyControl(u.policy, name="argmin"), sim,
                       t_mids, suboptimal_controls=subopt)
     _write_text(out_dir, "dpp.json",
@@ -175,8 +184,6 @@ def _report_json(cfg, report_text):
 def cmd_mollify_sweep(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, _ = _build(cfg, args)
-    if not cfg.eps_list:
-        raise ConfigError(["mollify.eps: a sweep needs a nonempty ladder"])
     sweep = mollify_value_sweep(oracle, aset, cfg.grid, cfg.eps_list,
                                 scheme=cfg.scheme, scenario=cfg.label,
                                 store_fields=True)
@@ -209,17 +216,14 @@ def cmd_truncation_study(cfg, args, out_dir):
 def cmd_simulate(cfg, args, out_dir):
     manifest = _manifest(cfg, args)
     oracle, aset, sim = _build(cfg, args)
-    spec = cfg.experiment.get("control", {"type": "argmin"})
-    kind = spec.get("type", "argmin")
-    if kind == "constant":
+    spec = cfg.experiment["control"]
+    if spec["type"] == "constant":
         control = constant_control(spec.get("value", aset.action(0)))
-    elif kind == "diagonal":
+    elif spec["type"] == "diagonal":
         control = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
-    elif kind == "argmin":
+    else:
         u = _solve_direct(cfg, oracle, aset, manifest)
         control = GridPolicyControl(u.policy, name="argmin_feedback")
-    else:
-        raise ConfigError([f"experiment.control.type: unknown control {kind!r}"])
     est = simulate_cost(oracle, control, sim, cfg.grid, scenario=cfg.label)
     _write_text(out_dir, "estimate.json",
                 est.to_json(scenario=cfg.label, control=control.name) + "\n", manifest)
@@ -292,10 +296,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
     except ConfigError as e:
-        print("config invalid:", file=sys.stderr)
-        for v in e.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return 2
+        return _report("config invalid:", e.violations)
+    unmet = [f"{path}: {args.subcommand} needs a nonempty value"
+             for path in NEEDS.get(args.subcommand, ()) if not cfg.values[path]]
+    if unmet:
+        return _report("config invalid for this subcommand:", unmet)
 
     handlers = {
         "solve-hjb": cmd_solve_hjb,
@@ -307,13 +312,7 @@ def main(argv=None):
         "simulate": cmd_simulate,
         "counterexample": cmd_counterexample,
     }
-    try:
-        return handlers[args.subcommand](cfg, args, out_dir)
-    except ConfigError as e:
-        print("config invalid for this subcommand:", file=sys.stderr)
-        for v in e.violations:
-            print(f"  - {v}", file=sys.stderr)
-        return 2
+    return handlers[args.subcommand](cfg, args, out_dir)
 
 
 if __name__ == "__main__":

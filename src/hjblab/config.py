@@ -1,11 +1,9 @@
 """Scenario configuration files, validation, and run manifests.
 
-Config files are YAML documents (shipped with a .cfg extension): key/value
-pairs in nested sections.  Loading validates every constraint the downstream
-modules impose and reports all violations at once with field-pathed
-messages, not just the first; unknown keys and catalog parameters are
-violations too.  The fully resolved config, defaults included, is echoed
-into the run manifest so no default stays silent.
+Config files are YAML documents (shipped with a .cfg extension) of nested
+sections.  SCHEMA describes every key once: path, type, default, predicate
+and message.  Loading walks it, reports every violation at once, and echoes
+the resolved config, defaults included, into the run manifest.
 """
 
 from __future__ import annotations
@@ -28,132 +26,250 @@ from .coefficients import (
     make_oracle,
     make_tabulated,
 )
-from .grids import BOX, TORUS, build_grid, field_from_csv
+from .grids import BOX, CENTRAL, TORUS, UPWIND, build_grid, field_from_csv
 from .montecarlo import SimConfig
-from .parabolic import ParabolicScheme
+from .parabolic import CRANK_NICOLSON, IMPLICIT_EULER, ParabolicScheme
 
 
 class ConfigError(ValueError):
     """Carries the full list of validation violations."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
 
-DEFAULTS = {
-    "solver": {
-        "time_stepping": "implicit_euler",
-        "advection": "upwind",
-        "tol": 1e-8,
-        "max_iters": 200,
-    },
-    "mollify": {"eps": []},
-    "mc": {
-        "M": 20000,
-        "dt_sim": 2e-3,
-        "seed": 20260810,
-        "start_time": 0.0,
-        "start_state": None,  # origin by default
-    },
-    "experiment": {
-        "t_mid": [0.25, 0.5, 0.75],
-        "x_samples": [0.0, 0.5, 1.0],
-        "N_list": [1, 2],
-        "suboptimal_action": None,
-        "control": {"type": "argmin"},
-    },
-}
+REQUIRED = object()  # default of a key the config must set
+ABSENT = object()    # default of an optional key the echo leaves out when unset
 
-# every key a section may hold; sections with defaults take exactly those
-KNOWN_KEYS = {
-    "scenario": None,
-    "domain": ("kind", "dim", "extent", "nx"),
-    "time": ("T", "nt"),
-    "coefficients": ("catalog", "params", "tabulated"),
-    "actions": ("list", "family", "N"),
-    **{section: tuple(keys) for section, keys in DEFAULTS.items()},
-}
+FAMILIES = {"bang_bang": bang_bang_family}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One row of SCHEMA.  ``type`` is int (not bool), float (an int too,
+    finite), str, dict or None (any); null counts as unset.  ``default`` and
+    ``check(value, got)`` may read the values resolved so far (``got``, by
+    path) once those in ``needs`` have; a check returns a bool, reported with
+    ``message``, or its own violations.  A ``build`` row reads no key."""
+
+    path: str
+    type: object = None
+    default: object = REQUIRED
+    check: object = None
+    message: str = ""
+    needs: tuple = ()
+    build: object = None
+
+    def violations(self, value, got):
+        result = self.check(value, got) if self.check else True
+        if isinstance(result, list):
+            return result
+        return [] if result else [f"{self.path}: {self.message}"]
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _numbers(v):
+    """v is a nonempty list of numbers."""
+    return isinstance(v, list) and len(v) > 0 and all(map(_number, v))
+
+
+def _interval(v):
+    return _numbers(v) and len(v) == 2 and v[0] < v[1]
+
+
+def _choice(*options):
+    """Check and message of a key that takes one of a few values."""
+    return lambda v, g: v in options, "must be one of " + ", ".join(map(repr, options))
+
+
+def _on_level(t, grid):
+    """t lies on a time level of the grid, as value lookups require."""
+    return abs(round(t / grid.dt) * grid.dt - t) <= 1e-9 * max(1.0, grid.T)
+
+
+def _extent_ok(v, got):
+    per_axis = isinstance(v, list) and len(v) == got["domain.dim"] and all(map(_interval, v))
+    return (_number(v) and v > 0) or _interval(v) or per_axis
+
+
+def _counts_ok(v, got):
+    least = 4 if got["domain.kind"] == BOX else 3  # the line solves need two unknowns
+    counts = v if isinstance(v, list) and len(v) == got["domain.dim"] else [v]
+    return all(_integer(n) and n >= least for n in counts)
+
+
+def _param_violations(params, got):
+    """Catalog parameters that the entry's constructor would not accept."""
+    name = got["coefficients.catalog"]
+    if name is ABSENT:
+        return ["coefficients.params: only a catalog entry takes params"]
+    sig = list(inspect.signature(CATALOG[name]).parameters.values())[1:]  # after domain
+    takes = ", ".join(p.name for p in sig) or "none"
+    out = [f"coefficients.params.{key}: not a parameter of {name} (takes {takes})"
+           for key in params if key not in {p.name for p in sig}]
+    out += [f"coefficients.params.{p.name}: missing, required by {name}"
+            for p in sig if p.default is inspect.Parameter.empty and p.name not in params]
+    if not out and "grid" in got:  # values the constructor refuses on this grid
+        try:
+            make_oracle(name, got["grid"], **params)
+        except (TypeError, ValueError) as e:
+            out.append(f"coefficients.params: {e}")
+    return out
+
+
+def _tabulated_violations(tab, got):
+    """False for a malformed file list, else the files that do not exist."""
+    b, f = tab.get("b"), tab.get("f")
+    if not (isinstance(b, list) and isinstance(f, list) and 0 < len(b) == len(f)
+            and all(isinstance(e, str) or (isinstance(e, list) and e) for e in b)):
+        return False
+    paths = [p for e in b for p in ([e] if isinstance(e, str) else e)] + f
+    if not all(isinstance(p, str) for p in paths):
+        return False
+    return [f"coefficients.tabulated: missing file {p!r}" for p in paths
+            if not os.path.exists(os.path.join(got["base_dir"], p))]
+
+
+def _action_set(values, family, N, catalog):
+    if family:
+        return FAMILIES[family]().prefix(N)
+    if values is not None:
+        return ActionSet(np.asarray(values, dtype=float))
+    return bang_bang_actions() if catalog == "bang_bang" else ActionSet(np.array([1.0]))
+
+
+def _t_mid_ok(v, got):
+    grid, s = got["grid"], got["mc.start_time"]
+    return _numbers(v) and all(s < f * grid.T < grid.T and _on_level(f * grid.T, grid) for f in v)
+
+
+GRID_KEYS = ("domain.kind", "domain.dim", "domain.extent", "domain.nx", "time.T", "time.nt")
+ACTION_KEYS = ("actions.list", "actions.family", "actions.N", "coefficients.catalog")
+
+SCHEMA = (
+    Key("scenario", str, ABSENT),
+    Key("domain", dict, {}),
+    Key("domain.kind", str, REQUIRED, *_choice(TORUS, BOX)),
+    Key("domain.dim", int, REQUIRED, *_choice(1, 2)),
+    Key("domain.extent", None, REQUIRED, _extent_ok, "expected a length L > 0, an interval "
+        "[lo, hi] with lo < hi, or one interval per axis", ("domain.dim",)),
+    Key("domain.nx", None, REQUIRED, _counts_ok, "expected one integer per axis, >= 3 on a "
+        "torus and >= 4 on a box", ("domain.kind", "domain.dim")),
+    Key("time", dict, {}),
+    Key("time.T", float, REQUIRED, lambda v, g: v > 0, "must be positive"),
+    Key("time.nt", int, REQUIRED, lambda v, g: v >= 1, "must be >= 1"),
+    Key("grid", needs=GRID_KEYS, build=lambda g: build_grid(*(g[k] for k in GRID_KEYS))),
+    Key("coefficients", dict, REQUIRED,
+        lambda v, g: (v.get("catalog") is None) != (v.get("tabulated") is None),
+        "needs exactly one of coefficients.catalog and coefficients.tabulated"),
+    Key("coefficients.catalog", str, ABSENT, *_choice(*sorted(CATALOG))),
+    Key("coefficients.params", dict,
+        lambda g: ABSENT if g["coefficients.catalog"] is ABSENT else {},
+        _param_violations, needs=("coefficients.catalog",)),
+    Key("coefficients.tabulated", dict, ABSENT, _tabulated_violations,
+        "needs 'b' and 'f' file lists, one entry per action"),
+    Key("actions", dict, {}),
+    Key("actions.list", None, None, lambda v, g: v is None or (
+        _numbers(v) and len(set(v)) == len(v)), "expected a nonempty list of distinct numbers"),
+    Key("actions.family", str, "", *_choice("", *FAMILIES)),
+    Key("actions.N", int, 0, lambda v, g: v >= 1 or not g["actions.family"],
+        "a family needs a truncation length N >= 1", ("actions.family",)),
+    Key("action set", needs=ACTION_KEYS, build=lambda g: _action_set(*(g[k] for k in ACTION_KEYS))),
+    Key("solver", dict, {}),
+    Key("solver.time_stepping", str, IMPLICIT_EULER, *_choice(IMPLICIT_EULER, CRANK_NICOLSON)),
+    Key("solver.advection", str, UPWIND, *_choice(UPWIND, CENTRAL)),
+    Key("solver.tol", float, 1e-8, lambda v, g: v > 0, "must be positive"),
+    Key("solver.max_iters", int, 200, lambda v, g: v >= 1, "must be >= 1"),
+    Key("mollify", dict, {}),
+    Key("mollify.eps", None, [], lambda v, g: v == [] or (_numbers(v) and v[-1] > 0 and all(
+        e2 < e1 for e1, e2 in zip(v, v[1:]))), "expected a strictly decreasing list of "
+        "positive numbers"),
+    Key("mc", dict, {}),
+    Key("mc.M", int, 20000, lambda v, g: v >= 1, "must be >= 1"),
+    Key("mc.seed", int, 20260810),
+    Key("mc.start_time", float, 0.0,
+        lambda v, g: 0 <= v < g["grid"].T and _on_level(v, g["grid"]),
+        "must be a multiple of time.T / time.nt in [0, time.T)", ("grid",)),
+    Key("mc.dt_sim", float, 2e-3, lambda v, g: 0 < v <= g["time.T"] - g["mc.start_time"] + 1e-12,
+        "must be positive and at most time.T - mc.start_time", ("time.T", "mc.start_time")),
+    Key("mc.start_state", None, None, lambda v, g: v is None or (
+        _numbers(v) and len(v) == g["domain.dim"]), "expected domain.dim numbers", ("domain.dim",)),
+    Key("experiment", dict, {}),
+    Key("experiment.t_mid", None, [0.25, 0.5, 0.75], _t_mid_ok, "expected a nonempty list of "
+        "fractions f of time.T, each f * time.T a multiple of time.T / time.nt in "
+        "(mc.start_time, time.T)", ("grid", "mc.start_time")),
+    Key("experiment.x_samples", None, [0.0, 0.5, 1.0], lambda v, g: _numbers(v),
+        "expected a nonempty list of numbers"),
+    Key("experiment.N_list", None, [1, 2], lambda v, g: isinstance(v, list) and len(v) > 0 and all(
+        _integer(N) and N >= 1 for N in v), "expected a nonempty list of integers >= 1"),
+    Key("experiment.suboptimal_action", int, None,
+        lambda v, g: v is None or 0 <= v < len(g["action set"]),
+        "must index the action set (from actions.list, or actions.family and actions.N)",
+        ("action set",)),
+    Key("experiment.control", dict, {}),
+    Key("experiment.control.type", str, "argmin", *_choice("argmin", "constant", "diagonal")),
+    Key("experiment.control.value", float, ABSENT),
+)
+
+PATHS = {key.path for key in SCHEMA if key.build is None}
+SECTIONS = {path.rpartition(".")[0] for path in PATHS} - {""}
+TYPES = {int: (_integer, "an integer"), float: (_number, "a finite number"),
+         str: (lambda v: isinstance(v, str), "a string"),
+         dict: (lambda v: isinstance(v, dict), "a mapping")}
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario: grid, actions, coefficients, solver and run knobs."""
+    """Validated scenario: run knobs, the echo, and the resolved values by path."""
 
     label: str
     grid: object
-    action_values: list
-    action_family: str
-    family_N: int
-    coefficients: dict
     scheme: ParabolicScheme
     tol: float
     max_iters: int
     eps_list: list
     mc: dict
     experiment: dict
-    echo: dict = field(default_factory=dict)
-    base_dir: str = "."
+    echo: dict
+    values: dict
 
     def build_oracle(self):
-        spec = self.coefficients
-        if spec.get("tabulated"):
-            tab = spec["tabulated"]
-            n_actions = len(tab["f"])
-            F = []
-            Bv = []
-            for ia in range(n_actions):
-                f_field = field_from_csv(self.grid, os.path.join(self.base_dir, tab["f"][ia]))
-                F.append(f_field.values)
-                b_paths = tab["b"][ia]
-                if isinstance(b_paths, str):
-                    b_paths = [b_paths]
-                comps = [field_from_csv(self.grid, os.path.join(self.base_dir, p)).values
-                         for p in b_paths]
-                Bv.append(np.stack(comps, axis=-1))
-            return make_tabulated(self.grid, np.stack(Bv), np.stack(F))
-        return make_oracle(spec["catalog"], self.grid, **spec.get("params", {}))
+        spec = self.echo["coefficients"]
+        if "catalog" in spec:
+            return make_oracle(spec["catalog"], self.grid, **spec["params"])
+
+        def load(p):
+            return field_from_csv(self.grid, os.path.join(self.values["base_dir"], p)).values
+
+        B = [np.stack([load(p) for p in ([b] if isinstance(b, str) else b)], axis=-1)
+             for b in spec["tabulated"]["b"]]
+        return make_tabulated(self.grid, np.stack(B),
+                              np.stack([load(f) for f in spec["tabulated"]["f"]]))
 
     def build_action_set(self):
-        if self.action_family:
-            return self.family().prefix(self.family_N)
-        if self.action_values is not None:
-            return ActionSet(np.asarray(self.action_values, dtype=float))
-        if self.coefficients.get("catalog") == "bang_bang":
-            return bang_bang_actions()
-        return ActionSet(np.array([1.0]))
+        return _action_set(*(self.values[k] for k in ACTION_KEYS))
 
     def family(self):
-        families = {"bang_bang": bang_bang_family()}
-        if self.action_family not in families:
-            raise ConfigError([f"actions.family: unknown family {self.action_family!r}"])
-        return families[self.action_family]
+        return FAMILIES[self.values["actions.family"]]()
 
     def build_sim(self, seed_override=None, n_threads=1):
-        start_state = self.mc["start_state"]
-        if start_state is None:
-            start_state = [0.0] * self.grid.dim
-        return SimConfig(
-            n_paths=int(self.mc["M"]),
-            dt_sim=float(self.mc["dt_sim"]),
-            seed=int(seed_override if seed_override is not None else self.mc["seed"]),
-            start_time=float(self.mc["start_time"]),
-            start_state=tuple(start_state),
-            n_threads=int(n_threads),
-        )
+        mc = self.mc
+        return SimConfig(n_paths=mc["M"], dt_sim=mc["dt_sim"],
+                         seed=mc["seed"] if seed_override is None else seed_override,
+                         start_time=mc["start_time"],
+                         start_state=tuple(mc["start_state"] or [0.0] * self.grid.dim),
+                         n_threads=n_threads)
 
     def config_hash(self):
-        return hashlib.sha256(
-            json.dumps(self.echo, sort_keys=True).encode()
-        ).hexdigest()
-
-
-def _merge_defaults(section, defaults):
-    out = dict(defaults)
-    out.update(section or {})
-    return out
+        return hashlib.sha256(json.dumps(self.echo, sort_keys=True).encode()).hexdigest()
 
 
 def load_config(path):
@@ -172,175 +288,57 @@ def load_config(path):
     return validate_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _unknown_keys(raw):
-    """Violations for sections and keys that no code reads; raises at once on
-    a section that is not a mapping."""
-    out = []
-    for section, body in raw.items():
-        if section not in KNOWN_KEYS:
-            out.append(f"{section}: unknown section")
-        elif KNOWN_KEYS[section] is None or body is None:
-            continue
-        elif not isinstance(body, dict):
-            raise ConfigError(out + [f"{section}: expected a mapping"])
-        else:
-            out.extend(f"{section}.{key}: unknown key"
-                       for key in body if key not in KNOWN_KEYS[section])
-    return out
-
-
-def _param_violations(name, params):
-    """Catalog parameters that the entry's constructor would not accept."""
-    if not isinstance(params, dict):
-        return ["coefficients.params: expected a mapping"]
-    sig = list(inspect.signature(CATALOG[name]).parameters.values())[1:]  # after domain
-    takes = ", ".join(p.name for p in sig) or "none"
-    out = [f"coefficients.params.{key}: not a parameter of {name} (takes {takes})"
-           for key in params if key not in {p.name for p in sig}]
-    out += [f"coefficients.params.{p.name}: missing, required by {name}"
-            for p in sig if p.default is inspect.Parameter.empty and p.name not in params]
-    return out
+def resolve(raw, base_dir="."):
+    """Walk SCHEMA once over a parsed config: the resolved values by path,
+    the grid and action set included, or a ConfigError with every violation."""
+    violations = [f"{key}: unknown section" for key in raw if key not in PATHS]
+    got = {"": raw, "base_dir": base_dir}
+    for key in SCHEMA:
+        parent, _, name = key.path.rpartition(".")
+        if parent not in got or not all(n in got for n in key.needs):
+            continue  # an input is invalid, and its own row says so
+        value = key.build(got) if key.build else got[parent].get(name)
+        if value is None:
+            value = key.default(got) if callable(key.default) else key.default
+            if value is REQUIRED:
+                violations.append(f"{key.path}: missing")
+                continue
+        elif key.type:
+            is_type, type_name = TYPES[key.type]
+            if not is_type(value):
+                violations.append(f"{key.path}: expected {type_name}")
+                continue
+            value = float(value) if key.type is float else value
+        if value is not ABSENT:
+            bad = key.violations(value, got)
+            if key.path in SECTIONS:
+                bad += [f"{key.path}.{k}: unknown key" for k in value
+                        if f"{key.path}.{k}" not in PATHS]
+            if bad:
+                violations += bad
+                continue
+        got[key.path] = value
+    if violations:
+        raise ConfigError(violations)
+    return got
 
 
 def validate_config(raw, base_dir="."):
-    violations = _unknown_keys(raw)
-
-    def need(section, key, typ, pred=None, msg=""):
-        sec = raw.get(section)
-        if not isinstance(sec, dict) or key not in sec:
-            violations.append(f"{section}.{key}: missing")
-            return None
-        val = sec[key]
-        if typ is float and isinstance(val, int):
-            val = float(val)
-        if not isinstance(val, typ):
-            violations.append(f"{section}.{key}: expected {getattr(typ, '__name__', typ)}")
-            return None
-        if pred and not pred(val):
-            violations.append(f"{section}.{key}: {msg}")
-            return None
-        return val
-
-    kind = need("domain", "kind", str, lambda v: v in (TORUS, BOX), "must be torus or box")
-    dim = need("domain", "dim", int, lambda v: v in (1, 2), "must be 1 or 2")
-    extent = (raw.get("domain") or {}).get("extent")
-    nx = need("domain", "nx", (int, list), lambda v: True, "")
-    T = need("time", "T", (int, float), lambda v: v > 0, "must be positive")
-    nt = need("time", "nt", int, lambda v: v >= 1, "must be >= 1")
-    if extent is None:
-        violations.append("domain.extent: missing")
-
-    grid = None
-    if not violations:
-        try:
-            grid = build_grid(kind, dim, extent, nx, float(T), nt)
-        except Exception as e:
-            violations.append(f"domain/time: {e}")
-
-    coeffs = raw.get("coefficients")
-    coeff_spec = {}
-    if not isinstance(coeffs, dict):
-        violations.append("coefficients: missing section")
-    else:
-        if "catalog" in coeffs:
-            coeff_spec = {"catalog": coeffs["catalog"], "params": coeffs.get("params", {}) or {}}
-            if coeffs["catalog"] not in CATALOG:
-                violations.append(f"coefficients.catalog: unknown entry {coeffs['catalog']!r}")
-            else:
-                bad = _param_violations(coeffs["catalog"], coeff_spec["params"])
-                violations.extend(bad)
-                if grid is not None and not bad:
-                    try:  # values the constructor refuses on this grid
-                        make_oracle(coeffs["catalog"], grid, **coeff_spec["params"])
-                    except (TypeError, ValueError) as e:
-                        violations.append(f"coefficients.params: {e}")
-        elif "tabulated" in coeffs:
-            tab = coeffs["tabulated"]
-            if not isinstance(tab, dict) or "b" not in tab or "f" not in tab:
-                violations.append("coefficients.tabulated: needs 'b' and 'f' file lists")
-            else:
-                paths = []
-                for entry in tab["b"]:
-                    paths.extend([entry] if isinstance(entry, str) else list(entry))
-                paths.extend(tab["f"])
-                for p in paths:
-                    if not os.path.exists(os.path.join(base_dir, p)):
-                        violations.append(f"coefficients.tabulated: missing file {p!r}")
-                coeff_spec = {"tabulated": tab}
-        else:
-            violations.append("coefficients: needs 'catalog' or 'tabulated'")
-
-    actions = raw.get("actions", {}) or {}
-    action_values = actions.get("list")
-    action_family = actions.get("family", "")
-    family_N = int(actions.get("N", 0) or 0)
-    if action_values is not None and not isinstance(action_values, list):
-        violations.append("actions.list: expected a list of actions")
-    if action_family and family_N < 1:
-        violations.append("actions.N: a family needs a truncation length N >= 1")
-
-    solver = _merge_defaults(raw.get("solver"), DEFAULTS["solver"])
-    scheme = None
-    try:
-        scheme = ParabolicScheme(time_stepping=solver["time_stepping"],
-                                 advection=solver["advection"])
-    except Exception as e:
-        violations.append(f"solver: {e}")
-    if not (isinstance(solver["tol"], (int, float)) and solver["tol"] > 0):
-        violations.append("solver.tol: must be positive")
-    if not (isinstance(solver["max_iters"], int) and solver["max_iters"] >= 1):
-        violations.append("solver.max_iters: must be >= 1")
-
-    mol = _merge_defaults(raw.get("mollify"), DEFAULTS["mollify"])
-    eps_list = list(mol["eps"] or [])
-    if any(not isinstance(e, (int, float)) or e <= 0 for e in eps_list):
-        violations.append("mollify.eps: entries must be positive numbers")
-    elif any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        violations.append("mollify.eps: ladder must be strictly decreasing")
-
-    mc = _merge_defaults(raw.get("mc"), DEFAULTS["mc"])
-    if not (isinstance(mc["M"], int) and mc["M"] >= 1):
-        violations.append("mc.M: must be >= 1")
-    if not (isinstance(mc["dt_sim"], (int, float)) and mc["dt_sim"] > 0):
-        violations.append("mc.dt_sim: must be positive")
-    if not isinstance(mc["seed"], int):
-        violations.append("mc.seed: must be an integer")
-
-    exp = _merge_defaults(raw.get("experiment"), DEFAULTS["experiment"])
-    if not (isinstance(exp["N_list"], list) and exp["N_list"]
-            and all(isinstance(N, int) and N >= 1 for N in exp["N_list"])):
-        violations.append("experiment.N_list: expected a nonempty list of integers >= 1")
-
-    if violations:
-        raise ConfigError(violations)
-
-    echo = {
-        "label": raw.get("scenario", coeff_spec.get("catalog", "scenario")),
-        "domain": {"kind": kind, "dim": dim, "extent": extent, "nx": nx},
-        "time": {"T": float(T), "nt": nt},
-        "actions": {"list": action_values, "family": action_family, "N": family_N},
-        "coefficients": coeff_spec,
-        "solver": solver,
-        "mollify": {"eps": eps_list},
-        "mc": mc,
-        "experiment": exp,
-    }
+    got = resolve(raw, base_dir)
+    echo = {}
+    for key in SCHEMA:  # every set or defaulted key but the sections
+        if key.path in PATHS and key.path not in SECTIONS and got[key.path] is not ABSENT:
+            *sections, name = key.path.split(".")
+            node = echo
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[name] = got[key.path]
+    echo["label"] = echo.pop("scenario", echo["coefficients"].get("catalog", "scenario"))
     return ScenarioConfig(
-        label=echo["label"],
-        grid=grid,
-        action_values=action_values,
-        action_family=action_family,
-        family_N=family_N,
-        coefficients=coeff_spec,
-        scheme=scheme,
-        tol=float(solver["tol"]),
-        max_iters=int(solver["max_iters"]),
-        eps_list=eps_list,
-        mc=mc,
-        experiment=exp,
-        echo=echo,
-        base_dir=base_dir,
-    )
+        label=echo["label"], grid=got["grid"],
+        scheme=ParabolicScheme(got["solver.time_stepping"], got["solver.advection"]),
+        tol=got["solver.tol"], max_iters=got["solver.max_iters"], eps_list=got["mollify.eps"],
+        mc=echo["mc"], experiment=echo["experiment"], echo=echo, values=got)
 
 
 @dataclass

@@ -502,8 +502,8 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
         values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
         sups = []
         for eps, _, (B_eps, F_eps), V_eps in walk:
-            mask = _interior_gap_mask(grid, eps)
-            sups.append(float(np.max(np.abs((V_eps.values - values[N].values)[mask]))))
+            interior = np.abs(V_eps.values - values[N].values)[_interior_gap_mask(grid, eps)]
+            sups.append(float(np.max(interior)) if interior.size else np.nan)
             eps_rows.append([N, eps, sups[-1]])
             if j_raw is not None and N == N_list[0]:
                 # action 0 of every prefix is a_1: its mollified tables are prefix 1's

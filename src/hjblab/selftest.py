@@ -195,15 +195,17 @@ def _crit3_crit4_agreement(out_dir, artifacts):
         u_dir = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
         sup = float(np.max(np.abs(u_pi.values - u_dir.values)))
         descent = max(trace.max_pos_diffs[1:], default=0.0)
+        flagged = len(u_dir.meta["inner_flagged_steps"])
         rows[name] = {
             "sup_diff": sup,
             "iterations": trace.iterations,
             "converged": trace.converged,
             "descent_violation": descent,
             "residual": trace.residuals[-1],
+            "flagged_steps": flagged,
         }
         pi_fields[name] = (u_pi, policy, trace, u_dir)
-        if sup > 10 * tol or trace.iterations > 50 or not trace.converged:
+        if sup > 10 * tol or trace.iterations > 50 or not trace.converged or flagged:
             ok3 = False
         if descent > 1e-10:
             ok4 = False

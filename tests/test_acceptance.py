@@ -7,14 +7,20 @@ pass/fail line per criterion is printed (visible with pytest -s; the CLI
 """
 
 import filecmp
+import json
 import os
 import re
 from types import SimpleNamespace
 
 import pytest
 
-from hjblab import hjb
-from hjblab.selftest import _crit7_sweeps, multi_action_scenarios, run_selftest
+from hjblab import hjb, selftest
+from hjblab.selftest import (
+    _crit3_crit4_agreement,
+    _crit7_sweeps,
+    multi_action_scenarios,
+    run_selftest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +132,15 @@ def test_criterion_7_sweeps_fail_on_flagged_inner_steps(tmp_path, monkeypatch):
     assert not o.passed
     flagged = [int(n) for n in re.findall(r"flagged_steps=(\d+)", o.detail)]
     assert len(flagged) == len(multi_action_scenarios()) and min(flagged) > 0, o.detail
+
+
+def test_criterion_3_fails_on_flagged_inner_steps(tmp_path, monkeypatch):
+    # on step_drift the capped direct march still matches policy iteration,
+    # so only its flagged steps can fail the criterion
+    step_drift = multi_action_scenarios()["step_drift"]
+    monkeypatch.setattr(selftest, "multi_action_scenarios", lambda: {"step_drift": step_drift})
+    monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
+    out3, _, _ = _crit3_crit4_agreement(str(tmp_path), [])
+    row = json.loads((tmp_path / "oracle_agreement.json").read_text())["step_drift"]
+    assert row["sup_diff"] <= 1e-7 and row["converged"] and row["flagged_steps"] > 0, row
+    assert not out3.passed

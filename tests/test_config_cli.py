@@ -1,14 +1,32 @@
+import contextlib
+import copy
+import functools
 import glob
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjblab import hjb
 from hjblab.cli import main
 from hjblab.coefficients import ActionSet, make_step_drift, sample_to_grid
-from hjblab.config import ConfigError, RunManifest, load_config, validate_config
+from hjblab.config import (
+    ABSENT,
+    PATHS,
+    REQUIRED,
+    SCHEMA,
+    SECTIONS,
+    ConfigError,
+    RunManifest,
+    load_config,
+    resolve,
+    validate_config,
+)
 from hjblab.grids import build_grid, field_to_csv
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -380,3 +398,218 @@ def test_cli_rejects_nonpositive_threads(tmp_path, threads):
               "--threads", threads])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+# ------------------------------ schema ---------------------------------------
+
+
+def test_every_default_satisfies_its_own_predicate():
+    # a config that sets only the required keys resolves every other row to
+    # its default, in the context of the grid and action set it builds
+    raw = {"domain": BASE["domain"], "time": BASE["time"],
+           "coefficients": {"catalog": "bang_bang"}}
+    got = resolve(raw)
+    for key in SCHEMA:
+        default = key.default(got) if callable(key.default) else key.default
+        if key.build or default is REQUIRED or default is ABSENT or key.path in raw:
+            continue
+        assert got[key.path] == default, key.path
+        assert key.violations(default, got) == [], key.path
+
+
+DELETE = object()
+
+
+# libyaml's loader and dumper where present: the fuzz writes hundreds of variants
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(name):
+    with open(shipped(name)) as fh:
+        return yaml.load(fh, Loader=LOADER)
+
+
+def _variant(tmp_path, name, edits):
+    """A shipped config with {dotted path: value} edits; DELETE drops a key."""
+    raw = copy.deepcopy(_parsed(name))
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        node = raw
+        for part in parents:
+            node = node.setdefault(part, {})
+        if value is DELETE:
+            node.pop(key, None)
+        else:
+            node[key] = value
+    out = tmp_path / "variant.cfg"
+    out.write_text(yaml.dump(raw, Dumper=DUMPER))
+    return str(out)
+
+
+def _run(argv):
+    """main(argv) in-process: (exit code, stderr); an exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+SMALL_BANG = {"mc.M": 200, "time.nt": 32}
+
+# inputs that once ended in a traceback from inside a subcommand
+PROBES = [
+    ("bang_bang.cfg", {"experiment.t_mid": [2.0]}, "dpp-check", "experiment.t_mid"),
+    ("bang_bang.cfg", {"experiment.t_mid": 0.5}, "dpp-check", "experiment.t_mid"),
+    *[("bang_bang.cfg", {"mc.start_state": [0.5, 0.1, 3]}, sub, "mc.start_state")
+      for sub in ("verify", "dpp-check", "simulate")],
+    *[("bang_bang.cfg", {"mc.start_state": "abc"}, sub, "mc.start_state")
+      for sub in ("solve-hjb", "policy-iter", "simulate")],
+    ("bang_bang.cfg", {"experiment.suboptimal_action": 7}, "dpp-check",
+     "experiment.suboptimal_action"),
+    *[("bang_bang.cfg", {"mc.start_time": 5.0}, sub, "mc.start_time")
+      for sub in ("verify", "simulate", "dpp-check")],
+    ("bang_bang.cfg", {"actions.list": ["a", "b"]}, "solve-hjb", "actions.list"),
+    ("bang_bang.cfg", {"actions.list": []}, "policy-iter", "actions.list"),
+    ("bang_bang.cfg", {"actions.N": "x"}, "solve-hjb", "actions.N"),
+    ("counterexample.cfg", {"experiment.control": {"type": "constant", "value": "abc"}},
+     "simulate", "experiment.control.value"),
+    ("counterexample.cfg", {"experiment.x_samples": "foo"}, "counterexample",
+     "experiment.x_samples"),
+    ("bang_bang.cfg", {"domain.dim": True}, "solve-hjb", "domain.dim"),
+    ("bang_bang.cfg", {"mc.M": True}, "simulate", "mc.M"),
+]
+
+
+@pytest.mark.parametrize("name, edits, subcommand, path", PROBES)
+def test_traceback_probes_exit_2_naming_the_key(tmp_path, name, edits, subcommand, path):
+    if name == "bang_bang.cfg":
+        edits = SMALL_BANG | edits
+    cfg = _variant(tmp_path, name, edits)
+    code, err = _run([subcommand, cfg, "--out", str(tmp_path / "out")])
+    assert code == 2 and path in err, err
+
+
+@pytest.mark.parametrize("edits, subcommand, message", [
+    ({"mollify.eps": []}, "truncation-study", "mollify.eps: truncation-study needs"),
+    ({"mollify.eps": []}, "mollify-sweep", "mollify.eps: mollify-sweep needs"),
+    ({"actions.family": DELETE}, "truncation-study", "actions.family: truncation-study needs"),
+])
+def test_subcommand_needs_a_ladder_and_a_family(tmp_path, edits, subcommand, message):
+    cfg = _variant(tmp_path, "truncation.cfg", edits)
+    code, err = _run([subcommand, cfg, "--out", str(tmp_path / "out")])
+    assert code == 2 and message in err, err
+
+
+# ------------------------------ fuzz -----------------------------------------
+
+# the shipped configs cut to a few nodes and paths, so that a run is cheap
+FUZZ_BASE = {
+    "bang_bang.cfg": {"domain.nx": 8, "time.nt": 8, "mc.M": 20},
+    "step_drift.cfg": {"domain.nx": 8, "time.nt": 8, "mc.M": 20},
+    "checkerboard.cfg": {"domain.nx": 8, "time.nt": 8, "mc.M": 20},
+    "smooth_baseline.cfg": {"domain.nx": 8, "time.nt": 8, "mc.M": 20},
+    "truncation.cfg": {"domain.nx": 8, "time.nt": 8, "mc.M": 20},
+    "counterexample.cfg": {"domain.nx": 25, "time.nt": 16, "mc.M": 20},
+}
+# the subcommands each shipped config serves, every subcommand on at least
+# one config, and which of them read a section or key
+SERVES = {
+    "truncation.cfg": ("truncation-study",),
+    "bang_bang.cfg": ("policy-iter", "dpp-check", "mollify-sweep"),
+    "step_drift.cfg": ("mollify-sweep", "dpp-check"),
+    "checkerboard.cfg": ("solve-hjb", "mollify-sweep", "dpp-check"),
+    "smooth_baseline.cfg": ("verify", "mollify-sweep", "simulate"),
+    "counterexample.cfg": ("counterexample", "simulate"),
+}
+READERS = {
+    "coefficients": ("solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
+                     "simulate", "truncation-study"),
+    "actions": ("solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
+                "simulate", "truncation-study"),
+    "solver": ("solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
+               "truncation-study"),
+    "mollify": ("mollify-sweep", "truncation-study"),
+    "mc": ("verify", "dpp-check", "simulate", "truncation-study", "counterexample"),
+    "experiment.t_mid": ("dpp-check",),
+    "experiment.suboptimal_action": ("dpp-check",),
+    "experiment.x_samples": ("counterexample",),
+    "experiment.N_list": ("truncation-study",),
+    "experiment.control": ("simulate",),
+}
+
+
+def _rows_set(node, prefix=""):
+    """(path, value) of every schema row a parsed config sets, sections excluded."""
+    for key, value in node.items():
+        path = prefix + key
+        if path in SECTIONS and isinstance(value, dict):
+            yield from _rows_set(value, path + ".")
+        elif path in PATHS:
+            yield path, value
+
+
+# each distinct (key, value) the shipped configs set, with the first config
+# that sets it; keys that take any value of their type (the label, the seed)
+# count once.  A key that holds its default is not unset, which would change
+# nothing; nor is mc.M, whose 20000-path default is valid and costs seconds.
+DEFAULT_OF = {key.path: key.default for key in SCHEMA}
+FUZZ_CASES = {}
+for _name in SERVES:
+    for _path, _value in _rows_set(_parsed(_name)):
+        _seen = (_path, "" if _path in ("scenario", "mc.seed") else repr(_value))
+        _unset = _path != "mc.M" and _value != DEFAULT_OF[_path]
+        FUZZ_CASES.setdefault(_seen, (_name, _path, _value, _unset))
+FUZZ_CASES = list(FUZZ_CASES.values())
+
+
+def _breaks(value):
+    """Strategies for replacing a value: by one of another type, below or
+    above its range, or of the wrong length."""
+    low = st.one_of(st.integers(-3, 0), st.floats(-3.0, 0.0), st.just(float("nan")))
+    high = st.one_of(st.integers(2, 3), st.floats(1.0, 1.5), st.just(float("inf")))
+    text = st.text(min_size=1, max_size=4)
+    if isinstance(value, list):
+        return [st.one_of(text, st.booleans(), low), st.lists(low, min_size=1, max_size=3),
+                st.lists(high, min_size=1, max_size=3),
+                st.sampled_from([value[:-1], value + value[-1:]])]
+    if isinstance(value, str):
+        return [st.one_of(st.integers(), st.booleans()), text, st.just([value])]
+    if isinstance(value, dict):
+        return [st.one_of(st.integers(), text),
+                st.dictionaries(text, st.one_of(low, high, text), min_size=1, max_size=2),
+                st.just([value])]
+    return [st.one_of(text, st.booleans(), st.just({"a": 1})), low, high, st.just([value, value])]
+
+
+def _readers(name, path):
+    """The subcommands of a config that read a key: those of the longest
+    READERS prefix of its path, or every subcommand the config serves."""
+    prefixes = [path.rsplit(".", i)[0] for i in range(path.count(".") + 1)]
+    readers = next((READERS[p] for p in prefixes if p in READERS), SERVES[name])
+    return [sub for sub in SERVES[name] if sub in readers]
+
+
+@pytest.mark.parametrize("name, path, value, may_unset", FUZZ_CASES,
+                         ids=[f"{case[0]}:{case[1]}" for case in FUZZ_CASES])
+@settings(derandomize=True, database=None, max_examples=1, deadline=None)
+@given(data=st.data())
+def test_mutated_shipped_configs_never_end_in_a_traceback(tmp_path_factory, data, name, path,
+                                                          value, may_unset):
+    # one key of a shipped config broken each way: every subcommand that
+    # reads it runs (0), fails a check (1) or rejects the config naming the key (2)
+    readers = _readers(name, path)
+    assert readers, f"no subcommand of {name} reads {path}"
+    tmp = tmp_path_factory.mktemp("fuzz")
+    for broken in _breaks(value) + [st.just(DELETE)] * may_unset:
+        cfg = _variant(tmp, name, FUZZ_BASE[name] | {path: data.draw(broken)})
+        for subcommand in readers:
+            code, err = _run([subcommand, cfg, "--out", str(tmp / "out")])
+            # a catalog constructor that refuses the grid speaks for itself,
+            # under coefficients.params
+            named = path in err or (path.startswith(("domain.", "time."))
+                                    and "coefficients.params: " in err)
+            assert code in (0, 1) or (code == 2 and named), (subcommand, code, err)
+            if err.startswith("config invalid:"):
+                break  # a config that does not load fails alike for every subcommand
