@@ -125,17 +125,36 @@ def _param_violations(params, got):
     return out
 
 
-def _tabulated_violations(tab, got):
-    """False for a malformed file list, else the files that do not exist."""
+def _files(entry):
+    return [entry] if isinstance(entry, str) else entry
+
+
+def _tabulated_ok(tab, got):
+    """'b' and 'f' list one entry per action, a 'b' entry one file per axis."""
     b, f = tab.get("b"), tab.get("f")
-    if not (isinstance(b, list) and isinstance(f, list) and 0 < len(b) == len(f)
-            and all(isinstance(e, str) or (isinstance(e, list) and e) for e in b)):
-        return False
-    paths = [p for e in b for p in ([e] if isinstance(e, str) else e)] + f
-    if not all(isinstance(p, str) for p in paths):
-        return False
-    return [f"coefficients.tabulated: missing file {p!r}" for p in paths
-            if not os.path.exists(os.path.join(got["base_dir"], p))]
+    return (isinstance(b, list) and isinstance(f, list) and 0 < len(b) == len(f)
+            and all(isinstance(e, (str, list)) and len(_files(e)) == got["domain.dim"] for e in b)
+            and all(isinstance(p, str) for p in sum(map(_files, b), f)))
+
+
+def _tabulated_tables(got):
+    """The (B, F) tables of coefficients.tabulated, each file loaded once on
+    the built grid, or a violation per file that is missing or does not fit."""
+    tab = got["coefficients.tabulated"]
+    if tab is ABSENT:
+        return ABSENT
+    fields, bad = {}, []
+    for p in sorted(set(sum(map(_files, tab["b"]), tab["f"]))):
+        path = os.path.join(got["base_dir"], p)
+        if not os.path.exists(path):
+            bad.append(f"coefficients.tabulated: missing file {p!r}")
+            continue
+        try:
+            fields[p] = field_from_csv(got["grid"], path).values
+        except (OSError, ValueError) as e:
+            bad.append(f"coefficients.tabulated: file {p!r} does not load on the grid: {e}")
+    return bad or (np.stack([np.stack([fields[p] for p in _files(b)], axis=-1) for b in tab["b"]]),
+                   np.stack([fields[p] for p in tab["f"]]))
 
 
 def _action_set(values, family, N, catalog):
@@ -174,8 +193,10 @@ SCHEMA = (
     Key("coefficients.params", dict,
         lambda g: ABSENT if g["coefficients.catalog"] is ABSENT else {},
         _param_violations, needs=("coefficients.catalog",)),
-    Key("coefficients.tabulated", dict, ABSENT, _tabulated_violations,
-        "needs 'b' and 'f' file lists, one entry per action"),
+    Key("coefficients.tabulated", dict, ABSENT, _tabulated_ok, "needs 'b' and 'f' file lists, "
+        "one entry per action, one 'b' file per axis", ("domain.dim",)),
+    Key("tabulated tables", needs=("grid", "coefficients.tabulated"), build=_tabulated_tables,
+        check=lambda v, g: v if isinstance(v, list) else True),
     Key("actions", dict, {}),
     Key("actions.list", None, None, lambda v, g: v is None or (
         _numbers(v) and len(set(v)) == len(v)), "expected a nonempty list of distinct numbers"),
@@ -245,14 +266,7 @@ class ScenarioConfig:
         spec = self.echo["coefficients"]
         if "catalog" in spec:
             return make_oracle(spec["catalog"], self.grid, **spec["params"])
-
-        def load(p):
-            return field_from_csv(self.grid, os.path.join(self.values["base_dir"], p)).values
-
-        B = [np.stack([load(p) for p in ([b] if isinstance(b, str) else b)], axis=-1)
-             for b in spec["tabulated"]["b"]]
-        return make_tabulated(self.grid, np.stack(B),
-                              np.stack([load(f) for f in spec["tabulated"]["f"]]))
+        return make_tabulated(self.grid, *self.values["tabulated tables"])
 
     def build_action_set(self):
         return _action_set(*(self.values[k] for k in ACTION_KEYS))

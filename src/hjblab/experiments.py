@@ -29,8 +29,8 @@ from .montecarlo import (
     FeedbackRule,
     GridPolicyControl,
     constant_control,
-    dpp_residual,
-    simulate_cost,
+    dpp_residuals,
+    simulate_costs,
     value_at,
 )
 from .parabolic import ParabolicScheme, default_scheme, solve_frozen
@@ -82,18 +82,17 @@ def verification_check(u_field, oracle, sim, candidate_controls, argmin_control=
     u_start = float(value_at(u_field, sim.start_time,
                              np.asarray(sim.start_state)[None, :])[0])
 
-    rows = []
-    for name, control in candidate_controls:
-        est = simulate_cost(oracle, control, sim, grid)
-        margin = est.mean - (u_start - 3.0 * est.se - tol_pde)
-        rows.append(VerificationRow(name, "candidate", est.mean, est.se,
-                                    float(margin), bool(margin >= 0)))
-
     if argmin_control is None:
         if not hasattr(u_field, "policy"):
             raise ValueError("no argmin control given and none attached to the value field")
         argmin_control = GridPolicyControl(u_field.policy, name="argmin_feedback")
-    est = simulate_cost(oracle, argmin_control, sim, grid)
+    *ests, est = simulate_costs([(oracle, control) for _, control in candidate_controls]
+                                + [(oracle, argmin_control)], sim, grid)
+    rows = []
+    for (name, _), cand in zip(candidate_controls, ests):
+        margin = cand.mean - (u_start - 3.0 * cand.se - tol_pde)
+        rows.append(VerificationRow(name, "candidate", cand.mean, cand.se,
+                                    float(margin), bool(margin >= 0)))
     gap = abs(est.mean - u_start)
     allowance = 3.0 * est.se + tol_feedback
     rows.append(VerificationRow(getattr(argmin_control, "name", "argmin_feedback"),
@@ -139,18 +138,17 @@ def dpp_battery(u_field, oracle, argmin_control, sim, t_mids, suboptimal_control
     """
     grid = u_field.grid
     tol_pde = 5.0 * (max(grid.dx) ** 2 + grid.dt + sim.dt_sim)
+    controls = [(getattr(argmin_control, "name", "argmin"), argmin_control),
+                *suboptimal_controls]
     rows = []
-    for t_mid in t_mids:
-        est = dpp_residual(u_field, oracle, argmin_control, t_mid, sim)
-        allowance = 3.0 * est.se + tol_pde
-        rows.append(DPPRow(float(t_mid), getattr(argmin_control, "name", "argmin"),
-                           est.mean, est.se, float(allowance), "zero",
-                           bool(abs(est.mean) <= allowance)))
-        for name, control in suboptimal_controls:
-            est2 = dpp_residual(u_field, oracle, control, t_mid, sim)
-            rows.append(DPPRow(float(t_mid), name, est2.mean, est2.se,
-                               float(3.0 * est2.se), "positive",
-                               bool(est2.mean > 3.0 * est2.se)))
+    for t_mid, ests in zip(t_mids, dpp_residuals(
+            u_field, [(oracle, control) for _, control in controls], t_mids, sim)):
+        for k, ((name, _), est) in enumerate(zip(controls, ests)):
+            # the argmin feedback (k = 0) must give zero, the others a positive residual
+            allowance = 3.0 * est.se + (tol_pde if k == 0 else 0.0)
+            rows.append(DPPRow(float(t_mid), name, est.mean, est.se, float(allowance),
+                               "positive" if k else "zero",
+                               bool(est.mean > allowance if k else abs(est.mean) <= allowance)))
     return DPPReport(rows=rows, passed=all(r.passed for r in rows))
 
 
@@ -420,10 +418,9 @@ def counterexample_report(T, x_samples, grid, sim=None, mc_enabled=True):
     if mc_enabled and sim is not None:
         start = np.asarray(sim.start_state)[None, :]
         diag = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
-        for label, oracle, control, exact in (
-                ("feedback a=x", make_counterexample(grid), diag, oracle0),
-                ("drift 1", oracle1, constant_control(1.0), oracle1)):
-            est = simulate_cost(oracle, control, sim, grid)
+        ests = simulate_costs([(make_counterexample(grid), diag),
+                               (oracle1, constant_control(1.0))], sim, grid)
+        for label, est, exact in zip(("feedback a=x", "drift 1"), ests, (oracle0, oracle1)):
             target = float(exact.exact_value(sim.start_time, start, T)[0])
             ok = bool(est.within(target, 3.0, atol=5.0 * sim.dt_sim))
             mc_rows.append((label, est.mean, est.se, target, ok))
@@ -488,15 +485,11 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     """
     scheme = scheme or default_scheme()
     N_list = sorted(int(N) for N in N_list)
-    j_raw = None
-    if sim is not None and eps_list:
-        j_raw = simulate_cost(oracle, constant_control(family.prefix(1).action(0)), sim, grid)
-
     values = {}
     flagged = []
     eps_rows = []
     eps_pass = True
-    open_rows = []
+    open_legs = []  # (eps, leg) of the first prefix's rungs
     for N in N_list:
         B, F = sample_all(oracle, grid, family.prefix(N))
         values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
@@ -505,16 +498,22 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
             interior = np.abs(V_eps.values - values[N].values)[_interior_gap_mask(grid, eps)]
             sups.append(float(np.max(interior)) if interior.size else np.nan)
             eps_rows.append([N, eps, sups[-1]])
-            if j_raw is not None and N == N_list[0]:
-                # action 0 of every prefix is a_1: its mollified tables are prefix 1's
-                j_eps = simulate_cost(
-                    make_tabulated(grid, B_eps[:1], F_eps[:1], name=f"{oracle.name}_eps"),
-                    constant_control(0), sim, grid)
-                open_rows.append([eps, abs(j_eps.mean - j_raw.mean), j_eps.se])
+            if sim is not None and N == N_list[0]:
+                # action 0 of every prefix is a_1: its mollified tables are
+                # prefix 1's; copied, so that the full tables can go
+                open_legs.append((eps, (make_tabulated(
+                    grid, B_eps[:1].copy(), F_eps[:1].copy(), name=f"{oracle.name}_eps"),
+                    constant_control(0))))
             # held here, they would outlive the making of the next rung
             del B_eps, F_eps
         if not all(b <= a + 1e-10 for a, b in zip(sups, sups[1:])):
             eps_pass = False
+    open_rows = []
+    if open_legs:
+        raw = (oracle, constant_control(family.prefix(1).action(0)))
+        j_raw, *j_eps = simulate_costs([raw] + [leg for _, leg in open_legs], sim, grid)
+        open_rows = [[eps, abs(j.mean - j_raw.mean), j.se]
+                     for (eps, _), j in zip(open_legs, j_eps)]
 
     value_table = {}
     for N0, N1 in zip(N_list, N_list[1:]):

@@ -172,32 +172,19 @@ def build_grid(domain_kind, dim, extent, nx, T, nt):
             return list(val)
         return [val] * dim
 
-    ext = []
-    for item in _per_axis(extent):
-        if np.isscalar(item):
-            lo, hi = 0.0, float(item)
-        else:
-            lo, hi = (float(item[0]), float(item[1]))
+    ext = [(0.0, float(item)) if np.isscalar(item) else (float(item[0]), float(item[1]))
+           for item in _per_axis(extent)]
+    for lo, hi in ext:
         if not (hi > lo):
             raise GridError(f"degenerate extent ({lo}, {hi})")
-        ext.append((lo, hi))
 
-    if np.isscalar(nx):
-        nxs = [int(nx)] * dim
-    else:
-        nxs = [int(n) for n in nx]
+    nxs = [int(nx)] * dim if np.isscalar(nx) else [int(n) for n in nx]
     if len(nxs) != dim:
         raise GridError("nx must give one count per axis")
-    for n in nxs:
-        if n < 2:
-            raise GridError(f"nx must be >= 2 per axis, got {n}")
-
-    dxs = []
-    for (lo, hi), n in zip(ext, nxs):
-        if domain_kind == TORUS:
-            dxs.append((hi - lo) / n)
-        else:
-            dxs.append((hi - lo) / (n - 1))
+    if min(nxs) < 2:
+        raise GridError(f"nx must be >= 2 per axis, got {min(nxs)}")
+    # cell-centered torus nodes, endpoint box nodes
+    dxs = [(hi - lo) / (n if domain_kind == TORUS else n - 1) for (lo, hi), n in zip(ext, nxs)]
 
     return Grid(
         domain_kind=domain_kind,

@@ -3,10 +3,11 @@
 X_{n+1} = X_n + b(t_n, X_n, a_n) dt + sqrt(2 dt) xi_n with left-endpoint cost
 quadrature.  Paths run in fixed-size blocks; block j draws from a Philox
 stream keyed by (seed, j) and reduces its own mean and M2, so results are
-bit-identical for a given SimConfig whatever the thread count, and different
-controls under one seed share noise (common random numbers).  Each worker
-thread advances a contiguous group of blocks in one step loop, drawing noise
-step-major NOISE_CHUNK steps at a time, so memory is bounded in n_steps.
+bit-identical for a given SimConfig whatever the thread count.  The legs of a
+batch, (oracle, control) pairs under one seed, share that noise (common random
+numbers): each worker thread advances its contiguous group of blocks for every
+leg in one step loop, drawing noise step-major NOISE_CHUNK steps at a time,
+so memory is bounded in n_steps.
 
 Coordinates wrap into the fundamental domain on the torus; on a box the paths
 may leave and coefficients (and any value-function lookup) see the nearest
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,14 +56,9 @@ class SimConfig:
         object.__setattr__(self, "start_state", tuple(float(v) for v in state))
 
     def echo(self):
-        return {
-            "n_paths": self.n_paths,
-            "dt_sim": self.dt_sim,
-            "seed": self.seed,
-            "start_time": self.start_time,
-            "start_state": list(self.start_state),
-            "block_size": self.block_size,
-        }
+        """Every field but the thread count, which does not change an estimate."""
+        return {k: v for k, v in asdict(self).items() if k != "n_threads"} | {
+            "start_state": list(self.start_state)}
 
 
 @dataclass
@@ -153,62 +149,50 @@ def value_at(u_field, t, X):
         raise SimulationError(f"lookup time {t} is not a grid time level")
     level = min(max(level, 0), grid.nt)
     vals = u_field.values[level]
+    torus = grid.domain_kind == TORUS
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if grid.domain_kind == TORUS:
-        X = grid.wrap(X)
-    else:
-        X = grid.clamp(X)
+    X = grid.wrap(X) if torus else grid.clamp(X)
     if grid.dim == 1:
         ax = grid.space_axis(0)
-        if grid.domain_kind == TORUS:
-            return np.interp(X[:, 0], ax, vals, period=grid.periods[0])
-        return np.interp(X[:, 0], ax, vals)
+        return np.interp(X[:, 0], ax, vals, period=grid.periods[0] if torus else None)
     # bilinear in 2d
-    out = np.empty(X.shape[0])
-    axes = grid.space_axes()
-    idx = []
-    frac = []
-    for k in (0, 1):
-        ax = axes[k]
-        n = grid.nx[k]
-        if grid.domain_kind == TORUS:
-            L = grid.periods[k]
-            pos = (X[:, k] - ax[0]) / grid.dx[k]
-            i0 = np.floor(pos).astype(np.int64)
-            frac.append(pos - i0)
-            idx.append((np.mod(i0, n), np.mod(i0 + 1, n)))
-        else:
-            pos = np.clip((X[:, k] - ax[0]) / grid.dx[k], 0, n - 1 - 1e-12)
-            i0 = np.floor(pos).astype(np.int64)
-            frac.append(pos - i0)
-            idx.append((i0, np.minimum(i0 + 1, n - 1)))
-    (i0x, i1x), (i0y, i1y) = idx
-    fx, fy = frac
-    out = (
+    n = np.asarray(grid.nx)
+    pos = (X - [ax[0] for ax in grid.space_axes()]) / np.asarray(grid.dx)
+    if not torus:
+        pos = np.clip(pos, 0, n - 1 - 1e-12)
+    i0 = np.floor(pos).astype(np.int64)
+    fx, fy = (pos - i0).T
+    (i0x, i0y), (i1x, i1y) = (np.mod(i0, n).T, np.mod(i0 + 1, n).T) if torus else (
+        i0.T, np.minimum(i0 + 1, n - 1).T)
+    return (
         vals[i0x, i0y] * (1 - fx) * (1 - fy)
         + vals[i1x, i0y] * fx * (1 - fy)
         + vals[i0x, i1y] * (1 - fx) * fy
         + vals[i1x, i1y] * fx * fy
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # path engine
 
 
-def _block_totals(oracle, control, sim, grid, t_end, u_field, blocks):
-    """Advance every path of a group of (block index, paths) in one step loop.
+def _block_totals(legs, sim, horizons, grid, u_field, blocks):
+    """Advance every leg over every path of a group of (block index, paths)
+    in one step loop.
 
-    Each block draws the next NOISE_CHUNK steps of its own stream into its
-    columns of one (chunk, paths, d) buffer; drawn in turn, the chunks are
-    one (n_steps, n_block, d) draw, and memory does not grow with n_steps.
-    Returns (paths, per-block means, per-block M2, off-box steps, n_steps).
+    A leg is an (oracle, control) pair with its own X, cost and off-box
+    count; all legs read one noise buffer, into whose columns each block
+    draws the next NOISE_CHUNK steps of its own stream.  Drawn in turn, the
+    chunks are one (n_steps, n_block, d) draw, and memory does not grow with
+    n_steps.  ``horizons`` are sorted (t_end, steps) pairs of one step size;
+    at each, every leg's cost (plus u_field at t_end, when given) is taken.
+    Returns (paths, per-block means, per-block M2, off-box steps, n_steps),
+    the middle three with one entry per (horizon, leg), horizon-major.
     """
     d = grid.dim
     s = sim.start_time
-    n_steps = max(1, int(round((t_end - s) / sim.dt_sim)))
-    dt = (t_end - s) / n_steps
+    n_steps = horizons[-1][1]
+    dt = (horizons[-1][0] - s) / n_steps
     edges = np.cumsum([0] + [n_block for _, n_block in blocks])
     cols = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     key = sim.seed & (2**64 - 1)
@@ -216,9 +200,10 @@ def _block_totals(oracle, control, sim, grid, t_end, u_field, blocks):
             for bi, _ in blocks]
     n = int(edges[-1])
     noise = np.empty((min(NOISE_CHUNK, n_steps), n, d))
-    X = grid.wrap(np.tile(np.asarray(sim.start_state, dtype=float), (n, 1)))
-    cost = np.zeros(n)
-    off_box = 0
+    X = [grid.wrap(np.tile(np.asarray(sim.start_state, dtype=float), (n, 1))) for _ in legs]
+    cost = [np.zeros(n) for _ in legs]
+    off_box = [0] * len(legs)
+    means, m2s, offs = [], [], []
     sqrt2dt = np.sqrt(2.0 * dt)
     torus = grid.domain_kind == TORUS
     for i in range(n_steps):
@@ -228,89 +213,107 @@ def _block_totals(oracle, control, sim, grid, t_end, u_field, blocks):
             for rng, col in zip(rngs, cols):
                 noise[:c, col] = rng.standard_normal((c, col.stop - col.start, d))
         t = s + i * dt
-        # torus paths are kept wrapped, so coefficients see X itself
-        X_eval = X if torus else grid.clamp(X)
-        if not torus:
-            off_box += int(np.count_nonzero(np.any(X != X_eval, axis=-1)))
-        a = control.values(t, X_eval)
-        b, f = oracle.eval(t, X_eval, a)
-        cost += f * dt
-        X += b * dt
-        X += sqrt2dt * noise[j]
-        if torus:
-            X = grid.wrap(X)
-    if u_field is not None:
-        cost += value_at(u_field, t_end, X)
-    means = [float(np.mean(cost[col])) for col in cols]
-    m2s = [float(np.sum((cost[col] - m) ** 2)) for col, m in zip(cols, means)]
-    return n, means, m2s, off_box, n_steps
+        for k, (oracle, control) in enumerate(legs):
+            # torus paths are kept wrapped, so coefficients see X itself
+            X_eval = X[k] if torus else grid.clamp(X[k])
+            if not torus:
+                off_box[k] += int(np.count_nonzero(np.any(X[k] != X_eval, axis=-1)))
+            a = control.values(t, X_eval)
+            b, f = oracle.eval(t, X_eval, a)
+            cost[k] += f * dt
+            X[k] += b * dt
+            X[k] += sqrt2dt * noise[j]
+            if torus:
+                X[k] = grid.wrap(X[k])
+        for t_end, _ in (h for h in horizons if h[1] == i + 1):
+            for k in range(len(legs)):
+                total = cost[k] if u_field is None else cost[k] + value_at(u_field, t_end, X[k])
+                means.append([float(np.mean(total[col])) for col in cols])
+                m2s.append([float(np.sum((total[col] - m) ** 2)) for col, m in zip(cols, means[-1])])
+                offs.append(off_box[k])
+    return n, means, m2s, offs, n_steps
 
 
-def _run(oracle, control, sim, grid, t_end, u_field=None):
+def _run(legs, sim, grid, t_ends, u_field=None):
+    """(mean, se, off-box fraction, n_steps) of every leg at every horizon,
+    horizon-major in the order given.  Horizons whose step sizes are the same
+    double share one step loop; each other step size takes its own."""
     M = sim.n_paths
     blocks = [(bi, min(sim.block_size, M - start))
               for bi, start in enumerate(range(0, M, sim.block_size))]
     # one contiguous group of blocks per worker; per-block streams and
     # moments make the estimate independent of the grouping
     groups = np.array_split(np.arange(len(blocks)), min(sim.n_threads, len(blocks)))
+    loops = {}
+    for t_end in sorted(set(t_ends)):
+        n_steps = max(1, int(round((t_end - sim.start_time) / sim.dt_sim)))
+        loops.setdefault((t_end - sim.start_time) / n_steps, []).append((t_end, n_steps))
+    out = {}
     with ThreadPoolExecutor(max_workers=len(groups)) as ex:
-        results = list(ex.map(
-            lambda g: _block_totals(oracle, control, sim, grid, t_end, u_field,
-                                    [blocks[i] for i in g]),
-            groups))
+        for horizons in loops.values():
+            results = list(ex.map(lambda g: _block_totals(
+                legs, sim, horizons, grid, u_field, [blocks[i] for i in g]), groups))
+            for o, ((t_end, n_steps), k) in enumerate(
+                    (h, k) for h in horizons for k in range(len(legs))):
+                # fixed block order; Chan-style pairwise moment combination
+                # keeps the variance exact for constant integrands
+                n_acc, mean, m2 = 0, 0.0, 0.0
+                for (_, n_b), mean_b, m2_b in zip(blocks, [m for r in results for m in r[1][o]],
+                                                  [v for r in results for v in r[2][o]]):
+                    delta = mean_b - mean
+                    n_new = n_acc + n_b
+                    mean += delta * n_b / n_new
+                    m2 += m2_b + delta * delta * n_acc * n_b / n_new
+                    n_acc = n_new
+                var = m2 / (M - 1) if M > 1 else 0.0
+                out[t_end, k] = (mean, float(np.sqrt(var / M)),
+                                 sum(r[3][o] for r in results) / (M * n_steps), n_steps)
+    return [out[t_end, k] for t_end in t_ends for k in range(len(legs))]
 
-    # fixed block order; Chan-style pairwise moment combination keeps the
-    # variance exact for constant integrands
-    n_acc, mean, m2 = 0, 0.0, 0.0
-    means = [m for r in results for m in r[1]]
-    m2s = [v for r in results for v in r[2]]
-    for (_, n_b), mean_b, m2_b in zip(blocks, means, m2s):
-        delta = mean_b - mean
-        n_new = n_acc + n_b
-        mean += delta * n_b / n_new
-        m2 += m2_b + delta * delta * n_acc * n_b / n_new
-        n_acc = n_new
-    off_box = sum(r[3] for r in results)
-    n_steps = results[0][4]
-    var = m2 / (M - 1) if M > 1 else 0.0
-    se = float(np.sqrt(var / M))
-    return mean, se, off_box / (M * n_steps), n_steps
+
+def simulate_costs(legs, sim, grid, scenario=""):
+    """Monte Carlo estimates of the running cost over [start_time, T], one per
+    (oracle, control) leg; the legs share the seed's noise and one step loop,
+    and each estimate reports the batch's elapsed time."""
+    if not (sim.dt_sim <= grid.T - sim.start_time + 1e-12):
+        raise SimulationError("dt_sim exceeds the remaining horizon")
+    t0 = time.perf_counter()
+    runs = _run(legs, sim, grid, [grid.T])
+    elapsed = time.perf_counter() - t0
+    return [MCEstimate(mean=mean, se=se, n_paths=sim.n_paths, elapsed=elapsed,
+                       config=sim.echo(), extra={"off_box_fraction": off_frac,
+                                                 "n_steps": n_steps, "scenario": scenario})
+            for mean, se, off_frac, n_steps in runs]
 
 
 def simulate_cost(oracle, feedback, sim, grid, scenario=""):
     """Monte Carlo estimate of the running cost over [start_time, T]."""
-    if not (sim.dt_sim <= grid.T - sim.start_time + 1e-12):
-        raise SimulationError("dt_sim exceeds the remaining horizon")
-    t0 = time.perf_counter()
-    mean, se, off_frac, n_steps = _run(oracle, feedback, sim, grid, grid.T)
-    return MCEstimate(
-        mean=mean,
-        se=se,
-        n_paths=sim.n_paths,
-        elapsed=time.perf_counter() - t0,
-        config=sim.echo(),
-        extra={"off_box_fraction": off_frac, "n_steps": n_steps, "scenario": scenario},
-    )
+    return simulate_costs([(oracle, feedback)], sim, grid, scenario)[0]
 
 
-def dpp_residual(u_field, oracle, policy, t_mid, sim):
-    """Estimate E[int_s^t f dr + u(t, X_t)] - u(s, x) under the feedback.
+def dpp_residuals(u_field, legs, t_mids, sim):
+    """Estimate E[int_s^t f dr + u(t, X_t)] - u(s, x) for every t_mid and
+    (oracle, control) leg: one list of leg estimates per t_mid.
 
     Under the exact-argmin feedback the identity residual is pure numerical
-    error; under a suboptimal control it is strictly positive.
+    error; under a suboptimal control it is strictly positive.  Horizons of
+    one step size share a step loop (see _run).
     """
     grid = u_field.grid
     s = sim.start_time
-    if not (s < t_mid < grid.T):
-        raise SimulationError(f"t_mid={t_mid} outside ({s}, {grid.T})")
+    for t_mid in t_mids:
+        if not (s < t_mid < grid.T):
+            raise SimulationError(f"t_mid={t_mid} outside ({s}, {grid.T})")
     t0 = time.perf_counter()
-    mean, se, off_frac, n_steps = _run(oracle, policy, sim, grid, t_mid, u_field=u_field)
+    runs = iter(_run(legs, sim, grid, t_mids, u_field=u_field))
     u_start = float(value_at(u_field, s, np.asarray(sim.start_state)[None, :])[0])
-    return MCEstimate(
-        mean=mean - u_start,
-        se=se,
-        n_paths=sim.n_paths,
-        elapsed=time.perf_counter() - t0,
-        config=sim.echo(),
-        extra={"u_start": u_start, "t_mid": t_mid, "off_box_fraction": off_frac},
-    )
+    elapsed = time.perf_counter() - t0
+    return [[MCEstimate(mean=mean - u_start, se=se, n_paths=sim.n_paths, elapsed=elapsed,
+                        config=sim.echo(), extra={"u_start": u_start, "t_mid": t_mid,
+                                                  "off_box_fraction": off_frac})
+             for mean, se, off_frac, _ in (next(runs) for _ in legs)] for t_mid in t_mids]
+
+
+def dpp_residual(u_field, oracle, policy, t_mid, sim):
+    """dpp_residuals of one control at one t_mid."""
+    return dpp_residuals(u_field, [(oracle, policy)], [t_mid], sim)[0][0]

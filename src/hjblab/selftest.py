@@ -48,6 +48,7 @@ from .montecarlo import (
     SimConfig,
     constant_control,
     simulate_cost,
+    simulate_costs,
 )
 from .parabolic import ParabolicScheme, convergence_order, solve_frozen
 
@@ -165,10 +166,9 @@ def _crit2_mc_crosscheck(out_dir, artifacts, threads):
     grid = scenario_counterexample_grid()
     sim = SimConfig(n_paths=100_000, dt_sim=1e-3, seed=MASTER_SEED,
                     start_time=0.0, start_state=(0.0,), n_threads=threads)
-    ce = make_counterexample(grid)
-    est0 = simulate_cost(ce, FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x"), sim, grid)
-    cd1 = make_constant_drift(grid, c=1.0)
-    est1 = simulate_cost(cd1, constant_control(1.0), sim, grid)
+    est0, est1 = simulate_costs(
+        [(make_counterexample(grid), FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")),
+         (make_constant_drift(grid, c=1.0), constant_control(1.0))], sim, grid)
     rt = time.perf_counter() - t0
     ok0 = abs(est0.mean - 1.0) <= 3.0 * est0.se
     ok1 = abs(est1.mean - 4.0 / 3.0) <= 3.0 * est1.se
@@ -500,8 +500,5 @@ def run_selftest(out_dir, threads=1):
         outcomes.append(CheckOutcome(9, "selftest runtime < 5 min", False,
                                      f"{total:.0f}s", total))
     result = SelfTestResult(outcomes=outcomes, artifacts=artifacts, total_runtime=total)
-    path = os.path.join(out_dir, "selftest_summary.json")
-    with open(path, "w") as fh:
-        fh.write(result.summary_json() + "\n")
-    artifacts.append(path)
+    _write(out_dir, "selftest_summary.json", result.summary_json() + "\n", artifacts)
     return result

@@ -27,7 +27,7 @@ from hjblab.config import (
     resolve,
     validate_config,
 )
-from hjblab.grids import build_grid, field_to_csv
+from hjblab.grids import SpaceTimeField, build_grid, field_to_csv
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -209,8 +209,6 @@ def test_tabulated_roundtrip(tmp_path):
     aset = ActionSet(np.array([-1.0, 1.0]))
     for ia, a in enumerate(aset.values):
         bf, ff = sample_to_grid(src, grid, a)
-        from hjblab.grids import SpaceTimeField
-
         field_to_csv(SpaceTimeField(grid, bf.values[..., 0]), str(tmp_path / f"b{ia}.csv"))
         field_to_csv(ff, str(tmp_path / f"f{ia}.csv"))
     path = tmp_path / "tab.cfg"
@@ -489,6 +487,29 @@ def test_traceback_probes_exit_2_naming_the_key(tmp_path, name, edits, subcomman
     cfg = _variant(tmp_path, name, edits)
     code, err = _run([subcommand, cfg, "--out", str(tmp_path / "out")])
     assert code == 2 and path in err, err
+
+
+@pytest.mark.parametrize("b", [["b.csv"], [["b.csv", "b.csv"]]])
+def test_tabulated_files_that_do_not_fit_exit_2(tmp_path, b):
+    # files written on a 16-node grid, read on 32 nodes; or two drift files in 1d
+    small = build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 8)
+    bf, ff = sample_to_grid(make_step_drift(small, c=1.0), small, 1.0)
+    field_to_csv(ff, str(tmp_path / "f.csv"))
+    field_to_csv(SpaceTimeField(small, bf.values[..., 0]), str(tmp_path / "b.csv"))
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text(yaml.dump({
+        "domain": {"kind": "torus", "dim": 1, "extent": [-1.0, 1.0],
+                   "nx": 32 if b == ["b.csv"] else 16},
+        "time": {"T": 1.0, "nt": 8},
+        "coefficients": {"tabulated": {"b": b, "f": ["f.csv"]}}}))
+    code, err = _run(["solve-hjb", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2 and "Traceback" not in err, err
+    if b == ["b.csv"]:
+        for name in ("b.csv", "f.csv"):
+            assert f"coefficients.tabulated: file '{name}' does not load on the grid" in err
+        assert "CSV holds 144 samples, grid wants 288" in err
+    else:
+        assert "coefficients.tabulated: needs" in err
 
 
 @pytest.mark.parametrize("edits, subcommand, message", [

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hjblab import experiments, hjb
+from hjblab import experiments, hjb, montecarlo
 from hjblab.coefficients import (
     ActionFamily,
     ActionSet,
@@ -21,7 +21,7 @@ from hjblab.experiments import (
 )
 from hjblab.grids import build_grid
 from hjblab.hjb import solve_hjb_direct
-from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control
+from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control, dpp_residual
 from hjblab.parabolic import ParabolicScheme
 
 
@@ -217,3 +217,34 @@ def test_truncation_fails_on_flagged_inner_steps(bang, monkeypatch):
                                      eps_list=[0.2, 0.1], scheme=scheme)
     assert rep.flagged_steps > 0 and not rep.passed
     assert rep.summary().startswith("truncation study[bang_bang] FAIL")
+
+
+@pytest.mark.parametrize("dt_sim, t_mids, loops", [
+    # one step size: one loop of 375 steps, snapshots at 125 and 250
+    (2e-3, [0.25, 0.5, 0.75], [[125, 250, 375]]),
+    (2e-3, [0.75, 0.25, 0.5], [[125, 250, 375]]),  # unsorted t_mids keep their row order
+    # 83, 167 and 250 steps of three sizes: one loop each
+    (3e-3, [0.25, 0.5, 0.75], [[83], [167], [250]]),
+])
+def test_dpp_battery_rows_equal_separate_residuals(bang, monkeypatch, dt_sim, t_mids, loops):
+    grid, oracle, _, _, u = bang
+    sim = SimConfig(n_paths=600, dt_sim=dt_sim, seed=127, start_state=(0.5,), block_size=256)
+    argmin = GridPolicyControl(u.policy, name="argmin")
+    plus = constant_control(1.0)
+    calls = []
+    real = montecarlo._block_totals
+
+    def counted(legs, sim, horizons, *args):
+        calls.append([steps for _, steps in horizons])
+        return real(legs, sim, horizons, *args)
+
+    monkeypatch.setattr(montecarlo, "_block_totals", counted)
+    rep = dpp_battery(u, oracle, argmin, sim, t_mids, suboptimal_controls=[("const_plus", plus)])
+    assert calls == loops
+    monkeypatch.setattr(montecarlo, "_block_totals", real)
+    expect = []
+    for t_mid in t_mids:
+        for name, control in (("argmin", argmin), ("const_plus", plus)):
+            est = dpp_residual(u, oracle, control, t_mid, sim)
+            expect.append((t_mid, name, est.mean, est.se))
+    assert [(r.t_mid, r.control, r.residual, r.se) for r in rep.rows] == expect

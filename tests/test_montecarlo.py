@@ -19,7 +19,9 @@ from hjblab.montecarlo import (
     SimulationError,
     constant_control,
     dpp_residual,
+    dpp_residuals,
     simulate_cost,
+    simulate_costs,
     value_at,
 )
 
@@ -297,3 +299,78 @@ def test_noise_draws_span_at_most_one_chunk(monkeypatch):
     assert shapes and all(s[0] <= NOISE_CHUNK and s[1:] in ((24, 2), (16, 2)) for s in shapes)
     # every block draws all 200 steps of its 24 and 16 paths, no more
     assert sum(shape[0] * shape[1] for shape in shapes) == 200 * 40
+
+
+# ---------------------------------------------------------------------------
+# shared-noise batches: legs under one seed take one step loop
+
+
+def _batch_case(kind):
+    """Three legs; on the box some paths start at the edge and leave it."""
+    if kind == "box":
+        grid = build_grid("box", 1, (-2.0, 2.0), 41, 1.0, 50)
+        legs = [(make_counterexample(grid), FeedbackRule(lambda t, X: np.round(X[:, 0], 1))),
+                (make_constant_drift(grid, c=1.0), constant_control(1.0)),
+                (make_bang_bang(grid), constant_control(-1.0))]
+        return grid, legs, (1.9,)
+    grid = build_grid("torus", 2, (-1.0, 1.0), 8, 1.0, 50)
+    idx = np.random.default_rng(1).integers(0, 2, size=(grid.n_levels,) + grid.space_shape)
+    legs = [(make_bang_bang(grid), GridPolicyControl(Policy(grid, idx, bang_bang_actions()))),
+            (make_bang_bang(grid), constant_control(1.0)),
+            (make_constant_drift(grid, c=0.5), constant_control(-1.0))]
+    return grid, legs, (0.9, -0.95)
+
+
+@pytest.mark.parametrize("kind", ["box", "torus"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_equals_separate_estimates(kind, threads):
+    # 5000 paths in blocks of 2048: three blocks, split over the threads
+    grid, legs, start = _batch_case(kind)
+    sim = SimConfig(n_paths=5000, dt_sim=0.02, seed=31, start_state=start,
+                    block_size=2048, n_threads=threads)
+    batch = simulate_costs(legs, sim, grid)
+    alone = [simulate_cost(oracle, control, sim, grid) for oracle, control in legs]
+    assert len(batch) == len(legs)
+    for a, b in zip(batch, alone):
+        assert (a.mean, a.se, a.extra) == (b.mean, b.se, b.extra)
+    offs = [est.extra["off_box_fraction"] for est in batch]
+    assert all(off > 0 for off in offs) if kind == "box" else offs == [0.0] * 3
+    assert len({est.mean for est in batch}) == 3 and len({est.elapsed for est in batch}) == 1
+
+
+def test_batch_draws_each_block_noise_once(monkeypatch):
+    drawn = []
+    real = np.random.Generator
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self.gen = real(bit_generator)
+
+        def standard_normal(self, size=None, *args, **kwargs):
+            drawn.append(int(np.prod(size)))
+            return self.gen.standard_normal(size, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    grid, legs, start = _batch_case("torus")
+    sim = SimConfig(n_paths=300, dt_sim=0.02, seed=31, start_state=start, block_size=128)
+    simulate_costs(legs, sim, grid)
+    # 50 steps of 300 two-dimensional paths, drawn once for all three legs
+    assert sum(drawn) == 50 * 300 * 2
+    drawn.clear()
+    u = _field(grid, lambda t, X: X[..., 0] + t)
+    dpp_residuals(u, legs, [0.5, 0.2, 0.5], sim)
+    # the horizons share one loop of 25 steps
+    assert sum(drawn) == 25 * 300 * 2
+
+
+def test_golden_stream_values():
+    # a change to the noise stream or the step arithmetic must edit these on purpose
+    box = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
+    sim = SimConfig(n_paths=300, dt_sim=0.01, seed=20260810, block_size=128)
+    est = simulate_cost(make_counterexample(box), FeedbackRule(lambda t, X: X[:, 0]), sim, box)
+    assert (est.mean.hex(), est.se.hex()) == ("0x1.e7471e6d048dfp-1", "0x1.0ddc46e51d836p-4")
+    grid = build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 16)
+    u = _field(grid, lambda t, X: np.cos(np.pi * X[..., 0]) + t)
+    sim = SimConfig(n_paths=300, dt_sim=1 / 64, seed=20260810, start_state=(0.5,), block_size=128)
+    dpp = dpp_residual(u, make_bang_bang(grid), constant_control(1.0), 0.5, sim)
+    assert (dpp.mean.hex(), dpp.se.hex()) == ("0x1.612337502d70dp-1", "0x1.32cbf646b119cp-5")
