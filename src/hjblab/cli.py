@@ -92,8 +92,11 @@ def _build(cfg, args):
     return oracle, aset, sim
 
 
-# keys a subcommand cannot run without, though a config may leave them empty
-NEEDS = {"mollify-sweep": ("mollify.eps",), "truncation-study": ("mollify.eps", "actions.family")}
+# what a subcommand needs of a config that the schema allows: path -> (test, wording)
+_NONEMPTY = (bool, "a nonempty value")
+NEEDS = {"mollify-sweep": {"mollify.eps": _NONEMPTY},
+         "truncation-study": {"mollify.eps": _NONEMPTY, "actions.family": _NONEMPTY},
+         "counterexample": {"domain.dim": (lambda dim: dim == 1, "1 (its a = x feedback is 1d)")}}
 
 
 def _report(header, violations):
@@ -297,8 +300,8 @@ def main(argv=None):
         cfg = load_config(args.config)
     except ConfigError as e:
         return _report("config invalid:", e.violations)
-    unmet = [f"{path}: {args.subcommand} needs a nonempty value"
-             for path in NEEDS.get(args.subcommand, ()) if not cfg.values[path]]
+    unmet = [f"{path}: {args.subcommand} needs {what}" for path, (ok, what)
+             in NEEDS.get(args.subcommand, {}).items() if not ok(cfg.values[path])]
     if unmet:
         return _report("config invalid for this subcommand:", unmet)
 

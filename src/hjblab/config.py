@@ -28,7 +28,7 @@ from .coefficients import (
 )
 from .grids import BOX, CENTRAL, TORUS, UPWIND, build_grid, field_from_csv
 from .montecarlo import SimConfig
-from .parabolic import CRANK_NICOLSON, IMPLICIT_EULER, ParabolicScheme
+from .parabolic import CRANK_NICOLSON, IMPLICIT_EULER, MIN_NODES, ParabolicScheme
 
 
 class ConfigError(ValueError):
@@ -101,7 +101,7 @@ def _extent_ok(v, got):
 
 
 def _counts_ok(v, got):
-    least = 4 if got["domain.kind"] == BOX else 3  # the line solves need two unknowns
+    least = MIN_NODES[got["domain.kind"]]
     counts = v if isinstance(v, list) and len(v) == got["domain.dim"] else [v]
     return all(_integer(n) and n >= least for n in counts)
 

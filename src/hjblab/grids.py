@@ -252,67 +252,53 @@ def lp_norm(values, p, grid):
     return float(np.sum(w * mag**p) ** (1.0 / p))
 
 
-def _diff_axis(values, axis, dx, periodic, mode):
-    """One derivative along a space axis; mode in central/forward/backward."""
-    if periodic:
-        up = np.roll(values, -1, axis=axis)
-        dn = np.roll(values, 1, axis=axis)
-        if mode == "central":
-            return (up - dn) / (2 * dx)
-        if mode == "forward":
-            return (up - values) / dx
-        return (values - dn) / dx
-
-    out = np.empty_like(values)
-
-    def ax(i):
-        s = [slice(None)] * values.ndim
-        s[axis] = i
-        return tuple(s)
-
-    fwd = (values[ax(slice(1, None))] - values[ax(slice(None, -1))]) / dx
-    if mode == "central":
-        out[ax(slice(1, -1))] = (values[ax(slice(2, None))] - values[ax(slice(None, -2))]) / (2 * dx)
-    elif mode == "forward":
-        out[ax(slice(None, -1))] = fwd
-    elif mode == "backward":
-        out[ax(slice(1, None))] = fwd
-    # box edges are always the available one-sided difference
-    out[ax(0)] = np.take(fwd, 0, axis=axis)
-    out[ax(-1)] = np.take(fwd, -1, axis=axis)
-    return out
-
-
 def spatial_gradient(values, grid):
     """Per-node finite-difference gradient, stacked on a trailing axis.
 
-    Second-order central differences, one-sided at box edges.
+    Second-order central differences, one-sided at box edges; any leading
+    (time level) axes pass through.
     """
     values = np.asarray(values, dtype=float)
-    periodic = grid.domain_kind == TORUS
-    time_leading = values.ndim == grid.dim + 1
-
-    comps = []
+    out = np.empty(values.shape + (grid.dim,))
     for k in range(grid.dim):
-        axis = k + (1 if time_leading else 0)
-        comps.append(_diff_axis(values, axis, grid.dx[k], periodic, "central"))
-    return np.stack(comps, axis=-1)
+        # two space axes at most, so swapping an axis with the last one moves it there
+        v, o = (a.swapaxes(k - grid.dim, -1) for a in (values, out[..., k]))
+        dx = grid.dx[k]
+        np.subtract(v[..., 2:], v[..., :-2], out=o[..., 1:-1])
+        if grid.domain_kind == TORUS:
+            np.subtract(v[..., 1], v[..., -1], out=o[..., 0])
+            np.subtract(v[..., 0], v[..., -2], out=o[..., -1])
+            o /= 2 * dx
+        else:
+            o[..., 1:-1] /= 2 * dx
+            o[..., 0] = (v[..., 1] - v[..., 0]) / dx
+            o[..., -1] = (v[..., -1] - v[..., -2]) / dx
+    return out
 
 
-def gradient_pair(values, grid, time_leading=True):
+def gradient_pair(values, grid):
     """Forward and backward one-sided gradients, stacked on the last axis.
 
     Returns (g_plus, g_minus) arrays of shape values.shape + (dim,); used by
-    the upwind discrete Hamiltonian b+ . g_plus + b- . g_minus.
+    the upwind discrete Hamiltonian b+ . g_plus + b- . g_minus.  They wrap on
+    the torus; at a box edge the one difference there is taken both ways.
     """
     values = np.asarray(values, dtype=float)
     periodic = grid.domain_kind == TORUS
-    gp, gm = [], []
+    gp = np.empty(values.shape + (grid.dim,))
+    gm = np.empty_like(gp)
     for k in range(grid.dim):
-        axis = k + (1 if time_leading else 0)
-        gp.append(_diff_axis(values, axis, grid.dx[k], periodic, "forward"))
-        gm.append(_diff_axis(values, axis, grid.dx[k], periodic, "backward"))
-    return np.stack(gp, axis=-1), np.stack(gm, axis=-1)
+        v, fwd, bwd = (a.swapaxes(k - grid.dim, -1) for a in (values, gp[..., k], gm[..., k]))
+        np.subtract(v[..., 1:], v[..., :-1], out=fwd[..., :-1])
+        if periodic:
+            np.subtract(v[..., 0], v[..., -1], out=fwd[..., -1])
+        else:
+            fwd[..., -1] = fwd[..., -2]
+        fwd /= grid.dx[k]
+        # the backward difference at node i is the forward one at node i - 1
+        bwd[..., 1:] = fwd[..., :-1]
+        bwd[..., 0] = fwd[..., -1 if periodic else 0]
+    return gp, gm
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def hamiltonian_values(B, F, u, grid, advection):
     consistent with the monotone stencil; otherwise it is central.
     """
     if advection == UPWIND:
-        gp, gm = gradient_pair(u, grid, time_leading=True)
+        gp, gm = gradient_pair(u, grid)
         adv = np.sum(np.maximum(B, 0.0) * gp[None], axis=-1)
         adv += np.sum(np.minimum(B, 0.0) * gm[None], axis=-1)
     else:

@@ -21,8 +21,9 @@ from .hamiltonian import Policy, argmin_level
 from .parabolic import (
     IMPLICIT_EULER,
     SchemeError,
+    _box_edges,
+    _implicit_bands,
     _step,
-    check_boundary,
     default_scheme,
     pde_residual,
     solve_frozen,
@@ -134,28 +135,37 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     scheme = scheme or default_scheme()
     if scheme.time_stepping != IMPLICIT_EULER:
         raise SchemeError("the direct HJB marcher supports implicit Euler only")
-    check_boundary(grid, boundary)
+    edges_at = _box_edges(boundary, grid, scheme, grid.dt)
+    size = int(np.prod(grid.space_shape))
+    nodes = np.arange(size).reshape(grid.space_shape)
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     indices = np.zeros((grid.n_levels,) + grid.space_shape, dtype=np.int64)
-    nt = grid.nt
-    indices[nt:], _ = argmin_level(B[:, nt:], F[:, nt:], u[nt:], grid, scheme.advection)
+    indices[-1:], _ = argmin_level(B[:, -1:], F[:, -1:], u[-1:], grid, scheme.advection)
     flagged_steps = []
 
-    for n in range(nt - 1, -1, -1):
-        Bn, Fn = B[:, n:n + 1], F[:, n:n + 1]
+    for n in range(grid.nt - 1, -1, -1):
+        # every action's band rows, axis by axis, and its cost at this level,
+        # flat so that a sweep gathers the chosen action's at index action * size + node
+        M = _implicit_bands(B[:, n], grid, scheme, grid.dt)
+        rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, n]]
+        table = np.stack(rows).reshape(len(rows), -1)
+        if edges_at:
+            edges, sweep_edges = edges_at(times[n], B[:, n])
         u_guess = u[n + 1]
         prev_idx = None
-        stable = False
         for _ in range(MAX_SWEEPS):
-            idx, _ = argmin_level(Bn, Fn, u_guess[None], grid, scheme.advection)
+            idx, _ = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u_guess[None], grid,
+                                  scheme.advection)
             if prev_idx is not None and np.array_equal(idx, prev_idx):
-                stable = True
                 break
-            bsel, fsel = _select_fields(Bn, Fn, idx)
-            u_guess = _step(u[n + 1], bsel[0], fsel[0], grid, boundary, scheme, times[n])
+            chosen = table[:, idx[0] * size + nodes]
+            lvl_edges = edges_at and (edges, sweep_edges if grid.dim == 1 else [
+                np.take_along_axis(sweep_edges[0], idx[:, [0, -1]], axis=0)[0], sweep_edges[1]])
+            u_guess = _step(u[n + 1] + grid.dt * chosen[-1],
+                            [(chosen[3 * k:3 * k + 3], None) for k in range(grid.dim)], lvl_edges)
             prev_idx = idx
-        if not stable:
+        else:  # the policy still changed in the last sweep
             flagged_steps.append(n)
         u[n] = u_guess
         indices[n] = prev_idx[0]

@@ -4,15 +4,15 @@ Implicit Euler (default) or Crank-Nicolson in time, upwind (default) or
 central advection in space, as one theta-step from level n+1 to level n:
 its right-hand side (``_step_rhs``) against the implicit operator
 (I - theta dt L_x)(I - theta dt L_y), one factor per axis (``_step_operator``),
-which the solve inverts with one line sweep per axis and the residuals apply.
-Every axis sweep is one pivoting LAPACK call
-over all of its lines (``tridiag``), with partial pivoting: line systems
-that are not diagonally dominant, such as central advection at large b dx,
-are solved stably, and an exactly singular line raises.
-With upwind advection and implicit Euler every
-step matrix is an M-matrix for any dt, dx and bounded drift, which is checked
-at assembly; the discrete comparison principle is then a theorem of the
-scheme, not an aspiration.
+which the solve inverts with one line sweep per axis and the residuals apply
+(to all levels in one call).  A solve assembles the band rows of every level
+and axis in one array operation and, on a torus, every level's
+Sherman-Morrison correction in one stacked call, before the march; a step
+does its right-hand side and one pivoting LAPACK call per axis over all of
+its lines (``tridiag``), so central advection at large b dx is solved stably
+and an exactly singular line raises.  With upwind advection and implicit
+Euler every step matrix is an M-matrix for any dt, dx and bounded drift,
+checked once per solve; the discrete comparison principle is then a theorem.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .grids import BOX, CENTRAL, TORUS, UPWIND, GridError, SpaceTimeField
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
+
+MIN_NODES = {TORUS: 3, BOX: 4}  # per axis: a box line needs two unknowns inside
 
 
 class SchemeError(RuntimeError):
@@ -58,7 +60,8 @@ def default_scheme():
 
 
 def _axis_L_coeffs(beta, h, advection):
-    """(lower, diag, upper) of L = d_xx + beta d_x along the last axis."""
+    """(lower, diag, upper) of L = d_xx + beta d_x along the last axis; ``h``
+    may be an array broadcast against ``beta``."""
     inv_h2 = 1.0 / (h * h)
     if advection == UPWIND:
         bp = np.maximum(beta, 0.0)
@@ -73,9 +76,15 @@ def _axis_L_coeffs(beta, h, advection):
     return lower, diag, upper
 
 
-def _implicit_coeffs(beta, h, gamma, scheme):
-    """Rows of M = I - gamma L along the last axis, with the M-matrix check."""
-    lo, di, up = _axis_L_coeffs(beta, h, scheme.advection)
+def _implicit_bands(B, grid, scheme, gamma):
+    """Rows (Ml, Md, Mu) of M = I - gamma L_k, each a (..., space..., dim)
+    array over the drift table ``B``: every level (and action) and axis k in
+    one array operation, with one M-matrix check."""
+    least = MIN_NODES[grid.domain_kind]
+    if min(grid.nx) < least:
+        raise SchemeError(f"{grid.domain_kind} line solves need at least {least} nodes "
+                          f"per axis, got {min(grid.nx)}")
+    lo, di, up = _axis_L_coeffs(B, np.array(grid.dx), scheme.advection)
     Ml = -gamma * lo
     Md = 1.0 - gamma * di
     Mu = -gamma * up
@@ -86,102 +95,86 @@ def _implicit_coeffs(beta, h, gamma, scheme):
 
 
 def _apply_L_axis(u, beta, h, advection, axis, periodic):
-    """L u along one axis (wraps on torus, one-sided garbage at box edges;
-    callers restrict to interior rows on the box)."""
-    lo, di, up = _axis_L_coeffs(np.moveaxis(beta, axis, -1), h, advection)
-    v = np.moveaxis(u, axis, -1)
-    if periodic:
-        vm = np.roll(v, 1, axis=-1)
-        vp = np.roll(v, -1, axis=-1)
-    else:
-        vm = np.empty_like(v)
-        vp = np.empty_like(v)
-        vm[..., 1:] = v[..., :-1]
-        vm[..., 0] = v[..., 0]
-        vp[..., :-1] = v[..., 1:]
-        vp[..., -1] = v[..., -1]
-    out = lo * vm + di * v + up * vp
-    return np.moveaxis(out, -1, axis)
+    """L u along the space axis ``axis`` < 0, counted from the last, so that
+    leading (level) axes pass through; wraps on the torus, one-sided garbage
+    at box edges (callers restrict to interior rows on the box)."""
+    lo, di, up = _axis_L_coeffs(beta.swapaxes(axis, -1), h, advection)
+    v = u.swapaxes(axis, -1)
+    vm = np.empty(np.broadcast_shapes(v.shape, lo.shape))
+    vp = np.empty_like(vm)
+    vm[..., 1:] = v[..., :-1]
+    vp[..., :-1] = v[..., 1:]
+    vm[..., 0] = v[..., -1 if periodic else 0]
+    vp[..., -1] = v[..., 0 if periodic else -1]
+    # lo vm + di v + up vp, summed in that order, in place
+    vm *= lo
+    di *= v
+    vm += di
+    vp *= up
+    vm += vp
+    return vm.swapaxes(-1, axis)
 
 
-def _solve_axis(rhs, beta, h, gamma, scheme, axis, grid, edge_values=None):
-    """Solve (I - gamma L_axis) u = rhs line by line along ``axis``.
+def _box_edges(g, grid, scheme, gamma):
+    """Dirichlet data g(t, X) of a box (None: g = 0) on an edge mesh built
+    once, as (t, b_lvl) -> (edges, sweep_edges): per axis a (2, ...) array of
+    g(t, .) on its two edges; in 2d the x-sweep's is (I - gamma L_y) g, the
+    edge rows it solves for, L_y from the drift b_lvl (..., space..., dim),
+    whose leading axes it gains.  None on a torus, which takes no data."""
+    if grid.domain_kind == TORUS:
+        if g is not None:
+            raise GridError("Dirichlet data given on a torus, which is periodic")
+        return None
+    points = [np.take(grid.points(), [0, -1], axis=k) for k in range(grid.dim)]
 
-    On the box, ``edge_values`` = (lo_values, hi_values) are imposed exactly
-    and their stencil couplings move to the right-hand side.
-    """
-    periodic = grid.domain_kind == TORUS
-    b = np.moveaxis(beta, axis, -1)
-    r = np.moveaxis(rhs, axis, -1)
-    Ml, Md, Mu = _implicit_coeffs(b, h, gamma, scheme)
-    if periodic:
-        if r.shape[-1] < 3:
-            raise SchemeError("torus solves need at least 3 nodes per axis")
-        x = tridiag.solve_cyclic(Ml, Md, Mu, r)
-        return np.moveaxis(x, -1, axis)
+    def at(t, b_lvl):
+        edges = [np.moveaxis(np.zeros(p.shape[:-1]) if g is None else
+                             np.asarray(g(t, p), dtype=float), k, 0) for k, p in enumerate(points)]
+        if grid.dim == 1:
+            return edges, edges
+        return edges, [edges[0] - gamma * _apply_L_axis(
+            edges[0], b_lvl[..., 1][..., [0, -1], :], grid.dx[1], scheme.advection, -1, False),
+            edges[1]]
 
-    g_lo, g_hi = edge_values
-    r_int = r[..., 1:-1].copy()
-    r_int[..., 0] -= Ml[..., 1] * g_lo
-    r_int[..., -1] -= Mu[..., -2] * g_hi
-    x_int = tridiag.solve_tridiag(Ml[..., 1:-1], Md[..., 1:-1], Mu[..., 1:-1], r_int)
-    x = np.empty_like(r)
-    x[..., 0] = g_lo
-    x[..., -1] = g_hi
-    x[..., 1:-1] = x_int
-    return np.moveaxis(x, -1, axis)
-
-
-def check_boundary(grid, boundary):
-    """Dirichlet data g(t, X) belongs to a box (None there means g = 0); a
-    torus takes none."""
-    if boundary is not None and grid.domain_kind == TORUS:
-        raise GridError("Dirichlet data given on a torus, which is periodic")
-
-
-def _edge_values(g, grid, t):
-    """Dirichlet values g(t, .) on the two edges of each axis, one (2, ...)
-    array (lo, hi) per axis, evaluated on the edge nodes only (box only)."""
-    edges = []
-    for k in range(grid.dim):
-        axes = grid.space_axes()
-        axes[k] = axes[k][[0, -1]]
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        values = np.zeros(points.shape[:-1]) if g is None else np.asarray(g(t, points), dtype=float)
-        edges.append(np.moveaxis(values, k, 0))
-    return edges
+    return at
 
 
 def _step_rhs(u_next, b_next, f_n, f_next, grid, scheme):
     """Right-hand side of the theta-step from level n+1 to level n: the
     explicit factor (I + (1 - theta) dt L) of u_next (none under implicit
-    Euler) plus dt times the theta-mixed cost."""
-    dt = grid.dt
-    theta = scheme.theta
+    Euler) plus dt times the theta-mixed cost; any leading level axes."""
+    dt, theta = grid.dt, scheme.theta
     if theta == 1.0:
         return u_next + dt * f_n
     expl = _step_operator(u_next, b_next, grid, scheme, -(1.0 - theta) * dt)
     return expl + dt * (theta * f_n + (1.0 - theta) * f_next)
 
 
-def _step(u_next, b_lvl, f_lvl, grid, boundary, scheme, t_n,
-          b_next_lvl=None, f_next_lvl=None):
-    """One backward step from level n+1 to level n; ``boundary`` is the
-    Dirichlet data g(t, X) of a box, or None."""
-    box = grid.domain_kind == BOX
-    edges = _edge_values(boundary, grid, t_n) if box else [None] * grid.dim
-    gamma = scheme.theta * grid.dt
-    u = _step_rhs(u_next, b_next_lvl, f_lvl, f_next_lvl, grid, scheme)
-    for k in range(grid.dim):
-        g = edges[k]
-        if box and k < grid.dim - 1:
-            # the x-sweep solves for (I - gamma L_y) u: its edge rows take (I - gamma L_y) g
-            g = g - gamma * _apply_L_axis(g, b_lvl[[0, -1], :, 1], grid.dx[1],
-                                          scheme.advection, 1, False)
-        u = _solve_axis(u, b_lvl[..., k], grid.dx[k], gamma, scheme, k, grid, g)
-    if box:
+def _step(rhs, sweeps, edges=None):
+    """One backward step: solve (I - gamma L_x)(I - gamma L_y) u = ``rhs``
+    with one line solve per axis.  ``sweeps`` holds per axis the level's
+    rows (Ml, Md, Mu) of the axis factor and, on a torus, their
+    ``tridiag.cyclic_correction`` in last-axis layout, or None; ``edges`` is
+    a box's pair from ``_box_edges`` (None on a torus)."""
+    u = rhs
+    for k, (bands, correction) in enumerate(sweeps):
+        # two space axes at most, so swapping an axis with the last one moves it there
+        Ml, Md, Mu = (b.swapaxes(k, -1) for b in bands)
+        r = u.swapaxes(k, -1)
+        if not edges:
+            x = tridiag.solve_cyclic(Ml, Md, Mu, r, correction=correction)
+        else:
+            g_lo, g_hi = edges[1][k]
+            r_int = r[..., 1:-1].copy()
+            r_int[..., 0] -= Ml[..., 1] * g_lo
+            r_int[..., -1] -= Mu[..., -2] * g_hi
+            x = np.empty_like(r)
+            x[..., 0], x[..., -1] = g_lo, g_hi
+            x[..., 1:-1] = tridiag.solve_tridiag(Ml[..., 1:-1], Md[..., 1:-1], Mu[..., 1:-1], r_int)
+        u = x.swapaxes(-1, k)
+    if edges:
         # a later sweep overwrites the edges an earlier one pinned: pin them all
-        for k, g in enumerate(edges):
+        for k, g in enumerate(edges[0]):
             np.moveaxis(u, k, 0)[[0, -1]] = g
     return u
 
@@ -194,44 +187,38 @@ def solve_frozen(B, F, grid, boundary=None, scheme=None):
     (None: zero).  Returns the full space-time value field.
     """
     scheme = scheme or default_scheme()
-    check_boundary(grid, boundary)
+    gamma = scheme.theta * grid.dt
+    edges_at = _box_edges(boundary, grid, scheme, gamma)
     B = np.asarray(B, dtype=float)
     F = np.asarray(F, dtype=float)
     if B.shape != (grid.n_levels,) + grid.space_shape + (grid.dim,):
         raise SchemeError(f"drift field has shape {B.shape}, expected levels x space x dim")
 
+    M = _implicit_bands(B[:-1], grid, scheme, gamma)  # the solved levels
+    corrections = [[None] * grid.nt] * grid.dim if edges_at else [
+        list(zip(*tridiag.cyclic_correction(*(m[..., k].swapaxes(k - grid.dim, -1) for m in M))))
+        for k in range(grid.dim)]
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     for n in range(grid.nt - 1, -1, -1):
-        u[n] = _step(u[n + 1], B[n], F[n], grid, boundary, scheme, times[n],
-                     b_next_lvl=B[n + 1], f_next_lvl=F[n + 1])
-    out = SpaceTimeField(grid, u)
+        rhs = _step_rhs(u[n + 1], B[n + 1], F[n], F[n + 1], grid, scheme)
+        sweeps = [(tuple(m[n, ..., k] for m in M), c[n]) for k, c in enumerate(corrections)]
+        u[n] = _step(rhs, sweeps, edges_at and edges_at(times[n], B[n]))
     if not np.all(np.isfinite(u)):
         raise SchemeError("solver produced non-finite values")
-    return out
-
-
-def _interior_mask(grid):
-    mask = np.ones(grid.space_shape, dtype=bool)
-    if grid.domain_kind == BOX:
-        for k in range(grid.dim):
-            sl = [slice(None)] * grid.dim
-            sl[k] = 0
-            mask[tuple(sl)] = False
-            sl[k] = -1
-            mask[tuple(sl)] = False
-    return mask
+    return SpaceTimeField(grid, u)
 
 
 def _step_operator(u_lvl, b_lvl, grid, scheme, gamma):
-    """Apply (I - gamma L_x)(I - gamma L_y), one factor in 1d: at gamma =
-    theta dt the exact implicit operator the stepper inverts, at gamma =
-    -(1 - theta) dt the explicit factor of its right-hand side."""
+    """Apply (I - gamma L_x)(I - gamma L_y), one factor in 1d, on any leading
+    level axes: at gamma = theta dt the exact implicit operator the stepper
+    inverts, at gamma = -(1 - theta) dt the explicit factor of its
+    right-hand side."""
     periodic = grid.domain_kind == TORUS
     out = u_lvl
     for k in range(grid.dim - 1, -1, -1):
         out = out - gamma * _apply_L_axis(out, b_lvl[..., k], grid.dx[k],
-                                          scheme.advection, k, periodic)
+                                          scheme.advection, k - grid.dim, periodic)
     return out
 
 
@@ -245,13 +232,10 @@ def pde_residual(U, B, F, grid, scheme=None):
     """
     scheme = scheme or default_scheme()
     gamma = scheme.theta * grid.dt
-    mask = _interior_mask(grid)
-    res = np.zeros((grid.nt,) + grid.space_shape)
-    for n in range(grid.nt):
-        r = (_step_rhs(U[n + 1], B[n + 1], F[n], F[n + 1], grid, scheme)
-             - _step_operator(U[n], B[n], grid, scheme, gamma)) / grid.dt
-        res[n] = np.where(mask, r, 0.0)
-    return res
+    res = (_step_rhs(U[1:], B[1:], F[:-1], F[1:], grid, scheme)
+           - _step_operator(U[:-1], B[:-1], grid, scheme, gamma)) / grid.dt
+    interior = grid.domain_kind == TORUS or np.pad(np.ones([n - 2 for n in grid.nx], dtype=bool), 1)
+    return np.where(interior, res, 0.0)
 
 
 @dataclass
@@ -264,7 +248,7 @@ class ConvergenceOrders:
     skipped: bool = False
 
 
-def convergence_order(problem_fn, grids, scheme=None, norm=np.inf):
+def convergence_order(problem_fn, grids, scheme=None):
     """Observed orders from a ladder of grids with a known exact solution.
 
     ``problem_fn(grid)`` returns (B, F, g or None, exact_values);

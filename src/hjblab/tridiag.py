@@ -6,7 +6,9 @@ exactly zero, so one ``dgtsv`` call solves the whole batch.  ``gtsv`` is
 Gaussian elimination with partial pivoting; it never swaps rows across a line
 boundary, because the candidate pivot there is the zero coupling.  The
 cyclic variant handles periodic wraparound with the Sherman-Morrison
-correction, its two right-hand sides solved as two columns of the same call.
+correction; a caller that solves the same lines again, as a time march
+does, takes its right-hand-side-free part (``cyclic_correction``) once for
+all of them, else the two right-hand sides are two columns of one call.
 An exactly singular line, or a periodic line whose correction has no finite
 solution, raises ``ValueError``.
 """
@@ -66,18 +68,18 @@ def solve_tridiag(lower, diag, upper, rhs):
     return _solve_lines(*_bands(lower, diag, upper, b.shape[1:]), b)[0]
 
 
-def solve_cyclic(lower, diag, upper, rhs):
-    """Solve the periodic tridiagonal system along the last axis.
-
-    Row 0 additionally couples to x[..., -1] with weight lower[..., 0] and
-    row n-1 couples to x[..., 0] with weight upper[..., -1].
+def cyclic_correction(lower, diag, upper, rhs=None):
+    """The right-hand-side-free part of ``solve_cyclic`` for the periodic
+    lines tri(lower, diag, upper), in one ``dgtsv`` call: (shifted diagonal,
+    correction solution z, beta / gamma, 1 + v.z), arrays with the lines'
+    leading axes, so that ``[n]`` of each picks a sub-batch.  A given ``rhs``
+    rides along as the first column: (correction, y) is returned then, y its
+    solution on the shifted system.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    shape = rhs.shape
+    shape = np.broadcast(lower, diag, upper, 0.0 if rhs is None else rhs).shape
     if shape[-1] < 3:
         raise ValueError("cyclic solve needs n >= 3")
     dl, d, du = _bands(lower, diag, upper, shape)
-
     beta = dl[..., 0].copy()   # A[0, n-1]
     alpha = du[..., -1].copy()  # A[n-1, 0]
 
@@ -85,20 +87,35 @@ def solve_cyclic(lower, diag, upper, rhs):
     gamma = np.where(d[..., 0] != 0.0, -d[..., 0], -1.0 - np.abs(du[..., 0]) - np.abs(beta))
     d[..., 0] = d[..., 0] - gamma
     d[..., -1] = d[..., -1] - alpha * beta / gamma
+    shifted = d.copy()
+    # right-hand sides: rhs if given, then the correction vector gamma e_0 + alpha e_{n-1}
+    b = np.zeros((1 + (rhs is not None),) + shape)
+    b[:-1] = 0.0 if rhs is None else rhs
+    b[-1, ..., 0], b[-1, ..., -1] = gamma, alpha
+    *y, z = _solve_lines(dl, d, du, b)
+    ratio = beta / gamma
+    correction = shifted, z, ratio, 1.0 + (z[..., 0] + ratio * z[..., -1])
+    return correction if rhs is None else (correction, y[0])
 
-    # two right-hand sides: rhs, and the correction vector gamma e_0 + alpha e_{n-1}
-    b = np.zeros((2,) + shape)
-    b[0] = rhs
-    b[1, ..., 0] = gamma
-    b[1, ..., -1] = alpha
-    y, z = _solve_lines(dl, d, du, b)
 
-    vy = y[..., 0] + (beta / gamma) * y[..., -1]
-    vz = z[..., 0] + (beta / gamma) * z[..., -1]
+def solve_cyclic(lower, diag, upper, rhs, correction=None):
+    """Solve the periodic tridiagonal system along the last axis.
+
+    Row 0 additionally couples to x[..., -1] with weight lower[..., 0] and
+    row n-1 couples to x[..., 0] with weight upper[..., -1].  ``correction``
+    is ``cyclic_correction`` of the same bands, when the caller has it.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if correction is None:
+        correction, y = cyclic_correction(lower, diag, upper, rhs)
+    else:
+        y = solve_tridiag(lower, correction[0], upper, rhs)
+    _, z, ratio, denom = correction
+    vy = y[..., 0] + ratio * y[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = y - z * (vy / (1.0 + vz))[..., None]
+        x = y - z * (vy / denom)[..., None]
     bad = ~np.all(np.isfinite(x), axis=-1)  # 1 + vz == 0 too, as z != 0
     if np.any(bad):
-        raise ValueError(f"singular periodic tridiagonal system: "
-                         f"{_line_name(np.flatnonzero(bad)[0], shape[:-1])} has no finite solution")
+        line = _line_name(np.flatnonzero(bad)[0], rhs.shape[:-1])
+        raise ValueError(f"singular periodic tridiagonal system: {line} has no finite solution")
     return x

@@ -28,6 +28,7 @@ from hjblab.config import (
     validate_config,
 )
 from hjblab.grids import SpaceTimeField, build_grid, field_to_csv
+from hjblab.parabolic import MIN_NODES
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -387,6 +388,24 @@ def test_cli_counterexample_small(tmp_path):
     rows = (out / "counterexample_rows.csv").read_text().splitlines()
     assert rows[0] == "s,x,v_exact,v_num,v_lim_exact,v_lim_num,gap_num"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("config", ["bang_bang_2d.cfg", "step_drift_2d.cfg"])
+def test_cli_counterexample_on_a_2d_config_exits_2(tmp_path, config):
+    # the a = x feedback of the MC cross-check is one action per path
+    code, err = _run(["counterexample", os.path.join(ROOT, "bench", "inputs", config),
+                      "--out", str(tmp_path)])
+    assert code == 2 and "domain.dim: counterexample needs 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_grid_size_floor_is_the_solvers(tmp_path, kind):
+    # the config refuses exactly the node counts the line solves refuse
+    domain = "{kind: %s, dim: 1, extent: [-1.0, 1.0], nx: %d}"
+    load_config(_small_cfg(tmp_path, domain=domain % (kind, MIN_NODES[kind])))
+    with pytest.raises(ConfigError) as exc:
+        load_config(_small_cfg(tmp_path, domain=domain % (kind, MIN_NODES[kind] - 1)))
+    assert [v for v in exc.value.violations if v.startswith("domain.nx")]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -17,6 +17,7 @@ from hjblab.hjb import (
     hjb_residual,
     policy_iteration,
     solve_hjb_direct,
+    solve_hjb_tables,
     solve_policy_value,
 )
 from hjblab.parabolic import ParabolicScheme, SchemeError, pde_residual, solve_frozen
@@ -209,3 +210,36 @@ def test_policy_iteration_takes_each_argmin_once(monkeypatch):
     # the returned policy is the one frozen for the last solve
     expect = solve_policy_value(cfg.build_oracle(), policy, cfg.grid, scheme=cfg.scheme)
     assert np.array_equal(expect.values, u.values)
+
+
+def _random_tables(kind, dim, nx, n_actions=3, seed=3):
+    grid = build_grid(kind, dim, (-1.0, 1.0), nx, 1.0, 5)
+    rng = np.random.default_rng(seed)
+    B = rng.uniform(-1.0, 1.0, size=(n_actions, grid.n_levels) + grid.space_shape + (dim,))
+    F = rng.uniform(0.0, 1.0, size=(n_actions, grid.n_levels) + grid.space_shape)
+    return grid, B, F
+
+
+@pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 1), ("torus", 2), ("box", 2)])
+def test_one_bad_drift_entry_raises_scheme_error(kind, dim):
+    # the M-matrix check runs once per solve, over every level (and action)
+    # at once: one entry it cannot certify still stops the solve
+    grid, B, F = _random_tables(kind, dim, 6)
+    F[2] += 10.0  # action 2 is never the cheapest where the drift is finite
+    for action in (0, 2):
+        bad = B.copy()
+        bad[(action, grid.nt // 2) + (2,) * dim + (dim - 1,)] = np.nan
+        with pytest.raises(SchemeError, match="non-M-matrix"):
+            solve_frozen(bad[action], F[action], grid)
+        with pytest.raises(SchemeError, match="non-M-matrix"):
+            solve_hjb_tables(bad, F, grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind,nx,least", [("torus", 2, 3), ("box", 3, 4)])
+def test_too_small_grids_name_the_minimum(kind, nx, least, dim):
+    grid, B, F = _random_tables(kind, dim, nx)
+    with pytest.raises(SchemeError, match=f"{kind} line solves need at least {least} nodes"):
+        solve_frozen(B[0], F[0], grid)
+    with pytest.raises(SchemeError, match=f"{kind} line solves need at least {least} nodes"):
+        solve_hjb_tables(B, F, grid)

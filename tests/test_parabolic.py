@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjblab import parabolic
 from hjblab.coefficients import ActionSet, make_smooth_baseline, sample_all
 from hjblab.grids import build_grid
 from hjblab.parabolic import (
@@ -307,6 +308,35 @@ def test_comparison_principle_fuzz(seed, kind, dim, nx, nt):
     data = None
     if kind == "box":
         data = lambda t, X: c[0] + c[1] * np.sin(3.0 * X[..., 0] + t) + c[2] * X[..., -1] ** 2
+    if nx < parabolic.MIN_NODES[kind]:  # a 3-node box line has one unknown: refused
+        with pytest.raises(SchemeError, match="line solves need at least"):
+            solve_frozen(b, f1, g, data)
+        return
     u1 = solve_frozen(b, f1, g, data)
     u2 = solve_frozen(b, f2, g, data)
     assert np.max(u1.values - u2.values) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["torus", "box"]),
+       dim=st.integers(1, 2), nx=st.integers(4, 12), length=st.floats(1e-3, 1e3),
+       T=st.floats(1e-4, 1e2), nt=st.integers(1, 40), scale=st.floats(0.0, 1e6))
+def test_upwind_implicit_bands_are_m_matrix_rows(seed, kind, dim, nx, length, T, nt, scale):
+    # Barles-Souganidis: every row of the upwind implicit Euler step matrix,
+    # assembled for all levels and axes at once, has nonpositive
+    # off-diagonals and a positive diagonal that exceeds their sum by 1
+    rng = np.random.default_rng(seed)
+    g = build_grid(kind, dim, (0.0, length), nx, T, nt)
+    B = scale * rng.standard_normal(size=(g.nt,) + g.space_shape + (dim,))
+    Ml, Md, Mu = parabolic._implicit_bands(B, g, ParabolicScheme(), g.dt)
+    assert Md.shape == B.shape
+    assert np.all(Ml <= 0.0) and np.all(Mu <= 0.0) and np.all(Md > 0.0)
+    assert np.all(np.abs(Md + Ml + Mu - 1.0) <= 1e-14 * Md)
+
+
+def test_non_finite_values_raise_scheme_error():
+    # box lines carry no finiteness check of their own: an overflowing cost
+    # reaches the solve's own check, which runs before the field is built
+    g = build_grid("box", 1, (-1.0, 1.0), 8, 1.0, 4)
+    with pytest.raises(SchemeError, match="non-finite"):
+        solve_frozen(_const(g, 0.0, 1), _const(g, 1e308), g)

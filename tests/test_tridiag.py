@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hjblab import parabolic, tridiag
+from hjblab import hjb, parabolic, tridiag
 from hjblab.grids import build_grid
-from hjblab.tridiag import solve_cyclic, solve_tridiag
+from hjblab.tridiag import cyclic_correction, solve_cyclic, solve_tridiag
 
 
 def _random_dd_system(rng, n, batch=()):
@@ -186,10 +186,26 @@ def test_cyclic_property_against_dense(seed, batch, n):
     assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("kind,dim,sweeps", [
-    ("box", 1, 1), ("torus", 1, 1), ("box", 2, 2), ("torus", 2, 2),
-])
-def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim, sweeps):
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=_batch_shapes, n=st.integers(3, 12),
+       levels=st.integers(1, 4))
+def test_stacked_correction_is_bit_identical(seed, batch, n, levels):
+    # a march takes every level's Sherman-Morrison set-up in one stacked
+    # call; a level's solve with its slice equals a solve from scratch, bit
+    # for bit (a quarter of the lines lack the row-0 wraparound coupling)
+    rng = np.random.default_rng(seed)
+    shape = (levels,) + batch + (n,)
+    lower, upper = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(2))
+    diag = np.sign(rng.normal(size=shape)) * (2.5 + np.abs(lower) + np.abs(upper))
+    lower[..., 0] = np.where(rng.uniform(size=shape[:-1]) < 0.25, 0.0, lower[..., 0])
+    rhs = rng.normal(size=shape)
+    correction = cyclic_correction(lower, diag, upper)
+    for i in range(levels):
+        x = solve_cyclic(lower[i], diag[i], upper[i], rhs[i], correction=[c[i] for c in correction])
+        assert np.array_equal(x, solve_cyclic(lower[i], diag[i], upper[i], rhs[i]))
+
+
+def _count_dgtsv(monkeypatch):
     calls = []
     original = tridiag.dgtsv
 
@@ -198,13 +214,43 @@ def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim, sweeps):
         return original(dl, d, du, b, **kw)
 
     monkeypatch.setattr(tridiag, "dgtsv", counting)
+    return calls
+
+
+def _tables(kind, dim, n_actions):
     grid = build_grid(kind, dim, (-1.0, 1.0), 9, 1.0, 4)
     rng = np.random.default_rng(7)
-    u_next = rng.normal(size=grid.space_shape)
-    b_lvl = rng.uniform(-1.0, 1.0, size=grid.space_shape + (dim,))
-    f_lvl = rng.normal(size=grid.space_shape)
-    u = parabolic._step(u_next, b_lvl, f_lvl, grid, None, parabolic.default_scheme(), 0.0)
-    assert np.all(np.isfinite(u))
-    assert len(calls) == sweeps
-    # torus lines carry rhs and the Sherman-Morrison vector as two columns
+    B = rng.uniform(-1.0, 1.0, size=(n_actions, grid.n_levels) + grid.space_shape + (dim,))
+    F = rng.normal(size=(n_actions, grid.n_levels) + grid.space_shape)
+    return grid, B, F
+
+
+@pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
+def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim):
+    calls = _count_dgtsv(monkeypatch)
+    grid, B, F = _tables(kind, dim, 1)
+    u = parabolic.solve_frozen(B[0], F[0], grid)
+    assert np.all(np.isfinite(u.values))
+    # a torus first solves every level's Sherman-Morrison vector, one call per axis
+    setup = dim if kind == "torus" else 0
+    assert len(calls) == setup + dim * grid.nt
+    size = int(np.prod(grid.space_shape))
+    assert calls[:setup] == [(grid.nt * size, 1)] * setup
+    # then each step's line solves carry its right-hand side as the one
+    # column; box lines solve for their interior nodes
+    interior = [size // n * (n - 2 if kind == "box" else n) for n in grid.nx]
+    assert calls[setup:] == [(m, 1) for m in interior] * grid.nt
+
+
+@pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
+def test_one_lapack_call_per_axis_march_sweep(monkeypatch, kind, dim):
+    calls = _count_dgtsv(monkeypatch)
+    steps = []
+    real = hjb._step
+    monkeypatch.setattr(hjb, "_step", lambda *a: steps.append(1) or real(*a))
+    grid, B, F = _tables(kind, dim, 3)
+    hjb.solve_hjb_tables(B, F, grid)
+    assert len(steps) >= grid.nt and len(calls) == dim * len(steps)
+    # the policy changes between sweeps, so a torus line solves its
+    # Sherman-Morrison vector beside the right-hand side
     assert all(shape[1] == (2 if kind == "torus" else 1) for shape in calls)
