@@ -8,7 +8,6 @@ nonzero when any declared scientific check fails, so the suite doubles as CI.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -18,6 +17,7 @@ import numpy as np
 from . import __version__
 from .coefficients import catalog_names
 from .config import ConfigError, RunManifest, load_config
+from .grids import BOX, field_to_csv
 from .experiments import (
     counterexample_report,
     countable_truncation_study,
@@ -25,7 +25,6 @@ from .experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from .grids import field_to_csv
 from .hjb import hjb_residual, policy_iteration, solve_hjb_direct
 from .mollify import coefficient_ladder
 from .montecarlo import (
@@ -34,7 +33,7 @@ from .montecarlo import (
     constant_control,
     simulate_cost,
 )
-from .selftest import run_selftest
+from .selftest import SUMMARY, run_selftest
 
 SUBCOMMANDS = (
     "solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
@@ -42,47 +41,10 @@ SUBCOMMANDS = (
 )
 
 
-def _now():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
 def _out_dir(args):
     root = args.out or os.environ.get("HJBLAB_OUT", ".")
     os.makedirs(root, exist_ok=True)
     return root
-
-
-def _manifest(cfg, args):
-    m = RunManifest(
-        config_hash=cfg.config_hash(),
-        config_echo=cfg.echo,
-        seeds={"mc": cfg.mc["seed"], "override": args.seed_override},
-    )
-    m.started = _now()
-    return m
-
-
-def _finish(manifest, out_dir):
-    manifest.finished = _now()
-    path = os.path.join(out_dir, "manifest.json")
-    manifest.write(path)
-    ok = manifest.all_passed
-    print(("OK" if ok else "FAILED") + f" -> {path}")
-    for c in manifest.checks:
-        print(f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['name']} {c['detail']}")
-    return 0 if ok else 1
-
-
-def _artifact(out_dir, name, manifest):
-    """Path of one output file, recorded in the manifest."""
-    path = os.path.join(out_dir, name)
-    manifest.add_artifact(path)
-    return path
-
-
-def _write_text(out_dir, name, text, manifest):
-    with open(_artifact(out_dir, name, manifest), "w") as fh:
-        fh.write(text)
 
 
 def _build(cfg, args):
@@ -96,7 +58,8 @@ def _build(cfg, args):
 _NONEMPTY = (bool, "a nonempty value")
 NEEDS = {"mollify-sweep": {"mollify.eps": _NONEMPTY},
          "truncation-study": {"mollify.eps": _NONEMPTY, "actions.family": _NONEMPTY},
-         "counterexample": {"domain.dim": (lambda dim: dim == 1, "1 (its a = x feedback is 1d)")}}
+         "counterexample": {"domain.dim": (lambda dim: dim == 1, "1 (its a = x feedback is 1d)"),
+                            "domain.kind": (lambda kind: kind == BOX, "a box (V is not periodic)")}}
 
 
 def _report(header, violations):
@@ -104,61 +67,50 @@ def _report(header, violations):
     return 2
 
 
-def _check_inner_sweeps(manifest, n_flagged):
-    manifest.add_check("inner_sweeps_converged", n_flagged == 0, f"{n_flagged} flagged steps")
-
-
 def _solve_direct(cfg, oracle, aset, manifest):
     """Direct HJB march, with its inner-sweep convergence recorded as a check."""
     u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
-    _check_inner_sweeps(manifest, len(u.meta["inner_flagged_steps"]))
+    manifest.add_inner_sweeps(len(u.meta["inner_flagged_steps"]))
     return u
 
 
-def cmd_solve_hjb(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_solve_hjb(cfg, args, manifest):
     oracle, aset, _ = _build(cfg, args)
     u = _solve_direct(cfg, oracle, aset, manifest)
     res = hjb_residual(u.values, oracle, aset, cfg.grid, scheme=cfg.scheme)
-    field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
+    field_to_csv(u, manifest.path("value.csv"))
     manifest.add_check("hjb_residual", res <= 1e-9 * max(1.0, float(np.max(np.abs(u.values)))) + 1e-9,
                        f"residual {res:.3e}")
     if hasattr(u, "policy"):
-        u.policy.to_csv(_artifact(out_dir, "policy.csv", manifest))
-    return _finish(manifest, out_dir)
+        u.policy.to_csv(manifest.path("policy.csv"))
 
 
-def cmd_policy_iter(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_policy_iter(cfg, args, manifest):
     oracle, aset, _ = _build(cfg, args)
     u, policy, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme,
                                         tol=cfg.tol, max_iters=cfg.max_iters)
     u_dir = _solve_direct(cfg, oracle, aset, manifest)
     sup = float(np.max(np.abs(u.values - u_dir.values)))
-    field_to_csv(u, _artifact(out_dir, "value.csv", manifest))
-    trace.to_csv(_artifact(out_dir, "trace.csv", manifest))
-    policy.to_csv(_artifact(out_dir, "policy.csv", manifest))
+    field_to_csv(u, manifest.path("value.csv"))
+    trace.to_csv(manifest.path("trace.csv"))
+    policy.to_csv(manifest.path("policy.csv"))
     manifest.add_check("converged", trace.converged, f"{trace.iterations} iterations")
     manifest.add_check("oracle_agreement", sup <= 10 * cfg.tol, f"sup diff {sup:.3e}")
     manifest.add_check("monotone_descent", max(trace.max_pos_diffs[1:], default=0.0) <= 1e-10,
                        f"worst ascent {max(trace.max_pos_diffs[1:], default=0.0):.2e}")
-    return _finish(manifest, out_dir)
 
 
-def cmd_verify(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_verify(cfg, args, manifest):
     oracle, aset, sim = _build(cfg, args)
     u = _solve_direct(cfg, oracle, aset, manifest)
     candidates = [(f"const_{i}", constant_control(aset.action(i)))
                   for i in range(min(len(aset), 5))]
     rep = verification_check(u, oracle, sim, candidates)
-    _write_text(out_dir, "verification.json", _report_json(cfg, rep.to_json()), manifest)
+    manifest.write_text("verification.json", _report_json(cfg, sim, rep.to_json()))
     manifest.add_check("verification", rep.passed, rep.summary())
-    return _finish(manifest, out_dir)
 
 
-def cmd_dpp_check(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_dpp_check(cfg, args, manifest):
     oracle, aset, sim = _build(cfg, args)
     u = _solve_direct(cfg, oracle, aset, manifest)
     t_mids = [frac * cfg.grid.T for frac in cfg.experiment["t_mid"]]
@@ -168,56 +120,50 @@ def cmd_dpp_check(cfg, args, out_dir):
         subopt.append((f"const_{sub_idx}", constant_control(aset.action(sub_idx))))
     rep = dpp_battery(u, oracle, GridPolicyControl(u.policy, name="argmin"), sim,
                       t_mids, suboptimal_controls=subopt)
-    _write_text(out_dir, "dpp.json",
-                json.dumps([vars(r) for r in rep.rows], indent=2, sort_keys=True) + "\n",
-                manifest)
+    manifest.write_text("dpp.json",
+                        json.dumps([vars(r) for r in rep.rows], indent=2, sort_keys=True) + "\n")
     manifest.add_check("dpp", rep.passed, f"{len(rep.rows)} rows")
-    return _finish(manifest, out_dir)
 
 
-def _report_json(cfg, report_text):
-    """Embed the full config echo and seeds so the artifact replays itself."""
+def _report_json(cfg, sim, report_text):
+    """Embed the full config echo and the seed the run used, so the artifact
+    replays itself."""
     return json.dumps(
-        {"config": cfg.echo, "seeds": {"mc": cfg.mc["seed"]},
+        {"config": cfg.echo, "seeds": {"mc": sim.seed},
          "report": json.loads(report_text)},
         indent=2, sort_keys=True,
     ) + "\n"
 
 
-def cmd_mollify_sweep(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
-    oracle, aset, _ = _build(cfg, args)
+def cmd_mollify_sweep(cfg, args, manifest):
+    oracle, aset, sim = _build(cfg, args)
     sweep = mollify_value_sweep(oracle, aset, cfg.grid, cfg.eps_list,
                                 scheme=cfg.scheme, scenario=cfg.label,
                                 store_fields=True)
-    _check_inner_sweeps(manifest, sweep.flagged_steps)
-    _write_text(out_dir, "sweep.json", _report_json(cfg, sweep.to_json()), manifest)
+    manifest.add_inner_sweeps(sweep.flagged_steps)
+    manifest.write_text("sweep.json", _report_json(cfg, sim, sweep.to_json()))
     for rung in sweep.resolved_rungs():
-        field_to_csv(rung.gap_field, _artifact(out_dir, f"gap_eps_{rung.epsilon:g}.csv", manifest))
+        field_to_csv(rung.gap_field, manifest.path(f"gap_eps_{rung.epsilon:g}.csv"))
     ladder = coefficient_ladder(oracle, aset.action(0), cfg.grid, cfg.eps_list)
-    ladder.to_csv(_artifact(out_dir, "ladder.csv", manifest))
+    ladder.to_csv(manifest.path("ladder.csv"))
     manifest.add_check("liminf", sweep.liminf_pass, "")
     manifest.add_check("countable_convergence", sweep.countable_pass,
                        f"threshold {sweep.countable_threshold:.4f}")
-    return _finish(manifest, out_dir)
 
 
-def cmd_truncation_study(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_truncation_study(cfg, args, manifest):
     oracle, _, sim = _build(cfg, args)
     rep = countable_truncation_study(oracle, cfg.family(), cfg.experiment["N_list"],
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list,
                                      scheme=cfg.scheme)
-    _check_inner_sweeps(manifest, rep.flagged_steps)
-    _write_text(out_dir, "truncation.json", _report_json(cfg, rep.to_json()), manifest)
+    manifest.add_inner_sweeps(rep.flagged_steps)
+    manifest.write_text("truncation.json", _report_json(cfg, sim, rep.to_json()))
     manifest.add_check("value_monotone_in_N", rep.monotone_pass, "")
     manifest.add_check("eps_convergence_per_N", rep.eps_pass, "")
     manifest.add_check("open_loop_costs", rep.open_loop_pass, "")
-    return _finish(manifest, out_dir)
 
 
-def cmd_simulate(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_simulate(cfg, args, manifest):
     oracle, aset, sim = _build(cfg, args)
     spec = cfg.experiment["control"]
     if spec["type"] == "constant":
@@ -228,25 +174,22 @@ def cmd_simulate(cfg, args, out_dir):
         u = _solve_direct(cfg, oracle, aset, manifest)
         control = GridPolicyControl(u.policy, name="argmin_feedback")
     est = simulate_cost(oracle, control, sim, cfg.grid, scenario=cfg.label)
-    _write_text(out_dir, "estimate.json",
-                est.to_json(scenario=cfg.label, control=control.name) + "\n", manifest)
+    manifest.write_text("estimate.json",
+                        est.to_json(scenario=cfg.label, control=control.name) + "\n")
     manifest.add_check("finite_estimate", np.isfinite(est.mean) and np.isfinite(est.se),
                        f"{est.mean:.6g} +- {est.se:.2g}")
-    return _finish(manifest, out_dir)
 
 
-def cmd_counterexample(cfg, args, out_dir):
-    manifest = _manifest(cfg, args)
+def cmd_counterexample(cfg, args, manifest):
     sim = cfg.build_sim(seed_override=args.seed_override, n_threads=args.threads)
     rep = counterexample_report(cfg.grid.T, cfg.experiment["x_samples"], cfg.grid,
                                 sim=sim, mc_enabled=True)
-    _write_text(out_dir, "counterexample.json", _report_json(cfg, rep.to_json()), manifest)
-    rep.to_csv(_artifact(out_dir, "counterexample_rows.csv", manifest))
+    manifest.write_text("counterexample.json", _report_json(cfg, sim, rep.to_json()))
+    rep.to_csv(manifest.path("counterexample_rows.csv"))
     manifest.add_check("strict_gap", rep.gap_pass, f"gap(0,0)={rep.gap_at_origin:.4f}")
     manifest.add_check("mc_crosscheck", rep.mc_pass, "")
     manifest.add_check("boundary_contamination", rep.contamination <= rep.contamination_tol,
                        rep.advice or f"{rep.contamination:.2e}")
-    return _finish(manifest, out_dir)
 
 
 def cmd_catalog(args, out_dir):
@@ -264,12 +207,10 @@ def cmd_catalog(args, out_dir):
     return 0
 
 
-def cmd_selftest(cfg, args, out_dir):
-    result = run_selftest(out_dir, threads=args.threads)
-    for o in result.outcomes:
-        print(o.line())
-    print(f"total runtime {result.total_runtime:.1f}s")
-    return 0 if result.all_passed else 1
+def cmd_selftest(args, out_dir):
+    record = run_selftest(out_dir, threads=args.threads)
+    print(record.report(os.path.join(out_dir, SUMMARY)))
+    return 0 if record.all_passed else 1
 
 
 def main(argv=None):
@@ -292,7 +233,7 @@ def main(argv=None):
     if args.subcommand == "catalog":
         return cmd_catalog(args, out_dir)
     if args.subcommand == "selftest":
-        return cmd_selftest(None, args, out_dir)
+        return cmd_selftest(args, out_dir)
 
     if not args.config:
         parser.error(f"{args.subcommand} needs a scenario config path")
@@ -315,7 +256,11 @@ def main(argv=None):
         "simulate": cmd_simulate,
         "counterexample": cmd_counterexample,
     }
-    return handlers[args.subcommand](cfg, args, out_dir)
+    manifest = RunManifest(out_dir, cfg.config_hash(), cfg.echo,
+                           {"mc": cfg.mc["seed"], "override": args.seed_override})
+    handlers[args.subcommand](cfg, args, manifest)
+    print(manifest.report(manifest.write("manifest.json")))
+    return 0 if manifest.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ the resolved config, defaults included, into the run manifest.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import inspect
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,43 +357,82 @@ def validate_config(raw, base_dir="."):
         mc=echo["mc"], experiment=echo["experiment"], echo=echo, values=got)
 
 
+def _now():
+    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+
+
 @dataclass
 class RunManifest:
-    """Replayable record of one run: config echo, seeds, artifacts, checks."""
+    """The one record of a run, a CLI command or the selftest: its output
+    directory, config echo and seeds, every artifact it names, and its
+    checks.  A check is {"name", "passed", "detail"}; a selftest check also
+    carries its "criterion" and "runtime" (s).  ``write`` stamps the end
+    time and total runtime and writes the record as JSON, atomically."""
 
-    config_hash: str
-    config_echo: dict
-    seeds: dict
-    tool_version: str = __version__
-    started: str = ""
+    out_dir: str
+    config_hash: str | None = None
+    config_echo: dict | None = None
+    seeds: dict = field(default_factory=dict)
+    started: str = field(default_factory=_now)
     finished: str = ""
+    total_runtime: float = 0.0
     artifacts: list = field(default_factory=list)
-    checks: list = field(default_factory=list)  # {"name", "passed", "detail"}
+    checks: list = field(default_factory=list)
+    _clock: float = field(default_factory=time.perf_counter, repr=False)
 
-    def add_artifact(self, path):
-        self.artifacts.append(str(path))
+    def path(self, name):
+        """Path of one output file, recorded as an artifact."""
+        path = os.path.join(self.out_dir, name)
+        self.artifacts.append(path)
+        return path
 
-    def add_check(self, name, passed, detail=""):
-        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
+    def write_text(self, name, text):
+        with open(self.path(name), "w") as fh:
+            fh.write(text)
+
+    def add_check(self, name, passed, detail="", **extra):
+        self.checks.append({"name": name, "passed": bool(passed), "detail": detail, **extra})
+
+    def add_inner_sweeps(self, n_flagged, **extra):
+        """The direct marcher's check: no step flagged for unsettled inner sweeps."""
+        self.add_check("inner_sweeps_converged", n_flagged == 0, f"{n_flagged} flagged steps",
+                       **extra)
 
     @property
     def all_passed(self):
         return all(c["passed"] for c in self.checks)
 
-    def write(self, path):
-        """Atomic write (tmp file + rename) at run end."""
+    def write(self, name):
+        """Write the record as ``name`` in the output directory (tmp file +
+        rename); return its path."""
+        self.finished = _now()
+        self.total_runtime = round(time.perf_counter() - self._clock, 3)
         payload = {
             "config_hash": self.config_hash,
             "config": self.config_echo,
             "seeds": self.seeds,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "started": self.started,
             "finished": self.finished,
+            "total_runtime": self.total_runtime,
+            "all_passed": self.all_passed,
             "artifacts": self.artifacts,
             "checks": self.checks,
         }
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w") as fh:
+        path = os.path.join(self.out_dir, name)
+        with open(path + ".tmp", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)
+        os.replace(path + ".tmp", path)
+        return path
+
+    def report(self, path):
+        """The verdict and the record's path, then one PASS/FAIL line per check."""
+        verdict = "OK" if self.all_passed else "FAILED"
+        lines = [f"{verdict} -> {path} ({self.total_runtime:.1f}s)"]
+        for c in self.checks:
+            criterion = f"criterion {c['criterion']}: " if "criterion" in c else ""
+            runtime = f" ({c['runtime']:.1f}s)" if "runtime" in c else ""
+            lines.append(f"  [{'PASS' if c['passed'] else 'FAIL'}] {criterion}{c['name']}{runtime}"
+                         f" {c['detail']}")
+        return "\n".join(lines)

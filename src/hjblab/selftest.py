@@ -3,7 +3,8 @@
 The battery builds the shipped scenarios programmatically (the configs/
 directory mirrors them for CLI use), runs all nine acceptance checks at
 their stated tolerances, writes the numeric artifacts into an output
-directory, and returns one outcome per criterion.  Artifact bytes are
+directory, and records one check per criterion in a ``RunManifest``,
+written as ``selftest_summary.json``.  Artifact bytes are
 deterministic for a fixed seed set: rerunning the battery reproduces them
 bit for bit.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .coefficients import (
     sample_all,
     verify_bound,
 )
+from .config import RunManifest
 from .experiments import (
     _solve_effective,
     counterexample_report,
@@ -53,45 +54,7 @@ from .montecarlo import (
 from .parabolic import ParabolicScheme, convergence_order, solve_frozen
 
 MASTER_SEED = 20260810
-
-
-@dataclass
-class CheckOutcome:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str
-    runtime: float
-
-    def line(self):
-        mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] criterion {self.criterion}: {self.name} ({self.runtime:.1f}s) {self.detail}"
-
-
-@dataclass
-class SelfTestResult:
-    outcomes: list
-    artifacts: list
-    total_runtime: float
-
-    @property
-    def all_passed(self):
-        return all(o.passed for o in self.outcomes)
-
-    def summary_json(self):
-        return json.dumps(
-            {
-                "all_passed": self.all_passed,
-                "total_runtime": round(self.total_runtime, 3),
-                "outcomes": [
-                    {"criterion": o.criterion, "name": o.name, "passed": o.passed,
-                     "detail": o.detail}
-                    for o in self.outcomes
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+SUMMARY = "selftest_summary.json"
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +94,11 @@ def multi_action_scenarios():
     }
 
 
-def _write(out_dir, name, text, artifacts):
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    artifacts.append(path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
 
-def _crit1_counterexample(out_dir, artifacts):
+def _crit1_counterexample(record):
     t0 = time.perf_counter()
     grid = scenario_counterexample_grid()
     rep = counterexample_report(1.0, [0.0, 0.5, 1.0], grid, mc_enabled=False)
@@ -152,16 +107,15 @@ def _crit1_counterexample(out_dir, artifacts):
     ok_v = abs(row0.v_num - 1.0) <= 0.02
     ok_vl = abs(row0.v_lim_num - 4.0 / 3.0) <= 0.02 * (4.0 / 3.0)
     ok = ok_v and ok_vl and rep.gap_pass and rt < 10.0 and not rep.advice
-    _write(out_dir, "counterexample.json", rep.to_json() + "\n", artifacts)
-    path = os.path.join(out_dir, "counterexample_rows.csv")
-    rep.to_csv(path)
-    artifacts.append(path)
+    record.write_text("counterexample.json", rep.to_json() + "\n")
+    rep.to_csv(record.path("counterexample_rows.csv"))
     detail = (f"V(0,0)={row0.v_num:.4f} Vlim(0,0)={row0.v_lim_num:.4f} "
               f"gap={row0.gap_num:.4f} contamination={rep.contamination:.1e}")
-    return CheckOutcome(1, "counterexample gap (closed forms)", ok, detail, rt), rep
+    record.add_check("counterexample gap (closed forms)", ok, detail, criterion=1, runtime=rt)
+    return rep
 
 
-def _crit2_mc_crosscheck(out_dir, artifacts, threads):
+def _crit2_mc_crosscheck(record, threads):
     t0 = time.perf_counter()
     grid = scenario_counterexample_grid()
     sim = SimConfig(n_paths=100_000, dt_sim=1e-3, seed=MASTER_SEED,
@@ -177,13 +131,15 @@ def _crit2_mc_crosscheck(out_dir, artifacts, threads):
         est0.to_json(scenario="counterexample", control="a_eq_x"),
         est1.to_json(scenario="counterexample_mollified_limit", control="const_1"),
     ])
-    _write(out_dir, "mc_crosscheck.json", payload + "\n", artifacts)
+    record.write_text("mc_crosscheck.json", payload + "\n")
     detail = (f"a=x: {est0.mean:.5f}+-{est0.se:.5f} (1.0); "
               f"drift1: {est1.mean:.5f}+-{est1.se:.5f} ({4/3:.5f})")
-    return CheckOutcome(2, "Monte Carlo cross-check", ok, detail, rt)
+    record.add_check("Monte Carlo cross-check", ok, detail, criterion=2, runtime=rt)
 
 
-def _crit3_crit4_agreement(out_dir, artifacts):
+def _crit3_crit4_agreement(record):
+    """Criteria 3 and 4; returns the fields criteria 5 and 6 reuse, and the
+    direct marches' flagged steps."""
     t0 = time.perf_counter()
     tol = 1e-8
     rows = {}
@@ -210,13 +166,12 @@ def _crit3_crit4_agreement(out_dir, artifacts):
         if descent > 1e-10:
             ok4 = False
     rt = time.perf_counter() - t0
-    _write(out_dir, "oracle_agreement.json",
-           json.dumps(rows, indent=2, sort_keys=True) + "\n", artifacts)
+    record.write_text("oracle_agreement.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
     sups = ", ".join(f"{k}={v['sup_diff']:.1e}" for k, v in rows.items())
     iters = ", ".join(f"{k}:{v['iterations']}" for k, v in rows.items())
-    out3 = CheckOutcome(3, "policy iteration vs direct solve", ok3, sups, rt)
-    out4 = CheckOutcome(4, "policy iteration monotonicity", ok4, iters, 0.0)
-    return out3, out4, pi_fields
+    record.add_check("policy iteration vs direct solve", ok3, sups, criterion=3, runtime=rt)
+    record.add_check("policy iteration monotonicity", ok4, iters, criterion=4, runtime=0.0)
+    return pi_fields, sum(row["flagged_steps"] for row in rows.values())
 
 
 def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
@@ -236,7 +191,7 @@ def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
     ]
 
 
-def _crit5_verification(out_dir, artifacts, pi_fields, u0, threads):
+def _crit5_verification(record, pi_fields, u0, threads):
     t0 = time.perf_counter()
     ok = True
     details = []
@@ -250,7 +205,7 @@ def _crit5_verification(out_dir, artifacts, pi_fields, u0, threads):
     rep1 = verification_check(u_dir, oracle, sim, candidates)
     ok = ok and rep1.passed
     details.append(f"bang_bang u={rep1.u_start:.4f}")
-    _write(out_dir, "verification_bang_bang.json", rep1.to_json() + "\n", artifacts)
+    record.write_text("verification_bang_bang.json", rep1.to_json() + "\n")
 
     # scenario 2: counterexample against the injected effective Hamiltonian
     ce = make_counterexample(u0.grid)
@@ -267,13 +222,14 @@ def _crit5_verification(out_dir, artifacts, pi_fields, u0, threads):
                               argmin_control=FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x"))
     ok = ok and rep2.passed
     details.append(f"counterexample u={rep2.u_start:.4f}")
-    _write(out_dir, "verification_counterexample.json", rep2.to_json() + "\n", artifacts)
+    record.write_text("verification_counterexample.json", rep2.to_json() + "\n")
 
     rt = time.perf_counter() - t0
-    return CheckOutcome(5, "verification theorem battery", ok, "; ".join(details), rt)
+    record.add_check("verification theorem battery", ok, "; ".join(details), criterion=5,
+                     runtime=rt)
 
 
-def _crit6_dpp(out_dir, artifacts, pi_fields, u0, threads):
+def _crit6_dpp(record, pi_fields, u0, threads):
     t0 = time.perf_counter()
     grid, oracle, aset, scheme = scenario_bang_bang()
     _, _, _, u_dir = pi_fields["bang_bang"]
@@ -293,10 +249,10 @@ def _crit6_dpp(out_dir, artifacts, pi_fields, u0, threads):
     rt = time.perf_counter() - t0
     ok = rep1.passed and rep2.passed
     rows = [vars(r) for r in rep1.rows + rep2.rows]
-    _write(out_dir, "dpp.json", json.dumps(rows, indent=2, sort_keys=True) + "\n", artifacts)
+    record.write_text("dpp.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
     worst = max(abs(r.residual) for r in rep1.rows + rep2.rows if r.expect == "zero")
-    detail = f"max |residual| at argmin feedback {worst:.4f}"
-    return CheckOutcome(6, "DPP residuals", ok, detail, rt)
+    record.add_check("DPP residuals", ok, f"max |residual| at argmin feedback {worst:.4f}",
+                     criterion=6, runtime=rt)
 
 
 SWEEP_LADDERS = {
@@ -307,21 +263,23 @@ SWEEP_LADDERS = {
 DEFAULT_LADDER = [0.4, 0.2, 0.1]
 
 
-def _crit7_sweeps(out_dir, artifacts, gap_report):
+def _crit7_sweeps(record, gap_report):
+    """Criterion 7's sweeps; returns their marches' flagged steps."""
     t0 = time.perf_counter()
     ok = True
     details = []
+    flagged = 0
     for name, (grid, oracle, aset, scheme) in multi_action_scenarios().items():
         sweep = mollify_value_sweep(oracle, aset, grid,
                                     SWEEP_LADDERS.get(name, DEFAULT_LADDER),
                                     scheme=scheme, scenario=name)
-        _write(out_dir, f"sweep_{name}.json", sweep.to_json() + "\n", artifacts)
-        path = os.path.join(out_dir, f"sweep_{name}.csv")
-        write_csv(path, ["epsilon", "resolved", "sup_gap_full", "sup_gap_interior",
-                         "min_gap_interior", "lp_gap"],
+        flagged += sweep.flagged_steps
+        record.write_text(f"sweep_{name}.json", sweep.to_json() + "\n")
+        write_csv(record.path(f"sweep_{name}.csv"),
+                  ["epsilon", "resolved", "sup_gap_full", "sup_gap_interior",
+                   "min_gap_interior", "lp_gap"],
                   [(r.epsilon, int(r.resolved), r.sup_gap_full, r.sup_gap_interior,
                     r.min_gap_interior, r.lp_gap) for r in sweep.rungs])
-        artifacts.append(path)
         if not (sweep.liminf_pass and sweep.countable_pass and sweep.flagged_steps == 0):
             ok = False
             details.append(f"{name}: liminf={sweep.liminf_pass} countable={sweep.countable_pass}"
@@ -338,15 +296,15 @@ def _crit7_sweeps(out_dir, artifacts, gap_report):
     for entry, oracle in (("step_drift", make_step_drift(gridl, c=1.0)),
                           ("smooth_baseline", make_smooth_baseline(gridl, T=gridl.T))):
         ladder = coefficient_ladder(oracle, 1.0, gridl, [0.4, 0.2, 0.1])
-        path = os.path.join(out_dir, f"ladder_{entry}.csv")
-        ladder.to_csv(path)
-        artifacts.append(path)
+        ladder.to_csv(record.path(f"ladder_{entry}.csv"))
         d = ladder.distances()
         if not all(b <= a + 1e-10 for a, b in zip(d, d[1:])):
             ok = False
             details.append(f"{entry}: ladder not decreasing")
     rt = time.perf_counter() - t0
-    return CheckOutcome(7, "mollification sweeps (two regimes)", ok, "; ".join(details), rt)
+    record.add_check("mollification sweeps (two regimes)", ok, "; ".join(details), criterion=7,
+                     runtime=rt)
+    return flagged
 
 
 def _smooth_problem(grid):
@@ -356,7 +314,7 @@ def _smooth_problem(grid):
     return B[0], F[0], None, exact
 
 
-def _crit8_solver_validation(out_dir, artifacts):
+def _crit8_solver_validation(record):
     t0 = time.perf_counter()
     payload = {}
     ok = True
@@ -408,27 +366,30 @@ def _crit8_solver_validation(out_dir, artifacts):
     payload["kernel_normalization"] = norm_errors
 
     rt = time.perf_counter() - t0
-    _write(out_dir, "solver_validation.json",
-           json.dumps(payload, indent=2, sort_keys=True) + "\n", artifacts)
+    record.write_text("solver_validation.json",
+                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
     detail = (f"orders central=({orders_c.space:.2f},{orders_c.time:.2f}) "
               f"upwind=({orders_u.space:.2f},{orders_u.time:.2f}) fuzz={worst:.1e}")
-    return CheckOutcome(8, "solver validation", ok, detail, rt)
+    record.add_check("solver validation", ok, detail, criterion=8, runtime=rt)
 
 
-def _crit_truncation(out_dir, artifacts, threads):
-    """Countable-action truncation study (supports criterion 7's regime split)."""
+def _crit_truncation(record, threads):
+    """Countable-action truncation study (supports criterion 7's regime split);
+    returns its marches' flagged steps."""
     t0 = time.perf_counter()
     grid, oracle, aset, scheme = scenario_bang_bang()
     sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 7,
                     start_time=0.0, start_state=(0.5,), n_threads=threads)
     rep = countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
                                      sim=sim, eps_list=[0.2, 0.1], scheme=scheme)
-    _write(out_dir, "truncation.json", rep.to_json() + "\n", artifacts)
+    record.write_text("truncation.json", rep.to_json() + "\n")
     rt = time.perf_counter() - t0
-    return CheckOutcome(7, "countable truncation study", rep.passed, rep.summary(), rt)
+    record.add_check("countable truncation study", rep.passed, rep.summary(), criterion=7,
+                     runtime=rt)
+    return rep.flagged_steps
 
 
-def _crit9_reproducibility(out_dir, artifacts, threads):
+def _crit9_reproducibility(record, threads):
     """Spot reproducibility inside one battery run: regenerate representative
     numeric artifacts and require byte equality.  (The test suite additionally
     reruns the full battery and compares all artifact files.)"""
@@ -443,14 +404,14 @@ def _crit9_reproducibility(out_dir, artifacts, threads):
     rb = counterexample_report(1.0, [0.0], small, mc_enabled=False).to_json()
     ok = (a == b) and (ra == rb)
     rt = time.perf_counter() - t0
-    _write(out_dir, "reproducibility.json",
-           json.dumps({"mc_identical": a == b, "report_identical": ra == rb},
-                      indent=2, sort_keys=True) + "\n", artifacts)
-    return CheckOutcome(9, "bit-identical regeneration", ok,
-                        f"mc={a == b} report={ra == rb}", rt)
+    record.write_text("reproducibility.json",
+                      json.dumps({"mc_identical": a == b, "report_identical": ra == rb},
+                                 indent=2, sort_keys=True) + "\n")
+    record.add_check("bit-identical regeneration", ok, f"mc={a == b} report={ra == rb}",
+                     criterion=9, runtime=rt)
 
 
-def _bound_checks(out_dir, artifacts):
+def _bound_checks(record):
     """Domination scan for every shipped catalog entry on its default grid."""
     rows = {}
     ok = True
@@ -464,41 +425,36 @@ def _bound_checks(out_dir, artifacts):
         rep = verify_bound(oracle, check_grid, aset)
         rows[name] = {"passed": rep.passed, "min_slack": rep.min_slack}
         ok = ok and rep.passed
-    _write(out_dir, "bound_checks.json", json.dumps(rows, indent=2, sort_keys=True) + "\n",
-           artifacts)
-    return ok, rows
+    record.write_text("bound_checks.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    record.add_check("catalog domination bounds", ok, "", criterion=0, runtime=0.0)
 
 
 def run_selftest(out_dir, threads=1):
-    """Run the acceptance battery, write artifacts, return the outcomes."""
+    """Run the acceptance battery, write its artifacts and its record
+    (``selftest_summary.json``), and return the record."""
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = []
+    record = RunManifest(out_dir, seeds={"master": MASTER_SEED})
     t_start = time.perf_counter()
-    outcomes = []
 
-    out1, gap_report = _crit1_counterexample(out_dir, artifacts)
-    outcomes.append(out1)
-    outcomes.append(_crit2_mc_crosscheck(out_dir, artifacts, threads))
-
-    out3, out4, pi_fields = _crit3_crit4_agreement(out_dir, artifacts)
-    outcomes.extend([out3, out4])
+    gap_report = _crit1_counterexample(record)
+    _crit2_mc_crosscheck(record, threads)
+    pi_fields, flagged = _crit3_crit4_agreement(record)
     # the counterexample's effective value u0, which criteria 5 and 6 both test
     u0, _ = _solve_effective(0.0, scenario_counterexample_grid(),
                              ParabolicScheme(advection="central"))
-    outcomes.append(_crit5_verification(out_dir, artifacts, pi_fields, u0, threads))
-    outcomes.append(_crit6_dpp(out_dir, artifacts, pi_fields, u0, threads))
-    outcomes.append(_crit7_sweeps(out_dir, artifacts, gap_report))
-    outcomes.append(_crit_truncation(out_dir, artifacts, threads))
-    outcomes.append(_crit8_solver_validation(out_dir, artifacts))
-    outcomes.append(_crit9_reproducibility(out_dir, artifacts, threads))
-
-    bounds_ok, _ = _bound_checks(out_dir, artifacts)
-    outcomes.append(CheckOutcome(0, "catalog domination bounds", bounds_ok, "", 0.0))
+    _crit5_verification(record, pi_fields, u0, threads)
+    _crit6_dpp(record, pi_fields, u0, threads)
+    flagged += _crit7_sweeps(record, gap_report)
+    flagged += _crit_truncation(record, threads)
+    _crit8_solver_validation(record)
+    _crit9_reproducibility(record, threads)
+    _bound_checks(record)
+    # criteria 3 and 7 already fail on a flagged step; this names the total
+    record.add_inner_sweeps(flagged, criterion=0, runtime=0.0)
 
     total = time.perf_counter() - t_start
     if total >= 300.0:
-        outcomes.append(CheckOutcome(9, "selftest runtime < 5 min", False,
-                                     f"{total:.0f}s", total))
-    result = SelfTestResult(outcomes=outcomes, artifacts=artifacts, total_runtime=total)
-    _write(out_dir, "selftest_summary.json", result.summary_json() + "\n", artifacts)
-    return result
+        record.add_check("selftest runtime < 5 min", False, f"{total:.0f}s", criterion=9,
+                         runtime=total)
+    record.write(SUMMARY)
+    return record

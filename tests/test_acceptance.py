@@ -15,26 +15,30 @@ from types import SimpleNamespace
 import pytest
 
 from hjblab import hjb, selftest
+from hjblab.cli import main
+from hjblab.config import RunManifest
 from hjblab.selftest import (
+    SUMMARY,
     _crit3_crit4_agreement,
     _crit7_sweeps,
     multi_action_scenarios,
     run_selftest,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 @pytest.fixture(scope="module")
 def battery(tmp_path_factory):
     out = tmp_path_factory.mktemp("selftest")
     result = run_selftest(str(out), threads=2)
-    for outcome in result.outcomes:
-        print(outcome.line())
+    print(result.report(os.path.join(out, SUMMARY)))
     return out, result
 
 
 def _outcome(result, criterion, fragment=""):
-    matches = [o for o in result.outcomes
-               if o.criterion == criterion and fragment in o.name]
+    matches = [c for c in result.checks
+               if c["criterion"] == criterion and fragment in c["name"]]
     assert matches, f"no outcome recorded for criterion {criterion} {fragment!r}"
     return matches[0]
 
@@ -42,69 +46,83 @@ def _outcome(result, criterion, fragment=""):
 def test_criterion_1_counterexample_gap(battery):
     _, result = battery
     o = _outcome(result, 1)
-    assert o.passed, o.line()
-    assert o.runtime < 10.0
+    assert o["passed"], o
+    assert o["runtime"] < 10.0
 
 
 def test_criterion_2_mc_crosscheck(battery):
     _, result = battery
     o = _outcome(result, 2)
-    assert o.passed, o.line()
-    assert o.runtime < 60.0
+    assert o["passed"], o
+    assert o["runtime"] < 60.0
 
 
 def test_criterion_3_oracle_agreement(battery):
     _, result = battery
     o = _outcome(result, 3)
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_4_monotonicity(battery):
     _, result = battery
     o = _outcome(result, 4)
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_5_verification(battery):
     _, result = battery
     o = _outcome(result, 5)
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_6_dpp(battery):
     _, result = battery
     o = _outcome(result, 6)
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_7_sweeps(battery):
     _, result = battery
     o = _outcome(result, 7, fragment="sweeps")
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_7_truncation(battery):
     _, result = battery
     o = _outcome(result, 7, fragment="truncation")
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_8_solver_validation(battery):
     _, result = battery
     o = _outcome(result, 8)
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_criterion_9_reproducibility_spot(battery):
     _, result = battery
     o = _outcome(result, 9)
-    assert o.passed, o.line()
+    assert o["passed"], o
 
 
 def test_catalog_bounds(battery):
     _, result = battery
     o = _outcome(result, 0)
-    assert o.passed, o.line()
+    assert o["passed"], o
+
+
+def test_summary_is_a_run_record_like_the_manifest(battery, tmp_path):
+    out, _ = battery
+    summary = json.loads((out / SUMMARY).read_text())
+    cli = {"name", "passed", "detail"}
+    assert all(set(c) == cli | {"criterion", "runtime"} for c in summary["checks"])
+    assert {"name": "inner_sweeps_converged", "passed": True, "detail": "0 flagged steps",
+            "criterion": 0, "runtime": 0.0} in summary["checks"]
+    assert main(["solve-hjb", os.path.join(ROOT, "configs", "smooth_baseline.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(summary) == set(manifest)
+    assert all(set(c) == cli for c in manifest["checks"])
 
 
 def test_criterion_9_full_rerun_bit_identical(battery, tmp_path):
@@ -128,10 +146,12 @@ def test_criterion_9_full_rerun_bit_identical(battery, tmp_path):
 def test_criterion_7_sweeps_fail_on_flagged_inner_steps(tmp_path, monkeypatch):
     # one sweep per step can never see the argmin repeat, so every march flags
     monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
-    o = _crit7_sweeps(str(tmp_path), [], SimpleNamespace(gap_at_origin=1.0 / 3.0))
-    assert not o.passed
-    flagged = [int(n) for n in re.findall(r"flagged_steps=(\d+)", o.detail)]
-    assert len(flagged) == len(multi_action_scenarios()) and min(flagged) > 0, o.detail
+    record = RunManifest(str(tmp_path))
+    _crit7_sweeps(record, SimpleNamespace(gap_at_origin=1.0 / 3.0))
+    o = record.checks[0]
+    assert not o["passed"]
+    flagged = [int(n) for n in re.findall(r"flagged_steps=(\d+)", o["detail"])]
+    assert len(flagged) == len(multi_action_scenarios()) and min(flagged) > 0, o["detail"]
 
 
 def test_criterion_3_fails_on_flagged_inner_steps(tmp_path, monkeypatch):
@@ -140,7 +160,8 @@ def test_criterion_3_fails_on_flagged_inner_steps(tmp_path, monkeypatch):
     step_drift = multi_action_scenarios()["step_drift"]
     monkeypatch.setattr(selftest, "multi_action_scenarios", lambda: {"step_drift": step_drift})
     monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
-    out3, _, _ = _crit3_crit4_agreement(str(tmp_path), [])
+    record = RunManifest(str(tmp_path))
+    _crit3_crit4_agreement(record)
     row = json.loads((tmp_path / "oracle_agreement.json").read_text())["step_drift"]
     assert row["sup_diff"] <= 1e-7 and row["converged"] and row["flagged_steps"] > 0, row
-    assert not out3.passed
+    assert not record.checks[0]["passed"]

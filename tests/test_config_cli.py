@@ -242,15 +242,15 @@ def test_echo_carries_defaults():
 
 
 def test_manifest_write_atomic(tmp_path):
-    m = RunManifest(config_hash="abc", config_echo={"a": 1}, seeds={"mc": 7})
+    m = RunManifest(str(tmp_path), config_hash="abc", config_echo={"a": 1}, seeds={"mc": 7})
     m.add_check("demo", True, "ok")
-    m.add_artifact("out.csv")
+    m.path("out.csv")
     path = tmp_path / "manifest.json"
-    m.write(str(path))
+    assert m.write("manifest.json") == str(path)
     data = json.loads(path.read_text())
     assert data["config_hash"] == "abc"
     assert data["checks"][0]["passed"]
-    assert data["artifacts"] == ["out.csv"]
+    assert data["artifacts"] == [str(tmp_path / "out.csv")]
     assert not os.path.exists(str(path) + ".tmp")
 
 
@@ -306,6 +306,14 @@ def test_cli_simulate_and_seed_override(tmp_path):
     e2 = json.loads((out2 / "estimate.json").read_text())
     assert e1["seed"] == 99 and e2["seed"] == 123
     assert e1["mean"] != e2["mean"]
+
+
+def test_cli_report_records_the_seed_the_run_used(tmp_path):
+    cfg = _small_cfg(tmp_path)
+    for flags, seed in (([], 99), (["--seed-override", "5"], 5)):
+        out = tmp_path / f"verify_{seed}"
+        assert main(["verify", cfg, "--out", str(out)] + flags) == 0
+        assert json.loads((out / "verification.json").read_text())["seeds"] == {"mc": seed}
 
 
 def test_cli_mollify_sweep(tmp_path):
@@ -390,12 +398,19 @@ def test_cli_counterexample_small(tmp_path):
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("config", ["bang_bang_2d.cfg", "step_drift_2d.cfg"])
-def test_cli_counterexample_on_a_2d_config_exits_2(tmp_path, config):
+@pytest.mark.parametrize("config, message", [
     # the a = x feedback of the MC cross-check is one action per path
-    code, err = _run(["counterexample", os.path.join(ROOT, "bench", "inputs", config),
-                      "--out", str(tmp_path)])
-    assert code == 2 and "domain.dim: counterexample needs 1" in err and "Traceback" not in err
+    pytest.param("bench/inputs/bang_bang_2d.cfg", "domain.dim: counterexample needs 1",
+                 id="bang_bang_2d.cfg"),
+    pytest.param("bench/inputs/step_drift_2d.cfg", "domain.dim: counterexample needs 1",
+                 id="step_drift_2d.cfg"),
+    # the closed forms V and V_lim it checks against are not periodic
+    pytest.param("configs/bang_bang.cfg", "domain.kind: counterexample needs a box",
+                 id="bang_bang.cfg"),
+])
+def test_cli_counterexample_on_a_2d_config_exits_2(tmp_path, config, message):
+    code, err = _run(["counterexample", os.path.join(ROOT, config), "--out", str(tmp_path)])
+    assert code == 2 and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["torus", "box"])

@@ -2,6 +2,8 @@
 is a deliberate edit of this list."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -95,3 +97,20 @@ def test_no_test_only_helpers():
     referenced = {name for path in callers for name in _referenced_names(ast.parse(path.read_text()))}
     assert set(ALLOWED_UNUSED) <= defined
     assert defined - referenced - set(ALLOWED_UNUSED) == set()
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    # a renamed entry point would leave its benchmark layer silently absent
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclass looks itself up
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for target in tracer.TARGETS:
+        module, qualname = target.where.split(":")
+        obj = importlib.import_module(f"hjblab.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            unresolved.append(target.where)
+    assert tracer.TARGETS and unresolved == []
