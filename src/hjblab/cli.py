@@ -8,6 +8,7 @@ nonzero when any declared scientific check fails, so the suite doubles as CI.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -15,10 +16,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import catalog_names
+from .coefficients import CATALOG
 from .config import ConfigError, RunManifest, load_config
 from .grids import BOX, field_to_csv
 from .experiments import (
+    A_EQ_X,
     counterexample_report,
     countable_truncation_study,
     dpp_battery,
@@ -27,12 +29,7 @@ from .experiments import (
 )
 from .hjb import hjb_residual, policy_iteration, solve_hjb_direct
 from .mollify import coefficient_ladder
-from .montecarlo import (
-    FeedbackRule,
-    GridPolicyControl,
-    constant_control,
-    simulate_cost,
-)
+from .montecarlo import GridPolicyControl, constant_control, simulate_cost
 from .selftest import SUMMARY, run_selftest
 
 SUBCOMMANDS = (
@@ -169,7 +166,7 @@ def cmd_simulate(cfg, args, manifest):
     if spec["type"] == "constant":
         control = constant_control(spec.get("value", aset.action(0)))
     elif spec["type"] == "diagonal":
-        control = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
+        control = A_EQ_X
     else:
         u = _solve_direct(cfg, oracle, aset, manifest)
         control = GridPolicyControl(u.policy, name="argmin_feedback")
@@ -193,17 +190,12 @@ def cmd_counterexample(cfg, args, manifest):
 
 
 def cmd_catalog(args, out_dir):
-    entries = {
-        "counterexample": "drift 0 on the diagonal x = a, 1 elsewhere; cost dist(x,0)^2",
-        "constant_drift": "b = a c (params: c); closed-form frozen value on boxes",
-        "step_drift": "b = a c sign(x1), sign(0) = +1 (params: c)",
-        "checkerboard": "b = a alternating sign cells (params: kx, kt)",
-        "bang_bang": "b = a with A = {-1, +1}; cost dist(x,0)^2",
-        "smooth_baseline": "C-infinity manufactured pair with known solution (params: T, amplitude)",
-        "tabulated": "fields loaded from CSV files (see coefficients.tabulated)",
-    }
-    for name in catalog_names():
-        print(f"{name}: {entries.get(name, '')}")
+    """Each catalog entry with its constructor's summary line and parameters."""
+    for name, make in sorted(CATALOG.items()):
+        params = list(inspect.signature(make).parameters)[1:]  # after domain
+        summary = inspect.getdoc(make).splitlines()[0]
+        print(f"{name}: {summary}" + (f" (params: {', '.join(params)})" if params else ""))
+    print("tabulated: fields loaded from CSV files (see coefficients.tabulated)")
     return 0
 
 

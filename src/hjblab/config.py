@@ -30,7 +30,7 @@ from .coefficients import (
 )
 from .grids import BOX, CENTRAL, TORUS, UPWIND, build_grid, field_from_csv
 from .montecarlo import SimConfig
-from .parabolic import CRANK_NICOLSON, IMPLICIT_EULER, MIN_NODES, ParabolicScheme
+from .parabolic import MIN_NODES, ParabolicScheme
 
 
 class ConfigError(ValueError):
@@ -207,7 +207,6 @@ SCHEMA = (
         "a family needs a truncation length N >= 1", ("actions.family",)),
     Key("action set", needs=ACTION_KEYS, build=lambda g: _action_set(*(g[k] for k in ACTION_KEYS))),
     Key("solver", dict, {}),
-    Key("solver.time_stepping", str, IMPLICIT_EULER, *_choice(IMPLICIT_EULER, CRANK_NICOLSON)),
     Key("solver.advection", str, UPWIND, *_choice(UPWIND, CENTRAL)),
     Key("solver.tol", float, 1e-8, lambda v, g: v > 0, "must be positive"),
     Key("solver.max_iters", int, 200, lambda v, g: v >= 1, "must be >= 1"),
@@ -352,7 +351,7 @@ def validate_config(raw, base_dir="."):
     echo["label"] = echo.pop("scenario", echo["coefficients"].get("catalog", "scenario"))
     return ScenarioConfig(
         label=echo["label"], grid=got["grid"],
-        scheme=ParabolicScheme(got["solver.time_stepping"], got["solver.advection"]),
+        scheme=ParabolicScheme(got["solver.advection"]),
         tol=got["solver.tol"], max_iters=got["solver.max_iters"], eps_list=got["mollify.eps"],
         mc=echo["mc"], experiment=echo["experiment"], echo=echo, values=got)
 

@@ -19,8 +19,6 @@ from .coefficients import sample_all
 from .grids import SpaceTimeField, write_csv
 from .hamiltonian import Policy, argmin_level
 from .parabolic import (
-    IMPLICIT_EULER,
-    SchemeError,
     _box_edges,
     _implicit_bands,
     _step,
@@ -133,9 +131,7 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     ``boundary`` is the Dirichlet data g(t, X) of a box (None: zero data).
     """
     scheme = scheme or default_scheme()
-    if scheme.time_stepping != IMPLICIT_EULER:
-        raise SchemeError("the direct HJB marcher supports implicit Euler only")
-    edges_at = _box_edges(boundary, grid, scheme, grid.dt)
+    edges_at = _box_edges(boundary, grid, scheme)
     size = int(np.prod(grid.space_shape))
     nodes = np.arange(size).reshape(grid.space_shape)
     times = grid.times()
@@ -147,7 +143,7 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
     for n in range(grid.nt - 1, -1, -1):
         # every action's band rows, axis by axis, and its cost at this level,
         # flat so that a sweep gathers the chosen action's at index action * size + node
-        M = _implicit_bands(B[:, n], grid, scheme, grid.dt)
+        M = _implicit_bands(B[:, n], grid, scheme)
         rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, n]]
         table = np.stack(rows).reshape(len(rows), -1)
         if edges_at:
@@ -181,8 +177,8 @@ def hjb_residual(U, oracle, action_set, grid, scheme=None, tables=None, with_ind
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
     The exact-argmin policy of the gradient of the value array ``U`` selects
-    the coefficients, and ``pde_residual`` takes the scheme's own theta-step
-    with them; solver output therefore has residual at roundoff scale (but
+    the coefficients, and ``pde_residual`` takes the solver's own step with
+    them; solver output therefore has residual at roundoff scale (but
     for flagged steps).  Box boundary nodes hold Dirichlet data and are
     left out, so no boundary condition enters.  ``with_indices`` also
     returns the argmin indices.

@@ -1,18 +1,17 @@
 """Backward linear parabolic solver: d_s u + Lap u + b . grad u + f = 0, u(T) = 0.
 
-Implicit Euler (default) or Crank-Nicolson in time, upwind (default) or
-central advection in space, as one theta-step from level n+1 to level n:
-its right-hand side (``_step_rhs``) against the implicit operator
-(I - theta dt L_x)(I - theta dt L_y), one factor per axis (``_step_operator``),
-which the solve inverts with one line sweep per axis and the residuals apply
-(to all levels in one call).  A solve assembles the band rows of every level
-and axis in one array operation and, on a torus, every level's
-Sherman-Morrison correction in one stacked call, before the march; a step
-does its right-hand side and one pivoting LAPACK call per axis over all of
+Implicit Euler in time, upwind (default) or central advection in space: a
+step from level n+1 to level n solves u[n] against the right-hand side
+u[n+1] + dt f[n] with the implicit operator (I - dt L_x)(I - dt L_y), one
+factor per axis (``_step_operator``), which the solve inverts with one line
+sweep per axis and the residuals apply (to all levels in one call).  A solve
+assembles the band rows of every level and axis in one array operation and,
+on a torus, every level's Sherman-Morrison correction in one stacked call,
+before the march; a step does one pivoting LAPACK call per axis over all of
 its lines (``tridiag``), so central advection at large b dx is solved stably
-and an exactly singular line raises.  With upwind advection and implicit
-Euler every step matrix is an M-matrix for any dt, dx and bounded drift,
-checked once per solve; the discrete comparison principle is then a theorem.
+and an exactly singular line raises.  With upwind advection every step
+matrix is an M-matrix for any dt, dx and bounded drift, checked once per
+solve; the discrete comparison principle is then a theorem.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ import numpy as np
 from . import tridiag
 from .grids import BOX, CENTRAL, TORUS, UPWIND, GridError, SpaceTimeField
 
-IMPLICIT_EULER = "implicit_euler"
-CRANK_NICOLSON = "crank_nicolson"
-
 MIN_NODES = {TORUS: 3, BOX: 4}  # per axis: a box line needs two unknowns inside
 
 
@@ -36,23 +32,17 @@ class SchemeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParabolicScheme:
-    """Discretization choices for the frozen-policy linear solver."""
+    """Discretization choice for the frozen-policy linear solver: the
+    advection stencil."""
 
-    time_stepping: str = IMPLICIT_EULER
     advection: str = UPWIND
 
     def __post_init__(self):
-        if self.time_stepping not in (IMPLICIT_EULER, CRANK_NICOLSON):
-            raise SchemeError(f"unknown time stepping {self.time_stepping!r}")
         if self.advection not in (UPWIND, CENTRAL):
             raise SchemeError(f"unknown advection {self.advection!r}")
 
-    @property
-    def theta(self):
-        return 1.0 if self.time_stepping == IMPLICIT_EULER else 0.5
-
     def claims_monotone(self):
-        return self.time_stepping == IMPLICIT_EULER and self.advection == UPWIND
+        return self.advection == UPWIND
 
 
 def default_scheme():
@@ -76,8 +66,8 @@ def _axis_L_coeffs(beta, h, advection):
     return lower, diag, upper
 
 
-def _implicit_bands(B, grid, scheme, gamma):
-    """Rows (Ml, Md, Mu) of M = I - gamma L_k, each a (..., space..., dim)
+def _implicit_bands(B, grid, scheme):
+    """Rows (Ml, Md, Mu) of M = I - dt L_k, each a (..., space..., dim)
     array over the drift table ``B``: every level (and action) and axis k in
     one array operation, with one M-matrix check."""
     least = MIN_NODES[grid.domain_kind]
@@ -85,9 +75,9 @@ def _implicit_bands(B, grid, scheme, gamma):
         raise SchemeError(f"{grid.domain_kind} line solves need at least {least} nodes "
                           f"per axis, got {min(grid.nx)}")
     lo, di, up = _axis_L_coeffs(B, np.array(grid.dx), scheme.advection)
-    Ml = -gamma * lo
-    Md = 1.0 - gamma * di
-    Mu = -gamma * up
+    Ml = -grid.dt * lo
+    Md = 1.0 - grid.dt * di
+    Mu = -grid.dt * up
     if scheme.claims_monotone():
         if not (np.all(Ml <= 1e-14) and np.all(Mu <= 1e-14) and np.all(Md > 0)):
             raise SchemeError("monotone scheme assembly produced a non-M-matrix")
@@ -115,10 +105,10 @@ def _apply_L_axis(u, beta, h, advection, axis, periodic):
     return vm.swapaxes(-1, axis)
 
 
-def _box_edges(g, grid, scheme, gamma):
+def _box_edges(g, grid, scheme):
     """Dirichlet data g(t, X) of a box (None: g = 0) on an edge mesh built
     once, as (t, b_lvl) -> (edges, sweep_edges): per axis a (2, ...) array of
-    g(t, .) on its two edges; in 2d the x-sweep's is (I - gamma L_y) g, the
+    g(t, .) on its two edges; in 2d the x-sweep's is (I - dt L_y) g, the
     edge rows it solves for, L_y from the drift b_lvl (..., space..., dim),
     whose leading axes it gains.  None on a torus, which takes no data."""
     if grid.domain_kind == TORUS:
@@ -132,26 +122,15 @@ def _box_edges(g, grid, scheme, gamma):
                              np.asarray(g(t, p), dtype=float), k, 0) for k, p in enumerate(points)]
         if grid.dim == 1:
             return edges, edges
-        return edges, [edges[0] - gamma * _apply_L_axis(
+        return edges, [edges[0] - grid.dt * _apply_L_axis(
             edges[0], b_lvl[..., 1][..., [0, -1], :], grid.dx[1], scheme.advection, -1, False),
             edges[1]]
 
     return at
 
 
-def _step_rhs(u_next, b_next, f_n, f_next, grid, scheme):
-    """Right-hand side of the theta-step from level n+1 to level n: the
-    explicit factor (I + (1 - theta) dt L) of u_next (none under implicit
-    Euler) plus dt times the theta-mixed cost; any leading level axes."""
-    dt, theta = grid.dt, scheme.theta
-    if theta == 1.0:
-        return u_next + dt * f_n
-    expl = _step_operator(u_next, b_next, grid, scheme, -(1.0 - theta) * dt)
-    return expl + dt * (theta * f_n + (1.0 - theta) * f_next)
-
-
 def _step(rhs, sweeps, edges=None):
-    """One backward step: solve (I - gamma L_x)(I - gamma L_y) u = ``rhs``
+    """One backward step: solve (I - dt L_x)(I - dt L_y) u = ``rhs``
     with one line solve per axis.  ``sweeps`` holds per axis the level's
     rows (Ml, Md, Mu) of the axis factor and, on a torus, their
     ``tridiag.cyclic_correction`` in last-axis layout, or None; ``edges`` is
@@ -187,37 +166,33 @@ def solve_frozen(B, F, grid, boundary=None, scheme=None):
     (None: zero).  Returns the full space-time value field.
     """
     scheme = scheme or default_scheme()
-    gamma = scheme.theta * grid.dt
-    edges_at = _box_edges(boundary, grid, scheme, gamma)
+    edges_at = _box_edges(boundary, grid, scheme)
     B = np.asarray(B, dtype=float)
     F = np.asarray(F, dtype=float)
     if B.shape != (grid.n_levels,) + grid.space_shape + (grid.dim,):
         raise SchemeError(f"drift field has shape {B.shape}, expected levels x space x dim")
 
-    M = _implicit_bands(B[:-1], grid, scheme, gamma)  # the solved levels
+    M = _implicit_bands(B[:-1], grid, scheme)  # the solved levels
     corrections = [[None] * grid.nt] * grid.dim if edges_at else [
         list(zip(*tridiag.cyclic_correction(*(m[..., k].swapaxes(k - grid.dim, -1) for m in M))))
         for k in range(grid.dim)]
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     for n in range(grid.nt - 1, -1, -1):
-        rhs = _step_rhs(u[n + 1], B[n + 1], F[n], F[n + 1], grid, scheme)
         sweeps = [(tuple(m[n, ..., k] for m in M), c[n]) for k, c in enumerate(corrections)]
-        u[n] = _step(rhs, sweeps, edges_at and edges_at(times[n], B[n]))
+        u[n] = _step(u[n + 1] + grid.dt * F[n], sweeps, edges_at and edges_at(times[n], B[n]))
     if not np.all(np.isfinite(u)):
         raise SchemeError("solver produced non-finite values")
     return SpaceTimeField(grid, u)
 
 
-def _step_operator(u_lvl, b_lvl, grid, scheme, gamma):
-    """Apply (I - gamma L_x)(I - gamma L_y), one factor in 1d, on any leading
-    level axes: at gamma = theta dt the exact implicit operator the stepper
-    inverts, at gamma = -(1 - theta) dt the explicit factor of its
-    right-hand side."""
+def _step_operator(u_lvl, b_lvl, grid, scheme):
+    """Apply (I - dt L_x)(I - dt L_y), one factor in 1d, on any leading level
+    axes: the exact implicit operator the stepper inverts."""
     periodic = grid.domain_kind == TORUS
     out = u_lvl
     for k in range(grid.dim - 1, -1, -1):
-        out = out - gamma * _apply_L_axis(out, b_lvl[..., k], grid.dx[k],
+        out = out - grid.dt * _apply_L_axis(out, b_lvl[..., k], grid.dx[k],
                                           scheme.advection, k - grid.dim, periodic)
     return out
 
@@ -225,15 +200,13 @@ def _step_operator(u_lvl, b_lvl, grid, scheme, gamma):
 def pde_residual(U, B, F, grid, scheme=None):
     """Discrete residual of the marching equations, solver stencils included.
 
-    Returns an array over (step, space): (step right-hand side - step
-    operator) / dt on interior nodes, box boundary nodes zeroed.  Solver
+    Returns an array over (step, space): (U[n+1] + dt F[n] - step operator
+    applied to U[n]) / dt on interior nodes, box boundary nodes zeroed.  Solver
     output has residual at roundoff scale; it grows with truncation error
     when ``U`` is an exact solution sampled on the grid.
     """
     scheme = scheme or default_scheme()
-    gamma = scheme.theta * grid.dt
-    res = (_step_rhs(U[1:], B[1:], F[:-1], F[1:], grid, scheme)
-           - _step_operator(U[:-1], B[:-1], grid, scheme, gamma)) / grid.dt
+    res = (U[1:] + grid.dt * F[:-1] - _step_operator(U[:-1], B[:-1], grid, scheme)) / grid.dt
     interior = grid.domain_kind == TORUS or np.pad(np.ones([n - 2 for n in grid.nx], dtype=bool), 1)
     return np.where(interior, res, 0.0)
 

@@ -32,6 +32,7 @@ from .coefficients import (
 )
 from .config import RunManifest
 from .experiments import (
+    A_EQ_X,
     _solve_effective,
     counterexample_report,
     countable_truncation_study,
@@ -121,14 +122,14 @@ def _crit2_mc_crosscheck(record, threads):
     sim = SimConfig(n_paths=100_000, dt_sim=1e-3, seed=MASTER_SEED,
                     start_time=0.0, start_state=(0.0,), n_threads=threads)
     est0, est1 = simulate_costs(
-        [(make_counterexample(grid), FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")),
+        [(make_counterexample(grid), A_EQ_X),
          (make_constant_drift(grid, c=1.0), constant_control(1.0))], sim, grid)
     rt = time.perf_counter() - t0
     ok0 = abs(est0.mean - 1.0) <= 3.0 * est0.se
     ok1 = abs(est1.mean - 4.0 / 3.0) <= 3.0 * est1.se
     ok = ok0 and ok1 and rt < 60.0
     payload = "\n".join([
-        est0.to_json(scenario="counterexample", control="a_eq_x"),
+        est0.to_json(scenario="counterexample", control=A_EQ_X.name),
         est1.to_json(scenario="counterexample_mollified_limit", control="const_1"),
     ])
     record.write_text("mc_crosscheck.json", payload + "\n")
@@ -219,7 +220,7 @@ def _crit5_verification(record, pi_fields, u0, threads):
         ("double_diag", FeedbackRule(lambda t, X: 2.0 * X[:, 0], name="double_diag")),
     ]
     rep2 = verification_check(u0, ce, simc, cand_c,
-                              argmin_control=FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x"))
+                              argmin_control=A_EQ_X)
     ok = ok and rep2.passed
     details.append(f"counterexample u={rep2.u_start:.4f}")
     record.write_text("verification_counterexample.json", rep2.to_json() + "\n")
@@ -243,8 +244,7 @@ def _crit6_dpp(record, pi_fields, u0, threads):
     ce = make_counterexample(u0.grid)
     simc = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 5,
                      start_time=0.0, start_state=(0.0,), n_threads=threads)
-    rep2 = dpp_battery(u0, ce, FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x"),
-                       simc, t_mids,
+    rep2 = dpp_battery(u0, ce, A_EQ_X, simc, t_mids,
                        suboptimal_controls=[("const_0", constant_control(0.0))])
     rt = time.perf_counter() - t0
     ok = rep1.passed and rep2.passed

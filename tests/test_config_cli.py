@@ -121,6 +121,7 @@ def test_section_that_is_not_a_mapping_rejected():
 
 @pytest.mark.parametrize("line, path", [
     ("solver: {slack_delta: 0.01}", "solver.slack_delta"),
+    ("solver: {time_stepping: crank_nicolson}", "solver.time_stepping: unknown key"),
     ("coefficients: {catalog: step_drift, params: {amplitude: 3}}",
      "coefficients.params.amplitude"),
     ("coefficients: {catalog: checkerboard, params: {kx: 0}}",
@@ -235,7 +236,6 @@ def test_tabulated_roundtrip(tmp_path):
 def test_echo_carries_defaults():
     cfg = load_config(shipped("step_drift.cfg"))
     # solver defaults appear explicitly even though the file omits them
-    assert cfg.echo["solver"]["time_stepping"] == "implicit_euler"
     assert cfg.echo["solver"]["max_iters"] == 200
     assert cfg.echo["mc"]["dt_sim"] == 0.002
     assert cfg.config_hash() == cfg.config_hash()
@@ -323,6 +323,12 @@ def test_cli_mollify_sweep(tmp_path):
     assert (out / "sweep.json").exists()
     ladder = (out / "ladder.csv").read_text().splitlines()
     assert ladder[0] == "epsilon,lp_distance,sup_norm"
+    # eps = 0.4 on a horizon of 0.5 leaves its rung no interior node (a NaN
+    # sup gap), which the countable-convergence check leaves out
+    half = os.path.join(ROOT, "bench", "inputs", "bang_bang_half.cfg")
+    assert main(["mollify-sweep", half, "--out", str(tmp_path / "half")]) == 0
+    rungs = json.loads((tmp_path / "half" / "sweep.json").read_text())["report"]["rungs"]
+    assert np.isnan(rungs[0]["sup_gap_interior"]) and rungs[0]["epsilon"] == 0.4
 
 
 def test_cli_verify_and_dpp(tmp_path):
@@ -362,6 +368,8 @@ def test_cli_catalog(capsys):
     text = capsys.readouterr().out
     for name in ("counterexample", "bang_bang", "tabulated"):
         assert name in text
+    # each entry's parameters, read from its constructor's signature
+    assert "checkerboard: Sign pattern" in text and "(params: kx, kt)" in text
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -584,7 +592,7 @@ READERS = {
     "actions": ("solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
                 "simulate", "truncation-study"),
     "solver": ("solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
-               "truncation-study"),
+               "truncation-study", "simulate"),  # simulate solves for its argmin control
     "mollify": ("mollify-sweep", "truncation-study"),
     "mc": ("verify", "dpp-check", "simulate", "truncation-study", "counterexample"),
     "experiment.t_mid": ("dpp-check",),
@@ -668,3 +676,25 @@ def test_mutated_shipped_configs_never_end_in_a_traceback(tmp_path_factory, data
             assert code in (0, 1) or (code == 2 and named), (subcommand, code, err)
             if err.startswith("config invalid:"):
                 break  # a config that does not load fails alike for every subcommand
+
+
+# every value of the keys that take one of a few, as the schema lists them
+CHOICES = {"solver.advection": ("upwind", "central"),
+           "experiment.control.type": ("argmin", "constant", "diagonal")}
+
+
+@pytest.mark.parametrize("path", list(CHOICES))
+def test_every_valid_choice_runs_or_fails_a_check(tmp_path, path):
+    # a valid value never ends in a traceback: on every shipped config, each
+    # subcommand that reads the key runs (0) or fails a check of its manifest (1)
+    message = {key.path: key.message for key in SCHEMA}[path]
+    assert message == "must be one of " + ", ".join(map(repr, CHOICES[path]))
+    for value in CHOICES[path]:
+        for name in SERVES:
+            cfg = _variant(tmp_path, name, FUZZ_BASE[name] | {path: value})
+            for subcommand in _readers(name, path):
+                out = tmp_path / f"{name}-{subcommand}-{value}"
+                code, err = _run([subcommand, cfg, "--out", str(out)])
+                assert code in (0, 1), (name, subcommand, value, code, err)
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["all_passed"] == (code == 0), (name, subcommand, value)

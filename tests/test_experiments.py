@@ -101,6 +101,19 @@ def test_sweep_refuses_underresolved_rung(bang):
     assert flags[0.2] and flags[0.1] and not flags[0.01]
 
 
+@pytest.mark.parametrize("sups, threshold, passed", [
+    ([np.nan, 0.0099, 0.0055], 0.156, True),  # the widest rung has no interior node
+    ([0.2, np.nan, 0.1], np.inf, True),
+    ([0.1, 0.2], np.inf, False),
+    ([0.2, 0.1], 0.05, False),
+    ([np.nan, np.nan], np.inf, False),  # no rung has an interior node
+])
+def test_gap_ladder_leaves_out_rungs_without_interior_nodes(sups, threshold, passed):
+    # the predicate of the sweep's countable-convergence check and of the
+    # truncation study's per-N epsilon check
+    assert experiments._gaps_shrink(sups, threshold) == passed
+
+
 def test_sweep_passes_and_reports(bang):
     grid, oracle, aset, scheme, _ = bang
     sw = mollify_value_sweep(oracle, aset, grid, [0.3, 0.15], scheme=scheme)

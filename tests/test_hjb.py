@@ -112,21 +112,10 @@ def test_residual_bound_at_convergence(bang):
     assert trace.residuals[-1] <= tol * (1.0 + bmax / grid.dx[0])
 
 
-def test_crank_nicolson_policy_iteration_residual_roundoff():
-    # the residual takes the solver's own theta-step; an implicit-Euler
-    # residual of this Crank-Nicolson solution reads about 0.09
-    grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
-    scheme = ParabolicScheme(time_stepping="crank_nicolson", advection="central")
-    _, _, trace = policy_iteration(make_bang_bang(grid), bang_bang_actions(), grid, scheme=scheme)
-    assert trace.converged
-    assert trace.residuals[-1] < 1e-10
-
-
-@pytest.mark.parametrize("time_stepping", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 2)])
-def test_one_action_hjb_residual_is_pde_residual(time_stepping, kind, dim):
+def test_one_action_hjb_residual_is_pde_residual(kind, dim):
     grid = build_grid(kind, dim, (-1.0, 1.0), 9, 0.5, 6)
-    scheme = ParabolicScheme(time_stepping=time_stepping)
+    scheme = ParabolicScheme()
     rng = np.random.default_rng(8)
     B = rng.uniform(-1.0, 1.0, size=(1, grid.n_levels) + grid.space_shape + (dim,))
     F = rng.normal(size=(1, grid.n_levels) + grid.space_shape)
@@ -168,13 +157,6 @@ def test_single_action_hamiltonian_with_gradient_term():
     u = solve_hjb_direct(oracle, single, grid, boundary=bc,
                          scheme=ParabolicScheme(advection="central"))
     assert u.values[0, 120] == pytest.approx(4.0 / 3.0, rel=0.02)
-
-
-def test_direct_rejects_crank_nicolson(bang):
-    grid, oracle, aset = bang
-    with pytest.raises(SchemeError):
-        solve_hjb_direct(oracle, aset, grid,
-                         scheme=ParabolicScheme(time_stepping="crank_nicolson"))
 
 
 def test_2d_agreement():

@@ -39,14 +39,6 @@ def test_space_constant_exact():
     assert np.max(np.abs(u.values - exact)) < 1e-13
 
 
-def test_space_constant_exact_crank_nicolson():
-    g = build_grid("torus", 1, 1.0, 16, 1.0, 8)
-    u = solve_frozen(_const(g, 0.0, 1), _const(g, 1.0), g,
-                     scheme=ParabolicScheme(time_stepping="crank_nicolson"))
-    exact = (g.T - g.times())[:, None] * np.ones(g.space_shape)
-    assert np.max(np.abs(u.values - exact)) < 1e-13
-
-
 def test_solver_residual_roundoff():
     g = build_grid("torus", 1, 1.0, 32, 1.0, 16)
     rng = np.random.default_rng(2)
@@ -147,10 +139,8 @@ def test_unconditional_stability_large_dt():
 
 def test_monotonicity_flags():
     s_up = ParabolicScheme()
-    s_cn = ParabolicScheme(time_stepping="crank_nicolson")
     s_ce = ParabolicScheme(advection="central")
     assert s_up.claims_monotone()
-    assert not s_cn.claims_monotone()
     assert not s_ce.claims_monotone()
 
 
@@ -174,8 +164,6 @@ def test_dirichlet_data_evaluated_on_edge_nodes_only(dim):
 
 
 def test_scheme_validation():
-    with pytest.raises(SchemeError):
-        ParabolicScheme(time_stepping="leapfrog")
     with pytest.raises(SchemeError):
         ParabolicScheme(advection="weno")
 
@@ -250,21 +238,6 @@ def test_2d_solver_residual_roundoff():
     assert np.max(np.abs(res)) < 1e-10
 
 
-def test_crank_nicolson_residual_roundoff():
-    sch = ParabolicScheme(time_stepping="crank_nicolson", advection="central")
-    rng = np.random.default_rng(4)
-    g1 = build_grid("torus", 1, 1.0, 32, 1.0, 16)
-    b = rng.uniform(-1, 1, size=(g1.n_levels,) + g1.space_shape + (1,))
-    f = rng.uniform(-1, 1, size=(g1.n_levels,) + g1.space_shape)
-    u = solve_frozen(b, f, g1, scheme=sch)
-    assert np.max(np.abs(pde_residual(u.values, b, f, g1, scheme=sch))) < 1e-12
-    g2 = build_grid("torus", 2, 1.0, 8, 0.5, 8)
-    b2 = rng.uniform(-1, 1, size=(g2.n_levels,) + g2.space_shape + (2,))
-    f2 = rng.uniform(-1, 1, size=(g2.n_levels,) + g2.space_shape)
-    u2 = solve_frozen(b2, f2, g2, scheme=sch)
-    assert np.max(np.abs(pde_residual(u2.values, b2, f2, g2, scheme=sch))) < 1e-12
-
-
 def test_2d_comparison_principle():
     rng = np.random.default_rng(59)
     g = build_grid("torus", 2, 1.0, 8, 0.25, 8)
@@ -278,15 +251,14 @@ def test_2d_comparison_principle():
 
 
 @pytest.mark.parametrize("advection", ["upwind", "central"])
-@pytest.mark.parametrize("time_stepping", ["implicit_euler", "crank_nicolson"])
-def test_2d_box_solver_residual_roundoff(time_stepping, advection):
-    # the x-sweep solves for (I - gamma L_y) u, so its edge rows must hold
-    # (I - gamma L_y) g; data that varies along the x-edges shows it
+def test_2d_box_solver_residual_roundoff(advection):
+    # the x-sweep solves for (I - dt L_y) u, so its edge rows must hold
+    # (I - dt L_y) g; data that varies along the x-edges shows it
     g = build_grid("box", 2, (-3.0, 3.0), 41, 1.0, 32)
     rng = np.random.default_rng(61)
     b = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape + (2,))
     f = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape)
-    sch = ParabolicScheme(time_stepping=time_stepping, advection=advection)
+    sch = ParabolicScheme(advection=advection)
     for data, b_, f_ in ((lambda t, X: X[..., 1] ** 2, 0.0 * b, 0.0 * f),
                          (lambda t, X: np.sin(X[..., 1]) + t * X[..., 0], b, f)):
         u = solve_frozen(b_, f_, g, data, sch)
@@ -328,7 +300,7 @@ def test_upwind_implicit_bands_are_m_matrix_rows(seed, kind, dim, nx, length, T,
     rng = np.random.default_rng(seed)
     g = build_grid(kind, dim, (0.0, length), nx, T, nt)
     B = scale * rng.standard_normal(size=(g.nt,) + g.space_shape + (dim,))
-    Ml, Md, Mu = parabolic._implicit_bands(B, g, ParabolicScheme(), g.dt)
+    Ml, Md, Mu = parabolic._implicit_bands(B, g, ParabolicScheme())
     assert Md.shape == B.shape
     assert np.all(Ml <= 0.0) and np.all(Mu <= 0.0) and np.all(Md > 0.0)
     assert np.all(np.abs(Md + Ml + Mu - 1.0) <= 1e-14 * Md)
