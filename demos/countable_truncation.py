@@ -11,7 +11,6 @@ the action set is countable, in contrast with the diagonal-drift example.
 from hjblab import SimConfig, build_grid
 from hjblab.coefficients import bang_bang_family, make_bang_bang
 from hjblab.experiments import countable_truncation_study
-from hjblab.parabolic import ParabolicScheme
 
 grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
 oracle = make_bang_bang(grid)
@@ -19,7 +18,7 @@ sim = SimConfig(n_paths=20_000, dt_sim=2e-3, seed=17, start_state=(0.5,))
 
 report = countable_truncation_study(
     oracle, bang_bang_family(), [1, 2], grid,
-    sim=sim, eps_list=[0.2, 0.1], scheme=ParabolicScheme(advection="central"),
+    sim=sim, eps_list=[0.2, 0.1], scheme="central",
 )
 
 print("value monotonicity across prefixes (max of V^{N+1} - V^N must be <= 0):")

@@ -13,7 +13,6 @@ from hjblab import MollifierKernel, build_grid, kernel_normalization_error
 from hjblab.coefficients import ActionSet, make_smooth_baseline, make_step_drift
 from hjblab.experiments import mollify_value_sweep
 from hjblab.mollify import coefficient_ladder
-from hjblab.parabolic import ParabolicScheme
 
 grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
 
@@ -34,7 +33,7 @@ print("  (smooth data halves at ~4x per rung, the jump only at ~sqrt 2)")
 
 actions = ActionSet(np.array([-1.0, 1.0]))
 sweep = mollify_value_sweep(make_step_drift(grid, c=1.0), actions, grid,
-                            [0.4, 0.2, 0.1], scheme=ParabolicScheme(),
+                            [0.4, 0.2, 0.1], scheme="upwind",
                             scenario="step_drift")
 print("\nvalue-function sweep for the two-action step drift:")
 print("eps    sup|V_eps - V| (interior)   min gap     liminf tol")

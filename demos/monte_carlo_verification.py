@@ -12,12 +12,11 @@ from hjblab import SimConfig, build_grid, solve_hjb_direct
 from hjblab.coefficients import bang_bang_actions, make_bang_bang
 from hjblab.experiments import dpp_battery, verification_check
 from hjblab.montecarlo import FeedbackRule, GridPolicyControl, constant_control
-from hjblab.parabolic import ParabolicScheme
 
 grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
 oracle = make_bang_bang(grid)
 actions = bang_bang_actions()
-u = solve_hjb_direct(oracle, actions, grid, scheme=ParabolicScheme(advection="central"))
+u = solve_hjb_direct(oracle, actions, grid, scheme="central")
 
 sim = SimConfig(n_paths=20_000, dt_sim=2e-3, seed=42, start_state=(0.5,))
 candidates = [

@@ -11,12 +11,11 @@ import numpy as np
 from hjblab import build_grid, policy_iteration, solve_hjb_direct, solve_policy_value
 from hjblab.coefficients import bang_bang_actions, make_bang_bang
 from hjblab.hamiltonian import constant_policy
-from hjblab.parabolic import ParabolicScheme
 
 grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
 oracle = make_bang_bang(grid)
 actions = bang_bang_actions()
-scheme = ParabolicScheme(advection="central")
+scheme = "central"
 
 u_pi, policy, trace = policy_iteration(oracle, actions, grid, scheme=scheme, tol=1e-8)
 u_direct = solve_hjb_direct(oracle, actions, grid, scheme=scheme)

@@ -40,9 +40,7 @@ from .mollify import (  # noqa: F401
     mollify_field,
 )
 from .parabolic import (  # noqa: F401
-    ParabolicScheme,
     convergence_order,
-    default_scheme,
     pde_residual,
     solve_frozen,
 )

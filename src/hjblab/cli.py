@@ -78,7 +78,7 @@ def cmd_solve_hjb(cfg, args, manifest):
     field_to_csv(u, manifest.path("value.csv"))
     manifest.add_check("hjb_residual", res <= 1e-9 * max(1.0, float(np.max(np.abs(u.values)))) + 1e-9,
                        f"residual {res:.3e}")
-    if hasattr(u, "policy"):
+    if u.policy is not None:
         u.policy.to_csv(manifest.path("policy.csv"))
 
 

@@ -30,7 +30,7 @@ from .coefficients import (
 )
 from .grids import BOX, CENTRAL, TORUS, UPWIND, build_grid, field_from_csv
 from .montecarlo import SimConfig
-from .parabolic import MIN_NODES, ParabolicScheme
+from .parabolic import MIN_NODES
 
 
 class ConfigError(ValueError):
@@ -254,7 +254,7 @@ class ScenarioConfig:
 
     label: str
     grid: object
-    scheme: ParabolicScheme
+    scheme: str  # the advection stencil, UPWIND or CENTRAL
     tol: float
     max_iters: int
     eps_list: list
@@ -284,7 +284,12 @@ class ScenarioConfig:
                          n_threads=n_threads)
 
     def config_hash(self):
-        return hashlib.sha256(json.dumps(self.echo, sort_keys=True).encode()).hexdigest()
+        return echo_hash(self.echo)
+
+
+def echo_hash(echo):
+    """SHA-256 of a config echo (or a mapping of echoes), keys sorted."""
+    return hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
 
 
 def load_config(path):
@@ -351,7 +356,7 @@ def validate_config(raw, base_dir="."):
     echo["label"] = echo.pop("scenario", echo["coefficients"].get("catalog", "scenario"))
     return ScenarioConfig(
         label=echo["label"], grid=got["grid"],
-        scheme=ParabolicScheme(got["solver.advection"]),
+        scheme=got["solver.advection"],
         tol=got["solver.tol"], max_iters=got["solver.max_iters"], eps_list=got["mollify.eps"],
         mc=echo["mc"], experiment=echo["experiment"], echo=echo, values=got)
 

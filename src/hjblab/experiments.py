@@ -22,7 +22,7 @@ from .coefficients import (
     make_tabulated,
     sample_all,
 )
-from .grids import BOX, SpaceTimeField, build_grid, lp_norm, write_csv
+from .grids import BOX, CENTRAL, UPWIND, SpaceTimeField, build_grid, lp_norm, write_csv
 from .hjb import solve_hjb_tables
 from .mollify import MollifierKernel, mollify_samples
 from .montecarlo import (
@@ -33,11 +33,24 @@ from .montecarlo import (
     simulate_costs,
     value_at,
 )
-from .parabolic import ParabolicScheme, default_scheme, solve_frozen
+from .parabolic import solve_frozen
 
 # the counterexample's feedback a = x, which keeps every path on the diagonal
 # where the drift is switched off
 A_EQ_X = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
+
+
+def _json(payload):
+    """JSON text of a report, a NaN or infinite number (a rung with no
+    interior node) written as null, which every JSON parser reads."""
+    def clean(v):
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [clean(x) for x in v]
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+    return json.dumps(clean(payload), allow_nan=False)
+
 
 # ---------------------------------------------------------------------------
 # verification theorem battery
@@ -86,7 +99,7 @@ def verification_check(u_field, oracle, sim, candidate_controls, argmin_control=
                              np.asarray(sim.start_state)[None, :])[0])
 
     if argmin_control is None:
-        if not hasattr(u_field, "policy"):
+        if u_field.policy is None:
             raise ValueError("no argmin control given and none attached to the value field")
         argmin_control = GridPolicyControl(u_field.policy, name="argmin_feedback")
     *ests, est = simulate_costs([(oracle, control) for _, control in candidate_controls]
@@ -186,11 +199,8 @@ class SweepReport:
         return [r for r in self.rungs if r.resolved]
 
     def to_json(self):
-        rows = []
-        for r in self.rungs:
-            d = {k: v for k, v in vars(r).items() if k != "gap_field"}
-            rows.append(d)
-        return json.dumps({
+        rows = [{k: v for k, v in vars(r).items() if k != "gap_field"} for r in self.rungs]
+        return _json({
             "scenario": self.scenario,
             "liminf_pass": self.liminf_pass,
             "countable_pass": self.countable_pass,
@@ -250,7 +260,7 @@ def _eps_walk(B, F, grid, eps_list, scheme, flagged):
                            if eps >= max(grid.dx) and eps >= grid.dt)
 
 
-def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
+def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
                         scenario=None, store_fields=False):
     """Solve the regularized problems along an epsilon ladder and compare.
 
@@ -265,7 +275,6 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
     smallest epsilon, over the rungs that have an interior node.  Rungs
     with eps below the grid spacing are refused.
     """
-    scheme = scheme or default_scheme()
     flagged = []
     B, F = sample_all(oracle, grid, action_set)
     V, walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
@@ -300,7 +309,10 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=None,
     rungs = resolved + [SweepRung(epsilon=float(eps), resolved=False)
                         for eps in eps_list[len(resolved):]]
 
-    liminf_pass = not any(r.min_gap_interior < -liminf_tols[r.epsilon] for r in resolved[-2:])
+    # a rung with no interior node (NaN) checks nothing; with none left, nothing passes
+    checked = [r for r in resolved[-2:] if not np.isnan(r.min_gap_interior)]
+    liminf_pass = bool(checked) and all(r.min_gap_interior >= -liminf_tols[r.epsilon]
+                                        for r in checked)
     countable_pass = _gaps_shrink([r.sup_gap_interior for r in resolved], countable_threshold)
 
     return SweepReport(
@@ -346,7 +358,7 @@ class CounterexampleReport:
                   [astuple(r) for r in self.rows])
 
     def to_json(self):
-        return json.dumps({
+        return _json({
             "rows": [asdict(r) for r in self.rows],
             "gap_at_origin": self.gap_at_origin,
             "gap_pass": self.gap_pass,
@@ -380,14 +392,13 @@ def counterexample_report(T, x_samples, grid, sim=None, mc_enabled=True):
     contamination is estimated a posteriori by re-solving on a 4/3-enlarged
     box; above tolerance the report advises a larger box.
     """
-    scheme = ParabolicScheme(advection="central")
     big_factor = 4.0 / 3.0
     contamination_tol = 1e-3
     if abs(grid.T - T) > 1e-12:
         raise ValueError("grid terminal time differs from requested T")
 
-    u0, oracle0 = _solve_effective(0.0, grid, scheme)
-    u1, oracle1 = _solve_effective(1.0, grid, scheme)
+    u0, oracle0 = _solve_effective(0.0, grid, CENTRAL)
+    u1, oracle1 = _solve_effective(1.0, grid, CENTRAL)
 
     rows = []
     for x in x_samples:
@@ -410,8 +421,8 @@ def counterexample_report(T, x_samples, grid, sim=None, mc_enabled=True):
         big = build_grid(BOX, grid.dim,
                          [(lo * big_factor, hi * big_factor)] * grid.dim,
                          big_nx, grid.T, grid.nt)
-        ub0, _ = _solve_effective(0.0, big, scheme)
-        ub1, _ = _solve_effective(1.0, big, scheme)
+        ub0, _ = _solve_effective(0.0, big, CENTRAL)
+        ub1, _ = _solve_effective(1.0, big, CENTRAL)
         for r in rows:
             pt = np.array([[r.x] + [0.0] * (grid.dim - 1)])
             contamination = max(
@@ -474,7 +485,7 @@ class TruncationReport:
                 f"over N={self.N_list}, {self.flagged_steps} flagged steps")
 
     def to_json(self):
-        return json.dumps({
+        return _json({
             "family": self.family, "N_list": self.N_list,
             "monotone_pass": self.monotone_pass, "eps_pass": self.eps_pass,
             "open_loop_pass": self.open_loop_pass,
@@ -484,7 +495,7 @@ class TruncationReport:
 
 
 def countable_truncation_study(oracle, family, N_list, grid, sim=None,
-                               eps_list=(), scheme=None):
+                               eps_list=(), scheme=UPWIND):
     """Double limit behind countable-action convergence, realized numerically.
 
     V^N from the truncated action prefix is pointwise nonincreasing in N; for
@@ -494,7 +505,6 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     approach J (checked by Monte Carlo with common random numbers when a sim
     config is given).
     """
-    scheme = scheme or default_scheme()
     N_list = sorted(int(N) for N in N_list)
     values = {}
     flagged = []

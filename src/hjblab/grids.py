@@ -207,10 +207,11 @@ class SpaceTimeField:
 
     Scalar fields have values of shape (nt + 1, *space_shape); vector fields
     carry a trailing component axis.  Construction validates shape and
-    finiteness.
+    finiteness.  ``policy`` is the grid policy a value field was marched
+    with (the direct HJB marcher's argmin), or None.
     """
 
-    def __init__(self, grid, values, meta=None):
+    def __init__(self, grid, values, meta=None, policy=None):
         values = np.asarray(values, dtype=float)
         expect = (grid.n_levels,) + grid.space_shape
         if values.shape != expect and values.shape[:-1] != expect:
@@ -222,6 +223,7 @@ class SpaceTimeField:
         self.grid = grid
         self.values = values
         self.meta = dict(meta or {})
+        self.policy = policy
 
     @property
     def is_vector(self):

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import sample_all
-from .grids import SpaceTimeField, write_csv
+from .grids import UPWIND, SpaceTimeField, write_csv
 from .hamiltonian import Policy, argmin_level
 from .parabolic import (
     _box_edges,
     _implicit_bands,
     _step,
-    default_scheme,
     pde_residual,
     solve_frozen,
 )
@@ -56,7 +55,7 @@ def _select_fields(B, F, indices):
     return bsel, fsel
 
 
-def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
+def policy_iteration(oracle, action_set, grid, boundary=None, scheme=UPWIND,
                      tol=1e-8, max_iters=200):
     """Howard-type iteration: exact-argmin policy, then frozen linear solve.
 
@@ -65,7 +64,6 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
     unchanged on at least 99.9 percent of nodes, or at ``max_iters`` (the
     best iterate is then returned with the trace flagged, not an error).
     """
-    scheme = scheme or default_scheme()
     B, F = sample_all(oracle, grid, action_set)
 
     u = np.zeros((grid.n_levels,) + grid.space_shape)
@@ -73,7 +71,7 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
     n_nodes = u.size
     prev_indices = None
     # the residual of each iterate takes the argmin the next iteration freezes
-    next_indices, _ = argmin_level(B, F, u, grid, scheme.advection)
+    next_indices, _ = argmin_level(B, F, u, grid, scheme)
 
     for k in range(1, max_iters + 1):
         policy_indices = next_indices
@@ -102,14 +100,14 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=None,
     return out, policy, trace
 
 
-def solve_policy_value(oracle, policy, grid, boundary=None, scheme=None):
+def solve_policy_value(oracle, policy, grid, boundary=None, scheme=UPWIND):
     """Frozen value under an arbitrary fixed grid policy (u^alpha of the theory)."""
     B, F = sample_all(oracle, grid, policy.action_set)
     bsel, fsel = _select_fields(B, F, policy.indices)
     return solve_frozen(bsel, fsel, grid, boundary, scheme)
 
 
-def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=None):
+def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=UPWIND):
     """Nonlinear backward march with per-step policy-freeze sweeps.
 
     Diffusion (and the frozen advection) is implicit; the minimization is
@@ -122,22 +120,23 @@ def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=None):
     return solve_hjb_tables(B, F, grid, boundary, scheme, action_set=action_set)
 
 
-def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
+def solve_hjb_tables(B, F, grid, boundary=None, scheme=UPWIND, action_set=None):
     """Direct HJB march on pre-sampled per-action coefficient tables.
 
     ``B`` has shape (n_actions, levels, ..., dim) and ``F`` (n_actions,
     levels, ...); this is the entry point for mollified-coefficient sweeps
     where the tables are produced by convolution rather than sampling.
     ``boundary`` is the Dirichlet data g(t, X) of a box (None: zero data).
+    The result's ``policy`` holds the argmin indices, or None without an
+    ``action_set``.
     """
-    scheme = scheme or default_scheme()
     edges_at = _box_edges(boundary, grid, scheme)
     size = int(np.prod(grid.space_shape))
     nodes = np.arange(size).reshape(grid.space_shape)
     times = grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     indices = np.zeros((grid.n_levels,) + grid.space_shape, dtype=np.int64)
-    indices[-1:], _ = argmin_level(B[:, -1:], F[:, -1:], u[-1:], grid, scheme.advection)
+    indices[-1:], _ = argmin_level(B[:, -1:], F[:, -1:], u[-1:], grid, scheme)
     flagged_steps = []
 
     for n in range(grid.nt - 1, -1, -1):
@@ -151,8 +150,7 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
         u_guess = u[n + 1]
         prev_idx = None
         for _ in range(MAX_SWEEPS):
-            idx, _ = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u_guess[None], grid,
-                                  scheme.advection)
+            idx, _ = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u_guess[None], grid, scheme)
             if prev_idx is not None and np.array_equal(idx, prev_idx):
                 break
             chosen = table[:, idx[0] * size + nodes]
@@ -167,13 +165,11 @@ def solve_hjb_tables(B, F, grid, boundary=None, scheme=None, action_set=None):
         indices[n] = prev_idx[0]
 
     meta = {"inner_flagged_steps": flagged_steps, "converged": len(flagged_steps) == 0}
-    out = SpaceTimeField(grid, u, meta=meta)
-    if action_set is not None:
-        out.policy = Policy(grid, indices, action_set)
-    return out
+    policy = None if action_set is None else Policy(grid, indices, action_set)
+    return SpaceTimeField(grid, u, meta=meta, policy=policy)
 
 
-def hjb_residual(U, oracle, action_set, grid, scheme=None, tables=None, with_indices=False):
+def hjb_residual(U, oracle, action_set, grid, scheme=UPWIND, tables=None, with_indices=False):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils.
 
     The exact-argmin policy of the gradient of the value array ``U`` selects
@@ -183,9 +179,8 @@ def hjb_residual(U, oracle, action_set, grid, scheme=None, tables=None, with_ind
     left out, so no boundary condition enters.  ``with_indices`` also
     returns the argmin indices.
     """
-    scheme = scheme or default_scheme()
     B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
-    idx, _ = argmin_level(B, F, U, grid, scheme.advection)
+    idx, _ = argmin_level(B, F, U, grid, scheme)
     bsel, fsel = _select_fields(B, F, idx)
     res = float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme))))
     return (res, idx) if with_indices else res

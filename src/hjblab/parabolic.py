@@ -30,28 +30,12 @@ class SchemeError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ParabolicScheme:
-    """Discretization choice for the frozen-policy linear solver: the
-    advection stencil."""
-
-    advection: str = UPWIND
-
-    def __post_init__(self):
-        if self.advection not in (UPWIND, CENTRAL):
-            raise SchemeError(f"unknown advection {self.advection!r}")
-
-    def claims_monotone(self):
-        return self.advection == UPWIND
-
-
-def default_scheme():
-    return ParabolicScheme()
-
-
 def _axis_L_coeffs(beta, h, advection):
     """(lower, diag, upper) of L = d_xx + beta d_x along the last axis; ``h``
-    may be an array broadcast against ``beta``."""
+    may be an array broadcast against ``beta``.  ``advection`` is the
+    scheme, UPWIND or CENTRAL; any other raises SchemeError."""
+    if advection not in (UPWIND, CENTRAL):
+        raise SchemeError(f"unknown advection {advection!r}")
     inv_h2 = 1.0 / (h * h)
     if advection == UPWIND:
         bp = np.maximum(beta, 0.0)
@@ -74,11 +58,11 @@ def _implicit_bands(B, grid, scheme):
     if min(grid.nx) < least:
         raise SchemeError(f"{grid.domain_kind} line solves need at least {least} nodes "
                           f"per axis, got {min(grid.nx)}")
-    lo, di, up = _axis_L_coeffs(B, np.array(grid.dx), scheme.advection)
+    lo, di, up = _axis_L_coeffs(B, np.array(grid.dx), scheme)
     Ml = -grid.dt * lo
     Md = 1.0 - grid.dt * di
     Mu = -grid.dt * up
-    if scheme.claims_monotone():
+    if scheme == UPWIND:
         if not (np.all(Ml <= 1e-14) and np.all(Mu <= 1e-14) and np.all(Md > 0)):
             raise SchemeError("monotone scheme assembly produced a non-M-matrix")
     return Ml, Md, Mu
@@ -123,7 +107,7 @@ def _box_edges(g, grid, scheme):
         if grid.dim == 1:
             return edges, edges
         return edges, [edges[0] - grid.dt * _apply_L_axis(
-            edges[0], b_lvl[..., 1][..., [0, -1], :], grid.dx[1], scheme.advection, -1, False),
+            edges[0], b_lvl[..., 1][..., [0, -1], :], grid.dx[1], scheme, -1, False),
             edges[1]]
 
     return at
@@ -158,14 +142,14 @@ def _step(rhs, sweeps, edges=None):
     return u
 
 
-def solve_frozen(B, F, grid, boundary=None, scheme=None):
+def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
     """Solve the frozen-coefficient backward problem with zero terminal data.
 
     ``B`` is the drift array (levels, space..., dim), ``F`` the cost array
-    (levels, space...), and ``boundary`` the Dirichlet data g(t, X) of a box
-    (None: zero).  Returns the full space-time value field.
+    (levels, space...), ``boundary`` the Dirichlet data g(t, X) of a box
+    (None: zero) and ``scheme`` the advection stencil, UPWIND or CENTRAL.
+    Returns the full space-time value field.
     """
-    scheme = scheme or default_scheme()
     edges_at = _box_edges(boundary, grid, scheme)
     B = np.asarray(B, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -193,11 +177,11 @@ def _step_operator(u_lvl, b_lvl, grid, scheme):
     out = u_lvl
     for k in range(grid.dim - 1, -1, -1):
         out = out - grid.dt * _apply_L_axis(out, b_lvl[..., k], grid.dx[k],
-                                          scheme.advection, k - grid.dim, periodic)
+                                          scheme, k - grid.dim, periodic)
     return out
 
 
-def pde_residual(U, B, F, grid, scheme=None):
+def pde_residual(U, B, F, grid, scheme=UPWIND):
     """Discrete residual of the marching equations, solver stencils included.
 
     Returns an array over (step, space): (U[n+1] + dt F[n] - step operator
@@ -205,7 +189,6 @@ def pde_residual(U, B, F, grid, scheme=None):
     output has residual at roundoff scale; it grows with truncation error
     when ``U`` is an exact solution sampled on the grid.
     """
-    scheme = scheme or default_scheme()
     res = (U[1:] + grid.dt * F[:-1] - _step_operator(U[:-1], B[:-1], grid, scheme)) / grid.dt
     interior = grid.domain_kind == TORUS or np.pad(np.ones([n - 2 for n in grid.nx], dtype=bool), 1)
     return np.where(interior, res, 0.0)
@@ -221,7 +204,7 @@ class ConvergenceOrders:
     skipped: bool = False
 
 
-def convergence_order(problem_fn, grids, scheme=None):
+def convergence_order(problem_fn, grids, scheme=UPWIND):
     """Observed orders from a ladder of grids with a known exact solution.
 
     ``problem_fn(grid)`` returns (B, F, g or None, exact_values);

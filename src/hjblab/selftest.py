@@ -1,12 +1,12 @@
 """Acceptance battery: every shipped claim, one pass/fail line each.
 
-The battery builds the shipped scenarios programmatically (the configs/
-directory mirrors them for CLI use), runs all nine acceptance checks at
-their stated tolerances, writes the numeric artifacts into an output
-directory, and records one check per criterion in a ``RunManifest``,
-written as ``selftest_summary.json``.  Artifact bytes are
-deterministic for a fixed seed set: rerunning the battery reproduces them
-bit for bit.
+The battery loads its scenarios from the configs shipped in hjblab/configs
+(the files the CLI runs), runs all nine acceptance checks at their stated
+tolerances, writes the numeric artifacts into an output directory, and
+records every config's echo and one check per criterion in a
+``RunManifest``, written as ``selftest_summary.json``.  Artifact bytes are
+deterministic for its seed set, MASTER_SEED + k: rerunning the battery
+reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from importlib import resources
 
 import numpy as np
 
 from .coefficients import (
     ActionSet,
-    bang_bang_actions,
-    bang_bang_family,
-    make_bang_bang,
-    make_checkerboard,
     make_counterexample,
     make_constant_drift,
     make_smooth_baseline,
@@ -30,7 +27,7 @@ from .coefficients import (
     sample_all,
     verify_bound,
 )
-from .config import RunManifest
+from .config import RunManifest, echo_hash, load_config
 from .experiments import (
     A_EQ_X,
     _solve_effective,
@@ -40,7 +37,7 @@ from .experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from .grids import CENTRAL, build_grid, write_csv
+from .grids import CENTRAL, UPWIND, build_grid, write_csv
 from .hamiltonian import Policy, hamiltonian_values
 from .hjb import policy_iteration, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
@@ -52,7 +49,7 @@ from .montecarlo import (
     simulate_cost,
     simulate_costs,
 )
-from .parabolic import ParabolicScheme, convergence_order, solve_frozen
+from .parabolic import convergence_order, solve_frozen
 
 MASTER_SEED = 20260810
 SUMMARY = "selftest_summary.json"
@@ -61,38 +58,21 @@ SUMMARY = "selftest_summary.json"
 # ---------------------------------------------------------------------------
 # shipped scenarios
 
-
-def scenario_counterexample_grid():
-    return build_grid("box", 1, (-6.0, 6.0), 241, 1.0, 512)
-
-
-def scenario_bang_bang():
-    grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
-    return grid, make_bang_bang(grid), bang_bang_actions(), ParabolicScheme(advection="central")
+# every config in hjblab/configs, each the one definition of its scenario;
+# criteria 3, 4 and 7 and the bound scan run the multi-action ones
+SHIPPED = ("counterexample", "bang_bang", "step_drift", "checkerboard", "smooth_baseline",
+           "truncation")
+MULTI_ACTION = ("bang_bang", "step_drift", "checkerboard", "smooth_baseline")
 
 
-def scenario_step_drift():
-    grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
-    return grid, make_step_drift(grid, c=1.0), ActionSet(np.array([-1.0, 1.0])), ParabolicScheme()
-
-
-def scenario_checkerboard():
-    grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
-    return grid, make_checkerboard(grid, kx=2, kt=1), ActionSet(np.array([-1.0, 1.0])), ParabolicScheme()
-
-
-def scenario_smooth_baseline():
-    grid = build_grid("torus", 1, (0.0, 1.0), 64, 1.0, 128)
-    return grid, make_smooth_baseline(grid, T=grid.T), ActionSet(np.array([1.0])), ParabolicScheme(advection="central")
+def shipped(name):
+    """The shipped scenario config ``hjblab/configs/<name>.cfg``, loaded."""
+    with resources.as_file(resources.files(__package__) / "configs" / f"{name}.cfg") as path:
+        return load_config(path)
 
 
 def multi_action_scenarios():
-    return {
-        "bang_bang": scenario_bang_bang(),
-        "step_drift": scenario_step_drift(),
-        "checkerboard": scenario_checkerboard(),
-        "smooth_baseline": scenario_smooth_baseline(),
-    }
+    return {name: shipped(name) for name in MULTI_ACTION}
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +81,9 @@ def multi_action_scenarios():
 
 def _crit1_counterexample(record):
     t0 = time.perf_counter()
-    grid = scenario_counterexample_grid()
-    rep = counterexample_report(1.0, [0.0, 0.5, 1.0], grid, mc_enabled=False)
+    cfg = shipped("counterexample")
+    rep = counterexample_report(cfg.grid.T, cfg.experiment["x_samples"], cfg.grid,
+                                mc_enabled=False)
     rt = time.perf_counter() - t0
     row0 = next(r for r in rep.rows if abs(r.x) < 1e-12)
     ok_v = abs(row0.v_num - 1.0) <= 0.02
@@ -118,12 +99,11 @@ def _crit1_counterexample(record):
 
 def _crit2_mc_crosscheck(record, threads):
     t0 = time.perf_counter()
-    grid = scenario_counterexample_grid()
-    sim = SimConfig(n_paths=100_000, dt_sim=1e-3, seed=MASTER_SEED,
-                    start_time=0.0, start_state=(0.0,), n_threads=threads)
+    cfg = shipped("counterexample")
     est0, est1 = simulate_costs(
-        [(make_counterexample(grid), A_EQ_X),
-         (make_constant_drift(grid, c=1.0), constant_control(1.0))], sim, grid)
+        [(cfg.build_oracle(), A_EQ_X),
+         (make_constant_drift(cfg.grid, c=1.0), constant_control(1.0))],
+        cfg.build_sim(seed_override=MASTER_SEED, n_threads=threads), cfg.grid)
     rt = time.perf_counter() - t0
     ok0 = abs(est0.mean - 1.0) <= 3.0 * est0.se
     ok1 = abs(est1.mean - 4.0 / 3.0) <= 3.0 * est1.se
@@ -139,17 +119,19 @@ def _crit2_mc_crosscheck(record, threads):
 
 
 def _crit3_crit4_agreement(record):
-    """Criteria 3 and 4; returns the fields criteria 5 and 6 reuse, and the
-    direct marches' flagged steps."""
+    """Criteria 3 and 4; returns per scenario the (config, oracle, action set,
+    direct solution) that criteria 5 and 6 reuse, and the direct marches'
+    flagged steps."""
     t0 = time.perf_counter()
     tol = 1e-8
     rows = {}
     ok3 = True
     ok4 = True
-    pi_fields = {}
-    for name, (grid, oracle, aset, scheme) in multi_action_scenarios().items():
-        u_pi, policy, trace = policy_iteration(oracle, aset, grid, scheme=scheme, tol=tol)
-        u_dir = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
+    solved = {}
+    for name, cfg in multi_action_scenarios().items():
+        oracle, aset = cfg.build_oracle(), cfg.build_action_set()
+        u_pi, _, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme, tol=tol)
+        u_dir = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
         sup = float(np.max(np.abs(u_pi.values - u_dir.values)))
         descent = max(trace.max_pos_diffs[1:], default=0.0)
         flagged = len(u_dir.meta["inner_flagged_steps"])
@@ -161,7 +143,7 @@ def _crit3_crit4_agreement(record):
             "residual": trace.residuals[-1],
             "flagged_steps": flagged,
         }
-        pi_fields[name] = (u_pi, policy, trace, u_dir)
+        solved[name] = (cfg, oracle, aset, u_dir)
         if sup > 10 * tol or trace.iterations > 50 or not trace.converged or flagged:
             ok3 = False
         if descent > 1e-10:
@@ -172,7 +154,7 @@ def _crit3_crit4_agreement(record):
     iters = ", ".join(f"{k}:{v['iterations']}" for k, v in rows.items())
     record.add_check("policy iteration vs direct solve", ok3, sups, criterion=3, runtime=rt)
     record.add_check("policy iteration monotonicity", ok4, iters, criterion=4, runtime=0.0)
-    return pi_fields, sum(row["flagged_steps"] for row in rows.values())
+    return solved, sum(row["flagged_steps"] for row in rows.values())
 
 
 def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
@@ -192,17 +174,15 @@ def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
     ]
 
 
-def _crit5_verification(record, pi_fields, u0, threads):
+def _crit5_verification(record, bang_bang, u0, threads):
     t0 = time.perf_counter()
     ok = True
     details = []
 
     # scenario 1: bang_bang, argmin feedback from the direct solver's policy
-    grid, oracle, aset, scheme = scenario_bang_bang()
-    _, _, _, u_dir = pi_fields["bang_bang"]
-    sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 1,
-                    start_time=0.0, start_state=(0.5,), n_threads=threads)
-    candidates = _bang_bang_candidates(grid, oracle, aset, u_dir, MASTER_SEED + 2)
+    cfg, oracle, aset, u_dir = bang_bang
+    sim = cfg.build_sim(seed_override=MASTER_SEED + 1, n_threads=threads)
+    candidates = _bang_bang_candidates(cfg.grid, oracle, aset, u_dir, MASTER_SEED + 2)
     rep1 = verification_check(u_dir, oracle, sim, candidates)
     ok = ok and rep1.passed
     details.append(f"bang_bang u={rep1.u_start:.4f}")
@@ -219,8 +199,7 @@ def _crit5_verification(record, pi_fields, u0, threads):
         ("shifted_diag", FeedbackRule(lambda t, X: X[:, 0] + 1.0, name="shifted_diag")),
         ("double_diag", FeedbackRule(lambda t, X: 2.0 * X[:, 0], name="double_diag")),
     ]
-    rep2 = verification_check(u0, ce, simc, cand_c,
-                              argmin_control=A_EQ_X)
+    rep2 = verification_check(u0, ce, simc, cand_c, argmin_control=A_EQ_X)
     ok = ok and rep2.passed
     details.append(f"counterexample u={rep2.u_start:.4f}")
     record.write_text("verification_counterexample.json", rep2.to_json() + "\n")
@@ -230,13 +209,11 @@ def _crit5_verification(record, pi_fields, u0, threads):
                      runtime=rt)
 
 
-def _crit6_dpp(record, pi_fields, u0, threads):
+def _crit6_dpp(record, bang_bang, u0, threads):
     t0 = time.perf_counter()
-    grid, oracle, aset, scheme = scenario_bang_bang()
-    _, _, _, u_dir = pi_fields["bang_bang"]
-    sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 4,
-                    start_time=0.0, start_state=(0.5,), n_threads=threads)
-    t_mids = [0.25 * grid.T, 0.5 * grid.T, 0.75 * grid.T]
+    cfg, oracle, _, u_dir = bang_bang
+    sim = cfg.build_sim(seed_override=MASTER_SEED + 4, n_threads=threads)
+    t_mids = [frac * cfg.grid.T for frac in cfg.experiment["t_mid"]]
     rep1 = dpp_battery(u_dir, oracle, GridPolicyControl(u_dir.policy, name="argmin"),
                        sim, t_mids,
                        suboptimal_controls=[("const_plus", constant_control(1.0))])
@@ -255,24 +232,15 @@ def _crit6_dpp(record, pi_fields, u0, threads):
                      criterion=6, runtime=rt)
 
 
-SWEEP_LADDERS = {
-    # the time-alternating checkerboard needs eps below its oscillation cell
-    # (T / (2 kt) = 0.5) before the gap decreases monotonically
-    "checkerboard": [0.3, 0.15, 0.075],
-}
-DEFAULT_LADDER = [0.4, 0.2, 0.1]
-
-
 def _crit7_sweeps(record, gap_report):
     """Criterion 7's sweeps; returns their marches' flagged steps."""
     t0 = time.perf_counter()
     ok = True
     details = []
     flagged = 0
-    for name, (grid, oracle, aset, scheme) in multi_action_scenarios().items():
-        sweep = mollify_value_sweep(oracle, aset, grid,
-                                    SWEEP_LADDERS.get(name, DEFAULT_LADDER),
-                                    scheme=scheme, scenario=name)
+    for name, cfg in multi_action_scenarios().items():
+        sweep = mollify_value_sweep(cfg.build_oracle(), cfg.build_action_set(), cfg.grid,
+                                    cfg.eps_list, scheme=cfg.scheme, scenario=name)
         flagged += sweep.flagged_steps
         record.write_text(f"sweep_{name}.json", sweep.to_json() + "\n")
         write_csv(record.path(f"sweep_{name}.csv"),
@@ -321,9 +289,9 @@ def _crit8_solver_validation(record):
 
     # orders: coupled ladders dt ~ dx^2 (central) and dt ~ dx (upwind)
     grids_c = [build_grid("torus", 1, 1.0, nx, 1.0, nx * nx // 8) for nx in (16, 24, 32, 48)]
-    orders_c = convergence_order(_smooth_problem, grids_c, ParabolicScheme(advection="central"))
+    orders_c = convergence_order(_smooth_problem, grids_c, CENTRAL)
     grids_u = [build_grid("torus", 1, 1.0, nx, 1.0, nx) for nx in (32, 48, 64, 96)]
-    orders_u = convergence_order(_smooth_problem, grids_u, ParabolicScheme(advection="upwind"))
+    orders_u = convergence_order(_smooth_problem, grids_u, UPWIND)
     payload["orders_central"] = {"space": orders_c.space, "time": orders_c.time,
                                  "errors": orders_c.errors}
     payload["orders_upwind"] = {"space": orders_u.space, "time": orders_u.time,
@@ -346,8 +314,8 @@ def _crit8_solver_validation(record):
         b = rng.uniform(-2.0, 2.0, size=shape + (grid.dim,))
         f1 = rng.uniform(-1.0, 1.0, size=shape)
         f2 = f1 + rng.uniform(0.0, 1.0, size=shape)
-        u1 = solve_frozen(b, f1, grid, scheme=ParabolicScheme())
-        u2 = solve_frozen(b, f2, grid, scheme=ParabolicScheme())
+        u1 = solve_frozen(b, f1, grid)
+        u2 = solve_frozen(b, f2, grid)
         worst = max(worst, float(np.max(u1.values - u2.values)))
     payload["comparison_fuzz_worst"] = worst
     if worst > 1e-12:
@@ -377,11 +345,10 @@ def _crit_truncation(record, threads):
     """Countable-action truncation study (supports criterion 7's regime split);
     returns its marches' flagged steps."""
     t0 = time.perf_counter()
-    grid, oracle, aset, scheme = scenario_bang_bang()
-    sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 7,
-                    start_time=0.0, start_state=(0.5,), n_threads=threads)
-    rep = countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
-                                     sim=sim, eps_list=[0.2, 0.1], scheme=scheme)
+    cfg = shipped("truncation")
+    sim = cfg.build_sim(seed_override=MASTER_SEED + 7, n_threads=threads)
+    rep = countable_truncation_study(cfg.build_oracle(), cfg.family(), cfg.experiment["N_list"],
+                                     cfg.grid, sim=sim, eps_list=cfg.eps_list, scheme=cfg.scheme)
     record.write_text("truncation.json", rep.to_json() + "\n")
     rt = time.perf_counter() - t0
     record.add_check("countable truncation study", rep.passed, rep.summary(), criterion=7,
@@ -394,7 +361,7 @@ def _crit9_reproducibility(record, threads):
     numeric artifacts and require byte equality.  (The test suite additionally
     reruns the full battery and compares all artifact files.)"""
     t0 = time.perf_counter()
-    grid = scenario_counterexample_grid()
+    grid = shipped("counterexample").grid
     cd1 = make_constant_drift(grid, c=1.0)
     sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 8, n_threads=threads)
     a = simulate_cost(cd1, constant_control(1.0), sim, grid).to_json("repro", "const_1")
@@ -415,11 +382,12 @@ def _bound_checks(record):
     """Domination scan for every shipped catalog entry on its default grid."""
     rows = {}
     ok = True
-    scans = dict(multi_action_scenarios())
+    scans = {name: (cfg.grid, cfg.build_oracle(), cfg.build_action_set())
+             for name, cfg in multi_action_scenarios().items()}
     coarse = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 16)
     scans["counterexample"] = (coarse, make_counterexample(coarse),
-                               ActionSet(np.array([-1.0, 0.0, 1.0])), None)
-    for name, (grid, oracle, aset, _) in scans.items():
+                               ActionSet(np.array([-1.0, 0.0, 1.0])))
+    for name, (grid, oracle, aset) in scans.items():
         check_grid = grid if grid.nt <= 64 else build_grid(
             grid.domain_kind, grid.dim, list(grid.extent), grid.nx, grid.T, 16)
         rep = verify_bound(oracle, check_grid, aset)
@@ -433,17 +401,18 @@ def run_selftest(out_dir, threads=1):
     """Run the acceptance battery, write its artifacts and its record
     (``selftest_summary.json``), and return the record."""
     os.makedirs(out_dir, exist_ok=True)
-    record = RunManifest(out_dir, seeds={"master": MASTER_SEED})
+    echo = {name: shipped(name).echo for name in SHIPPED}
+    record = RunManifest(out_dir, echo_hash(echo), echo, seeds={"master": MASTER_SEED})
     t_start = time.perf_counter()
 
     gap_report = _crit1_counterexample(record)
     _crit2_mc_crosscheck(record, threads)
-    pi_fields, flagged = _crit3_crit4_agreement(record)
+    solved, flagged = _crit3_crit4_agreement(record)
     # the counterexample's effective value u0, which criteria 5 and 6 both test
-    u0, _ = _solve_effective(0.0, scenario_counterexample_grid(),
-                             ParabolicScheme(advection="central"))
-    _crit5_verification(record, pi_fields, u0, threads)
-    _crit6_dpp(record, pi_fields, u0, threads)
+    ce = shipped("counterexample")
+    u0, _ = _solve_effective(0.0, ce.grid, ce.scheme)
+    _crit5_verification(record, solved["bang_bang"], u0, threads)
+    _crit6_dpp(record, solved["bang_bang"], u0, threads)
     flagged += _crit7_sweeps(record, gap_report)
     flagged += _crit_truncation(record, threads)
     _crit8_solver_validation(record)

@@ -10,13 +10,15 @@ import filecmp
 import json
 import os
 import re
+from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from hjblab import hjb, selftest
 from hjblab.cli import main
-from hjblab.config import RunManifest
+from hjblab.config import RunManifest, echo_hash, load_config
 from hjblab.selftest import (
     SUMMARY,
     _crit3_crit4_agreement,
@@ -123,6 +125,38 @@ def test_summary_is_a_run_record_like_the_manifest(battery, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(summary) == set(manifest)
     assert all(set(c) == cli for c in manifest["checks"])
+
+
+def test_every_scenario_is_a_shipped_config(battery, monkeypatch):
+    # one definition per scenario: the battery loads each from the configs
+    # shipped as package data, and its record echoes every one of them
+    package = resources.files("hjblab") / "configs"
+    names = {p.name for p in package.iterdir() if p.name.endswith(".cfg")}
+    loaded = []
+
+    def spy(path):
+        loaded.append(Path(path))
+        return load_config(path)
+
+    monkeypatch.setattr(selftest, "load_config", spy)
+    assert set(selftest.multi_action_scenarios()) == set(selftest.MULTI_ACTION)
+    assert loaded and all(p.name in names and p.parent.resolve() == Path(str(package)).resolve()
+                          for p in loaded)
+    out, _ = battery
+    summary = json.loads((out / SUMMARY).read_text())
+    assert {f"{stem}.cfg" for stem in summary["config"]} == names
+    for stem, echo in summary["config"].items():
+        assert echo == load_config(package / f"{stem}.cfg").echo
+    assert summary["config_hash"] == echo_hash(summary["config"])
+
+
+def test_root_configs_is_a_link_to_the_package_data():
+    link = Path(ROOT) / "configs"
+    assert link.is_symlink() and not os.path.isabs(os.readlink(link))
+    assert link.resolve() == Path(str(resources.files("hjblab") / "configs")).resolve()
+    text = (Path(ROOT) / "pyproject.toml").read_text()
+    section = text.split("[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    assert 'hjblab = ["configs/*.cfg"]' in section.splitlines()
 
 
 def test_criterion_9_full_rerun_bit_identical(battery, tmp_path):

@@ -32,6 +32,7 @@ from hjblab.parabolic import MIN_NODES
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
+HALF = os.path.join(ROOT, "bench", "inputs", "bang_bang_half.cfg")
 EVERY_CONFIG = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))
                       + glob.glob(os.path.join(ROOT, "bench", "inputs", "*.cfg")))
 
@@ -45,7 +46,7 @@ def test_load_shipped_counterexample():
     assert cfg.grid.domain_kind == "box"
     assert cfg.grid.extent == ((-6.0, 6.0),)
     assert cfg.grid.T == 1.0 and cfg.grid.nt == 512
-    assert cfg.scheme.advection == "central"
+    assert cfg.scheme == "central"
     assert cfg.mc["M"] == 100000
 
 
@@ -323,12 +324,46 @@ def test_cli_mollify_sweep(tmp_path):
     assert (out / "sweep.json").exists()
     ladder = (out / "ladder.csv").read_text().splitlines()
     assert ladder[0] == "epsilon,lp_distance,sup_norm"
-    # eps = 0.4 on a horizon of 0.5 leaves its rung no interior node (a NaN
+    # eps = 0.4 on a horizon of 0.5 leaves its rung no interior node (a null
     # sup gap), which the countable-convergence check leaves out
-    half = os.path.join(ROOT, "bench", "inputs", "bang_bang_half.cfg")
-    assert main(["mollify-sweep", half, "--out", str(tmp_path / "half")]) == 0
+    assert main(["mollify-sweep", HALF, "--out", str(tmp_path / "half")]) == 0
     rungs = json.loads((tmp_path / "half" / "sweep.json").read_text())["report"]["rungs"]
-    assert np.isnan(rungs[0]["sup_gap_interior"]) and rungs[0]["epsilon"] == 0.4
+    assert rungs[0]["sup_gap_interior"] is None and rungs[0]["epsilon"] == 0.4
+
+
+@pytest.fixture(scope="module")
+def sweep_without_interior(tmp_path_factory):
+    """mollify-sweep on bench/inputs/bang_bang_half.cfg, cut down, with eps
+    0.4 and 0.3: both exceed half its 0.5 horizon, so no rung has an
+    interior node.  Returns the exit code and the output directory."""
+    tmp = tmp_path_factory.mktemp("no_interior")
+    with open(HALF) as fh:
+        raw = yaml.safe_load(fh)
+    raw["domain"]["nx"], raw["time"]["nt"], raw["mollify"]["eps"] = 8, 8, [0.4, 0.3]
+    cfg = tmp / "half.cfg"
+    cfg.write_text(yaml.dump(raw, Dumper=DUMPER))
+    code, _ = _run(["mollify-sweep", str(cfg), "--out", str(tmp / "out")])
+    return code, tmp / "out"
+
+
+def test_liminf_fails_without_an_interior_node(sweep_without_interior):
+    code, out = sweep_without_interior
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert code == 1
+    assert {"name": "liminf", "passed": False, "detail": ""} in checks
+
+
+def _refuse(token):
+    raise ValueError(f"bare {token} in a report")
+
+
+def test_report_json_writes_nan_as_null(sweep_without_interior):
+    _, out = sweep_without_interior
+    report = json.loads((out / "sweep.json").read_text(), parse_constant=_refuse)["report"]
+    for rung in report["rungs"]:
+        assert rung["resolved"] and rung["sup_gap_full"] is not None
+        assert rung["sup_gap_interior"] is rung["min_gap_interior"] is None
+        assert rung["frac_nonneg_interior"] is None
 
 
 def test_cli_verify_and_dpp(tmp_path):

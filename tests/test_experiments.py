@@ -22,7 +22,6 @@ from hjblab.experiments import (
 from hjblab.grids import build_grid
 from hjblab.hjb import solve_hjb_direct
 from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control, dpp_residual
-from hjblab.parabolic import ParabolicScheme
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +29,7 @@ def bang():
     grid = build_grid("torus", 1, (-1.0, 1.0), 32, 1.0, 64)
     oracle = make_bang_bang(grid)
     aset = bang_bang_actions()
-    scheme = ParabolicScheme(advection="central")
+    scheme = "central"
     u = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
     return grid, oracle, aset, scheme, u
 

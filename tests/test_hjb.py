@@ -20,7 +20,7 @@ from hjblab.hjb import (
     solve_hjb_tables,
     solve_policy_value,
 )
-from hjblab.parabolic import ParabolicScheme, SchemeError, pde_residual, solve_frozen
+from hjblab.parabolic import SchemeError, pde_residual, solve_frozen
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ def test_residual_bound_at_convergence(bang):
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 2)])
 def test_one_action_hjb_residual_is_pde_residual(kind, dim):
     grid = build_grid(kind, dim, (-1.0, 1.0), 9, 0.5, 6)
-    scheme = ParabolicScheme()
+    scheme = "upwind"
     rng = np.random.default_rng(8)
     B = rng.uniform(-1.0, 1.0, size=(1, grid.n_levels) + grid.space_shape + (dim,))
     F = rng.normal(size=(1, grid.n_levels) + grid.space_shape)
@@ -129,7 +129,10 @@ def test_direct_flags_are_clean(bang):
     grid, oracle, aset = bang
     u = solve_hjb_direct(oracle, aset, grid)
     assert u.meta["converged"]
-    assert hasattr(u, "policy")
+    assert u.policy is not None and u.policy.action_set is aset
+    # tables without an action set march the same field, with no policy
+    bare = solve_hjb_tables(*sample_all(oracle, grid, aset), grid)
+    assert bare.policy is None and np.array_equal(bare.values, u.values)
 
 
 def _constant_drift_problem(grid, c):
@@ -154,8 +157,7 @@ def test_single_action_hamiltonian_with_gradient_term():
     grid = build_grid("box", 1, (-6.0, 6.0), 241, 1.0, 256)
     oracle, single, bc = _constant_drift_problem(grid, 1.0)
     # central advection, the gradient the callable-H march used
-    u = solve_hjb_direct(oracle, single, grid, boundary=bc,
-                         scheme=ParabolicScheme(advection="central"))
+    u = solve_hjb_direct(oracle, single, grid, boundary=bc, scheme="central")
     assert u.values[0, 120] == pytest.approx(4.0 / 3.0, rel=0.02)
 
 

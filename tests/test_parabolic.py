@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hjblab import parabolic
 from hjblab.coefficients import ActionSet, make_smooth_baseline, sample_all
 from hjblab.grids import build_grid
+from hjblab.hjb import solve_hjb_tables
 from hjblab.parabolic import (
-    ParabolicScheme,
     SchemeError,
     convergence_order,
     pde_residual,
@@ -62,8 +62,7 @@ def test_quadratic_closed_form_on_box():
     exact_fn = exact_quadratic(g.T)
     b = _const(g, 0.0, 1)
     f = _sample(g, lambda t, X: X[..., 0] ** 2)
-    u = solve_frozen(b, f, g, exact_fn,
-                     ParabolicScheme(advection="central"))
+    u = solve_frozen(b, f, g, exact_fn, "central")
     exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
     assert np.max(np.abs(u.values - exact)) < 5 * (g.dx[0] ** 2 + g.dt)
 
@@ -73,8 +72,7 @@ def test_cubic_closed_form_with_drift():
     exact_fn = exact_cubic(g.T)
     b = _const(g, 1.0, 1)
     f = _sample(g, lambda t, X: X[..., 0] ** 2)
-    u = solve_frozen(b, f, g, exact_fn,
-                     ParabolicScheme(advection="central"))
+    u = solve_frozen(b, f, g, exact_fn, "central")
     exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
     assert np.max(np.abs(u.values - exact)) < 10 * (g.dx[0] ** 2 + g.dt)
 
@@ -87,7 +85,7 @@ def test_exact_field_residual_shrinks_at_rate():
         exact_fn = exact_quadratic(g.T)
         f = _sample(g, lambda t, X: X[..., 0] ** 2)
         exact = np.stack([exact_fn(t, g.points()) for t in g.times()])
-        res = pde_residual(exact, b_zero(g), f, g, scheme=ParabolicScheme(advection="central"))
+        res = pde_residual(exact, b_zero(g), f, g, scheme="central")
         res_sup.append(np.max(np.abs(res)))
     # halving dx and dt halves the (dt-dominated) truncation residual
     assert res_sup[0] / res_sup[1] == pytest.approx(2.0, rel=0.2)
@@ -137,11 +135,19 @@ def test_unconditional_stability_large_dt():
     assert np.all(np.isfinite(u.values))
 
 
-def test_monotonicity_flags():
-    s_up = ParabolicScheme()
-    s_ce = ParabolicScheme(advection="central")
-    assert s_up.claims_monotone()
-    assert not s_ce.claims_monotone()
+def test_monotonicity_flags(monkeypatch):
+    # the M-matrix check runs on upwind assembly only: central coefficients
+    # at |b| dx > 2 have a positive off-diagonal, which the check refuses
+    # when they stand in for upwind's
+    g = build_grid("torus", 1, 1.0, 8, 1.0, 4)
+    B = _const(g, 40.0, 1)[:-1]
+    Ml, _, _ = parabolic._implicit_bands(B, g, "central")
+    assert np.any(Ml > 0.0)
+    central = parabolic._axis_L_coeffs
+    monkeypatch.setattr(parabolic, "_axis_L_coeffs",
+                        lambda beta, h, advection: central(beta, h, "central"))
+    with pytest.raises(SchemeError, match="non-M-matrix"):
+        parabolic._implicit_bands(B, g, "upwind")
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -164,8 +170,15 @@ def test_dirichlet_data_evaluated_on_edge_nodes_only(dim):
 
 
 def test_scheme_validation():
-    with pytest.raises(SchemeError):
-        ParabolicScheme(advection="weno")
+    # a scheme is its advection string, and the solvers refuse any other
+    g = build_grid("torus", 1, 1.0, 8, 1.0, 4)
+    b, f = _const(g, 0.5, 1), _const(g, 1.0)
+    with pytest.raises(SchemeError, match="unknown advection 'weno'"):
+        solve_frozen(b, f, g, scheme="weno")
+    with pytest.raises(SchemeError, match="unknown advection 'weno'"):
+        pde_residual(np.zeros(f.shape), b, f, g, scheme="weno")
+    with pytest.raises(SchemeError, match="unknown advection 'weno'"):
+        solve_hjb_tables(b[None], f[None], g, scheme="weno")
 
 
 def _smooth_problem(grid):
@@ -177,14 +190,14 @@ def _smooth_problem(grid):
 
 def test_convergence_orders_central():
     grids = [build_grid("torus", 1, 1.0, nx, 1.0, nx * nx // 8) for nx in (16, 24, 32)]
-    orders = convergence_order(_smooth_problem, grids, ParabolicScheme(advection="central"))
+    orders = convergence_order(_smooth_problem, grids, "central")
     assert orders.space == pytest.approx(2.0, abs=0.25)
     assert orders.time == pytest.approx(1.0, abs=0.25)
 
 
 def test_convergence_orders_upwind():
     grids = [build_grid("torus", 1, 1.0, nx, 1.0, nx) for nx in (32, 48, 64)]
-    orders = convergence_order(_smooth_problem, grids, ParabolicScheme(advection="upwind"))
+    orders = convergence_order(_smooth_problem, grids, "upwind")
     assert orders.space == pytest.approx(1.0, abs=0.25)
     assert orders.time == pytest.approx(1.0, abs=0.25)
 
@@ -258,11 +271,10 @@ def test_2d_box_solver_residual_roundoff(advection):
     rng = np.random.default_rng(61)
     b = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape + (2,))
     f = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape)
-    sch = ParabolicScheme(advection=advection)
     for data, b_, f_ in ((lambda t, X: X[..., 1] ** 2, 0.0 * b, 0.0 * f),
                          (lambda t, X: np.sin(X[..., 1]) + t * X[..., 0], b, f)):
-        u = solve_frozen(b_, f_, g, data, sch)
-        assert np.max(np.abs(pde_residual(u.values, b_, f_, g, scheme=sch))) <= 1e-10
+        u = solve_frozen(b_, f_, g, data, advection)
+        assert np.max(np.abs(pde_residual(u.values, b_, f_, g, scheme=advection))) <= 1e-10
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -300,7 +312,7 @@ def test_upwind_implicit_bands_are_m_matrix_rows(seed, kind, dim, nx, length, T,
     rng = np.random.default_rng(seed)
     g = build_grid(kind, dim, (0.0, length), nx, T, nt)
     B = scale * rng.standard_normal(size=(g.nt,) + g.space_shape + (dim,))
-    Ml, Md, Mu = parabolic._implicit_bands(B, g, ParabolicScheme())
+    Ml, Md, Mu = parabolic._implicit_bands(B, g, "upwind")
     assert Md.shape == B.shape
     assert np.all(Ml <= 0.0) and np.all(Mu <= 0.0) and np.all(Md > 0.0)
     assert np.all(np.abs(Md + Ml + Mu - 1.0) <= 1e-14 * Md)

@@ -10,7 +10,7 @@ import pytest
 
 from hjblab.grids import build_grid
 from hjblab.hjb import solve_hjb_tables
-from hjblab.parabolic import ParabolicScheme, pde_residual, solve_frozen
+from hjblab.parabolic import pde_residual, solve_frozen
 
 # (solver, kind, dim, advection): U[0, N//2 + 1], U[0, 1], U[3, N - 2],
 # U[5, N//3] and the residual at [2, N//2 + 1], N nodes per level
@@ -65,14 +65,13 @@ def test_solvers_are_bit_identical_to_the_pinned_values(case):
     rng = np.random.default_rng(2024)
     B = rng.uniform(-2.0, 2.0, size=(3, grid.n_levels) + grid.space_shape + (dim,))
     F = rng.uniform(0.0, 1.0, size=(3, grid.n_levels) + grid.space_shape)
-    scheme = ParabolicScheme(advection=advection)
     g = _dirichlet if kind == "box" else None
     if solver == "frozen":
-        U = solve_frozen(B[0], F[0], grid, g, scheme).values
-        res = pde_residual(U, B[0], F[0], grid, scheme)
+        U = solve_frozen(B[0], F[0], grid, g, advection).values
+        res = pde_residual(U, B[0], F[0], grid, advection)
     else:
-        U = solve_hjb_tables(B, F, grid, g, scheme).values
-        res = pde_residual(U, B[1], F[1], grid, scheme)
+        U = solve_hjb_tables(B, F, grid, g, advection).values
+        res = pde_residual(U, B[1], F[1], grid, advection)
     N = int(np.prod(grid.space_shape))
     U, res = U.reshape(grid.n_levels, N), res.reshape(grid.nt, N)
     got = [U[0, N // 2 + 1], U[0, 1], U[3, N - 2], U[5, N // 3], res[2, N // 2 + 1]]

@@ -25,7 +25,7 @@ EXPORTS = {
     "MollifierKernel", "coefficient_ladder", "kernel_normalization_error", "kernel_value",
     "mollify_field",
     # parabolic
-    "ParabolicScheme", "convergence_order", "default_scheme", "pde_residual", "solve_frozen",
+    "convergence_order", "pde_residual", "solve_frozen",
     # hamiltonian
     "Policy", "constant_policy",
     # hjb
