@@ -6,7 +6,8 @@ a direct nonlinear backward march: within each time step the Hamiltonian
 minimization and the implicit solve are alternated until the per-step policy
 stabilizes.  Both use the same one-step linear algebra and the same argmin
 convention, so at convergence they solve the same discrete fixed-point
-problem and serve as each other's oracle.
+problem and serve as each other's oracle.  On a box both march zero
+Dirichlet data.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import sample_all
-from .grids import UPWIND, SpaceTimeField, write_csv
+from .grids import TORUS, UPWIND, SpaceTimeField, write_csv
 from .hamiltonian import Policy, argmin_level
-from .parabolic import (
-    _box_edges,
-    _implicit_bands,
-    _step,
-    pde_residual,
-    solve_frozen,
-)
+from .parabolic import _implicit_bands, _inner, _step, pde_residual, solve_frozen
 
 # inner policy-freeze sweeps per time step of the direct marcher
 MAX_SWEEPS = 5
@@ -55,8 +50,7 @@ def _select_fields(B, F, indices):
     return bsel, fsel
 
 
-def policy_iteration(oracle, action_set, grid, boundary=None, scheme=UPWIND,
-                     tol=1e-8, max_iters=200):
+def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iters=200):
     """Howard-type iteration: exact-argmin policy, then frozen linear solve.
 
     Starts from u^0 = 0; the argmin is exact, so no slack schedule enters.
@@ -76,7 +70,7 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=UPWIND,
     for k in range(1, max_iters + 1):
         policy_indices = next_indices
         bsel, fsel = _select_fields(B, F, policy_indices)
-        u_new = solve_frozen(bsel, fsel, grid, boundary, scheme).values
+        u_new = solve_frozen(bsel, fsel, grid, scheme=scheme).values
 
         diff = u_new - u
         sup_change = float(np.max(np.abs(diff)))
@@ -91,7 +85,7 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=UPWIND,
         prev_indices = policy_indices
         u = u_new
         trace.iterations = k
-        if sup_change < tol and changed <= max(1e-3 * n_nodes, 0):
+        if sup_change < tol and changed <= 1e-3 * n_nodes:
             trace.converged = True
             break
 
@@ -100,14 +94,14 @@ def policy_iteration(oracle, action_set, grid, boundary=None, scheme=UPWIND,
     return out, policy, trace
 
 
-def solve_policy_value(oracle, policy, grid, boundary=None, scheme=UPWIND):
+def solve_policy_value(oracle, policy, grid, scheme=UPWIND):
     """Frozen value under an arbitrary fixed grid policy (u^alpha of the theory)."""
     B, F = sample_all(oracle, grid, policy.action_set)
     bsel, fsel = _select_fields(B, F, policy.indices)
-    return solve_frozen(bsel, fsel, grid, boundary, scheme)
+    return solve_frozen(bsel, fsel, grid, scheme=scheme)
 
 
-def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=UPWIND):
+def solve_hjb_direct(oracle, action_set, grid, scheme=UPWIND):
     """Nonlinear backward march with per-step policy-freeze sweeps.
 
     Diffusion (and the frozen advection) is implicit; the minimization is
@@ -117,51 +111,48 @@ def solve_hjb_direct(oracle, action_set, grid, boundary=None, scheme=UPWIND):
     still returned.
     """
     B, F = sample_all(oracle, grid, action_set)
-    return solve_hjb_tables(B, F, grid, boundary, scheme, action_set=action_set)
+    return solve_hjb_tables(B, F, grid, scheme, action_set=action_set)
 
 
-def solve_hjb_tables(B, F, grid, boundary=None, scheme=UPWIND, action_set=None):
+def solve_hjb_tables(B, F, grid, scheme=UPWIND, action_set=None):
     """Direct HJB march on pre-sampled per-action coefficient tables.
 
     ``B`` has shape (n_actions, levels, ..., dim) and ``F`` (n_actions,
     levels, ...); this is the entry point for mollified-coefficient sweeps
-    where the tables are produced by convolution rather than sampling.
-    ``boundary`` is the Dirichlet data g(t, X) of a box (None: zero data).
-    The result's ``policy`` holds the argmin indices, or None without an
-    ``action_set``.
+    where the tables are produced by convolution rather than sampling.  A
+    box marches zero Dirichlet data: its interior nodes alone are solved
+    for, and gather the chosen action's rows.  The result's ``policy``
+    holds the argmin indices, or None without an ``action_set``.
     """
-    edges_at = _box_edges(boundary, grid, scheme)
-    size = int(np.prod(grid.space_shape))
-    nodes = np.arange(size).reshape(grid.space_shape)
-    times = grid.times()
+    periodic = grid.domain_kind == TORUS
+    inside = _inner(grid)
+    inner = (slice(None),) + inside
     u = np.zeros((grid.n_levels,) + grid.space_shape)
+    nodes = np.arange(u[0][inside].size).reshape(u[0][inside].shape)
     indices = np.zeros((grid.n_levels,) + grid.space_shape, dtype=np.int64)
     indices[-1:], _ = argmin_level(B[:, -1:], F[:, -1:], u[-1:], grid, scheme)
     flagged_steps = []
 
     for n in range(grid.nt - 1, -1, -1):
         # every action's band rows, axis by axis, and its cost at this level,
-        # flat so that a sweep gathers the chosen action's at index action * size + node
-        M = _implicit_bands(B[:, n], grid, scheme)
-        rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, n]]
+        # flat so that a sweep gathers the chosen action's at index
+        # action * nodes.size + node
+        M = _implicit_bands(B[:, n][inner], grid, scheme)
+        rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, n][inner]]
         table = np.stack(rows).reshape(len(rows), -1)
-        if edges_at:
-            edges, sweep_edges = edges_at(times[n], B[:, n])
         u_guess = u[n + 1]
         prev_idx = None
         for _ in range(MAX_SWEEPS):
             idx, _ = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u_guess[None], grid, scheme)
             if prev_idx is not None and np.array_equal(idx, prev_idx):
                 break
-            chosen = table[:, idx[0] * size + nodes]
-            lvl_edges = edges_at and (edges, sweep_edges if grid.dim == 1 else [
-                np.take_along_axis(sweep_edges[0], idx[:, [0, -1]], axis=0)[0], sweep_edges[1]])
-            u_guess = _step(u[n + 1] + grid.dt * chosen[-1],
-                            [(chosen[3 * k:3 * k + 3], None) for k in range(grid.dim)], lvl_edges)
+            chosen = table[:, idx[0][inside] * nodes.size + nodes]
+            u[n][inside] = _step(u[n + 1][inside] + grid.dt * chosen[-1],
+                                 [(chosen[3 * k:3 * k + 3], None) for k in range(grid.dim)], periodic)
+            u_guess = u[n]
             prev_idx = idx
         else:  # the policy still changed in the last sweep
             flagged_steps.append(n)
-        u[n] = u_guess
         indices[n] = prev_idx[0]
 
     meta = {"inner_flagged_steps": flagged_steps, "converged": len(flagged_steps) == 0}
@@ -175,9 +166,8 @@ def hjb_residual(U, oracle, action_set, grid, scheme=UPWIND, tables=None, with_i
     The exact-argmin policy of the gradient of the value array ``U`` selects
     the coefficients, and ``pde_residual`` takes the solver's own step with
     them; solver output therefore has residual at roundoff scale (but
-    for flagged steps).  Box boundary nodes hold Dirichlet data and are
-    left out, so no boundary condition enters.  ``with_indices`` also
-    returns the argmin indices.
+    for flagged steps).  Box edge nodes are left out, so no edge data
+    enters.  ``with_indices`` also returns the argmin indices.
     """
     B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
     idx, _ = argmin_level(B, F, U, grid, scheme)

@@ -9,9 +9,11 @@ assembles the band rows of every level and axis in one array operation and,
 on a torus, every level's Sherman-Morrison correction in one stacked call,
 before the march; a step does one pivoting LAPACK call per axis over all of
 its lines (``tridiag``), so central advection at large b dx is solved stably
-and an exactly singular line raises.  With upwind advection every step
-matrix is an M-matrix for any dt, dx and bounded drift, checked once per
-solve; the discrete comparison principle is then a theorem.
+and an exactly singular line raises.  A box line holds zero on its edges and
+solves for its interior nodes only; ``solve_frozen`` alone takes Dirichlet
+data, and lifts it.  With upwind advection every step matrix is an M-matrix
+for any dt, dx and bounded drift, checked once per solve; the discrete
+comparison principle is then a theorem.
 """
 
 from __future__ import annotations
@@ -89,56 +91,29 @@ def _apply_L_axis(u, beta, h, advection, axis, periodic):
     return vm.swapaxes(-1, axis)
 
 
-def _box_edges(g, grid, scheme):
-    """Dirichlet data g(t, X) of a box (None: g = 0) on an edge mesh built
-    once, as (t, b_lvl) -> (edges, sweep_edges): per axis a (2, ...) array of
-    g(t, .) on its two edges; in 2d the x-sweep's is (I - dt L_y) g, the
-    edge rows it solves for, L_y from the drift b_lvl (..., space..., dim),
-    whose leading axes it gains.  None on a torus, which takes no data."""
-    if grid.domain_kind == TORUS:
-        if g is not None:
-            raise GridError("Dirichlet data given on a torus, which is periodic")
-        return None
-    points = [np.take(grid.points(), [0, -1], axis=k) for k in range(grid.dim)]
-
-    def at(t, b_lvl):
-        edges = [np.moveaxis(np.zeros(p.shape[:-1]) if g is None else
-                             np.asarray(g(t, p), dtype=float), k, 0) for k, p in enumerate(points)]
-        if grid.dim == 1:
-            return edges, edges
-        return edges, [edges[0] - grid.dt * _apply_L_axis(
-            edges[0], b_lvl[..., 1][..., [0, -1], :], grid.dx[1], scheme, -1, False),
-            edges[1]]
-
-    return at
+def _inner(grid):
+    """Slices of the nodes a line solve determines: every node of a torus,
+    the interior block ``[1:-1]`` on every axis of a box."""
+    return (slice(None) if grid.domain_kind == TORUS else slice(1, -1),) * grid.dim
 
 
-def _step(rhs, sweeps, edges=None):
-    """One backward step: solve (I - dt L_x)(I - dt L_y) u = ``rhs``
-    with one line solve per axis.  ``sweeps`` holds per axis the level's
-    rows (Ml, Md, Mu) of the axis factor and, on a torus, their
-    ``tridiag.cyclic_correction`` in last-axis layout, or None; ``edges`` is
-    a box's pair from ``_box_edges`` (None on a torus)."""
+def _step(rhs, sweeps, periodic):
+    """One backward step: solve (I - dt L_x)(I - dt L_y) u = ``rhs`` on the
+    ``_inner`` nodes with one line solve per axis.  ``sweeps`` holds per
+    axis the level's rows (Ml, Md, Mu) of the axis factor on those nodes
+    and, on a torus, their ``tridiag.cyclic_correction`` in last-axis
+    layout, or None.  A box line holds zero on its edges, so its couplings
+    to them drop out."""
     u = rhs
     for k, (bands, correction) in enumerate(sweeps):
         # two space axes at most, so swapping an axis with the last one moves it there
         Ml, Md, Mu = (b.swapaxes(k, -1) for b in bands)
         r = u.swapaxes(k, -1)
-        if not edges:
+        if periodic:
             x = tridiag.solve_cyclic(Ml, Md, Mu, r, correction=correction)
         else:
-            g_lo, g_hi = edges[1][k]
-            r_int = r[..., 1:-1].copy()
-            r_int[..., 0] -= Ml[..., 1] * g_lo
-            r_int[..., -1] -= Mu[..., -2] * g_hi
-            x = np.empty_like(r)
-            x[..., 0], x[..., -1] = g_lo, g_hi
-            x[..., 1:-1] = tridiag.solve_tridiag(Ml[..., 1:-1], Md[..., 1:-1], Mu[..., 1:-1], r_int)
+            x = tridiag.solve_tridiag(Ml, Md, Mu, r)
         u = x.swapaxes(-1, k)
-    if edges:
-        # a later sweep overwrites the edges an earlier one pinned: pin them all
-        for k, g in enumerate(edges[0]):
-            np.moveaxis(u, k, 0)[[0, -1]] = g
     return u
 
 
@@ -148,23 +123,37 @@ def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
     ``B`` is the drift array (levels, space..., dim), ``F`` the cost array
     (levels, space...), ``boundary`` the Dirichlet data g(t, X) of a box
     (None: zero) and ``scheme`` the advection stencil, UPWIND or CENTRAL.
+    Data is lifted: with G = g on the edge nodes of each solved level and 0
+    inside, the march solves for w = u - G, which is zero on the edges,
+    against the right-hand side less the step operator applied to G.
     Returns the full space-time value field.
     """
-    edges_at = _box_edges(boundary, grid, scheme)
+    periodic = grid.domain_kind == TORUS
+    if periodic and boundary is not None:
+        raise GridError("Dirichlet data given on a torus, which is periodic")
     B = np.asarray(B, dtype=float)
     F = np.asarray(F, dtype=float)
     if B.shape != (grid.n_levels,) + grid.space_shape + (grid.dim,):
         raise SchemeError(f"drift field has shape {B.shape}, expected levels x space x dim")
 
-    M = _implicit_bands(B[:-1], grid, scheme)  # the solved levels
-    corrections = [[None] * grid.nt] * grid.dim if edges_at else [
+    inside = _inner(grid)
+    M = _implicit_bands(B[(slice(0, -1),) + inside], grid, scheme)  # the solved levels and nodes
+    corrections = [
         list(zip(*tridiag.cyclic_correction(*(m[..., k].swapaxes(k - grid.dim, -1) for m in M))))
-        for k in range(grid.dim)]
-    times = grid.times()
+        for k in range(grid.dim)] if periodic else [[None] * grid.nt] * grid.dim
+    if boundary is not None:
+        edge = np.ones(grid.space_shape, dtype=bool)
+        edge[inside] = False
+        X, times = grid.points()[edge], grid.times()
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     for n in range(grid.nt - 1, -1, -1):
         sweeps = [(tuple(m[n, ..., k] for m in M), c[n]) for k, c in enumerate(corrections)]
-        u[n] = _step(u[n + 1] + grid.dt * F[n], sweeps, edges_at and edges_at(times[n], B[n]))
+        rhs = u[n + 1][inside] + grid.dt * F[n][inside]
+        if boundary is not None:
+            # u[n] is G[n] until its inside is solved, and u = w + G after
+            u[n][edge] = boundary(times[n], X)
+            rhs -= _step_operator(u[n], B[n], grid, scheme)[inside]
+        u[n][inside] = _step(rhs, sweeps, periodic)
     if not np.all(np.isfinite(u)):
         raise SchemeError("solver produced non-finite values")
     return SpaceTimeField(grid, u)
@@ -190,8 +179,10 @@ def pde_residual(U, B, F, grid, scheme=UPWIND):
     when ``U`` is an exact solution sampled on the grid.
     """
     res = (U[1:] + grid.dt * F[:-1] - _step_operator(U[:-1], B[:-1], grid, scheme)) / grid.dt
-    interior = grid.domain_kind == TORUS or np.pad(np.ones([n - 2 for n in grid.nx], dtype=bool), 1)
-    return np.where(interior, res, 0.0)
+    inner = (slice(None),) + _inner(grid)
+    out = np.zeros_like(res)
+    out[inner] = res[inner]
+    return out
 
 
 @dataclass

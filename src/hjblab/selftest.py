@@ -108,11 +108,11 @@ def _crit2_mc_crosscheck(record, threads):
     ok0 = abs(est0.mean - 1.0) <= 3.0 * est0.se
     ok1 = abs(est1.mean - 4.0 / 3.0) <= 3.0 * est1.se
     ok = ok0 and ok1 and rt < 60.0
-    payload = "\n".join([
+    payload = ",\n".join([
         est0.to_json(scenario="counterexample", control=A_EQ_X.name),
         est1.to_json(scenario="counterexample_mollified_limit", control="const_1"),
     ])
-    record.write_text("mc_crosscheck.json", payload + "\n")
+    record.write_text("mc_crosscheck.json", f"[{payload}]\n")
     detail = (f"a=x: {est0.mean:.5f}+-{est0.se:.5f} (1.0); "
               f"drift1: {est1.mean:.5f}+-{est1.se:.5f} ({4/3:.5f})")
     record.add_check("Monte Carlo cross-check", ok, detail, criterion=2, runtime=rt)

@@ -113,6 +113,21 @@ def test_catalog_bounds(battery):
     assert o["passed"], o
 
 
+def test_every_json_artifact_is_one_strict_document(battery):
+    out, _ = battery
+    paths = sorted(Path(out).glob("*.json"))
+    assert SUMMARY in {p.name for p in paths}
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for path in paths:
+        try:
+            json.loads(path.read_text(), parse_constant=refuse)
+        except ValueError as exc:
+            pytest.fail(f"{path.name}: {exc}")
+
+
 def test_summary_is_a_run_record_like_the_manifest(battery, tmp_path):
     out, _ = battery
     summary = json.loads((out / SUMMARY).read_text())

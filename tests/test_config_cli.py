@@ -523,6 +523,16 @@ def _variant(tmp_path, name, edits):
     return str(out)
 
 
+def _strict_json(path):
+    """The one JSON document in ``path``; a NaN or Infinity token, or a
+    second document, fails the test that reads it."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def _run(argv):
     """main(argv) in-process: (exit code, stderr); an exception propagates."""
     err = io.StringIO()
@@ -721,7 +731,8 @@ CHOICES = {"solver.advection": ("upwind", "central"),
 @pytest.mark.parametrize("path", list(CHOICES))
 def test_every_valid_choice_runs_or_fails_a_check(tmp_path, path):
     # a valid value never ends in a traceback: on every shipped config, each
-    # subcommand that reads the key runs (0) or fails a check of its manifest (1)
+    # subcommand that reads the key runs (0) or fails a check of its manifest
+    # (1), and every JSON artifact it writes is one strict JSON document
     message = {key.path: key.message for key in SCHEMA}[path]
     assert message == "must be one of " + ", ".join(map(repr, CHOICES[path]))
     for value in CHOICES[path]:
@@ -731,5 +742,6 @@ def test_every_valid_choice_runs_or_fails_a_check(tmp_path, path):
                 out = tmp_path / f"{name}-{subcommand}-{value}"
                 code, err = _run([subcommand, cfg, "--out", str(out)])
                 assert code in (0, 1), (name, subcommand, value, code, err)
-                manifest = json.loads((out / "manifest.json").read_text())
-                assert manifest["all_passed"] == (code == 0), (name, subcommand, value)
+                artifacts = {p.name: _strict_json(p) for p in out.glob("*.json")}
+                assert artifacts["manifest.json"]["all_passed"] == (code == 0), \
+                    (name, subcommand, value)

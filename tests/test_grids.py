@@ -15,7 +15,6 @@ from hjblab.grids import (
     spatial_gradient,
     write_csv,
 )
-from hjblab.hjb import solve_hjb_tables
 from hjblab.parabolic import solve_frozen
 
 
@@ -173,8 +172,6 @@ def test_boundary_domain_compatibility():
     F = _const(gt, 1.0)
     with pytest.raises(GridError):
         solve_frozen(B, F, gt, data)
-    with pytest.raises(GridError):
-        solve_hjb_tables(B[None], F[None], gt, data)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -136,33 +136,34 @@ def test_direct_flags_are_clean(bang):
 
 
 def _constant_drift_problem(grid, c):
-    """Single-action constant-drift oracle: H = c p + x^2, exact boundary."""
-    oracle = make_constant_drift(grid, c=c)
-    exact = oracle.exact_value
-    bc = lambda t, X: exact(t, X, grid.T)
-    return oracle, ActionSet(np.array([1.0])), bc
+    """Single-action constant-drift oracle: H = c p + x^2, on a box wide
+    enough that its zero edge data barely reaches the centre."""
+    return make_constant_drift(grid, c=c), ActionSet(np.array([1.0]))
 
 
 def test_single_action_p_independent_hamiltonian():
     grid = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
-    oracle, single, bc = _constant_drift_problem(grid, 0.0)
-    u = solve_hjb_direct(oracle, single, grid, boundary=bc)
+    oracle, single = _constant_drift_problem(grid, 0.0)
+    u = solve_hjb_direct(oracle, single, grid)
     B, F = sample_all(oracle, grid, single)
-    u_frozen = solve_frozen(B[0], F[0], grid, bc)
+    u_frozen = solve_frozen(B[0], F[0], grid)
     assert np.max(np.abs(u.values - u_frozen.values)) < 1e-12
     assert hjb_residual(u.values, oracle, single, grid) < 1e-9
 
 
 def test_single_action_hamiltonian_with_gradient_term():
     grid = build_grid("box", 1, (-6.0, 6.0), 241, 1.0, 256)
-    oracle, single, bc = _constant_drift_problem(grid, 1.0)
+    oracle, single = _constant_drift_problem(grid, 1.0)
     # central advection, the gradient the callable-H march used
-    u = solve_hjb_direct(oracle, single, grid, boundary=bc, scheme="central")
+    u = solve_hjb_direct(oracle, single, grid, scheme="central")
     assert u.values[0, 120] == pytest.approx(4.0 / 3.0, rel=0.02)
 
 
-def test_2d_agreement():
-    grid = build_grid("torus", 2, (-1.0, 1.0), 12, 0.5, 12)
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_2d_agreement(kind):
+    # agreement and convergence only: on a 2d box policy iteration's
+    # descent is not monotone (see ROADMAP item 3)
+    grid = build_grid(kind, 2, (-1.0, 1.0), 12, 0.5, 12)
     oracle = make_bang_bang(grid)
     aset = bang_bang_actions()
     u_pi, _, trace = policy_iteration(oracle, aset, grid, tol=1e-8)

@@ -265,8 +265,9 @@ def test_2d_comparison_principle():
 
 @pytest.mark.parametrize("advection", ["upwind", "central"])
 def test_2d_box_solver_residual_roundoff(advection):
-    # the x-sweep solves for (I - dt L_y) u, so its edge rows must hold
-    # (I - dt L_y) g; data that varies along the x-edges shows it
+    # lifted data enters through the step operator applied to the edge
+    # data, whose dt^2 cross term reaches the interior nodes next to the
+    # x-edges; data that varies along the x-edges shows it
     g = build_grid("box", 2, (-3.0, 3.0), 41, 1.0, 32)
     rng = np.random.default_rng(61)
     b = rng.uniform(-1, 1, size=(g.n_levels,) + g.space_shape + (2,))

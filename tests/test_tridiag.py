@@ -237,9 +237,9 @@ def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim):
     size = int(np.prod(grid.space_shape))
     assert calls[:setup] == [(grid.nt * size, 1)] * setup
     # then each step's line solves carry its right-hand side as the one
-    # column; box lines solve for their interior nodes
-    interior = [size // n * (n - 2 if kind == "box" else n) for n in grid.nx]
-    assert calls[setup:] == [(m, 1) for m in interior] * grid.nt
+    # column; a box step solves for its interior block on every axis
+    unknowns = size if kind == "torus" else int(np.prod([n - 2 for n in grid.nx]))
+    assert calls[setup:] == [(unknowns, 1)] * (dim * grid.nt)
 
 
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
