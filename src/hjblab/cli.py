@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 
@@ -27,7 +26,7 @@ from .experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from .hjb import hjb_residual, policy_iteration, solve_hjb_direct
+from .hjb import hjb_residual, policy_iteration, policy_iteration_checks, solve_hjb_direct
 from .mollify import coefficient_ladder
 from .montecarlo import GridPolicyControl, constant_control, simulate_cost
 from .selftest import SUMMARY, run_selftest
@@ -87,14 +86,12 @@ def cmd_policy_iter(cfg, args, manifest):
     u, policy, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme,
                                         tol=cfg.tol, max_iters=cfg.max_iters)
     u_dir = _solve_direct(cfg, oracle, aset, manifest)
-    sup = float(np.max(np.abs(u.values - u_dir.values)))
     field_to_csv(u, manifest.path("value.csv"))
     trace.to_csv(manifest.path("trace.csv"))
     policy.to_csv(manifest.path("policy.csv"))
-    manifest.add_check("converged", trace.converged, f"{trace.iterations} iterations")
-    manifest.add_check("oracle_agreement", sup <= 10 * cfg.tol, f"sup diff {sup:.3e}")
-    manifest.add_check("monotone_descent", max(trace.max_pos_diffs[1:], default=0.0) <= 1e-10,
-                       f"worst ascent {max(trace.max_pos_diffs[1:], default=0.0):.2e}")
+    _, _, checks = policy_iteration_checks(u, u_dir, trace, cfg.tol)
+    for check in checks:
+        manifest.add_check(*check)
 
 
 def cmd_verify(cfg, args, manifest):
@@ -103,7 +100,7 @@ def cmd_verify(cfg, args, manifest):
     candidates = [(f"const_{i}", constant_control(aset.action(i)))
                   for i in range(min(len(aset), 5))]
     rep = verification_check(u, oracle, sim, candidates)
-    manifest.write_text("verification.json", _report_json(cfg, sim, rep.to_json()))
+    manifest.write_json("verification.json", _replayable(cfg, sim, rep))
     manifest.add_check("verification", rep.passed, rep.summary())
 
 
@@ -117,19 +114,14 @@ def cmd_dpp_check(cfg, args, manifest):
         subopt.append((f"const_{sub_idx}", constant_control(aset.action(sub_idx))))
     rep = dpp_battery(u, oracle, GridPolicyControl(u.policy, name="argmin"), sim,
                       t_mids, suboptimal_controls=subopt)
-    manifest.write_text("dpp.json",
-                        json.dumps([vars(r) for r in rep.rows], indent=2, sort_keys=True) + "\n")
+    manifest.write_json("dpp.json", rep.to_json())
     manifest.add_check("dpp", rep.passed, f"{len(rep.rows)} rows")
 
 
-def _report_json(cfg, sim, report_text):
-    """Embed the full config echo and the seed the run used, so the artifact
-    replays itself."""
-    return json.dumps(
-        {"config": cfg.echo, "seeds": {"mc": sim.seed},
-         "report": json.loads(report_text)},
-        indent=2, sort_keys=True,
-    ) + "\n"
+def _replayable(cfg, sim, report):
+    """A report's document with the full config echo and the seed the run
+    used, so the artifact replays itself."""
+    return {"config": cfg.echo, "seeds": {"mc": sim.seed}, "report": report.to_json()}
 
 
 def cmd_mollify_sweep(cfg, args, manifest):
@@ -138,7 +130,7 @@ def cmd_mollify_sweep(cfg, args, manifest):
                                 scheme=cfg.scheme, scenario=cfg.label,
                                 store_fields=True)
     manifest.add_inner_sweeps(sweep.flagged_steps)
-    manifest.write_text("sweep.json", _report_json(cfg, sim, sweep.to_json()))
+    manifest.write_json("sweep.json", _replayable(cfg, sim, sweep))
     for rung in sweep.resolved_rungs():
         field_to_csv(rung.gap_field, manifest.path(f"gap_eps_{rung.epsilon:g}.csv"))
     ladder = coefficient_ladder(oracle, aset.action(0), cfg.grid, cfg.eps_list)
@@ -154,7 +146,7 @@ def cmd_truncation_study(cfg, args, manifest):
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list,
                                      scheme=cfg.scheme)
     manifest.add_inner_sweeps(rep.flagged_steps)
-    manifest.write_text("truncation.json", _report_json(cfg, sim, rep.to_json()))
+    manifest.write_json("truncation.json", _replayable(cfg, sim, rep))
     manifest.add_check("value_monotone_in_N", rep.monotone_pass, "")
     manifest.add_check("eps_convergence_per_N", rep.eps_pass, "")
     manifest.add_check("open_loop_costs", rep.open_loop_pass, "")
@@ -170,9 +162,8 @@ def cmd_simulate(cfg, args, manifest):
     else:
         u = _solve_direct(cfg, oracle, aset, manifest)
         control = GridPolicyControl(u.policy, name="argmin_feedback")
-    est = simulate_cost(oracle, control, sim, cfg.grid, scenario=cfg.label)
-    manifest.write_text("estimate.json",
-                        est.to_json(scenario=cfg.label, control=control.name) + "\n")
+    est = simulate_cost(oracle, control, sim, cfg.grid)
+    manifest.write_json("estimate.json", est.to_json(scenario=cfg.label, control=control.name))
     manifest.add_check("finite_estimate", np.isfinite(est.mean) and np.isfinite(est.se),
                        f"{est.mean:.6g} +- {est.se:.2g}")
 
@@ -181,7 +172,7 @@ def cmd_counterexample(cfg, args, manifest):
     sim = cfg.build_sim(seed_override=args.seed_override, n_threads=args.threads)
     rep = counterexample_report(cfg.grid.T, cfg.experiment["x_samples"], cfg.grid,
                                 sim=sim, mc_enabled=True)
-    manifest.write_text("counterexample.json", _report_json(cfg, sim, rep.to_json()))
+    manifest.write_json("counterexample.json", _replayable(cfg, sim, rep))
     rep.to_csv(manifest.path("counterexample_rows.csv"))
     manifest.add_check("strict_gap", rep.gap_pass, f"gap(0,0)={rep.gap_at_origin:.4f}")
     manifest.add_check("mc_crosscheck", rep.mc_pass, "")

@@ -361,6 +361,15 @@ def validate_config(raw, base_dir="."):
         mc=echo["mc"], experiment=echo["experiment"], echo=echo, values=got)
 
 
+def _finite(value):
+    """``value`` with every NaN or infinite float replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
@@ -371,7 +380,8 @@ class RunManifest:
     directory, config echo and seeds, every artifact it names, and its
     checks.  A check is {"name", "passed", "detail"}; a selftest check also
     carries its "criterion" and "runtime" (s).  ``write`` stamps the end
-    time and total runtime and writes the record as JSON, atomically."""
+    time and total runtime and writes the record as JSON, atomically;
+    ``write_json`` writes every other JSON artifact the same way."""
 
     out_dir: str
     config_hash: str | None = None
@@ -390,10 +400,6 @@ class RunManifest:
         self.artifacts.append(path)
         return path
 
-    def write_text(self, name, text):
-        with open(self.path(name), "w") as fh:
-            fh.write(text)
-
     def add_check(self, name, passed, detail="", **extra):
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail, **extra})
 
@@ -407,8 +413,8 @@ class RunManifest:
         return all(c["passed"] for c in self.checks)
 
     def write(self, name):
-        """Write the record as ``name`` in the output directory (tmp file +
-        rename); return its path."""
+        """Write the record as ``name`` in the output directory; return its
+        path.  Every JSON file goes through a tmp file and a rename."""
         self.finished = _now()
         self.total_runtime = round(time.perf_counter() - self._clock, 3)
         payload = {
@@ -423,10 +429,22 @@ class RunManifest:
             "artifacts": self.artifacts,
             "checks": self.checks,
         }
-        path = os.path.join(self.out_dir, name)
+        return self._write(os.path.join(self.out_dir, name), payload)
+
+    def write_json(self, name, value):
+        """Write ``value`` as the JSON artifact ``name``; return its path."""
+        return self._write(self.path(name), value)
+
+    @staticmethod
+    def json_text(value):
+        """The text of every JSON document a run writes: keys sorted, indent
+        2, a trailing newline, and a NaN or infinite float written as null,
+        which every JSON parser reads."""
+        return json.dumps(_finite(value), allow_nan=False, indent=2, sort_keys=True) + "\n"
+
+    def _write(self, path, value):
         with open(path + ".tmp", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(self.json_text(value))
         os.replace(path + ".tmp", path)
         return path
 

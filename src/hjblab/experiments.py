@@ -10,7 +10,6 @@ full-cylinder metrics are reported alongside.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -40,18 +39,6 @@ from .parabolic import solve_frozen
 A_EQ_X = FeedbackRule(lambda t, X: X[:, 0], name="a_eq_x")
 
 
-def _json(payload):
-    """JSON text of a report, a NaN or infinite number (a rung with no
-    interior node) written as null, which every JSON parser reads."""
-    def clean(v):
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        return None if isinstance(v, float) and not np.isfinite(v) else v
-    return json.dumps(clean(payload), allow_nan=False)
-
-
 # ---------------------------------------------------------------------------
 # verification theorem battery
 
@@ -79,8 +66,7 @@ class VerificationReport:
         return f"verification battery {verdict}: u(s,x)={self.u_start:.6g}, {len(self.rows)} controls"
 
     def to_json(self):
-        return json.dumps({"u_start": self.u_start, "passed": self.passed,
-                           "rows": [asdict(r) for r in self.rows]})
+        return asdict(self)
 
 
 def verification_check(u_field, oracle, sim, candidate_controls, argmin_control=None):
@@ -144,6 +130,10 @@ class DPPReport:
     rows: list
     passed: bool
 
+    def to_json(self):
+        """The rows; the report passes when every row does."""
+        return [asdict(r) for r in self.rows]
+
 
 def dpp_battery(u_field, oracle, argmin_control, sim, t_mids, suboptimal_controls=()):
     """Principle-of-optimality residuals at intermediate times.
@@ -199,15 +189,10 @@ class SweepReport:
         return [r for r in self.rungs if r.resolved]
 
     def to_json(self):
-        rows = [{k: v for k, v in vars(r).items() if k != "gap_field"} for r in self.rungs]
-        return _json({
-            "scenario": self.scenario,
-            "liminf_pass": self.liminf_pass,
-            "countable_pass": self.countable_pass,
-            "countable_threshold": self.countable_threshold,
-            "flagged_steps": self.flagged_steps,
-            "rungs": rows,
-        })
+        """Every field; a rung's stored gap field stays out, and is not
+        copied as ``asdict`` would."""
+        return vars(self) | {"rungs": [{k: v for k, v in vars(r).items() if k != "gap_field"}
+                                       for r in self.rungs]}
 
 
 def _interior_gap_mask(grid, eps):
@@ -358,14 +343,7 @@ class CounterexampleReport:
                   [astuple(r) for r in self.rows])
 
     def to_json(self):
-        return _json({
-            "rows": [asdict(r) for r in self.rows],
-            "gap_at_origin": self.gap_at_origin,
-            "gap_pass": self.gap_pass,
-            "mc_rows": self.mc_rows,
-            "contamination": self.contamination,
-            "advice": self.advice,
-        })
+        return asdict(self)
 
 
 def _solve_effective(c, grid, scheme):
@@ -485,13 +463,7 @@ class TruncationReport:
                 f"over N={self.N_list}, {self.flagged_steps} flagged steps")
 
     def to_json(self):
-        return _json({
-            "family": self.family, "N_list": self.N_list,
-            "monotone_pass": self.monotone_pass, "eps_pass": self.eps_pass,
-            "open_loop_pass": self.open_loop_pass,
-            "eps_table": self.eps_table, "open_loop_rows": self.open_loop_rows,
-            "flagged_steps": self.flagged_steps,
-        })
+        return asdict(self)
 
 
 def countable_truncation_study(oracle, family, N_list, grid, sim=None,

@@ -94,6 +94,17 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iter
     return out, policy, trace
 
 
+def policy_iteration_checks(u_pi, u_direct, trace, tol):
+    """sup |u_pi - u_direct|, the worst ascent after the first iterate, and
+    policy iteration's checks (name, passed, detail): converged, agreement
+    with the direct march within 10 ``tol``, monotone descent to 1e-10."""
+    sup = float(np.max(np.abs(u_pi.values - u_direct.values)))
+    ascent = max(trace.max_pos_diffs[1:], default=0.0)
+    return sup, ascent, [("converged", trace.converged, f"{trace.iterations} iterations"),
+                         ("oracle_agreement", sup <= 10 * tol, f"sup diff {sup:.3e}"),
+                         ("monotone_descent", ascent <= 1e-10, f"worst ascent {ascent:.2e}")]
+
+
 def solve_policy_value(oracle, policy, grid, scheme=UPWIND):
     """Frozen value under an arbitrary fixed grid policy (u^alpha of the theory)."""
     B, F = sample_all(oracle, grid, policy.action_set)

@@ -16,10 +16,9 @@ in-box point, with the off-box step fraction reported.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,36 +54,22 @@ class SimConfig:
         state = np.atleast_1d(np.asarray(self.start_state, dtype=float))
         object.__setattr__(self, "start_state", tuple(float(v) for v in state))
 
-    def echo(self):
-        """Every field but the thread count, which does not change an estimate."""
-        return {k: v for k, v in asdict(self).items() if k != "n_threads"} | {
-            "start_state": list(self.start_state)}
-
 
 @dataclass
 class MCEstimate:
     mean: float
     se: float
-    n_paths: int
+    sim: SimConfig  # the paths, step and seed the estimate ran under
     elapsed: float
-    config: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
     def within(self, target, k_se=3.0, atol=0.0):
         return abs(self.mean - target) <= k_se * self.se + atol
 
     def to_json(self, scenario="", control=""):
-        return json.dumps(
-            {
-                "scenario": scenario,
-                "control": control,
-                "mean": self.mean,
-                "se": self.se,
-                "M": self.n_paths,
-                "dt_sim": self.config.get("dt_sim"),
-                "seed": self.config.get("seed"),
-            }
-        )
+        """The estimate of ``control`` in ``scenario``; the elapsed time stays out."""
+        return {"scenario": scenario, "control": control, "mean": self.mean, "se": self.se,
+                "M": self.sim.n_paths, "dt_sim": self.sim.dt_sim, "seed": self.sim.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +256,7 @@ def _run(legs, sim, grid, t_ends, u_field=None):
     return [out[t_end, k] for t_end in t_ends for k in range(len(legs))]
 
 
-def simulate_costs(legs, sim, grid, scenario=""):
+def simulate_costs(legs, sim, grid):
     """Monte Carlo estimates of the running cost over [start_time, T], one per
     (oracle, control) leg; the legs share the seed's noise and one step loop,
     and each estimate reports the batch's elapsed time."""
@@ -280,15 +265,14 @@ def simulate_costs(legs, sim, grid, scenario=""):
     t0 = time.perf_counter()
     runs = _run(legs, sim, grid, [grid.T])
     elapsed = time.perf_counter() - t0
-    return [MCEstimate(mean=mean, se=se, n_paths=sim.n_paths, elapsed=elapsed,
-                       config=sim.echo(), extra={"off_box_fraction": off_frac,
-                                                 "n_steps": n_steps, "scenario": scenario})
+    return [MCEstimate(mean=mean, se=se, sim=sim, elapsed=elapsed,
+                       extra={"off_box_fraction": off_frac, "n_steps": n_steps})
             for mean, se, off_frac, n_steps in runs]
 
 
-def simulate_cost(oracle, feedback, sim, grid, scenario=""):
+def simulate_cost(oracle, feedback, sim, grid):
     """Monte Carlo estimate of the running cost over [start_time, T]."""
-    return simulate_costs([(oracle, feedback)], sim, grid, scenario)[0]
+    return simulate_costs([(oracle, feedback)], sim, grid)[0]
 
 
 def dpp_residuals(u_field, legs, t_mids, sim):
@@ -308,9 +292,8 @@ def dpp_residuals(u_field, legs, t_mids, sim):
     runs = iter(_run(legs, sim, grid, t_mids, u_field=u_field))
     u_start = float(value_at(u_field, s, np.asarray(sim.start_state)[None, :])[0])
     elapsed = time.perf_counter() - t0
-    return [[MCEstimate(mean=mean - u_start, se=se, n_paths=sim.n_paths, elapsed=elapsed,
-                        config=sim.echo(), extra={"u_start": u_start, "t_mid": t_mid,
-                                                  "off_box_fraction": off_frac})
+    return [[MCEstimate(mean=mean - u_start, se=se, sim=sim, elapsed=elapsed,
+                        extra={"u_start": u_start, "t_mid": t_mid, "off_box_fraction": off_frac})
              for mean, se, off_frac, _ in (next(runs) for _ in legs)] for t_mid in t_mids]
 
 

@@ -11,7 +11,6 @@ reproduces them bit for bit.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from importlib import resources
@@ -30,6 +29,7 @@ from .coefficients import (
 from .config import RunManifest, echo_hash, load_config
 from .experiments import (
     A_EQ_X,
+    _gaps_shrink,
     _solve_effective,
     counterexample_report,
     countable_truncation_study,
@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .grids import CENTRAL, UPWIND, build_grid, write_csv
 from .hamiltonian import Policy, hamiltonian_values
-from .hjb import policy_iteration, solve_hjb_direct
+from .hjb import policy_iteration, policy_iteration_checks, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
 from .montecarlo import (
     FeedbackRule,
@@ -89,7 +89,7 @@ def _crit1_counterexample(record):
     ok_v = abs(row0.v_num - 1.0) <= 0.02
     ok_vl = abs(row0.v_lim_num - 4.0 / 3.0) <= 0.02 * (4.0 / 3.0)
     ok = ok_v and ok_vl and rep.gap_pass and rt < 10.0 and not rep.advice
-    record.write_text("counterexample.json", rep.to_json() + "\n")
+    record.write_json("counterexample.json", rep.to_json())
     rep.to_csv(record.path("counterexample_rows.csv"))
     detail = (f"V(0,0)={row0.v_num:.4f} Vlim(0,0)={row0.v_lim_num:.4f} "
               f"gap={row0.gap_num:.4f} contamination={rep.contamination:.1e}")
@@ -108,11 +108,10 @@ def _crit2_mc_crosscheck(record, threads):
     ok0 = abs(est0.mean - 1.0) <= 3.0 * est0.se
     ok1 = abs(est1.mean - 4.0 / 3.0) <= 3.0 * est1.se
     ok = ok0 and ok1 and rt < 60.0
-    payload = ",\n".join([
+    record.write_json("mc_crosscheck.json", [
         est0.to_json(scenario="counterexample", control=A_EQ_X.name),
         est1.to_json(scenario="counterexample_mollified_limit", control="const_1"),
     ])
-    record.write_text("mc_crosscheck.json", f"[{payload}]\n")
     detail = (f"a=x: {est0.mean:.5f}+-{est0.se:.5f} (1.0); "
               f"drift1: {est1.mean:.5f}+-{est1.se:.5f} ({4/3:.5f})")
     record.add_check("Monte Carlo cross-check", ok, detail, criterion=2, runtime=rt)
@@ -132,8 +131,8 @@ def _crit3_crit4_agreement(record):
         oracle, aset = cfg.build_oracle(), cfg.build_action_set()
         u_pi, _, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme, tol=tol)
         u_dir = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
-        sup = float(np.max(np.abs(u_pi.values - u_dir.values)))
-        descent = max(trace.max_pos_diffs[1:], default=0.0)
+        sup, descent, checks = policy_iteration_checks(u_pi, u_dir, trace, tol)
+        passed = {check: ok for check, ok, _ in checks}
         flagged = len(u_dir.meta["inner_flagged_steps"])
         rows[name] = {
             "sup_diff": sup,
@@ -144,12 +143,12 @@ def _crit3_crit4_agreement(record):
             "flagged_steps": flagged,
         }
         solved[name] = (cfg, oracle, aset, u_dir)
-        if sup > 10 * tol or trace.iterations > 50 or not trace.converged or flagged:
-            ok3 = False
-        if descent > 1e-10:
-            ok4 = False
+        # beyond the command's checks: at most 50 iterations, no flagged step
+        ok3 = (ok3 and passed["converged"] and passed["oracle_agreement"]
+               and trace.iterations <= 50 and not flagged)
+        ok4 = ok4 and passed["monotone_descent"]
     rt = time.perf_counter() - t0
-    record.write_text("oracle_agreement.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    record.write_json("oracle_agreement.json", rows)
     sups = ", ".join(f"{k}={v['sup_diff']:.1e}" for k, v in rows.items())
     iters = ", ".join(f"{k}:{v['iterations']}" for k, v in rows.items())
     record.add_check("policy iteration vs direct solve", ok3, sups, criterion=3, runtime=rt)
@@ -186,7 +185,7 @@ def _crit5_verification(record, bang_bang, u0, threads):
     rep1 = verification_check(u_dir, oracle, sim, candidates)
     ok = ok and rep1.passed
     details.append(f"bang_bang u={rep1.u_start:.4f}")
-    record.write_text("verification_bang_bang.json", rep1.to_json() + "\n")
+    record.write_json("verification_bang_bang.json", rep1.to_json())
 
     # scenario 2: counterexample against the injected effective Hamiltonian
     ce = make_counterexample(u0.grid)
@@ -202,7 +201,7 @@ def _crit5_verification(record, bang_bang, u0, threads):
     rep2 = verification_check(u0, ce, simc, cand_c, argmin_control=A_EQ_X)
     ok = ok and rep2.passed
     details.append(f"counterexample u={rep2.u_start:.4f}")
-    record.write_text("verification_counterexample.json", rep2.to_json() + "\n")
+    record.write_json("verification_counterexample.json", rep2.to_json())
 
     rt = time.perf_counter() - t0
     record.add_check("verification theorem battery", ok, "; ".join(details), criterion=5,
@@ -225,8 +224,7 @@ def _crit6_dpp(record, bang_bang, u0, threads):
                        suboptimal_controls=[("const_0", constant_control(0.0))])
     rt = time.perf_counter() - t0
     ok = rep1.passed and rep2.passed
-    rows = [vars(r) for r in rep1.rows + rep2.rows]
-    record.write_text("dpp.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    record.write_json("dpp.json", rep1.to_json() + rep2.to_json())
     worst = max(abs(r.residual) for r in rep1.rows + rep2.rows if r.expect == "zero")
     record.add_check("DPP residuals", ok, f"max |residual| at argmin feedback {worst:.4f}",
                      criterion=6, runtime=rt)
@@ -242,7 +240,7 @@ def _crit7_sweeps(record, gap_report):
         sweep = mollify_value_sweep(cfg.build_oracle(), cfg.build_action_set(), cfg.grid,
                                     cfg.eps_list, scheme=cfg.scheme, scenario=name)
         flagged += sweep.flagged_steps
-        record.write_text(f"sweep_{name}.json", sweep.to_json() + "\n")
+        record.write_json(f"sweep_{name}.json", sweep.to_json())
         write_csv(record.path(f"sweep_{name}.csv"),
                   ["epsilon", "resolved", "sup_gap_full", "sup_gap_interior",
                    "min_gap_interior", "lp_gap"],
@@ -255,8 +253,7 @@ def _crit7_sweeps(record, gap_report):
         last = sweep.resolved_rungs()[-1]
         details.append(f"{name}: sup={last.sup_gap_interior:.4f}<=5dx={sweep.countable_threshold:.4f}")
     # the counterexample regime must NOT converge: strict gap stays
-    ce_ok = gap_report.gap_at_origin >= 0.30
-    ok = ok and ce_ok
+    ok = ok and gap_report.gap_pass
     details.append(f"counterexample gap {gap_report.gap_at_origin:.3f}>=0.30")
 
     # coefficient ladders (external-interface CSV) for two contrasting entries
@@ -265,8 +262,7 @@ def _crit7_sweeps(record, gap_report):
                           ("smooth_baseline", make_smooth_baseline(gridl, T=gridl.T))):
         ladder = coefficient_ladder(oracle, 1.0, gridl, [0.4, 0.2, 0.1])
         ladder.to_csv(record.path(f"ladder_{entry}.csv"))
-        d = ladder.distances()
-        if not all(b <= a + 1e-10 for a, b in zip(d, d[1:])):
+        if not _gaps_shrink(ladder.distances()):
             ok = False
             details.append(f"{entry}: ladder not decreasing")
     rt = time.perf_counter() - t0
@@ -334,8 +330,7 @@ def _crit8_solver_validation(record):
     payload["kernel_normalization"] = norm_errors
 
     rt = time.perf_counter() - t0
-    record.write_text("solver_validation.json",
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    record.write_json("solver_validation.json", payload)
     detail = (f"orders central=({orders_c.space:.2f},{orders_c.time:.2f}) "
               f"upwind=({orders_u.space:.2f},{orders_u.time:.2f}) fuzz={worst:.1e}")
     record.add_check("solver validation", ok, detail, criterion=8, runtime=rt)
@@ -349,7 +344,7 @@ def _crit_truncation(record, threads):
     sim = cfg.build_sim(seed_override=MASTER_SEED + 7, n_threads=threads)
     rep = countable_truncation_study(cfg.build_oracle(), cfg.family(), cfg.experiment["N_list"],
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list, scheme=cfg.scheme)
-    record.write_text("truncation.json", rep.to_json() + "\n")
+    record.write_json("truncation.json", rep.to_json())
     rt = time.perf_counter() - t0
     record.add_check("countable truncation study", rep.passed, rep.summary(), criterion=7,
                      runtime=rt)
@@ -364,16 +359,16 @@ def _crit9_reproducibility(record, threads):
     grid = shipped("counterexample").grid
     cd1 = make_constant_drift(grid, c=1.0)
     sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 8, n_threads=threads)
-    a = simulate_cost(cd1, constant_control(1.0), sim, grid).to_json("repro", "const_1")
-    b = simulate_cost(cd1, constant_control(1.0), sim, grid).to_json("repro", "const_1")
     small = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 64)
-    ra = counterexample_report(1.0, [0.0], small, mc_enabled=False).to_json()
-    rb = counterexample_report(1.0, [0.0], small, mc_enabled=False).to_json()
+    # compared as text: value equality would take -0.0 for 0.0 and NaN for unequal
+    text = RunManifest.json_text
+    a, b = (text(simulate_cost(cd1, constant_control(1.0), sim, grid).to_json("repro", "const_1"))
+            for _ in range(2))
+    ra, rb = (text(counterexample_report(1.0, [0.0], small, mc_enabled=False).to_json())
+              for _ in range(2))
     ok = (a == b) and (ra == rb)
     rt = time.perf_counter() - t0
-    record.write_text("reproducibility.json",
-                      json.dumps({"mc_identical": a == b, "report_identical": ra == rb},
-                                 indent=2, sort_keys=True) + "\n")
+    record.write_json("reproducibility.json", {"mc_identical": a == b, "report_identical": ra == rb})
     record.add_check("bit-identical regeneration", ok, f"mc={a == b} report={ra == rb}",
                      criterion=9, runtime=rt)
 
@@ -393,7 +388,7 @@ def _bound_checks(record):
         rep = verify_bound(oracle, check_grid, aset)
         rows[name] = {"passed": rep.passed, "min_slack": rep.min_slack}
         ok = ok and rep.passed
-    record.write_text("bound_checks.json", json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    record.write_json("bound_checks.json", rows)
     record.add_check("catalog domination bounds", ok, "", criterion=0, runtime=0.0)
 
 

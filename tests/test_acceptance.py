@@ -196,7 +196,7 @@ def test_criterion_7_sweeps_fail_on_flagged_inner_steps(tmp_path, monkeypatch):
     # one sweep per step can never see the argmin repeat, so every march flags
     monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
     record = RunManifest(str(tmp_path))
-    _crit7_sweeps(record, SimpleNamespace(gap_at_origin=1.0 / 3.0))
+    _crit7_sweeps(record, SimpleNamespace(gap_at_origin=1.0 / 3.0, gap_pass=True))
     o = record.checks[0]
     assert not o["passed"]
     flagged = [int(n) for n in re.findall(r"flagged_steps=(\d+)", o["detail"])]

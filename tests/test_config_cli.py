@@ -366,6 +366,27 @@ def test_report_json_writes_nan_as_null(sweep_without_interior):
         assert rung["frac_nonneg_interior"] is None
 
 
+# per report: the subcommand and cut-down shipped config that write it, and
+# the thresholds it applied, which the report must record
+THRESHOLDS = {
+    "verification.json": ("verify", "smooth_baseline.cfg", ("tol_candidate", "tol_feedback")),
+    "sweep.json": ("mollify-sweep", "bang_bang.cfg", ("liminf_tol",)),
+    "counterexample.json": ("counterexample", "counterexample.cfg", ("contamination_tol",)),
+    "truncation.json": ("truncation-study", "truncation.cfg", ("value_table",)),
+}
+
+
+@pytest.mark.parametrize("artifact", list(THRESHOLDS))
+def test_report_json_records_the_thresholds_it_applied(tmp_path, artifact):
+    subcommand, name, keys = THRESHOLDS[artifact]
+    cfg = _variant(tmp_path, name, FUZZ_BASE[name])
+    code, err = _run([subcommand, cfg, "--out", str(tmp_path / "out")])
+    assert code in (0, 1), err
+    report = _strict_json(tmp_path / "out" / artifact)["report"]
+    for key in keys:
+        assert report.get(key) not in (None, {}), (key, report)
+
+
 def test_cli_verify_and_dpp(tmp_path):
     cfg = _small_cfg(tmp_path)
     out = tmp_path / "verify"

@@ -99,6 +99,39 @@ def test_no_test_only_helpers():
     assert defined - referenced - set(ALLOWED_UNUSED) == set()
 
 
+def _json_dump_scopes(tree):
+    """The enclosing class and function names of every json.dump(s) call."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr in ("dump", "dumps")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                yield ".".join(scope)
+            yield from visit(child, scope)
+
+    return visit(tree, ())
+
+
+def test_json_is_written_only_by_the_run_record():
+    # one JSON writer: every artifact goes through RunManifest's strict text
+    # (NaN as null, keys sorted); echo_hash dumps an echo only to hash it
+    scopes = []
+    for path in sorted((ROOT / "src" / "hjblab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "json", f"{path.name}: from json import"
+            if isinstance(node, ast.Import):
+                assert all(a.name != "json" or a.asname is None for a in node.names), path.name
+        scopes += [f"{path.name}:{scope}" for scope in _json_dump_scopes(tree)]
+    assert sorted(scopes) == ["config.py:RunManifest.json_text", "config.py:echo_hash"]
+
+
 def test_every_tracer_target_resolves(monkeypatch):
     # a renamed entry point would leave its benchmark layer silently absent
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
