@@ -7,11 +7,9 @@ needs when the infimum may not be attained is therefore not implemented.
 
 The discrete Hamiltonian takes the gradient of the value iterate in the
 convention of the advection stencil of the solver that consumes the policy:
-a central gradient, or one-sided gradient pairs for upwind advection.  Mixing
-conventions between selection and solve would break the discrete comparison
-argument behind monotone policy iteration.  ``argmin_level`` is the one
-argmin kernel: policy iteration, the direct march and the HJB residual all
-select through it.
+a central gradient, or one-sided gradient pairs for upwind advection; mixing
+conventions would break the discrete comparison argument behind monotone
+policy iteration.  ``argmin_level`` is the one argmin kernel.
 """
 
 from __future__ import annotations
@@ -44,28 +42,21 @@ def constant_policy(grid, action_set, index=0):
     return Policy(grid, np.full((grid.n_levels,) + grid.space_shape, int(index)), action_set)
 
 
-def hamiltonian_values(B, F, u, grid, advection):
-    """Per-action discrete Hamiltonian b . grad u + f at every node.
+def argmin_level(B, F, u, grid, advection):
+    """(indices, H): the per-action discrete Hamiltonian H = b . grad u + f at
+    every node and the indices of its exact minimum, ties to the lowest index.
 
     ``B`` has shape (n_a, levels, ..., dim), ``F`` (n_a, levels, ...) and
-    ``u`` (levels, ...), for any number of leading time levels.  With upwind
-    advection the gradient is the one-sided pair and the Hamiltonian is
-    b+ . g_plus + b- . g_minus + f, the discrete face of b . grad u
-    consistent with the monotone stencil; otherwise it is central.
+    ``u`` (levels, ...), for any number of leading time levels (u's levels
+    broadcast against B's).  With upwind advection the gradient is the
+    one-sided pair and H = b+ . g_plus + b- . g_minus + f, the discrete face
+    of b . grad u consistent with the monotone stencil; otherwise central.
     """
     if advection == UPWIND:
         gp, gm = gradient_pair(u, grid)
-        adv = np.sum(np.maximum(B, 0.0) * gp[None], axis=-1)
-        adv += np.sum(np.minimum(B, 0.0) * gm[None], axis=-1)
+        adv = (np.maximum(B, 0.0) * gp[None]).sum(axis=-1)
+        adv += (np.minimum(B, 0.0) * gm[None]).sum(axis=-1)
     else:
-        adv = np.sum(B * spatial_gradient(u, grid)[None], axis=-1)
-    return adv + F
-
-
-def argmin_level(B, F, u, grid, advection):
-    """(indices, values) of the exact Hamiltonian minimum at every node of
-    ``u``'s levels (shapes as in ``hamiltonian_values``); ties break to the
-    lowest action index."""
-    H = hamiltonian_values(B, F, u, grid, advection)
-    idx = np.argmin(H, axis=0)
-    return idx, np.take_along_axis(H, idx[None], axis=0)[0]
+        adv = (B * spatial_gradient(u, grid)[None]).sum(axis=-1)
+    H = adv + F
+    return H.argmin(axis=0), H

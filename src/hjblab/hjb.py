@@ -13,6 +13,7 @@ Dirichlet data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,9 +21,10 @@ from .coefficients import sample_all
 from .grids import TORUS, UPWIND, SpaceTimeField, write_csv
 from .hamiltonian import Policy, argmin_level
 from .parabolic import _implicit_bands, _inner, _step, pde_residual, solve_frozen
+from .tridiag import solve_lines
 
-# inner policy-freeze sweeps per time step of the direct marcher
-MAX_SWEEPS = 5
+MAX_SWEEPS = 5  # inner policy-freeze sweeps per time step of the direct marcher
+TABLE_ENTRIES = 1 << 14  # band and cost entries per table it assembles, so that tables stay small
 
 
 @dataclass
@@ -65,7 +67,7 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iter
     n_nodes = u.size
     prev_indices = None
     # the residual of each iterate takes the argmin the next iteration freezes
-    next_indices, _ = argmin_level(B, F, u, grid, scheme)
+    next_indices = argmin_level(B, F, u, grid, scheme)[0]
 
     for k in range(1, max_iters + 1):
         policy_indices = next_indices
@@ -130,41 +132,42 @@ def solve_hjb_tables(B, F, grid, scheme=UPWIND, action_set=None):
 
     ``B`` has shape (n_actions, levels, ..., dim) and ``F`` (n_actions,
     levels, ...); this is the entry point for mollified-coefficient sweeps
-    where the tables are produced by convolution rather than sampling.  A
-    box marches zero Dirichlet data: its interior nodes alone are solved
-    for, and gather the chosen action's rows.  The result's ``policy``
-    holds the argmin indices, or None without an ``action_set``.
+    where the tables are produced by convolution rather than sampling.  The
+    result's ``policy`` holds the argmin indices, or None without an
+    ``action_set``.
     """
-    periodic = grid.domain_kind == TORUS
-    inside = _inner(grid)
-    inner = (slice(None),) + inside
+    periodic, inside = grid.domain_kind == TORUS, _inner(grid)
+    inner = (slice(None),) * 2 + inside
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     nodes = np.arange(u[0][inside].size).reshape(u[0][inside].shape)
-    indices = np.zeros((grid.n_levels,) + grid.space_shape, dtype=np.int64)
-    indices[-1:], _ = argmin_level(B[:, -1:], F[:, -1:], u[-1:], grid, scheme)
-    flagged_steps = []
-
+    indices, flagged_steps = np.zeros(u.shape, dtype=np.int64), []
+    chunk, lo = max(1, TABLE_ENTRIES // (B.shape[0] * nodes.size * (3 * grid.dim + 1))), grid.nt
+    # the argmin at u[n + 1] of level n (its first sweep) and of n + 1 (its check)
+    found = argmin_level(B[:, -2:], F[:, -2:], u[-1:], grid, scheme)[0]
+    indices[-1] = found[-1]
     for n in range(grid.nt - 1, -1, -1):
-        # every action's band rows, axis by axis, and its cost at this level,
-        # flat so that a sweep gathers the chosen action's at index
-        # action * nodes.size + node
-        M = _implicit_bands(B[:, n][inner], grid, scheme)
-        rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, n][inner]]
-        table = np.stack(rows).reshape(len(rows), -1)
-        u_guess = u[n + 1]
-        prev_idx = None
-        for _ in range(MAX_SWEEPS):
-            idx, _ = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u_guess[None], grid, scheme)
-            if prev_idx is not None and np.array_equal(idx, prev_idx):
+        if n < lo:
+            # every action's band rows, axis by axis, and cost at levels lo..n, flat: a
+            # sweep gathers the chosen action's at (action * levels + level - lo) * nodes.size + node
+            lo, levels = max(0, n + 1 - chunk), min(n + 1, chunk)
+            M = _implicit_bands(B[:, lo:n + 1][inner], grid, scheme)
+            rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, lo:n + 1][inner]]
+            table = np.stack(rows).reshape(len(rows), -1)
+        idx = found[0]
+        for sweep in range(1, MAX_SWEEPS + 1):
+            chosen = table[:, idx[inside] * (levels * nodes.size) + (n - lo) * nodes.size + nodes]
+            # each axis's rows, its lines along the last axis
+            solves = [partial(solve_lines, chosen[3 * k:3 * k + 3].swapaxes(k + 1, -1),
+                              periodic=periodic) for k in range(grid.dim)]
+            u[n][inside] = _step(u[n + 1][inside] + grid.dt * chosen[-1], solves)
+            found = argmin_level(B[:, max(n - 1, 0):n + 1], F[:, max(n - 1, 0):n + 1], u[n:n + 1],
+                                 grid, scheme)[0]
+            if sweep == MAX_SWEEPS or (found[-1] == idx).all():
                 break
-            chosen = table[:, idx[0][inside] * nodes.size + nodes]
-            u[n][inside] = _step(u[n + 1][inside] + grid.dt * chosen[-1],
-                                 [(chosen[3 * k:3 * k + 3], None) for k in range(grid.dim)], periodic)
-            u_guess = u[n]
-            prev_idx = idx
-        else:  # the policy still changed in the last sweep
+            idx = found[-1]
+        if sweep == MAX_SWEEPS:  # the policy had not repeated before the last sweep
             flagged_steps.append(n)
-        indices[n] = prev_idx[0]
+        indices[n] = idx
 
     meta = {"inner_flagged_steps": flagged_steps, "converged": len(flagged_steps) == 0}
     policy = None if action_set is None else Policy(grid, indices, action_set)
@@ -181,7 +184,7 @@ def hjb_residual(U, oracle, action_set, grid, scheme=UPWIND, tables=None, with_i
     enters.  ``with_indices`` also returns the argmin indices.
     """
     B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
-    idx, _ = argmin_level(B, F, U, grid, scheme)
+    idx = argmin_level(B, F, U, grid, scheme)[0]
     bsel, fsel = _select_fields(B, F, idx)
     res = float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme))))
     return (res, idx) if with_indices else res

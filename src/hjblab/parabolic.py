@@ -1,24 +1,22 @@
 """Backward linear parabolic solver: d_s u + Lap u + b . grad u + f = 0, u(T) = 0.
 
 Implicit Euler in time, upwind (default) or central advection in space: a
-step from level n+1 to level n solves u[n] against the right-hand side
-u[n+1] + dt f[n] with the implicit operator (I - dt L_x)(I - dt L_y), one
-factor per axis (``_step_operator``), which the solve inverts with one line
-sweep per axis and the residuals apply (to all levels in one call).  A solve
-assembles the band rows of every level and axis in one array operation and,
-on a torus, every level's Sherman-Morrison correction in one stacked call,
-before the march; a step does one pivoting LAPACK call per axis over all of
-its lines (``tridiag``), so central advection at large b dx is solved stably
-and an exactly singular line raises.  A box line holds zero on its edges and
-solves for its interior nodes only; ``solve_frozen`` alone takes Dirichlet
-data, and lifts it.  With upwind advection every step matrix is an M-matrix
-for any dt, dx and bounded drift, checked once per solve; the discrete
-comparison principle is then a theorem.
+step from level n+1 to level n solves u[n] against u[n+1] + dt f[n] with the
+implicit operator (I - dt L_x)(I - dt L_y), one factor per axis
+(``_step_operator``, which the residuals and the Dirichlet lift apply to all
+levels in one call).  A solve assembles every level's band rows in one array
+operation and factors them with one pivoting LAPACK call per axis (central
+advection at large b dx stays stable; an exactly singular line raises), so a
+step is one ``dgttrs`` call per axis (``tridiag.LevelFactors``).  A box line
+holds zero on its edges; ``solve_frozen`` alone takes Dirichlet data, and
+lifts it.  Upwind steps are M-matrices for any dt, dx and bounded drift,
+checked once per solve, so the discrete comparison principle is a theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,9 +62,8 @@ def _implicit_bands(B, grid, scheme):
     Ml = -grid.dt * lo
     Md = 1.0 - grid.dt * di
     Mu = -grid.dt * up
-    if scheme == UPWIND:
-        if not (np.all(Ml <= 1e-14) and np.all(Mu <= 1e-14) and np.all(Md > 0)):
-            raise SchemeError("monotone scheme assembly produced a non-M-matrix")
+    if scheme == UPWIND and not (np.all(Ml <= 1e-14) and np.all(Mu <= 1e-14) and np.all(Md > 0)):
+        raise SchemeError("monotone scheme assembly produced a non-M-matrix")
     return Ml, Md, Mu
 
 
@@ -97,23 +94,14 @@ def _inner(grid):
     return (slice(None) if grid.domain_kind == TORUS else slice(1, -1),) * grid.dim
 
 
-def _step(rhs, sweeps, periodic):
+def _step(rhs, solves):
     """One backward step: solve (I - dt L_x)(I - dt L_y) u = ``rhs`` on the
-    ``_inner`` nodes with one line solve per axis.  ``sweeps`` holds per
-    axis the level's rows (Ml, Md, Mu) of the axis factor on those nodes
-    and, on a torus, their ``tridiag.cyclic_correction`` in last-axis
-    layout, or None.  A box line holds zero on its edges, so its couplings
-    to them drop out."""
+    ``_inner`` nodes, ``solves`` holding per axis the solve of the level's
+    axis factor for a right-hand side whose last axis runs along its lines."""
     u = rhs
-    for k, (bands, correction) in enumerate(sweeps):
+    for k, solve in enumerate(solves):
         # two space axes at most, so swapping an axis with the last one moves it there
-        Ml, Md, Mu = (b.swapaxes(k, -1) for b in bands)
-        r = u.swapaxes(k, -1)
-        if periodic:
-            x = tridiag.solve_cyclic(Ml, Md, Mu, r, correction=correction)
-        else:
-            x = tridiag.solve_tridiag(Ml, Md, Mu, r)
-        u = x.swapaxes(-1, k)
+        u = solve(u.swapaxes(k, -1)).swapaxes(-1, k)
     return u
 
 
@@ -131,29 +119,28 @@ def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
     periodic = grid.domain_kind == TORUS
     if periodic and boundary is not None:
         raise GridError("Dirichlet data given on a torus, which is periodic")
-    B = np.asarray(B, dtype=float)
-    F = np.asarray(F, dtype=float)
+    B, F = np.asarray(B, dtype=float), np.asarray(F, dtype=float)
     if B.shape != (grid.n_levels,) + grid.space_shape + (grid.dim,):
         raise SchemeError(f"drift field has shape {B.shape}, expected levels x space x dim")
 
     inside = _inner(grid)
     M = _implicit_bands(B[(slice(0, -1),) + inside], grid, scheme)  # the solved levels and nodes
-    corrections = [
-        list(zip(*tridiag.cyclic_correction(*(m[..., k].swapaxes(k - grid.dim, -1) for m in M))))
-        for k in range(grid.dim)] if periodic else [[None] * grid.nt] * grid.dim
+    # per axis its bands, its lines along the last axis, which the factors overwrite
+    M = [np.array([m[..., k].swapaxes(k - grid.dim, -1) for m in M]) for k in range(grid.dim)]
+    factors = [tridiag.LevelFactors(m, periodic) for m in M]
+    u = np.zeros((grid.n_levels,) + grid.space_shape)
     if boundary is not None:
         edge = np.ones(grid.space_shape, dtype=bool)
         edge[inside] = False
-        X, times = grid.points()[edge], grid.times()
-    u = np.zeros((grid.n_levels,) + grid.space_shape)
+        X = grid.points()[edge]
+        u[:-1, edge] = [boundary(t, X) for t in grid.times()[:-1]]
+        # u is G until its inside is solved, and u = w + G after
+        lift = _step_operator(u[:-1], B[:-1], grid, scheme)[(slice(None),) + inside]
     for n in range(grid.nt - 1, -1, -1):
-        sweeps = [(tuple(m[n, ..., k] for m in M), c[n]) for k, c in enumerate(corrections)]
         rhs = u[n + 1][inside] + grid.dt * F[n][inside]
         if boundary is not None:
-            # u[n] is G[n] until its inside is solved, and u = w + G after
-            u[n][edge] = boundary(times[n], X)
-            rhs -= _step_operator(u[n], B[n], grid, scheme)[inside]
-        u[n][inside] = _step(rhs, sweeps, periodic)
+            rhs -= lift[n]
+        u[n][inside] = _step(rhs, [partial(f.solve, n) for f in factors])
     if not np.all(np.isfinite(u)):
         raise SchemeError("solver produced non-finite values")
     return SpaceTimeField(grid, u)

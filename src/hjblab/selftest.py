@@ -38,7 +38,7 @@ from .experiments import (
     verification_check,
 )
 from .grids import CENTRAL, UPWIND, build_grid, write_csv
-from .hamiltonian import Policy, hamiltonian_values
+from .hamiltonian import Policy, argmin_level
 from .hjb import policy_iteration, policy_iteration_checks, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
 from .montecarlo import (
@@ -159,7 +159,7 @@ def _crit3_crit4_agreement(record):
 def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
     """Five fixed candidate controls for the verification battery."""
     B, F = sample_all(oracle, grid, aset)
-    H = hamiltonian_values(B, F, u_dir.values, grid, CENTRAL)  # (n_a, levels, space)
+    _, H = argmin_level(B, F, u_dir.values, grid, CENTRAL)  # (n_a, levels, space)
     worst = Policy(grid, np.argmax(H, axis=0), aset)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     random_policy = Policy(grid, rng.integers(0, len(aset), size=(grid.n_levels,) + grid.space_shape), aset)

@@ -1,121 +1,139 @@
-"""Batched tridiagonal and cyclic-tridiagonal direct solves on LAPACK ``gtsv``.
+"""Batched tridiagonal and cyclic-tridiagonal direct solves on LAPACK.
 
-Every line of a call (the leading axes index independent lines) is stacked
-into one tridiagonal system whose couplings across line boundaries are
-exactly zero, so one ``dgtsv`` call solves the whole batch.  ``gtsv`` is
-Gaussian elimination with partial pivoting; it never swaps rows across a line
-boundary, because the candidate pivot there is the zero coupling.  The
-cyclic variant handles periodic wraparound with the Sherman-Morrison
-correction; a caller that solves the same lines again, as a time march
-does, takes its right-hand-side-free part (``cyclic_correction``) once for
-all of them, else the two right-hand sides are two columns of one call.
-An exactly singular line, or a periodic line whose correction has no finite
-solution, raises ``ValueError``.
+The lines of a call (its leading axes index them) are stacked into one
+system with zero couplings across line boundaries, where partial pivoting
+therefore never swaps rows.  ``dgtsv`` solves by the same arithmetic as
+``dgttrf`` then ``dgttrs``: ``LevelFactors`` factors the levels of a time
+march once, and a step solves its level on its slice of the factors.
+Periodic lines take the Sherman-Morrison correction.  An exactly singular
+line, or a periodic one without a finite solution, raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 
-def _bands(lower, diag, upper, shape):
-    """A fresh (3, ..., n) float array of the three bands, each broadcast to
-    the line shape (..., n)."""
-    bands = np.empty((3,) + shape)
-    bands[0], bands[1], bands[2] = lower, diag, upper
-    return bands
+def _lapack(name):
+    """The LAPACK routine ``name``, bound on first use (commands that solve
+    nothing skip importing scipy.linalg); a binding a test replaced is kept."""
+    if name not in ("dgtsv", "dgttrf", "dgttrs"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        from scipy.linalg import lapack
+        globals()[name] = getattr(lapack, name)
+    return globals()[name]
 
 
-def _line_name(flat_index, batch):
-    """Name of line ``flat_index`` of a batch of lines of shape ``batch``."""
-    if not batch:
-        return "the line"
-    return f"line {tuple(int(i) for i in np.unravel_index(flat_index, batch))}"
+__getattr__ = _lapack
 
 
-def _solve_lines(dl, d, du, b):
-    """Solve tri(dl, d, du) x = b on every line in one ``dgtsv`` call.
+def _line_name(index, batch):
+    """Name of line ``index`` (flat) of a batch of lines of shape ``batch``."""
+    return f"line {tuple(int(i) for i in np.unravel_index(index, batch))}" if batch else "the line"
 
-    ``dl``, ``d`` and ``du`` are C-contiguous bands of the line shape (..., n)
-    and ``b`` a C-contiguous (k, ..., n) stack of k right-hand sides; the call
-    overwrites all four, so callers pass copies.  The couplings across line
-    boundaries are zeroed before the call.
-    """
-    k, shape = b.shape[0], b.shape[1:]
-    n = shape[-1]
-    dl[..., 0] = 0.0
-    du[..., -1] = 0.0
-    _, _, _, x, info = dgtsv(dl.reshape(-1)[1:], d.reshape(-1), du.reshape(-1)[:-1],
-                             b.reshape(k, -1).T,
-                             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-    if info > 0:
-        line, row = divmod(info - 1, n)
-        raise ValueError(f"singular tridiagonal system: {_line_name(line, shape[:-1])} has an "
-                         f"exactly zero pivot at row {row}")
+
+def _call(routine, bands, *args, **flags):
+    """The outputs but ``info`` of LAPACK ``routine`` on bands (3, ..., n),
+    which it overwrites (a C-contiguous copy, if they are not), couplings
+    across line boundaries zeroed."""
+    bands[0, ..., 0] = bands[2, ..., -1] = 0.0
+    dl, d, du = bands.reshape(3, -1)
+    *out, info = _lapack(routine)(dl[1:], d, du[:-1], *args, overwrite_dl=1, overwrite_d=1,
+                                  overwrite_du=1, **flags)
     if info < 0:
-        raise ValueError(f"dgtsv rejected argument {-info}")
-    return x.T.reshape(b.shape)
+        raise ValueError(f"{routine} rejected argument {-info}")
+    if info > 0:
+        line, row = divmod(info - 1, bands.shape[-1])
+        raise ValueError(f"singular tridiagonal system: {_line_name(line, bands.shape[1:-1])} "
+                         f"has an exactly zero pivot at row {row}")
+    return out
 
 
-def solve_tridiag(lower, diag, upper, rhs):
-    """Solve tri(lower, diag, upper) x = rhs along the last axis.
-
-    ``lower[..., i]`` multiplies x[..., i-1] in row i (lower[..., 0] unused);
-    ``upper[..., i]`` multiplies x[..., i+1] (upper[..., -1] unused).
-    """
-    b = np.array(rhs, dtype=float)[None]
-    return _solve_lines(*_bands(lower, diag, upper, b.shape[1:]), b)[0]
-
-
-def cyclic_correction(lower, diag, upper, rhs=None):
-    """The right-hand-side-free part of ``solve_cyclic`` for the periodic
-    lines tri(lower, diag, upper), in one ``dgtsv`` call: (shifted diagonal,
-    correction solution z, beta / gamma, 1 + v.z), arrays with the lines'
-    leading axes, so that ``[n]`` of each picks a sub-batch.  A given ``rhs``
-    rides along as the first column: (correction, y) is returned then, y its
-    solution on the shifted system.
-    """
-    shape = np.broadcast(lower, diag, upper, 0.0 if rhs is None else rhs).shape
-    if shape[-1] < 3:
+def _shift(bands, e):
+    """Shift periodic bands (3, ..., n) in place to the Sherman-Morrison system,
+    write its correction vector gamma e_0 + alpha e_{n-1} into ``e`` and
+    return beta / gamma; the per-line factors have the shape (..., 1)."""
+    if bands.shape[-1] < 3:
         raise ValueError("cyclic solve needs n >= 3")
-    dl, d, du = _bands(lower, diag, upper, shape)
-    beta = dl[..., 0].copy()   # A[0, n-1]
-    alpha = du[..., -1].copy()  # A[n-1, 0]
-
-    # Sherman-Morrison shift -d[0], or a nonzero one where d[0] is zero
-    gamma = np.where(d[..., 0] != 0.0, -d[..., 0], -1.0 - np.abs(du[..., 0]) - np.abs(beta))
-    d[..., 0] = d[..., 0] - gamma
-    d[..., -1] = d[..., -1] - alpha * beta / gamma
-    shifted = d.copy()
-    # right-hand sides: rhs if given, then the correction vector gamma e_0 + alpha e_{n-1}
-    b = np.zeros((1 + (rhs is not None),) + shape)
-    b[:-1] = 0.0 if rhs is None else rhs
-    b[-1, ..., 0], b[-1, ..., -1] = gamma, alpha
-    *y, z = _solve_lines(dl, d, du, b)
-    ratio = beta / gamma
-    correction = shifted, z, ratio, 1.0 + (z[..., 0] + ratio * z[..., -1])
-    return correction if rhs is None else (correction, y[0])
+    beta, alpha = bands[0, ..., :1].copy(), bands[2, ..., -1:].copy()  # A[0, n-1], A[n-1, 0]
+    gamma = -bands[1, ..., :1]
+    if np.count_nonzero(gamma) < gamma.size:  # shift -d[0], or a nonzero one where d[0] is zero
+        gamma = np.where(gamma != 0.0, gamma, -1.0 - np.abs(bands[2, ..., :1]) - np.abs(beta))
+    bands[1, ..., :1] -= gamma
+    bands[1, ..., -1:] -= alpha * beta / gamma
+    e[...] = 0.0
+    e[..., :1], e[..., -1:] = gamma, alpha
+    return beta / gamma
 
 
-def solve_cyclic(lower, diag, upper, rhs, correction=None):
-    """Solve the periodic tridiagonal system along the last axis.
+def _corrected(y, z, ratio, denom):
+    """The periodic solution from the shifted system's solutions y, of the
+    right-hand side, and z, of the correction vector; denom is 1 + v.z."""
+    return y - z * ((y[..., :1] + ratio * y[..., -1:]) / denom)
 
-    Row 0 additionally couples to x[..., -1] with weight lower[..., 0] and
-    row n-1 couples to x[..., 0] with weight upper[..., -1].  ``correction``
-    is ``cyclic_correction`` of the same bands, when the caller has it.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if correction is None:
-        correction, y = cyclic_correction(lower, diag, upper, rhs)
-    else:
-        y = solve_tridiag(lower, correction[0], upper, rhs)
-    _, z, ratio, denom = correction
-    vy = y[..., 0] + ratio * y[..., -1]
+
+def _check_solvable(ok, batch):
+    if not ok.all():
+        raise ValueError(f"singular periodic tridiagonal system: "
+                         f"{_line_name(np.flatnonzero(~ok)[0], batch)} has no finite solution")
+
+
+def solve_lines(bands, rhs, periodic=False):
+    """Solve the lines of bands (3, ..., n), which it overwrites, for ``rhs``
+    in one ``dgtsv`` call; periodic lines solve the Sherman-Morrison
+    correction vector as a second column of the call."""
+    b = np.empty((1 + periodic,) + bands.shape[1:])
+    b[0] = rhs
+    ratio = _shift(bands, b[1]) if periodic else None
+    x = _call("dgtsv", bands, b.reshape(len(b), -1).T, overwrite_b=1)[-1].T.reshape(b.shape)
+    if not periodic:
+        return x[0]
+    y, z = x
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = y - z * (vy / denom)[..., None]
-    bad = ~np.all(np.isfinite(x), axis=-1)  # 1 + vz == 0 too, as z != 0
-    if np.any(bad):
-        line = _line_name(np.flatnonzero(bad)[0], rhs.shape[:-1])
-        raise ValueError(f"singular periodic tridiagonal system: {line} has no finite solution")
+        x = _corrected(y, z, ratio, 1.0 + (z[..., :1] + ratio * z[..., -1:]))
+    _check_solvable(np.isfinite(x).all(axis=-1), b.shape[1:-1])  # 1 + vz == 0 too
     return x
+
+
+def solve_tridiag(lower, diag, upper, rhs, periodic=False):
+    """Solve tri(lower, diag, upper) x = rhs along the last axis: ``lower[..., i]``
+    multiplies x[..., i-1] in row i and ``upper[..., i]`` x[..., i+1]; ``lower[..., 0]``
+    and ``upper[..., -1]`` are unused, or on ``periodic`` lines couple row 0 to
+    x[..., -1] and row n-1 to x[..., 0]."""
+    bands = np.array(np.broadcast_arrays(lower, diag, upper, rhs)[:3], dtype=float)
+    return solve_lines(bands, rhs, periodic)
+
+
+solve_cyclic = partial(solve_tridiag, periodic=True)
+
+
+class LevelFactors:
+    """LU factors of the levels of tridiagonal lines from one stacked ``dgttrf``
+    call on bands (3, levels, ..., n), which it overwrites (periodic lines: of
+    their shifted system, its correction solved on them); ``solve(level, rhs)``
+    is one ``dgttrs`` call on the level's slice, bit for bit its ``solve_lines``."""
+
+    def __init__(self, bands, periodic=False):
+        if bands[0, 0].size < 3:  # scipy's gttrf and gttrs take no system of fewer than 3 rows
+            self.solve = lambda level, rhs: solve_lines(bands[:, level].copy(), rhs, periodic)
+            return
+        ratio = _shift(bands, e := np.empty(bands.shape[1:])) if periodic else None
+        dl, d, du, du2, ipiv = _call("dgttrf", bands)
+        if periodic:
+            z = _lapack("dgttrs")(dl, d, du, du2, ipiv, e.ravel(), overwrite_b=1)[0].reshape(e.shape)
+            denom = 1.0 + (z[..., :1] + ratio * z[..., -1:])
+            _check_solvable((denom != 0.0) & np.isfinite(z).all(axis=-1, keepdims=True), e.shape[:-1])
+        self._corrections = list(zip(z, ratio, denom)) if periodic else None
+        # level n owns rows [n s, (n + 1) s) of the stack; its pivots count from its first row
+        s = d.size // bands.shape[1]
+        ipiv -= np.repeat(np.arange(0, d.size, s, dtype=ipiv.dtype), s)
+        self._levels = [(dl[a:a + s - 1], d[a:a + s], du[a:a + s - 1], du2[a:a + s - 2],
+                         ipiv[a:a + s]) for a in range(0, d.size, s)]
+
+    def solve(self, level, rhs):
+        """Solve level ``level``'s lines for ``rhs`` (..., n)."""
+        y = _lapack("dgttrs")(*self._levels[level], rhs.reshape(-1))[0].reshape(rhs.shape)
+        return y if self._corrections is None else _corrected(y, *self._corrections[level])

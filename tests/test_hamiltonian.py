@@ -60,6 +60,14 @@ def _case(name):
     return grid, oracle, aset, u
 
 
+def _minimum(B, F, u, grid, advection):
+    """argmin_level's indices and the minimum Hamiltonian they select from
+    its per-action values."""
+    idx, H = argmin_level(B, F, u, grid, advection)
+    assert H.shape == (len(B),) + idx.shape
+    return idx, np.take_along_axis(H, idx[None], axis=0)[0]
+
+
 def _bruteforce(grid, oracle, aset, u, advection):
     """Min over the action list of the discrete Hamiltonian, from oracle.eval:
     one action at a time, replacing the incumbent only on a strict decrease."""
@@ -94,7 +102,7 @@ def test_ham_min_bang_bang():
     grid, u = _linear_box(2.0)
     B, F = sample_all(make_bang_bang(grid), grid, bang_bang_actions())
     for advection in ADVECTIONS:
-        idx, H = argmin_level(B, F, u, grid, advection)
+        idx, H = _minimum(B, F, u, grid, advection)
         # b = a, f = x^2: min over {-1, 1} of 2a + x^2 is at a = -1
         i = 5  # x = 0.25
         assert np.all(idx[:, i] == 0)
@@ -105,7 +113,7 @@ def test_ham_min_zero_gradient_tie_break():
     grid, u = _linear_box(0.0)
     B, F = sample_all(make_bang_bang(grid), grid, bang_bang_actions())
     for advection in ADVECTIONS:
-        idx, H = argmin_level(B, F, u, grid, advection)
+        idx, H = _minimum(B, F, u, grid, advection)
         assert np.all(idx == 0)  # lowest index on ties
         assert H[0, 6] == pytest.approx(0.25)  # x = 0.5
 
@@ -116,7 +124,7 @@ def test_ham_min_counterexample_diagonal():
     B, F = sample_all(make_counterexample(g), g, ActionSet(nodes))
     u = np.broadcast_to(2.0 * nodes, (g.n_levels, 25)).copy()
     for advection in ADVECTIONS:
-        idx, H = argmin_level(B, F, u, g, advection)
+        idx, H = _minimum(B, F, u, g, advection)
         # a positive gradient everywhere: each node picks a = x, switching the drift off
         assert np.array_equal(nodes[idx], np.broadcast_to(nodes, idx.shape))
         assert np.allclose(H, nodes**2, rtol=0.0, atol=1e-12)
@@ -128,7 +136,7 @@ def test_lower_envelope():
         grid, oracle, aset, u = _case(case)
         B, F = sample_all(oracle, grid, aset)
         for advection in ADVECTIONS:
-            idx, H = argmin_level(B, F, u, grid, advection)
+            idx, H = _minimum(B, F, u, grid, advection)
             arg, best = _bruteforce(grid, oracle, aset, u, advection)
             assert len(np.unique(idx)) > 1  # the case exercises a real choice
             assert np.array_equal(idx, arg)
@@ -140,9 +148,9 @@ def test_lower_envelope():
 def test_all_levels_equals_per_level(case, advection):
     grid, oracle, aset, u = _case(case)
     B, F = sample_all(oracle, grid, aset)
-    idx, H = argmin_level(B, F, u, grid, advection)
+    idx, H = _minimum(B, F, u, grid, advection)
     for n in range(grid.n_levels):
-        idx_n, H_n = argmin_level(B[:, n:n + 1], F[:, n:n + 1], u[n:n + 1], grid, advection)
+        idx_n, H_n = _minimum(B[:, n:n + 1], F[:, n:n + 1], u[n:n + 1], grid, advection)
         assert np.array_equal(idx_n[0], idx[n])
         assert np.array_equal(H_n[0], H[n])
 
@@ -157,7 +165,7 @@ def test_concavity_in_p():
     x = grid.space_axis(0)
     for advection in ADVECTIONS:
         def H(p):
-            return argmin_level(B, F, p[:, None] * x, grid, advection)[1]
+            return _minimum(B, F, p[:, None] * x, grid, advection)[1]
 
         hmid = H(lam * p1 + (1 - lam) * p2)
         assert np.all(hmid >= lam[:, None] * H(p1) + (1 - lam[:, None]) * H(p2) - 1e-12)
@@ -189,7 +197,7 @@ def test_selector_realizes_ham_min(torus):
     X = torus.points()
     u = np.stack([np.sin(np.pi * X[..., 0]) for _ in torus.times()])
     B, F = sample_all(bb, torus, aset)
-    idx, H = argmin_level(B, F, u, torus, "central")
+    idx, H = _minimum(B, F, u, torus, "central")
     grad = spatial_gradient(u, torus)
     for n, t in enumerate(torus.times()):
         for i in range(torus.nx[0]):

@@ -228,3 +228,30 @@ def test_too_small_grids_name_the_minimum(kind, nx, least, dim):
         solve_frozen(B[0], F[0], grid)
     with pytest.raises(SchemeError, match=f"{kind} line solves need at least {least} nodes"):
         solve_hjb_tables(B, F, grid)
+
+
+@pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 1), ("torus", 2), ("box", 2)])
+def test_march_bits_do_not_depend_on_its_table_size(monkeypatch, kind, dim):
+    # the march assembles its band tables for a few levels at a time: tables
+    # of one level, of two or of every level give the same bits.  Each
+    # sweep's argmin call also takes the next level's first policy, so a
+    # march makes one argmin call per sweep and one before the first
+    import hjblab.hjb as hjb_module
+
+    grid, B, F = _random_tables(kind, dim, 6)
+    nodes = B[0, 0, ..., 0].size if kind == "torus" else 4 ** dim
+    calls, sweeps = [], []
+    real_argmin, real_step = hjb_module.argmin_level, hjb_module._step
+    monkeypatch.setattr(hjb_module, "argmin_level", lambda *a: calls.append(1) or real_argmin(*a))
+    monkeypatch.setattr(hjb_module, "_step", lambda *a: sweeps.append(1) or real_step(*a))
+    runs = []
+    for levels in (1, 2, grid.nt):
+        monkeypatch.setattr(hjb_module, "TABLE_ENTRIES", levels * 3 * nodes * (3 * dim + 1))
+        calls.clear()
+        sweeps.clear()
+        u = solve_hjb_tables(B, F, grid, action_set=ActionSet(np.arange(3.0)))
+        assert len(calls) == len(sweeps) + 1 and len(sweeps) > grid.nt
+        runs.append((u.values, u.policy.indices, u.meta["inner_flagged_steps"]))
+    for values, indices, flagged in runs[1:]:
+        assert np.array_equal(values, runs[0][0]) and np.array_equal(indices, runs[0][1])
+        assert flagged == runs[0][2]

@@ -325,3 +325,15 @@ def test_non_finite_values_raise_scheme_error():
     g = build_grid("box", 1, (-1.0, 1.0), 8, 1.0, 4)
     with pytest.raises(SchemeError, match="non-finite"):
         solve_frozen(_const(g, 0.0, 1), _const(g, 1e308), g)
+
+
+@pytest.mark.parametrize("nt", [1, 3])
+def test_box_lines_of_two_unknowns(nt):
+    # a 4-node box line has two unknowns, fewer than scipy's gttrf and gttrs
+    # wrappers take: those levels are solved from their bands as handed
+    g = build_grid("box", 1, (-1.0, 1.0), 4, 1.0, nt)
+    rng = np.random.default_rng(nt)
+    b = rng.uniform(-1.0, 1.0, size=(g.n_levels, 4, 1))
+    f = rng.uniform(-1.0, 1.0, size=(g.n_levels, 4))
+    u = solve_frozen(b, f, g, lambda t, X: np.cos(X[..., 0] + t))
+    assert np.max(np.abs(pde_residual(u.values, b, f, g))) < 1e-12

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from hjblab import hjb, parabolic, tridiag
 from hjblab.grids import build_grid
-from hjblab.tridiag import cyclic_correction, solve_cyclic, solve_tridiag
+from hjblab.tridiag import LevelFactors, solve_cyclic, solve_tridiag
 
 
 def _random_dd_system(rng, n, batch=()):
@@ -186,34 +188,69 @@ def test_cyclic_property_against_dense(seed, batch, n):
     assert np.allclose(x, expected, rtol=1e-9, atol=1e-9)
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), batch=_batch_shapes, n=st.integers(3, 12),
-       levels=st.integers(1, 4))
-def test_stacked_correction_is_bit_identical(seed, batch, n, levels):
-    # a march takes every level's Sherman-Morrison set-up in one stacked
-    # call; a level's solve with its slice equals a solve from scratch, bit
-    # for bit (a quarter of the lines lack the row-0 wraparound coupling)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4), lines=st.integers(1, 8),
+       n=st.integers(3, 69), periodic=st.booleans())
+def test_stacked_factors_are_bit_identical(seed, levels, lines, n, periodic):
+    # a march factors every level in one stacked dgttrf call; a level's
+    # dgttrs solve on its slice of the factors equals a dgtsv solve of that
+    # level alone, bit for bit.  General signs make rows pivot, and a
+    # quarter of the lines have a zero leading pivot, which must pivot
     rng = np.random.default_rng(seed)
-    shape = (levels,) + batch + (n,)
-    lower, upper = (rng.uniform(-1.0, 1.0, size=shape) for _ in range(2))
-    diag = np.sign(rng.normal(size=shape)) * (2.5 + np.abs(lower) + np.abs(upper))
-    lower[..., 0] = np.where(rng.uniform(size=shape[:-1]) < 0.25, 0.0, lower[..., 0])
+    shape = (levels, lines, n)
+    lower, diag, upper = (rng.uniform(-2.0, 2.0, size=shape) for _ in range(3))
+    diag[..., 0] = np.where(rng.uniform(size=shape[:-1]) < 0.25, 0.0, diag[..., 0])
     rhs = rng.normal(size=shape)
-    correction = cyclic_correction(lower, diag, upper)
+    assume(np.all(np.linalg.cond(_dense_lines(lower, diag, upper, cyclic=periodic)) < 1e6))
+    factors = LevelFactors(np.array([lower, diag, upper]), periodic)
+    solve = solve_cyclic if periodic else solve_tridiag
     for i in range(levels):
-        x = solve_cyclic(lower[i], diag[i], upper[i], rhs[i], correction=[c[i] for c in correction])
-        assert np.array_equal(x, solve_cyclic(lower[i], diag[i], upper[i], rhs[i]))
+        assert np.array_equal(factors.solve(i, rhs[i]), solve(lower[i], diag[i], upper[i], rhs[i]))
 
 
-def _count_dgtsv(monkeypatch):
+def _singular_at(monkeypatch, grid, level, line):
+    """Make one axis line of one level exactly singular in every solve's
+    bands: two equal rows on a box, the periodic second difference (whose
+    null space holds the constants) on a torus."""
+    real = parabolic._implicit_bands
+
+    def bands(B, grid, scheme):
+        Ml, Md, Mu = (m.copy() for m in real(B, grid, scheme))
+        at = (level,) + line + (slice(None), grid.dim - 1)  # a line along the last axis
+        if grid.domain_kind == "torus":
+            Ml[at], Md[at], Mu[at] = -1.0, 2.0, -1.0
+        else:
+            Ml[at], Md[at], Mu[at] = 0.0, 1.0, 0.0
+            Ml[at][1] = Mu[at][0] = 1.0
+        return Ml, Md, Mu
+
+    monkeypatch.setattr(parabolic, "_implicit_bands", bands)
+
+
+@pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
+def test_singular_level_line_raises_naming_it(monkeypatch, kind, dim):
+    grid, B, F = _tables(kind, dim, 1)
+    line = (2,) * (dim - 1)
+    _singular_at(monkeypatch, grid, 1, line)
+    name = re.escape(f"line {(1,) + line}")
+    match = f"{name} has no finite solution" if kind == "torus" else f"{name} .* row 1"
+    with pytest.raises(ValueError, match=match):
+        parabolic.solve_frozen(B[0], F[0], grid)
+
+
+def _count_lapack(monkeypatch):
+    """Record (routine, unknowns, right-hand sides) of every LAPACK call."""
     calls = []
-    original = tridiag.dgtsv
+    # the argument whose rows are the unknowns: the right-hand side, or the diagonal
+    for name, at in (("dgtsv", 3), ("dgttrf", 1), ("dgttrs", 5)):
+        original = getattr(tridiag, name)
 
-    def counting(dl, d, du, b, **kw):
-        calls.append(b.shape)
-        return original(dl, d, du, b, **kw)
+        def counting(*args, _name=name, _at=at, _original=original, **kw):
+            rows = args[_at]
+            calls.append((_name, rows.shape[0], rows.shape[1] if rows.ndim == 2 else 1))
+            return _original(*args, **kw)
 
-    monkeypatch.setattr(tridiag, "dgtsv", counting)
+        monkeypatch.setattr(tridiag, name, counting)
     return calls
 
 
@@ -227,30 +264,31 @@ def _tables(kind, dim, n_actions):
 
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
 def test_one_lapack_call_per_axis_sweep(monkeypatch, kind, dim):
-    calls = _count_dgtsv(monkeypatch)
+    calls = _count_lapack(monkeypatch)
     grid, B, F = _tables(kind, dim, 1)
     u = parabolic.solve_frozen(B[0], F[0], grid)
     assert np.all(np.isfinite(u.values))
-    # a torus first solves every level's Sherman-Morrison vector, one call per axis
-    setup = dim if kind == "torus" else 0
-    assert len(calls) == setup + dim * grid.nt
-    size = int(np.prod(grid.space_shape))
-    assert calls[:setup] == [(grid.nt * size, 1)] * setup
-    # then each step's line solves carry its right-hand side as the one
-    # column; a box step solves for its interior block on every axis
-    unknowns = size if kind == "torus" else int(np.prod([n - 2 for n in grid.nx]))
-    assert calls[setup:] == [(unknowns, 1)] * (dim * grid.nt)
+    # a box step solves for its interior block on every axis
+    unknowns = int(np.prod(grid.nx if kind == "torus" else [n - 2 for n in grid.nx]))
+    # every level's lines are factored first, one stacked call per axis; a
+    # torus solves every level's Sherman-Morrison vector on the same factors
+    setup = [("dgttrf", grid.nt * unknowns, 1)]
+    if kind == "torus":
+        setup.append(("dgttrs", grid.nt * unknowns, 1))
+    assert calls[:len(setup) * dim] == setup * dim
+    # then each step solves its right-hand side, one call per axis
+    assert calls[len(setup) * dim:] == [("dgttrs", unknowns, 1)] * (dim * grid.nt)
 
 
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
 def test_one_lapack_call_per_axis_march_sweep(monkeypatch, kind, dim):
-    calls = _count_dgtsv(monkeypatch)
+    calls = _count_lapack(monkeypatch)
     steps = []
     real = hjb._step
     monkeypatch.setattr(hjb, "_step", lambda *a: steps.append(1) or real(*a))
     grid, B, F = _tables(kind, dim, 3)
     hjb.solve_hjb_tables(B, F, grid)
     assert len(steps) >= grid.nt and len(calls) == dim * len(steps)
-    # the policy changes between sweeps, so a torus line solves its
-    # Sherman-Morrison vector beside the right-hand side
-    assert all(shape[1] == (2 if kind == "torus" else 1) for shape in calls)
+    # the policy changes between sweeps, so the bands are solved as gathered;
+    # a torus line solves its Sherman-Morrison vector beside the right-hand side
+    assert all(call[0] == "dgtsv" and call[2] == (2 if kind == "torus" else 1) for call in calls)
