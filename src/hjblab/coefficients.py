@@ -3,7 +3,7 @@
 An oracle maps (t, x, a) to a drift vector and a running cost and carries a
 dominating bound Phi with |b| + |f| <= Phi everywhere.  Oracles are pure
 closures over immutable parameters; evaluation is deterministic and
-vectorized over points.
+vectorized over points and times.
 
 Conventions at jump sets (documented tie rules): indicator-type entries are
 closed on the left (x in [c, .) takes the upper value) and sign(0) = +1.
@@ -16,11 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TORUS
+from .grids import TORUS, FieldError
 
 
 class CoefficientError(ValueError):
     pass
+
+
+def _promote_time(t):
+    """A float, or an array of times that broadcasts against the points."""
+    return np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
 
 
 def _promote_points(x, dim):
@@ -99,9 +104,11 @@ class ActionFamily:
 class CoefficientOracle:
     """Evaluator (t, x, a) -> (drift, cost) with dominating bound Phi.
 
-    ``eval_fn(t, X, a)`` receives points X of shape (..., dim) and an action
-    broadcastable over the leading shape; it returns (b, f) with b of shape
-    (..., dim) and f of shape (...).  ``bound_fn(t, X)`` returns Phi values.
+    ``eval_fn(t, X, a)`` receives points X of shape (..., dim), a time t and
+    an action, each broadcastable over the leading shape: t is a float, or
+    an array such as a column of time levels against the grid's nodes.  It
+    returns (b, f), which broadcast to (..., dim) and (...) over t's and
+    X's joint leading shape.  ``bound_fn(t, X)`` returns Phi values alike.
     """
 
     def __init__(self, name, dim, eval_fn, bound_fn, params=None):
@@ -110,34 +117,37 @@ class CoefficientOracle:
         self._eval_fn = eval_fn
         self._bound_fn = bound_fn
         self.params = dict(params or {})
-        self.exact_value = None  # closed-form value under action a=+1, if any
+        self.exact_value = None  # closed-form value under action a=+1, if any; same t rule
 
     def eval(self, t, X, a):
         """Vectorized evaluation (hot path)."""
-        return self._eval_fn(float(t), _promote_points(X, self.dim), a)
+        return self._eval_fn(_promote_time(t), _promote_points(X, self.dim), a)
 
     def bound(self, t, X):
-        return self._bound_fn(float(t), _promote_points(X, self.dim))
+        return self._bound_fn(_promote_time(t), _promote_points(X, self.dim))
 
     def __repr__(self):
         return f"CoefficientOracle({self.name!r}, dim={self.dim}, params={self.params})"
 
 
+def _level_column(grid):
+    """The grid's time levels as a column that broadcasts against its nodes."""
+    return grid.times().reshape((-1,) + (1,) * grid.dim)
+
+
 def sample_to_grid(oracle, grid, action):
-    """Point-sample drift and cost at every node for one action.
+    """Point-sample drift and cost at every (level, node) for one action, in
+    one oracle call.
 
-    Returns (drift field with vector arity, cost field).
+    Returns read-only arrays: drift (levels, space..., dim) and cost
+    (levels, space...).  Non-finite samples raise FieldError.
     """
-    from .grids import SpaceTimeField
-
-    X = grid.points()
-    b_out = np.empty((grid.n_levels,) + grid.space_shape + (grid.dim,))
-    f_out = np.empty((grid.n_levels,) + grid.space_shape)
-    for it, t in enumerate(grid.times()):
-        b, f = oracle.eval(t, X, action)
-        b_out[it] = b
-        f_out[it] = f
-    return SpaceTimeField(grid, b_out), SpaceTimeField(grid, f_out)
+    b, f = oracle.eval(_level_column(grid), grid.points(), action)
+    shape = (grid.n_levels,) + grid.space_shape
+    b, f = np.broadcast_to(b, shape + (grid.dim,)), np.broadcast_to(f, shape)
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(f))):
+        raise FieldError(f"{oracle.name} samples contain non-finite entries")
+    return b, f
 
 
 def sample_all(oracle, grid, action_set):
@@ -145,9 +155,7 @@ def sample_all(oracle, grid, action_set):
     B = np.empty((len(action_set), grid.n_levels) + grid.space_shape + (grid.dim,))
     F = np.empty((len(action_set), grid.n_levels) + grid.space_shape)
     for ia in range(len(action_set)):
-        bf, ff = sample_to_grid(oracle, grid, action_set.action(ia))
-        B[ia] = bf.values
-        F[ia] = ff.values
+        B[ia], F[ia] = sample_to_grid(oracle, grid, action_set.action(ia))
     return B, F
 
 
@@ -162,33 +170,18 @@ class BoundReport:
 
 
 def verify_bound(oracle, grid, action_set):
-    """Scan every (node, action) pair for |b| + |f| <= Phi (+ 1e-12);
-    the first 16 violations are recorded."""
+    """Scan every (node, action) pair for |b| + |f| <= Phi (+ 1e-12); the
+    first 16 violations, by time level, then action, then node, are recorded."""
+    B, F = sample_all(oracle, grid, action_set)
     X = grid.points()
-    min_slack = np.inf
-    violations = []
-    n_checked = 0
-    for t in grid.times():
-        phi = oracle.bound(t, X)
-        for ia in range(len(action_set)):
-            a = action_set.action(ia)
-            b, f = oracle.eval(t, X, a)
-            mag = np.sqrt(np.sum(b**2, axis=-1)) + np.abs(f)
-            slack = phi - mag
-            n_checked += slack.size
-            m = float(np.min(slack))
-            if m < min_slack:
-                min_slack = m
-            bad = np.argwhere(slack < -1e-12)
-            for loc in bad[: max(0, 16 - len(violations))]:
-                loc = tuple(loc)
-                violations.append((float(t), X[loc], np.asarray(a).tolist(), float(-slack[loc])))
-    return BoundReport(
-        passed=len(violations) == 0,
-        min_slack=float(min_slack),
-        n_checked=n_checked,
-        violations=violations,
-    )
+    phi = oracle.bound(_level_column(grid), X)
+    slack = (phi - (np.sqrt(np.sum(B**2, axis=-1)) + np.abs(F))).swapaxes(0, 1)
+    times = grid.times()
+    violations = [(float(times[loc[0]]), X[tuple(loc[2:])],
+                   np.asarray(action_set.action(loc[1])).tolist(), float(-slack[tuple(loc)]))
+                  for loc in np.argwhere(slack < -1e-12)[:16]]
+    return BoundReport(passed=not violations, min_slack=float(np.min(slack)),
+                       n_checked=slack.size, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +221,9 @@ def _multiplier_entry(name, domain, shape_fn, shape_sup, params):
     dim = domain.dim
 
     def eval_fn(t, X, a):
-        a = np.asarray(a, dtype=float)
-        b = np.zeros(X.shape)
-        b[..., 0] = a * shape_fn(t, X)
+        s = np.asarray(a, dtype=float) * shape_fn(t, X)  # shape_fn spans X's leading shape
+        b = np.zeros(s.shape + X.shape[-1:])
+        b[..., 0] = s
         return b, _dist2(X, domain)
 
     def bound_fn(t, X):
@@ -289,12 +282,9 @@ def make_checkerboard(domain, kx=1, kt=0):
 
     def shape_fn(t, X):
         cell = np.floor((X[..., 0] - lo) / (L / (2 * kx))).astype(np.int64)
-        s = np.where(cell % 2 == 0, 1.0, -1.0)
-        if kt >= 1:
-            tcell = int(np.floor(t / (getattr(domain, "T", 1.0) / (2 * kt)) + 1e-12))
-            if tcell % 2 == 1:
-                s = -s
-        return s
+        if kt >= 1:  # a time cell flips the sign
+            cell = cell + np.floor(t / (domain.T / (2 * kt)) + 1e-12).astype(np.int64)
+        return np.where(cell % 2 == 0, 1.0, -1.0)
 
     return _multiplier_entry("checkerboard", domain, shape_fn, 1.0,
                              {"kx": kx, "kt": kt})
@@ -353,7 +343,7 @@ def make_smooth_baseline(domain, T, amplitude=0.25):
 
     oracle = CoefficientOracle("smooth_baseline", dim, eval_fn, bound_fn,
                                params={"T": T, "amplitude": A})
-    oracle.exact_value = lambda t, X, T_=T: u_exact(t, X, T_)
+    oracle.exact_value = u_exact
     return oracle
 
 
@@ -362,7 +352,8 @@ def make_tabulated(grid, b_values, f_values, name="tabulated"):
 
     ``b_values`` has shape (n_actions, levels, ..., dim), ``f_values``
     (n_actions, levels, ...).  Actions are addressed by integer index.  Time
-    lookup is constant from the left node; off-box points clamp to the
+    lookup is constant from the left node, for a float t or an array of
+    times broadcasting against the points; off-box points clamp to the
     nearest node (torus points wrap).  Phi is the max of |b| + |f| over actions.
     """
     b_values = np.asarray(b_values, dtype=float)
@@ -371,10 +362,8 @@ def make_tabulated(grid, b_values, f_values, name="tabulated"):
     phi_values = (np.sqrt(np.sum(b_values**2, axis=-1)) + np.abs(f_values)).max(axis=0)
 
     def lookup(t, X):
-        it = grid.time_index_left(t)
         pts = grid.wrap(X) if grid.domain_kind == TORUS else grid.clamp(X)
-        idx = grid.nearest_index(pts)
-        return (it,) + idx
+        return (grid.time_index_left(t),) + grid.nearest_index(pts)
 
     def eval_fn(t, X, a):
         ib = np.asarray(a).astype(np.int64)
@@ -382,8 +371,7 @@ def make_tabulated(grid, b_values, f_values, name="tabulated"):
         return b_values[(ib,) + loc], f_values[(ib,) + loc]
 
     def bound_fn(t, X):
-        loc = lookup(t, X)
-        return phi_values[loc]
+        return phi_values[lookup(t, X)]
 
     oracle = CoefficientOracle(name, grid.dim, eval_fn, bound_fn,
                                params={"n_actions": int(n_actions)})

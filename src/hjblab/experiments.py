@@ -16,6 +16,7 @@ import numpy as np
 
 from .coefficients import (
     ActionSet,
+    _level_column,
     make_constant_drift,
     make_counterexample,
     make_tabulated,
@@ -264,10 +265,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     B, F = sample_all(oracle, grid, action_set)
     V, walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
 
-    phi_sup = 0.0
-    X = grid.points()
-    for t in grid.times():
-        phi_sup = max(phi_sup, float(np.max(oracle.bound(t, X))))
+    phi_sup = max(0.0, float(np.max(oracle.bound(_level_column(grid), grid.points()))))
 
     liminf_atol = 10.0 * (max(grid.dx) ** 2 + grid.dt)
     countable_threshold = 5.0 * max(grid.dx)

@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import TORUS, write_csv
+from .coefficients import sample_to_grid
+from .grids import TORUS, build_grid, lp_norm, write_csv
 
 
 class MollifyError(ValueError):
@@ -212,9 +213,6 @@ def coefficient_ladder(oracle, action, grid, eps_list):
     finer than the smallest eps, time restricted to the interior band
     [eps, T - eps] where the zero extension does not bite.
     """
-    from .grids import build_grid, lp_norm
-    from .coefficients import sample_to_grid
-
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise MollifyError("eps ladder must be strictly decreasing")
@@ -233,9 +231,9 @@ def coefficient_ladder(oracle, action, grid, eps_list):
     rungs = []
     for eps in eps_list:
         kernel = MollifierKernel(eps, dim=grid.dim)
-        B_eps, F_eps = mollify_samples(b_raw.values[None], f_raw.values[None], kernel, fine)
-        db = B_eps[0] - b_raw.values
-        df = F_eps[0] - f_raw.values
+        B_eps, F_eps = mollify_samples(b_raw[None], f_raw[None], kernel, fine)
+        db = B_eps[0] - b_raw
+        df = F_eps[0] - f_raw
         # zero out the time boundary layers so the distance reflects interior decay
         db = np.where(band.reshape((-1,) + (1,) * (db.ndim - 1)), db, 0.0)
         df = np.where(band.reshape((-1,) + (1,) * (df.ndim - 1)), df, 0.0)

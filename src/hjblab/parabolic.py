@@ -110,7 +110,9 @@ def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
 
     ``B`` is the drift array (levels, space..., dim), ``F`` the cost array
     (levels, space...), ``boundary`` the Dirichlet data g(t, X) of a box
-    (None: zero) and ``scheme`` the advection stencil, UPWIND or CENTRAL.
+    (None: zero), called once with a column of the solved levels' times
+    against the edge nodes X, and ``scheme`` the advection stencil, UPWIND
+    or CENTRAL.
     Data is lifted: with G = g on the edge nodes of each solved level and 0
     inside, the march solves for w = u - G, which is zero on the edges,
     against the right-hand side less the step operator applied to G.
@@ -133,7 +135,7 @@ def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
         edge = np.ones(grid.space_shape, dtype=bool)
         edge[inside] = False
         X = grid.points()[edge]
-        u[:-1, edge] = [boundary(t, X) for t in grid.times()[:-1]]
+        u[:-1, edge] = boundary(grid.times()[:-1, None], X)
         # u is G until its inside is solved, and u = w + G after
         lift = _step_operator(u[:-1], B[:-1], grid, scheme)[(slice(None),) + inside]
     for n in range(grid.nt - 1, -1, -1):

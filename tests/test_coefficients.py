@@ -20,7 +20,8 @@ from hjblab.coefficients import (
     verify_bound,
     _torus_dist2,
 )
-from hjblab.grids import build_grid
+from hjblab.grids import FieldError, build_grid
+from test_hamiltonian import _compass
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ def test_eval_determinism(box):
 def test_sample_constant_drift(torus):
     oracle = make_constant_drift(torus, c=1.0)
     bf, ff = sample_to_grid(oracle, torus, 1.0)
-    assert np.all(bf.values[..., 0] == 1.0)
+    assert np.all(bf[..., 0] == 1.0)
 
 
 def test_step_drift_tie_rule():
@@ -63,14 +64,14 @@ def test_step_drift_tie_rule():
     bf, _ = sample_to_grid(oracle, g, 1.0)
     i0 = 4
     assert g.space_axis(0)[i0] == 0.0
-    assert bf.values[0, i0, 0] == 1.0  # sign(0) = +1
+    assert bf[0, i0, 0] == 1.0  # sign(0) = +1
 
 
 def test_checkerboard_cells(torus):
     oracle = make_checkerboard(torus, kx=1, kt=0)
     bf, _ = sample_to_grid(oracle, torus, 1.0)
     # period 1, cells [0, 1/2) and [1/2, 1), centers at 1/8, 3/8, 5/8, 7/8
-    assert list(bf.values[0, :, 0]) == [1.0, 1.0, -1.0, -1.0]
+    assert list(bf[0, :, 0]) == [1.0, 1.0, -1.0, -1.0]
 
 
 def test_verify_bound_counterexample(box):
@@ -179,3 +180,128 @@ def test_torus_dist2_matches_mod_formula(extent):
     X = np.random.default_rng(5).uniform(-3 * L, 3 * L, (5000, 2))
     d = np.mod(X + 0.5 * L, L) - 0.5 * L
     assert np.max(np.abs(_torus_dist2(X, grid) - np.sum(d**2, axis=-1))) <= 1e-15
+
+
+def _per_level_samples(oracle, grid, aset):
+    """The reference sampler: one oracle call per time level and action."""
+    X = grid.points()
+    B = np.empty((len(aset), grid.n_levels) + grid.space_shape + (grid.dim,))
+    F = np.empty((len(aset), grid.n_levels) + grid.space_shape)
+    for ia in range(len(aset)):
+        for it, t in enumerate(grid.times()):
+            B[ia, it], F[ia, it] = oracle.eval(t, X, aset.action(ia))
+    return B, F
+
+
+def _sampling_cases():
+    """Cases (oracle, grid, action set): every catalog entry, checkerboard
+    with and without time cells, and the 2d compass oracle, on both domains
+    in 1d and 2d."""
+    scalar = ActionSet(np.array([-1.0, 0.5, 1.0]))
+    for kind in ("torus", "box"):
+        for dim in (1, 2):
+            grid = build_grid(kind, dim, (-1.0, 1.0), 9, 0.75, 6)
+            nodes = grid.points().reshape(-1, dim)
+            cases = {"counterexample": (make_counterexample(grid), ActionSet(nodes[[0, 4, -1]])),
+                     "constant_drift": (make_constant_drift(grid, c=0.7), scalar),
+                     "step_drift": (make_step_drift(grid), scalar),
+                     "bang_bang": (make_oracle("bang_bang", grid), scalar),
+                     "smooth_baseline": (make_smooth_baseline(grid, T=grid.T), scalar)}
+            for kt in (0, 1, 3):
+                cases[f"checkerboard_kt{kt}"] = (make_checkerboard(grid, kx=2, kt=kt), scalar)
+            if dim == 2:
+                cases["compass"] = _compass(grid)
+            for name, (oracle, aset) in cases.items():
+                yield pytest.param(oracle, grid, aset, id=f"{name}-{kind}-{dim}d")
+
+
+@pytest.mark.parametrize("oracle, grid, aset", _sampling_cases())
+def test_sample_all_equals_a_per_level_loop(oracle, grid, aset):
+    # one eval call per action samples every level at once: the same bits as
+    # one call per level, for the entry and for its tabulated copy
+    B, F = sample_all(oracle, grid, aset)
+    expect = _per_level_samples(oracle, grid, aset)
+    assert np.array_equal(B, expect[0]) and np.array_equal(F, expect[1])
+    tab, indices = make_tabulated(grid, B, F), ActionSet(np.arange(float(len(aset))))
+    tab_B, tab_F = sample_all(tab, grid, indices)
+    expect = _per_level_samples(tab, grid, indices)
+    assert np.array_equal(tab_B, expect[0]) and np.array_equal(tab_F, expect[1])
+    assert np.array_equal(tab_B, B) and np.array_equal(tab_F, F)
+
+
+def _count_calls(monkeypatch, oracle):
+    """Count the oracle's eval and bound calls."""
+    calls = {"eval": 0, "bound": 0}
+
+    def counted(name):
+        real = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("scan", [sample_all, verify_bound])
+def test_one_oracle_call_per_action(monkeypatch, scan):
+    # every level at once: one eval call per action, and the bound scan one
+    # bound call besides
+    grid = build_grid("box", 2, (-1.0, 1.0), 6, 0.5, 5)
+    oracle, aset = make_checkerboard(grid, kx=2, kt=1), ActionSet(np.array([-1.0, 0.5, 1.0]))
+    calls = _count_calls(monkeypatch, oracle)
+    scan(oracle, grid, aset)
+    assert calls == {"eval": 3, "bound": int(scan is verify_bound)}
+
+
+@pytest.mark.parametrize("table", ["b", "f"])
+def test_non_finite_samples_raise_field_error(box, table):
+    def eval_fn(t, X, a):
+        bad = np.where((X[..., 0] > 1.0) & (t > 0.5), np.nan, 0.0)
+        return (bad[..., None], 0.0 * bad) if table == "b" else (0.0 * X, bad)
+
+    oracle = CoefficientOracle("nan", 1, eval_fn, lambda t, X: np.ones(X.shape[:-1]))
+    with pytest.raises(FieldError, match="non-finite"):
+        sample_to_grid(oracle, box, 0.0)
+
+
+def _level_loop_violations(oracle, grid, aset):
+    """The domination scan as a level x action loop, one oracle call per
+    level and action: the first 16 violations by time, then action, then node."""
+    X = grid.points()
+    out = []
+    for t in grid.times():
+        phi = oracle.bound(t, X)
+        for ia in range(len(aset)):
+            a = aset.action(ia)
+            b, f = oracle.eval(t, X, a)
+            slack = phi - (np.sqrt(np.sum(b**2, axis=-1)) + np.abs(f))
+            for loc in np.argwhere(slack < -1e-12)[: max(0, 16 - len(out))]:
+                loc = tuple(loc)
+                out.append((float(t), X[loc], np.asarray(a).tolist(), float(-slack[loc])))
+    return out
+
+
+def test_verify_bound_records_the_first_violations_in_order():
+    grid = build_grid("torus", 2, (-1.0, 1.0), 6, 1.0, 8)
+
+    def eval_fn(t, X, a):
+        hot = np.sin(5.0 * X[..., 0] + 3.0 * X[..., 1] + 7.0 * t + 4.0 * np.sum(a)) > 0.8
+        return np.asarray(a) * np.ones(X.shape), np.where(hot, 1.0 + t, 0.0)
+
+    oracle = CoefficientOracle("sparse", 2, eval_fn, lambda t, X: np.full(X.shape[:-1], 1.0))
+    aset = ActionSet(np.array([[0.1, 0.0], [0.0, 0.2]]))
+    rep = verify_bound(oracle, grid, aset)
+    expect = _level_loop_violations(oracle, grid, aset)
+    assert not rep.passed and len(rep.violations) == len(expect) == 16
+    # the 16 recorded span several levels and both actions
+    assert len({v[0] for v in expect}) > 1 and len({tuple(v[2]) for v in expect}) == 2
+    for got, want in zip(rep.violations, expect):
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] and got[3] == want[3]
+    assert rep.n_checked == len(aset) * grid.n_levels * 36
+    B, F = sample_all(oracle, grid, aset)
+    assert np.sum(np.sqrt(np.sum(B**2, axis=-1)) + F > 1.0) > 16

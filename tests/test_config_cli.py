@@ -212,8 +212,8 @@ def test_tabulated_roundtrip(tmp_path):
     aset = ActionSet(np.array([-1.0, 1.0]))
     for ia, a in enumerate(aset.values):
         bf, ff = sample_to_grid(src, grid, a)
-        field_to_csv(SpaceTimeField(grid, bf.values[..., 0]), str(tmp_path / f"b{ia}.csv"))
-        field_to_csv(ff, str(tmp_path / f"f{ia}.csv"))
+        field_to_csv(SpaceTimeField(grid, bf[..., 0]), str(tmp_path / f"b{ia}.csv"))
+        field_to_csv(SpaceTimeField(grid, ff), str(tmp_path / f"f{ia}.csv"))
     path = tmp_path / "tab.cfg"
     path.write_text(
         "scenario: tabulated_step\n"
@@ -602,8 +602,8 @@ def test_tabulated_files_that_do_not_fit_exit_2(tmp_path, b):
     # files written on a 16-node grid, read on 32 nodes; or two drift files in 1d
     small = build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 8)
     bf, ff = sample_to_grid(make_step_drift(small, c=1.0), small, 1.0)
-    field_to_csv(ff, str(tmp_path / "f.csv"))
-    field_to_csv(SpaceTimeField(small, bf.values[..., 0]), str(tmp_path / "b.csv"))
+    field_to_csv(SpaceTimeField(small, ff), str(tmp_path / "f.csv"))
+    field_to_csv(SpaceTimeField(small, bf[..., 0]), str(tmp_path / "b.csv"))
     cfg = tmp_path / "tab.cfg"
     cfg.write_text(yaml.dump({
         "domain": {"kind": "torus", "dim": 1, "extent": [-1.0, 1.0],

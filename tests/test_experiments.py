@@ -22,6 +22,7 @@ from hjblab.experiments import (
 from hjblab.grids import build_grid
 from hjblab.hjb import solve_hjb_direct
 from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control, dpp_residual
+from test_coefficients import _count_calls
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,14 @@ def test_each_table_sampled_and_mollified_once(bang, monkeypatch):
     calls["sample_all"] = 0
     mollify_value_sweep(oracle, aset, grid, [0.2, 0.1], scheme=scheme)
     assert calls["sample_all"] == 1
+
+
+def test_sweep_takes_one_bound_call(bang, monkeypatch):
+    # the sup of Phi over the cylinder is one call on every level at once
+    grid, oracle, aset, scheme, _ = bang
+    calls = _count_calls(monkeypatch, oracle)
+    mollify_value_sweep(oracle, aset, grid, [0.2, 0.1], scheme=scheme)
+    assert calls == {"eval": len(aset), "bound": 1}
 
 
 @pytest.mark.parametrize("report", ["sweep", "truncation"])

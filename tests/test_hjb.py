@@ -9,6 +9,7 @@ from hjblab.coefficients import (
     bang_bang_actions,
     make_bang_bang,
     make_constant_drift,
+    make_tabulated,
     sample_all,
 )
 from hjblab.grids import build_grid, spatial_gradient
@@ -16,6 +17,7 @@ from hjblab.hamiltonian import Policy, constant_policy
 from hjblab.hjb import (
     hjb_residual,
     policy_iteration,
+    policy_iteration_checks,
     solve_hjb_direct,
     solve_hjb_tables,
     solve_policy_value,
@@ -255,3 +257,23 @@ def test_march_bits_do_not_depend_on_its_table_size(monkeypatch, kind, dim):
     for values, indices, flagged in runs[1:]:
         assert np.array_equal(values, runs[0][0]) and np.array_equal(indices, runs[0][1])
         assert flagged == runs[0][2]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_policy_iteration_fuzz_1d_tabulated(seed):
+    # random tables (Bokanowski-Maroso-Zidani's setting): 2-4 actions, the
+    # last a copy of the first so that exact ties come up; the seed picks the
+    # domain and the advection, the draw the sizes
+    rng = np.random.default_rng(seed)
+    kind, scheme = ("torus", "box")[seed % 2], ("upwind", "central")[seed // 2 % 2]
+    n_a, nx, nt = int(rng.integers(2, 5)), *(int(n) for n in rng.integers(8, 33, size=2))
+    grid = build_grid(kind, 1, (-1.0, 1.0), nx, 0.5, nt)
+    shape = (n_a, grid.n_levels) + grid.space_shape
+    B, F = rng.uniform(-2.0, 2.0, size=shape + (1,)), rng.uniform(0.0, 1.0, size=shape)
+    B[-1], F[-1] = B[0], F[0]
+    oracle, aset, tol = make_tabulated(grid, B, F), ActionSet(np.arange(float(n_a))), 1e-8
+    u_pi, _, trace = policy_iteration(oracle, aset, grid, scheme=scheme, tol=tol)
+    u_dir = solve_hjb_direct(oracle, aset, grid, scheme=scheme)
+    _, _, checks = policy_iteration_checks(u_pi, u_dir, trace, tol)
+    assert all(passed for _, passed, _ in checks), checks
+    assert u_dir.meta["inner_flagged_steps"] == []

@@ -101,9 +101,9 @@ def test_mollify_washes_out_counterexample_diagonal():
     ce = make_counterexample(g)
     a = g.space_axis(0)[256]  # an actual node: b(., a) vanishes exactly there
     bf, _ = sample_to_grid(ce, g, a)
-    raw = bf.values[..., 0]
+    raw = bf[..., 0]
     assert raw[0, 256] == 0.0
-    out = mollify_field(bf.values, MollifierKernel(0.1, dim=1), g)
+    out = mollify_field(bf, MollifierKernel(0.1, dim=1), g)
     # the null set {x = a} is washed out up to its dx-wide discrete column
     assert out[32, 256, 0] == pytest.approx(1.0, abs=0.03)
 
@@ -120,13 +120,13 @@ def test_domination_transfer():
     bf, ff = sample_to_grid(oracle, g, 1.0)
     phi = _sample(g, lambda t, X: oracle.bound(t, X))
     kernel = MollifierKernel(0.15, dim=1)
-    f_eps = mollify_field(ff.values, kernel, g)
+    f_eps = mollify_field(ff, kernel, g)
     phi_eps = mollify_field(phi, kernel, g)
-    assert np.max(np.abs(f_eps)) <= np.max(np.abs(ff.values)) + 1e-12
+    assert np.max(np.abs(f_eps)) <= np.max(np.abs(ff)) + 1e-12
     tt = g.times()
     band = (tt >= 0.15) & (tt <= 1.0 - 0.15)
     # |f_eps| <= (zeta_eps * Phi) pointwise on the time interior
-    b_eps = mollify_field(bf.values, kernel, g)
+    b_eps = mollify_field(bf, kernel, g)
     mag = np.abs(b_eps[band][..., 0]) + np.abs(f_eps[band])
     assert np.all(mag <= phi_eps[band] + 1e-10)
 
@@ -150,9 +150,9 @@ def test_gradient_bound_proxy():
     oracle = make_step_drift(g, c=1.0)
     bf, _ = sample_to_grid(oracle, g, 1.0)
     kernel = MollifierKernel(0.1, dim=1)
-    out = mollify_field(bf.values, kernel, g)
+    out = mollify_field(bf, kernel, g)
     grad = spatial_gradient(out[..., 0], g)
-    bound = kernel.grad_l1 / kernel.epsilon * np.max(np.abs(bf.values))
+    bound = kernel.grad_l1 / kernel.epsilon * np.max(np.abs(bf))
     assert np.max(np.abs(grad)) <= bound + 1e-10
 
 

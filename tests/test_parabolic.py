@@ -160,6 +160,7 @@ def test_dirichlet_data_evaluated_on_edge_nodes_only(dim):
         return t + np.sum(X, axis=-1)
 
     u = solve_frozen(_const(g, 0.5, dim), _const(g, 1.0), g, data)
+    assert len(seen) == 1  # one call, a column of the solved levels' times
     points = np.concatenate(seen)
     assert np.all(np.any(np.abs(points) == 1.0, axis=1))
     edge = np.any(np.abs(g.points()) == 1.0, axis=-1)
