@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .hjb import hjb_residual, policy_iteration, policy_iteration_checks, solve_hjb_direct
 from .mollify import coefficient_ladder
-from .montecarlo import GridPolicyControl, constant_control, simulate_cost
+from .montecarlo import STREAM, GridPolicyControl, constant_control, simulate_cost
 from .selftest import SUMMARY, run_selftest
 
 SUBCOMMANDS = (
@@ -220,6 +220,8 @@ def main(argv=None):
 
     if not args.config:
         parser.error(f"{args.subcommand} needs a scenario config path")
+    if args.seed_override is not None and not 0 <= args.seed_override < 2**64:
+        return _report("config invalid:", ["--seed-override: must be in [0, 2**64)"])
     try:
         cfg = load_config(args.config)
     except ConfigError as e:
@@ -240,7 +242,8 @@ def main(argv=None):
         "counterexample": cmd_counterexample,
     }
     manifest = RunManifest(out_dir, cfg.config_hash(), cfg.echo,
-                           {"mc": cfg.mc["seed"], "override": args.seed_override})
+                           {"mc": cfg.mc["seed"], "override": args.seed_override,
+                            "stream": STREAM})
     handlers[args.subcommand](cfg, args, manifest)
     print(manifest.report(manifest.write("manifest.json")))
     return 0 if manifest.all_passed else 1

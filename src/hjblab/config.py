@@ -216,7 +216,7 @@ SCHEMA = (
         "positive numbers"),
     Key("mc", dict, {}),
     Key("mc.M", int, 20000, lambda v, g: v >= 1, "must be >= 1"),
-    Key("mc.seed", int, 20260810),
+    Key("mc.seed", int, 20260810, lambda v, g: 0 <= v < 2**64, "must be in [0, 2**64)"),
     Key("mc.start_time", float, 0.0,
         lambda v, g: 0 <= v < g["grid"].T and _on_level(v, g["grid"]),
         "must be a multiple of time.T / time.nt in [0, time.T)", ("grid",)),

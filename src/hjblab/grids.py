@@ -116,14 +116,11 @@ class Grid:
             np.copyto(r, lo, where=(r >= hi) | (r < lo))
         return out
 
-    def clamp(self, x):
-        """Clamp points into the box (coefficient extension rule off-domain)."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for k in range(self.dim):
-            lo, hi = self.extent[k]
-            out[..., k] = np.clip(x[..., k], lo, hi)
-        return out
+    def clamp(self, x, out=None):
+        """Clamp points into the box (coefficient extension rule off-domain),
+        into ``out`` when given."""
+        lo, hi = np.array(self.extent).T
+        return np.clip(np.asarray(x, dtype=float), lo, hi, out=out)
 
     def nearest_index(self, x):
         """Per-axis nearest node indices for points of shape (..., dim)."""

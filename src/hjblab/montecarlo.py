@@ -1,13 +1,14 @@
 """Euler-Maruyama simulation of the controlled state equation and cost.
 
 X_{n+1} = X_n + b(t_n, X_n, a_n) dt + sqrt(2 dt) xi_n with left-endpoint cost
-quadrature.  Paths run in fixed-size blocks; block j draws from a Philox
-stream keyed by (seed, j) and reduces its own mean and M2, so results are
-bit-identical for a given SimConfig whatever the thread count.  The legs of a
-batch, (oracle, control) pairs under one seed, share that noise (common random
-numbers): each worker thread advances its contiguous group of blocks for every
-leg in one step loop, drawing noise step-major NOISE_CHUNK steps at a time,
-so memory is bounded in n_steps.
+quadrature.  Paths run in fixed-size blocks; block j draws from its own
+stream, STREAM with spawn key (j,), and reduces its own mean and M2, so
+results are bit-identical for a given SimConfig whatever the thread count.
+The legs of a batch, (oracle, control) pairs under one seed, share that noise
+(common random numbers): each worker thread advances its contiguous group of
+blocks for every leg in one step loop, drawing noise step-major NOISE_CHUNK
+steps at a time, scaled by sqrt(2 dt) once per chunk, so memory is bounded in
+n_steps.
 
 Coordinates wrap into the fundamental domain on the torus; on a box the paths
 may leave and coefficients (and any value-function lookup) see the nearest
@@ -31,6 +32,8 @@ class SimulationError(ValueError):
 
 BLOCK_SIZE = 4096
 NOISE_CHUNK = 16  # steps of noise drawn per block at a time
+# the noise of one block; a seed in [0, 2**64) names one stream per block
+STREAM = "SFC64/SeedSequence(seed, spawn_key=(block,))"
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise SimulationError(f"path count must be >= 1, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise SimulationError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (self.dt_sim > 0):
             raise SimulationError(f"dt_sim must be positive, got {self.dt_sim}")
         if self.block_size < 1 or self.n_threads < 1:
@@ -180,8 +185,7 @@ def _block_totals(legs, sim, horizons, grid, u_field, blocks):
     dt = (horizons[-1][0] - s) / n_steps
     edges = np.cumsum([0] + [n_block for _, n_block in blocks])
     cols = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    key = sim.seed & (2**64 - 1)
-    rngs = [np.random.Generator(np.random.Philox(key=np.array([key, bi], dtype=np.uint64)))
+    rngs = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(sim.seed, spawn_key=(bi,))))
             for bi, _ in blocks]
     n = int(edges[-1])
     noise = np.empty((min(NOISE_CHUNK, n_steps), n, d))
@@ -189,25 +193,27 @@ def _block_totals(legs, sim, horizons, grid, u_field, blocks):
     cost = [np.zeros(n) for _ in legs]
     off_box = [0] * len(legs)
     means, m2s, offs = [], [], []
-    sqrt2dt = np.sqrt(2.0 * dt)
     torus = grid.domain_kind == TORUS
+    # step buffers the loop owns: the clamped points, f dt and b dt
+    clamped, f_dt, b_dt = np.empty((n, d)), np.empty(n), np.empty((n, d))
     for i in range(n_steps):
         j = i % NOISE_CHUNK
         if j == 0:
             c = min(NOISE_CHUNK, n_steps - i)
             for rng, col in zip(rngs, cols):
                 noise[:c, col] = rng.standard_normal((c, col.stop - col.start, d))
+            noise[:c] *= np.sqrt(2.0 * dt)
         t = s + i * dt
         for k, (oracle, control) in enumerate(legs):
             # torus paths are kept wrapped, so coefficients see X itself
-            X_eval = X[k] if torus else grid.clamp(X[k])
+            X_eval = X[k] if torus else grid.clamp(X[k], out=clamped)
             if not torus:
                 off_box[k] += int(np.count_nonzero(np.any(X[k] != X_eval, axis=-1)))
             a = control.values(t, X_eval)
             b, f = oracle.eval(t, X_eval, a)
-            cost[k] += f * dt
-            X[k] += b * dt
-            X[k] += sqrt2dt * noise[j]
+            cost[k] += np.multiply(f, dt, out=f_dt)
+            X[k] += np.multiply(b, dt, out=b_dt)
+            X[k] += noise[j]
             if torus:
                 X[k] = grid.wrap(X[k])
         for t_end, _ in (h for h in horizons if h[1] == i + 1):

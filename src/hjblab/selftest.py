@@ -43,6 +43,7 @@ from .hamiltonian import Policy, argmin_level
 from .hjb import policy_iteration, policy_iteration_checks, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
 from .montecarlo import (
+    STREAM,
     FeedbackRule,
     GridPolicyControl,
     SimConfig,
@@ -397,7 +398,8 @@ def run_selftest(out_dir, threads=1):
     (``selftest_summary.json``), and return the record."""
     os.makedirs(out_dir, exist_ok=True)
     echo = {name: shipped(name).echo for name in SHIPPED}
-    record = RunManifest(out_dir, echo_hash(echo), echo, seeds={"master": MASTER_SEED})
+    record = RunManifest(out_dir, echo_hash(echo), echo,
+                         seeds={"master": MASTER_SEED, "stream": STREAM})
     t_start = time.perf_counter()
 
     gap_report = _crit1_counterexample(record)

@@ -19,6 +19,7 @@ import pytest
 from hjblab import hjb, selftest
 from hjblab.cli import main
 from hjblab.config import RunManifest, echo_hash, load_config
+from hjblab.montecarlo import STREAM
 from hjblab.selftest import (
     SUMMARY,
     _crit3_crit4_agreement,
@@ -140,6 +141,12 @@ def test_summary_is_a_run_record_like_the_manifest(battery, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(summary) == set(manifest)
     assert all(set(c) == cli for c in manifest["checks"])
+
+
+def test_summary_names_the_noise_stream(battery):
+    out, _ = battery
+    seeds = json.loads((out / SUMMARY).read_text())["seeds"]
+    assert seeds == {"master": selftest.MASTER_SEED, "stream": STREAM}
 
 
 def test_every_scenario_is_a_shipped_config(battery, monkeypatch):

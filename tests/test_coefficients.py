@@ -18,6 +18,7 @@ from hjblab.coefficients import (
     sample_all,
     sample_to_grid,
     verify_bound,
+    _promote_points,
     _torus_dist2,
 )
 from hjblab.grids import FieldError, build_grid
@@ -180,6 +181,42 @@ def test_torus_dist2_matches_mod_formula(extent):
     X = np.random.default_rng(5).uniform(-3 * L, 3 * L, (5000, 2))
     d = np.mod(X + 0.5 * L, L) - 0.5 * L
     assert np.max(np.abs(_torus_dist2(X, grid) - np.sum(d**2, axis=-1))) <= 1e-15
+
+
+def _reduced_dist2(X):
+    """The box distance as a reduction over the last axis (the reference)."""
+    return np.sum(X**2, axis=-1)
+
+
+def _reduced_counterexample_drift(X, a):
+    """The counterexample drift as a reduction over the last axis (the reference)."""
+    eq = np.all(X == np.broadcast_to(_promote_points(a, X.shape[-1]), X.shape), axis=-1)
+    b = np.zeros(X.shape)
+    b[..., 0] = np.where(eq, 0.0, 1.0)
+    return b
+
+
+@pytest.mark.parametrize("shape", [(60, 1), (60, 2), (3, 20, 1), (3, 20, 2)])
+def test_counterexample_per_axis_forms_equal_the_reductions(shape):
+    d = shape[-1]
+    grid = build_grid("box", d, (-1.0, 1.0), 5, 1.0, 4)
+    oracle = make_counterexample(grid)
+    X = np.random.default_rng(11).uniform(-3.0, 3.0, shape)  # two thirds off the box
+    X.reshape(-1)[::5] = 0.0
+    X.reshape(-1)[2::5] = -0.0
+    A = X.copy()
+    A[X == 0.0] *= -1.0  # +0.0 against -0.0 and back is still the diagonal
+    rows = A.reshape(-1, d)
+    rows[1::4, -1] += 0.5  # off the diagonal in the last axis only
+    rows[2::4, 0] -= 0.25  # ... in the first axis only
+    actions = [A, X, A.reshape(-1, d)[1], X.reshape(-1, d)[0]] + ([A[..., 0]] if d == 1 else [])
+    for a in actions:
+        b, f = oracle.eval(0.5, X, a)
+        assert np.array_equal(b, _reduced_counterexample_drift(X, a))
+        assert np.array_equal(f, _reduced_dist2(X))
+    b, _ = oracle.eval(0.5, X, A)
+    assert 0 < np.count_nonzero(b[..., 0]) < b[..., 0].size
+    assert np.array_equal(oracle.bound(0.5, X), 1.0 + _reduced_dist2(X))
 
 
 def _per_level_samples(oracle, grid, aset):

@@ -28,6 +28,7 @@ from hjblab.config import (
     validate_config,
 )
 from hjblab.grids import SpaceTimeField, build_grid, field_to_csv
+from hjblab.montecarlo import STREAM
 from hjblab.parabolic import MIN_NODES
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -307,6 +308,32 @@ def test_cli_simulate_and_seed_override(tmp_path):
     e2 = json.loads((out2 / "estimate.json").read_text())
     assert e1["seed"] == 99 and e2["seed"] == 123
     assert e1["mean"] != e2["mean"]
+
+
+def test_cli_seeds_in_range_at_both_ends(tmp_path, capsys):
+    for seed in (0, 2**64 - 1):
+        cfg = _small_cfg(tmp_path, mc=f"{{M: 40, dt_sim: 0.05, seed: {seed}, start_state: [0.5]}}")
+        other = 2**64 - 1 - seed  # the other end, as an override
+        for flags, used in (([], seed), (["--seed-override", str(other)], other)):
+            out = tmp_path / f"sim_{seed}_{used}"
+            assert main(["simulate", cfg, "--out", str(out)] + flags) == 0
+            assert json.loads((out / "estimate.json").read_text())["seed"] == used
+    capsys.readouterr()
+    for seed in (-1, 2**64):
+        cfg = _small_cfg(tmp_path, mc=f"{{M: 40, dt_sim: 0.05, seed: {seed}}}")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "bad")]) == 2
+        assert "mc.seed: must be in [0, 2**64)" in capsys.readouterr().err
+        assert main(["simulate", _small_cfg(tmp_path), "--out", str(tmp_path / "bad"),
+                     "--seed-override", str(seed)]) == 2
+        assert "--seed-override: must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_manifest_names_the_noise_stream(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", _small_cfg(tmp_path), "--out", str(out), "--seed-override", "7"]) == 0
+    seeds = json.loads((out / "manifest.json").read_text())["seeds"]
+    assert seeds == {"mc": 99, "override": 7, "stream": STREAM}
+    assert "stream" not in json.loads((out / "estimate.json").read_text())
 
 
 def test_cli_report_records_the_seed_the_run_used(tmp_path):

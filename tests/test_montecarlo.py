@@ -246,8 +246,8 @@ def _one_draw_estimate(oracle, control, sim, grid, t_end):
     stats = []
     for bi, start in enumerate(range(0, sim.n_paths, sim.block_size)):
         n_b = min(sim.block_size, sim.n_paths - start)
-        key = np.array([sim.seed, bi], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(sim.seed, spawn_key=(bi,))
+        rng = np.random.Generator(np.random.SFC64(seq))
         noise = rng.standard_normal((n_steps, n_b, grid.dim))
         X = grid.wrap(np.tile(np.asarray(sim.start_state), (n_b, 1)))
         cost = np.zeros(n_b)
@@ -363,14 +363,26 @@ def test_batch_draws_each_block_noise_once(monkeypatch):
     assert sum(drawn) == 25 * 300 * 2
 
 
+def test_a_seed_names_one_stream():
+    # a seed names one stream: outside [0, 2**64) it is rejected, inside no two share noise
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(SimulationError, match="seed"):
+            SimConfig(n_paths=10, dt_sim=0.1, seed=seed)
+    grid = build_grid("torus", 1, (-1.0, 1.0), 8, 1.0, 4)
+    means = {simulate_cost(make_bang_bang(grid), constant_control(1.0),
+                           SimConfig(n_paths=64, dt_sim=0.1, seed=seed, block_size=16), grid).mean
+             for seed in (0, 1, 2**64 - 2, 2**64 - 1)}
+    assert len(means) == 4
+
+
 def test_golden_stream_values():
     # a change to the noise stream or the step arithmetic must edit these on purpose
     box = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
     sim = SimConfig(n_paths=300, dt_sim=0.01, seed=20260810, block_size=128)
     est = simulate_cost(make_counterexample(box), FeedbackRule(lambda t, X: X[:, 0]), sim, box)
-    assert (est.mean.hex(), est.se.hex()) == ("0x1.e7471e6d048dfp-1", "0x1.0ddc46e51d836p-4")
+    assert (est.mean.hex(), est.se.hex()) == ("0x1.042a275d6b626p+0", "0x1.f60e26e45d71ap-5")
     grid = build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 16)
     u = _field(grid, lambda t, X: np.cos(np.pi * X[..., 0]) + t)
     sim = SimConfig(n_paths=300, dt_sim=1 / 64, seed=20260810, start_state=(0.5,), block_size=128)
     dpp = dpp_residual(u, make_bang_bang(grid), constant_control(1.0), 0.5, sim)
-    assert (dpp.mean.hex(), dpp.se.hex()) == ("0x1.612337502d70dp-1", "0x1.32cbf646b119cp-5")
+    assert (dpp.mean.hex(), dpp.se.hex()) == ("0x1.4a8e7a124a27ep-1", "0x1.37b81db4c9e5ap-5")
