@@ -22,7 +22,7 @@ for eps in (0.4, 0.2, 0.1):
 
 print("\ncoefficient L2 distances ||g_eps - g|| along the ladder:")
 for label, oracle in (
-    ("smooth ", make_smooth_baseline(grid, T=grid.T)),
+    ("smooth ", make_smooth_baseline(grid)),
     ("step   ", make_step_drift(grid, c=1.0)),
 ):
     ladder = coefficient_ladder(oracle, 1.0, grid, [0.4, 0.2, 0.1])

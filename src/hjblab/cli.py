@@ -31,12 +31,6 @@ from .mollify import coefficient_ladder
 from .montecarlo import STREAM, GridPolicyControl, constant_control, simulate_cost
 from .selftest import SUMMARY, run_selftest
 
-SUBCOMMANDS = (
-    "solve-hjb", "policy-iter", "verify", "dpp-check", "mollify-sweep",
-    "truncation-study", "simulate", "counterexample", "catalog", "selftest",
-)
-
-
 def _out_dir(args):
     root = args.out or os.environ.get("HJBLAB_OUT", ".")
     os.makedirs(root, exist_ok=True)
@@ -196,6 +190,20 @@ def cmd_selftest(args, out_dir):
     return 0 if record.all_passed else 1
 
 
+# the subcommands that run a scenario config, each (cfg, args, manifest)
+HANDLERS = {
+    "solve-hjb": cmd_solve_hjb,
+    "policy-iter": cmd_policy_iter,
+    "verify": cmd_verify,
+    "dpp-check": cmd_dpp_check,
+    "mollify-sweep": cmd_mollify_sweep,
+    "truncation-study": cmd_truncation_study,
+    "simulate": cmd_simulate,
+    "counterexample": cmd_counterexample,
+}
+SUBCOMMANDS = (*HANDLERS, "catalog", "selftest")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hjblab",
@@ -231,20 +239,10 @@ def main(argv=None):
     if unmet:
         return _report("config invalid for this subcommand:", unmet)
 
-    handlers = {
-        "solve-hjb": cmd_solve_hjb,
-        "policy-iter": cmd_policy_iter,
-        "verify": cmd_verify,
-        "dpp-check": cmd_dpp_check,
-        "mollify-sweep": cmd_mollify_sweep,
-        "truncation-study": cmd_truncation_study,
-        "simulate": cmd_simulate,
-        "counterexample": cmd_counterexample,
-    }
     manifest = RunManifest(out_dir, cfg.config_hash(), cfg.echo,
                            {"mc": cfg.mc["seed"], "override": args.seed_override,
                             "stream": STREAM})
-    handlers[args.subcommand](cfg, args, manifest)
+    HANDLERS[args.subcommand](cfg, args, manifest)
     print(manifest.report(manifest.write("manifest.json")))
     return 0 if manifest.all_passed else 1
 

@@ -57,15 +57,9 @@ def _dist2(X, domain):
 
 @dataclass(frozen=True)
 class ActionSet:
-    """Ordered finite list of actions (scalars or d-vectors).
-
-    ``truncated`` marks the set as the length-N prefix of a countable family;
-    ``family`` records which one.
-    """
+    """Ordered finite list of actions (scalars or d-vectors)."""
 
     values: np.ndarray
-    truncated: bool = False
-    family: str = ""
 
     def __post_init__(self):
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -101,7 +95,7 @@ class ActionFamily:
         if self.size is not None:
             N = min(N, self.size)
         vals = np.asarray([self.enumerate_fn(i) for i in range(N)], dtype=float)
-        return ActionSet(vals, truncated=True, family=self.name)
+        return ActionSet(vals)
 
 
 class CoefficientOracle:
@@ -114,12 +108,11 @@ class CoefficientOracle:
     X's joint leading shape.  ``bound_fn(t, X)`` returns Phi values alike.
     """
 
-    def __init__(self, name, dim, eval_fn, bound_fn, params=None):
+    def __init__(self, name, dim, eval_fn, bound_fn):
         self.name = name
         self.dim = int(dim)
         self._eval_fn = eval_fn
         self._bound_fn = bound_fn
-        self.params = dict(params or {})
         self.exact_value = None  # closed-form value under action a=+1, if any; same t rule
 
     def eval(self, t, X, a):
@@ -130,7 +123,7 @@ class CoefficientOracle:
         return self._bound_fn(_promote_time(t), _promote_points(X, self.dim))
 
     def __repr__(self):
-        return f"CoefficientOracle({self.name!r}, dim={self.dim}, params={self.params})"
+        return f"CoefficientOracle({self.name!r}, dim={self.dim})"
 
 
 def _level_column(grid):
@@ -217,10 +210,10 @@ def make_counterexample(domain):
     def bound_fn(t, X):
         return 1.0 + _dist2(X, domain)
 
-    return CoefficientOracle("counterexample", dim, eval_fn, bound_fn, params={})
+    return CoefficientOracle("counterexample", dim, eval_fn, bound_fn)
 
 
-def _multiplier_entry(name, domain, shape_fn, shape_sup, params):
+def _multiplier_entry(name, domain, shape_fn, shape_sup):
     """Drift a * shape(t, x) along the first axis, quadratic cost; |a| <= 1."""
     dim = domain.dim
 
@@ -233,7 +226,7 @@ def _multiplier_entry(name, domain, shape_fn, shape_sup, params):
     def bound_fn(t, X):
         return shape_sup + _dist2(X, domain)
 
-    return CoefficientOracle(name, dim, eval_fn, bound_fn, params=params)
+    return CoefficientOracle(name, dim, eval_fn, bound_fn)
 
 
 def make_constant_drift(domain, c=1.0):
@@ -246,10 +239,8 @@ def make_constant_drift(domain, c=1.0):
     """
     c = float(c)
     dim = domain.dim
-    oracle = _multiplier_entry(
-        "constant_drift", domain, lambda t, X: np.full(X.shape[:-1], c), abs(c),
-        {"c": c},
-    )
+    oracle = _multiplier_entry("constant_drift", domain,
+                               lambda t, X: np.full(X.shape[:-1], c), abs(c))
 
     def exact_value(t, X, T):
         X = _promote_points(X, dim)
@@ -268,11 +259,8 @@ def make_constant_drift(domain, c=1.0):
 
 def make_step_drift(domain, c=1.0):
     """b(t, x, a) = a * c * sign(x_1) with sign(0) = +1; quadratic cost."""
-    return _multiplier_entry(
-        "step_drift", domain,
-        lambda t, X: float(c) * _sign_closed_left(X[..., 0]),
-        abs(float(c)), {"c": float(c)},
-    )
+    return _multiplier_entry("step_drift", domain,
+                             lambda t, X: float(c) * _sign_closed_left(X[..., 0]), abs(float(c)))
 
 
 def make_checkerboard(domain, kx=1, kt=0):
@@ -290,13 +278,12 @@ def make_checkerboard(domain, kx=1, kt=0):
             cell = cell + np.floor(t / (domain.T / (2 * kt)) + 1e-12).astype(np.int64)
         return np.where(cell % 2 == 0, 1.0, -1.0)
 
-    return _multiplier_entry("checkerboard", domain, shape_fn, 1.0,
-                             {"kx": kx, "kt": kt})
+    return _multiplier_entry("checkerboard", domain, shape_fn, 1.0)
 
 
 def make_bang_bang(domain):
     """b(x, a) = a with A = {-1, +1}; cost dist(x, 0)^2."""
-    return _multiplier_entry("bang_bang", domain, lambda t, X: np.ones(X.shape[:-1]), 1.0, {})
+    return _multiplier_entry("bang_bang", domain, lambda t, X: np.ones(X.shape[:-1]), 1.0)
 
 
 def bang_bang_actions():
@@ -308,17 +295,17 @@ def bang_bang_family():
     return ActionFamily("bang_bang", lambda i: 1.0 if i % 2 == 0 else -1.0, size=2)
 
 
-def make_smooth_baseline(domain, T, amplitude=0.25):
+def make_smooth_baseline(domain):
     """C-infinity drift and cost manufactured around a known solution.
 
     With the single action a = +1 the frozen linear problem has the exact
-    solution u(s, x) = amplitude (T - s) sin(2 pi x_1); used for
-    convergence-order studies.  Requires an integer-period torus in the
-    first axis.
+    solution u(s, x) = A (T - s) sin(2 pi x_1), with A = 0.25 and T the
+    domain's horizon; used for convergence-order studies.  Requires an
+    integer-period torus in the first axis.
     """
     dim = domain.dim
-    T = float(T)
-    A = float(amplitude)
+    T = domain.T
+    A = 0.25
     two_pi = 2.0 * np.pi
     if domain.domain_kind == TORUS:
         L = domain.extent[0][1] - domain.extent[0][0]
@@ -345,8 +332,7 @@ def make_smooth_baseline(domain, T, amplitude=0.25):
     def bound_fn(t, X):
         return np.full(X.shape[:-1], 1.0 + sup_f + 1.0)
 
-    oracle = CoefficientOracle("smooth_baseline", dim, eval_fn, bound_fn,
-                               params={"T": T, "amplitude": A})
+    oracle = CoefficientOracle("smooth_baseline", dim, eval_fn, bound_fn)
     oracle.exact_value = u_exact
     return oracle
 
@@ -362,7 +348,6 @@ def make_tabulated(grid, b_values, f_values, name="tabulated"):
     """
     b_values = np.asarray(b_values, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
-    n_actions = b_values.shape[0]
     phi_values = (np.sqrt(np.sum(b_values**2, axis=-1)) + np.abs(f_values)).max(axis=0)
 
     def lookup(t, X):
@@ -377,10 +362,7 @@ def make_tabulated(grid, b_values, f_values, name="tabulated"):
     def bound_fn(t, X):
         return phi_values[lookup(t, X)]
 
-    oracle = CoefficientOracle(name, grid.dim, eval_fn, bound_fn,
-                               params={"n_actions": int(n_actions)})
-    oracle.grid = grid
-    return oracle
+    return CoefficientOracle(name, grid.dim, eval_fn, bound_fn)
 
 
 CATALOG = {

@@ -29,6 +29,7 @@ from .coefficients import (
     make_tabulated,
 )
 from .grids import BOX, CENTRAL, TORUS, UPWIND, build_grid, field_from_csv
+from .mollify import strictly_decreasing
 from .montecarlo import SimConfig
 from .parabolic import MIN_NODES
 
@@ -90,11 +91,6 @@ def _interval(v):
 def _choice(*options):
     """Check and message of a key that takes one of a few values."""
     return lambda v, g: v in options, "must be one of " + ", ".join(map(repr, options))
-
-
-def _on_level(t, grid):
-    """t lies on a time level of the grid, as value lookups require."""
-    return abs(round(t / grid.dt) * grid.dt - t) <= 1e-9 * max(1.0, grid.T)
 
 
 def _extent_ok(v, got):
@@ -169,7 +165,8 @@ def _action_set(values, family, N, catalog):
 
 def _t_mid_ok(v, got):
     grid, s = got["grid"], got["mc.start_time"]
-    return _numbers(v) and all(s < f * grid.T < grid.T and _on_level(f * grid.T, grid) for f in v)
+    return _numbers(v) and all(s < f * grid.T < grid.T and grid.level_index(f * grid.T) is not None
+                               for f in v)
 
 
 GRID_KEYS = ("domain.kind", "domain.dim", "domain.extent", "domain.nx", "time.T", "time.nt")
@@ -211,14 +208,14 @@ SCHEMA = (
     Key("solver.tol", float, 1e-8, lambda v, g: v > 0, "must be positive"),
     Key("solver.max_iters", int, 200, lambda v, g: v >= 1, "must be >= 1"),
     Key("mollify", dict, {}),
-    Key("mollify.eps", None, [], lambda v, g: v == [] or (_numbers(v) and v[-1] > 0 and all(
-        e2 < e1 for e1, e2 in zip(v, v[1:]))), "expected a strictly decreasing list of "
-        "positive numbers"),
+    Key("mollify.eps", None, [], lambda v, g: v == [] or (
+        _numbers(v) and v[-1] > 0 and strictly_decreasing(v)),
+        "expected a strictly decreasing list of positive numbers"),
     Key("mc", dict, {}),
     Key("mc.M", int, 20000, lambda v, g: v >= 1, "must be >= 1"),
     Key("mc.seed", int, 20260810, lambda v, g: 0 <= v < 2**64, "must be in [0, 2**64)"),
     Key("mc.start_time", float, 0.0,
-        lambda v, g: 0 <= v < g["grid"].T and _on_level(v, g["grid"]),
+        lambda v, g: 0 <= v < g["grid"].T and g["grid"].level_index(v) is not None,
         "must be a multiple of time.T / time.nt in [0, time.T)", ("grid",)),
     Key("mc.dt_sim", float, 2e-3, lambda v, g: 0 < v <= g["time.T"] - g["mc.start_time"] + 1e-12,
         "must be positive and at most time.T - mc.start_time", ("time.T", "mc.start_time")),
@@ -270,7 +267,7 @@ class ScenarioConfig:
         return make_tabulated(self.grid, *self.values["tabulated tables"])
 
     def build_action_set(self):
-        return _action_set(*(self.values[k] for k in ACTION_KEYS))
+        return self.values["action set"]
 
     def family(self):
         return FAMILIES[self.values["actions.family"]]()

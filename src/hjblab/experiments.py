@@ -24,7 +24,7 @@ from .coefficients import (
 )
 from .grids import BOX, CENTRAL, UPWIND, SpaceTimeField, build_grid, lp_norm, write_csv
 from .hjb import solve_hjb_tables
-from .mollify import MollifierKernel, mollify_samples
+from .mollify import MollifierKernel, interior_mask, mollify_samples, strictly_decreasing
 from .montecarlo import (
     FeedbackRule,
     GridPolicyControl,
@@ -98,8 +98,7 @@ def verification_check(u_field, oracle, sim, candidate_controls, argmin_control=
                                     float(margin), bool(margin >= 0)))
     gap = abs(est.mean - u_start)
     allowance = 3.0 * est.se + tol_feedback
-    rows.append(VerificationRow(getattr(argmin_control, "name", "argmin_feedback"),
-                                "argmin_feedback", est.mean, est.se,
+    rows.append(VerificationRow(argmin_control.name, "argmin_feedback", est.mean, est.se,
                                 float(allowance - gap), bool(gap <= allowance)))
 
     return VerificationReport(
@@ -145,8 +144,7 @@ def dpp_battery(u_field, oracle, argmin_control, sim, t_mids, suboptimal_control
     """
     grid = u_field.grid
     tol_pde = 5.0 * (max(grid.dx) ** 2 + grid.dt + sim.dt_sim)
-    controls = [(getattr(argmin_control, "name", "argmin"), argmin_control),
-                *suboptimal_controls]
+    controls = [(argmin_control.name, argmin_control), *suboptimal_controls]
     rows = []
     for t_mid, ests in zip(t_mids, dpp_residuals(
             u_field, [(oracle, control) for _, control in controls], t_mids, sim)):
@@ -196,21 +194,6 @@ class SweepReport:
                                        for r in self.rungs]}
 
 
-def _interior_gap_mask(grid, eps):
-    """Nodes unaffected by the eps-layers: time inset always, space inset on box."""
-    tmask = (grid.times() >= eps - 1e-12) & (grid.times() <= grid.T - eps + 1e-12)
-    smask = np.ones(grid.space_shape, dtype=bool)
-    if grid.domain_kind == BOX:
-        for k in range(grid.dim):
-            ax = grid.space_axis(k)
-            lo, hi = grid.extent[k]
-            inset = (ax >= lo + eps - 1e-12) & (ax <= hi - eps + 1e-12)
-            shape = [1] * grid.dim
-            shape[k] = grid.nx[k]
-            smask = smask & inset.reshape(shape)
-    return tmask.reshape((-1,) + (1,) * grid.dim) & smask
-
-
 def _gaps_shrink(sups, threshold=np.inf):
     """The interior sup gaps of an epsilon ladder decrease, and the smallest
     rung's is at most ``threshold``.  A rung with no interior node (NaN) is
@@ -229,7 +212,7 @@ def _eps_walk(B, F, grid, eps_list, scheme, flagged):
     its flagged inner steps to ``flagged``.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+    if not strictly_decreasing(eps_list):
         raise ValueError("eps ladder must be strictly decreasing")
 
     def march(tables):
@@ -275,8 +258,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     for eps, kernel, tables, V_eps in walk:
         del tables  # held here, it would outlive the making of the next rung
         gap = V_eps.values - V.values
-        mask = _interior_gap_mask(grid, eps)
-        interior = gap[mask]
+        interior = gap[interior_mask(grid, eps)]
         coeff = 2.0 * kernel.abs_time_moment * phi_sup
         liminf_tols[eps] = float(liminf_atol + coeff * eps)
         resolved.append(SweepRung(
@@ -486,7 +468,7 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
         values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
         sups = []
         for eps, _, (B_eps, F_eps), V_eps in walk:
-            interior = np.abs(V_eps.values - values[N].values)[_interior_gap_mask(grid, eps)]
+            interior = np.abs(V_eps.values - values[N].values)[interior_mask(grid, eps)]
             sups.append(float(np.max(interior)) if interior.size else np.nan)
             eps_rows.append([N, eps, sups[-1]])
             if sim is not None and N == N_list[0]:

@@ -137,6 +137,11 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
+    def level_index(self, t):
+        """The time level t lies on, to within 1e-9 max(1, T), or None."""
+        level = int(round(t / self.dt))
+        return level if abs(level * self.dt - t) <= 1e-9 * max(1.0, self.T) else None
+
     def time_index_left(self, t):
         """Grid time level active at time t, or an array of times (constant from the left node)."""
         i = np.floor(t / self.dt + 1e-12).astype(np.int64)
@@ -200,21 +205,18 @@ class FieldError(ValueError):
 
 
 class SpaceTimeField:
-    """Real field sampled at every (time level, space node).
+    """Real scalar field sampled at every (time level, space node).
 
-    Scalar fields have values of shape (nt + 1, *space_shape); vector fields
-    carry a trailing component axis.  Construction validates shape and
-    finiteness.  ``policy`` is the grid policy a value field was marched
+    Values have shape (nt + 1, *space_shape); construction validates shape
+    and finiteness.  ``policy`` is the grid policy a value field was marched
     with (the direct HJB marcher's argmin), or None.
     """
 
     def __init__(self, grid, values, meta=None, policy=None):
         values = np.asarray(values, dtype=float)
         expect = (grid.n_levels,) + grid.space_shape
-        if values.shape != expect and values.shape[:-1] != expect:
-            raise FieldError(
-                f"field shape {values.shape} incompatible with grid {expect} (+ optional components)"
-            )
+        if values.shape != expect:
+            raise FieldError(f"field shape {values.shape} incompatible with grid {expect}")
         if not np.all(np.isfinite(values)):
             raise FieldError("field contains non-finite entries")
         self.grid = grid
@@ -222,13 +224,8 @@ class SpaceTimeField:
         self.meta = dict(meta or {})
         self.policy = policy
 
-    @property
-    def is_vector(self):
-        return self.values.ndim == self.grid.dim + 2
-
     def __repr__(self):
-        kind = "vector" if self.is_vector else "scalar"
-        return f"SpaceTimeField({kind}, shape={self.values.shape})"
+        return f"SpaceTimeField(shape={self.values.shape})"
 
 
 def lp_norm(values, p, grid):
@@ -333,9 +330,7 @@ def write_csv(path_or_buf, columns, rows, grid=None):
 
 
 def field_to_csv(field, path_or_buf):
-    """Write a scalar field as CSV rows t,x[,y],value."""
-    if field.is_vector:
-        raise FieldError("CSV serialization is defined for scalar fields")
+    """Write a field as CSV rows t,x[,y],value."""
     write_csv(path_or_buf, ["value"], field.values, grid=field.grid)
 
 

@@ -91,9 +91,7 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iter
             trace.converged = True
             break
 
-    policy = Policy(grid, policy_indices, action_set)
-    out = SpaceTimeField(grid, u, meta={"converged": trace.converged, "iterations": trace.iterations})
-    return out, policy, trace
+    return SpaceTimeField(grid, u), Policy(grid, policy_indices, action_set), trace
 
 
 def policy_iteration_checks(u_pi, u_direct, trace, tol):

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import sample_to_grid
-from .grids import TORUS, build_grid, lp_norm, write_csv
+from .grids import BOX, TORUS, build_grid, lp_norm, write_csv
 
 
 class MollifyError(ValueError):
@@ -179,6 +179,22 @@ def mollify_samples(B, F, kernel, grid):
     return np.ascontiguousarray(out[..., :-1]), np.ascontiguousarray(out[..., -1])
 
 
+def strictly_decreasing(eps_list):
+    """The order of an epsilon ladder: each rung below the one before."""
+    return all(e2 < e1 for e1, e2 in zip(eps_list, eps_list[1:]))
+
+
+def interior_mask(grid, eps, space=True):
+    """Nodes (levels, space...) that the eps-wide layers of the zero
+    extension miss: t in [eps, T - eps] and, on a box when ``space``, every
+    coordinate eps inside its edges; each bound has 1e-12 slack."""
+    box = space and grid.domain_kind == BOX  # else no space axis has an edge layer
+    bounds = [(grid.times(), (0.0, grid.T))] + [
+        (grid.space_axis(k), grid.extent[k] if box else (-np.inf, np.inf)) for k in range(grid.dim)]
+    return np.all(np.meshgrid(*[(x >= lo + eps - 1e-12) & (x <= hi - eps + 1e-12)
+                                for x, (lo, hi) in bounds], indexing="ij"), axis=0)
+
+
 @dataclass
 class LadderRung:
     epsilon: float
@@ -190,11 +206,8 @@ class LadderRung:
 
 @dataclass
 class LadderReport:
-    """Coefficient convergence ladder ||g_eps - g||_p along decreasing eps."""
+    """Coefficient convergence ladder ||g_eps - g||_2 along decreasing eps."""
 
-    oracle_name: str
-    action: object
-    p: float
     rungs: list
 
     def distances(self):
@@ -214,7 +227,7 @@ def coefficient_ladder(oracle, action, grid, eps_list):
     [eps, T - eps] where the zero extension does not bite.
     """
     eps_list = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+    if not strictly_decreasing(eps_list):
         raise MollifyError("eps ladder must be strictly decreasing")
     eps_min = eps_list[-1]
 
@@ -224,10 +237,9 @@ def coefficient_ladder(oracle, action, grid, eps_list):
     fine = build_grid(grid.domain_kind, grid.dim, list(grid.extent), nx, grid.T, nt)
 
     b_raw, f_raw = sample_to_grid(oracle, fine, action)
-    # one fixed interior band for every rung (the widest layer) so distances
-    # are comparable along the ladder
-    eps_max = eps_list[0]
-    band = (fine.times() >= eps_max - 1e-12) & (fine.times() <= fine.T - eps_max + 1e-12)
+    # one fixed interior time band for every rung (the widest layer) so
+    # distances are comparable along the ladder
+    band = interior_mask(fine, eps_list[0], space=False)
     rungs = []
     for eps in eps_list:
         kernel = MollifierKernel(eps, dim=grid.dim)
@@ -235,8 +247,8 @@ def coefficient_ladder(oracle, action, grid, eps_list):
         db = B_eps[0] - b_raw
         df = F_eps[0] - f_raw
         # zero out the time boundary layers so the distance reflects interior decay
-        db = np.where(band.reshape((-1,) + (1,) * (db.ndim - 1)), db, 0.0)
-        df = np.where(band.reshape((-1,) + (1,) * (df.ndim - 1)), df, 0.0)
+        db = np.where(band[..., None], db, 0.0)
+        df = np.where(band, df, 0.0)
         rungs.append(
             LadderRung(
                 epsilon=float(eps),
@@ -246,4 +258,4 @@ def coefficient_ladder(oracle, action, grid, eps_list):
                 sup_norm_f=float(np.max(np.abs(F_eps))),
             )
         )
-    return LadderReport(oracle.name, np.asarray(action).tolist(), 2.0, rungs)
+    return LadderReport(rungs)

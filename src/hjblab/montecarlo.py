@@ -134,8 +134,8 @@ def value_at(u_field, t, X):
     torus points wrap with periodic interpolation.
     """
     grid = u_field.grid
-    level = int(round(t / grid.dt))
-    if abs(level * grid.dt - t) > 1e-9 * max(1.0, grid.T):
+    level = grid.level_index(t)
+    if level is None:
         raise SimulationError(f"lookup time {t} is not a grid time level")
     level = min(max(level, 0), grid.nt)
     vals = u_field.values[level]

@@ -62,14 +62,13 @@ SUMMARY = "selftest_summary.json"
 
 # every config in hjblab/configs, each the one definition of its scenario;
 # criteria 3, 4 and 7 and the bound scan run the multi-action ones
-SHIPPED = ("counterexample", "bang_bang", "step_drift", "checkerboard", "smooth_baseline",
-           "truncation")
+CONFIGS = resources.files(__package__) / "configs"
 MULTI_ACTION = ("bang_bang", "step_drift", "checkerboard", "smooth_baseline")
 
 
 def shipped(name):
     """The shipped scenario config ``hjblab/configs/<name>.cfg``, loaded."""
-    with resources.as_file(resources.files(__package__) / "configs" / f"{name}.cfg") as path:
+    with resources.as_file(CONFIGS / f"{name}.cfg") as path:
         return load_config(path)
 
 
@@ -175,6 +174,11 @@ def _bang_bang_candidates(grid, oracle, aset, u_dir, seed):
     ]
 
 
+def _counterexample_sim(seed, threads):
+    """The counterexample's Monte Carlo runs: 20k paths at dt_sim 2e-3 from (0, 0)."""
+    return SimConfig(n_paths=20000, dt_sim=2e-3, seed=seed, n_threads=threads)
+
+
 def _crit5_verification(record, bang_bang, u0, threads):
     t0 = time.perf_counter()
     ok = True
@@ -191,8 +195,7 @@ def _crit5_verification(record, bang_bang, u0, threads):
 
     # scenario 2: counterexample against the injected effective Hamiltonian
     ce = make_counterexample(u0.grid)
-    simc = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 3,
-                     start_time=0.0, start_state=(0.0,), n_threads=threads)
+    simc = _counterexample_sim(MASTER_SEED + 3, threads)
     cand_c = [
         ("const_0", constant_control(0.0)),
         ("const_half", constant_control(0.5)),
@@ -220,8 +223,7 @@ def _crit6_dpp(record, bang_bang, u0, threads):
                        suboptimal_controls=[("const_plus", constant_control(1.0))])
 
     ce = make_counterexample(u0.grid)
-    simc = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 5,
-                     start_time=0.0, start_state=(0.0,), n_threads=threads)
+    simc = _counterexample_sim(MASTER_SEED + 5, threads)
     rep2 = dpp_battery(u0, ce, A_EQ_X, simc, t_mids,
                        suboptimal_controls=[("const_0", constant_control(0.0))])
     rt = time.perf_counter() - t0
@@ -261,7 +263,7 @@ def _crit7_sweeps(record, gap_report):
     # coefficient ladders (external-interface CSV) for two contrasting entries
     gridl = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
     for entry, oracle in (("step_drift", make_step_drift(gridl, c=1.0)),
-                          ("smooth_baseline", make_smooth_baseline(gridl, T=gridl.T))):
+                          ("smooth_baseline", make_smooth_baseline(gridl))):
         ladder = coefficient_ladder(oracle, 1.0, gridl, [0.4, 0.2, 0.1])
         ladder.to_csv(record.path(f"ladder_{entry}.csv"))
         if not _gaps_shrink(ladder.distances()):
@@ -274,7 +276,7 @@ def _crit7_sweeps(record, gap_report):
 
 
 def _smooth_problem(grid):
-    oracle = make_smooth_baseline(grid, T=grid.T)
+    oracle = make_smooth_baseline(grid)
     B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     return B[0], F[0], None, oracle.exact_value(_level_column(grid), grid.points(), grid.T)
 
@@ -359,7 +361,7 @@ def _crit9_reproducibility(record, threads):
     t0 = time.perf_counter()
     grid = shipped("counterexample").grid
     cd1 = make_constant_drift(grid, c=1.0)
-    sim = SimConfig(n_paths=20000, dt_sim=2e-3, seed=MASTER_SEED + 8, n_threads=threads)
+    sim = _counterexample_sim(MASTER_SEED + 8, threads)
     small = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 64)
     # compared as text: value equality would take -0.0 for 0.0 and NaN for unequal
     text = RunManifest.json_text
@@ -397,7 +399,8 @@ def run_selftest(out_dir, threads=1):
     """Run the acceptance battery, write its artifacts and its record
     (``selftest_summary.json``), and return the record."""
     os.makedirs(out_dir, exist_ok=True)
-    echo = {name: shipped(name).echo for name in SHIPPED}
+    names = [p.name[:-4] for p in CONFIGS.iterdir() if p.name.endswith(".cfg")]
+    echo = {name: shipped(name).echo for name in names}
     record = RunManifest(out_dir, echo_hash(echo), echo,
                          seeds={"master": MASTER_SEED, "stream": STREAM})
     t_start = time.perf_counter()

@@ -116,7 +116,6 @@ def test_family_prefix_consistency():
     fam = bang_bang_family()
     p1 = fam.prefix(1)
     p3 = fam.prefix(3)
-    assert p1.truncated and p3.family == "bang_bang"
     assert np.array_equal(p3.values[:1], p1.values)
     assert list(p3.values) == [1.0, -1.0, 1.0][: len(p3)] or len(p3) == 2
 
@@ -147,7 +146,7 @@ def test_tabulated_matches_source(torus):
 def test_smooth_baseline_requires_integer_period():
     g = build_grid("torus", 1, 1.5, 8, 1.0, 2)
     with pytest.raises(CoefficientError):
-        make_smooth_baseline(g, T=1.0)
+        make_smooth_baseline(g)
 
 
 def test_make_oracle_catalog(torus):
@@ -243,7 +242,7 @@ def _sampling_cases():
                      "constant_drift": (make_constant_drift(grid, c=0.7), scalar),
                      "step_drift": (make_step_drift(grid), scalar),
                      "bang_bang": (make_oracle("bang_bang", grid), scalar),
-                     "smooth_baseline": (make_smooth_baseline(grid, T=grid.T), scalar)}
+                     "smooth_baseline": (make_smooth_baseline(grid), scalar)}
             for kt in (0, 1, 3):
                 cases[f"checkerboard_kt{kt}"] = (make_checkerboard(grid, kx=2, kt=kt), scalar)
             if dim == 2:

@@ -27,7 +27,7 @@ from hjblab.config import (
     resolve,
     validate_config,
 )
-from hjblab.grids import SpaceTimeField, build_grid, field_to_csv
+from hjblab.grids import SpaceTimeField, build_grid, field_from_csv, field_to_csv
 from hjblab.montecarlo import STREAM
 from hjblab.parabolic import MIN_NODES
 
@@ -96,7 +96,7 @@ def test_unknown_keys_rejected(section, body, path):
 @pytest.mark.parametrize("catalog, params, path", [
     ("step_drift", {"c": 1.0, "amplitude": 3}, "coefficients.params.amplitude"),
     ("bang_bang", {"c": 1.0}, "coefficients.params.c"),
-    ("smooth_baseline", {"amplitude": 0.5}, "coefficients.params.T"),
+    ("smooth_baseline", {"amplitude": 0.5}, "coefficients.params.amplitude"),
     ("checkerboard", [2, 1], "coefficients.params"),
     ("checkerboard", {"kx": 0}, "coefficients.params: checkerboard needs kx >= 1"),
 ])
@@ -128,6 +128,11 @@ def test_section_that_is_not_a_mapping_rejected():
      "coefficients.params.amplitude"),
     ("coefficients: {catalog: checkerboard, params: {kx: 0}}",
      "coefficients.params: checkerboard needs kx >= 1"),
+    # smooth_baseline's horizon is the grid's, and its amplitude a constant
+    ("coefficients: {catalog: smooth_baseline, params: {T: 1.0}}",
+     "coefficients.params.T: not a parameter of smooth_baseline"),
+    ("coefficients: {catalog: smooth_baseline, params: {amplitude: 0.25}}",
+     "coefficients.params.amplitude: not a parameter of smooth_baseline"),
 ])
 def test_cli_bad_key_exits_2_naming_the_field(tmp_path, capsys, line, path):
     lines = ["domain: {kind: torus, dim: 1, extent: [-1.0, 1.0], nx: 8}",
@@ -145,7 +150,7 @@ def test_catalog_value_refused_on_the_grid_exits_2(tmp_path, capsys):
     # smooth_baseline needs an integer torus period; a period of 1.5 is a
     # config violation, not a traceback from the solver
     raw = dict(BASE, domain=dict(BASE["domain"], extent=[0.0, 1.5]),
-               coefficients={"catalog": "smooth_baseline", "params": {"T": 1.0}})
+               coefficients={"catalog": "smooth_baseline"})
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     path = "coefficients.params: smooth_baseline needs an integer torus period"
@@ -793,3 +798,34 @@ def test_every_valid_choice_runs_or_fails_a_check(tmp_path, path):
                 artifacts = {p.name: _strict_json(p) for p in out.glob("*.json")}
                 assert artifacts["manifest.json"]["all_passed"] == (code == 0), \
                     (name, subcommand, value)
+
+
+# ------------------------------ single rules ---------------------------------
+
+
+def test_smooth_baseline_takes_its_horizon_from_the_grid(tmp_path):
+    # time.T 2 and no params: the solve meets the closed form of horizon 2
+    # (an entry whose horizon was 1 on this grid put the solve 0.27 off it);
+    # 128 nodes keep the central scheme's space error at 4e-4, where the
+    # shipped 64 give 1.7e-3
+    cfg = _variant(tmp_path, "smooth_baseline.cfg", {
+        "time.T": 2.0, "domain.nx": 128, "coefficients.params": DELETE})
+    code, err = _run(["solve-hjb", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0, err
+    scenario = load_config(cfg)
+    grid = scenario.grid
+    u = field_from_csv(grid, str(tmp_path / "out" / "value.csv")).values
+    exact = scenario.build_oracle().exact_value(grid.times()[:, None], grid.points())
+    assert np.max(np.abs(u - exact)) <= 1e-3
+
+
+def test_mollify_sweep_runs_on_a_box(tmp_path):
+    # the sweep's box branch, which insets its interior eps from every edge
+    cfg = _variant(tmp_path, "bang_bang.cfg",
+                   FUZZ_BASE["bang_bang.cfg"] | {"domain.kind": "box"})
+    code, err = _run(["mollify-sweep", cfg, "--out", str(tmp_path / "out")])
+    assert code in (0, 1) and "Traceback" not in err, err
+    manifest = _strict_json(tmp_path / "out" / "manifest.json")
+    assert "countable_convergence" in {check["name"] for check in manifest["checks"]}
+    rungs = _strict_json(tmp_path / "out" / "sweep.json")["report"]["rungs"]
+    assert any(r["resolved"] and r["sup_gap_interior"] is not None for r in rungs)

@@ -242,3 +242,24 @@ def test_wrap_stays_in_fundamental_domain(extent):
     w = grid.wrap(np.stack([inner, inner], axis=-1))
     diff = np.abs(w - (lo + np.mod(inner - lo, L))[:, None])
     assert np.max(np.minimum(diff, L - diff)) <= np.spacing(L)
+
+
+@pytest.mark.parametrize("T, nt", [(1.0, 4), (0.5, 12), (2.0, 128), (3.7, 7), (1e-3, 10)])
+def test_level_index_is_the_rounding_rule(T, nt):
+    # the one test of "t lies on a time level", against its formula written
+    # out: the nearest level, when t is within 1e-9 max(1, T) of it
+    g = build_grid("torus", 1, 1.0, 8, T, nt)
+
+    def reference(t):
+        level = round(t / g.dt)
+        return level if abs(level * g.dt - t) <= 1e-9 * max(1.0, T) else None
+
+    on_levels = [0.0, T] + [n * g.dt for n in range(nt + 1)] + list(g.times())
+    for t in on_levels:
+        for shift in (0.0, 1e-10, -1e-10, 1e-8, -1e-8):
+            assert g.level_index(t + shift * T) == reference(t + shift * T), (t, shift)
+    assert g.level_index(0.0) == 0 and g.level_index(T) == nt
+    assert g.level_index(T * (1 + 1e-10)) == nt
+    assert g.level_index(1.5 * g.dt) is None
+    # 1e-8 T off is off a level, unless it is below the 1e-9 floor (T < 0.1)
+    assert (g.level_index(T * (1 + 1e-8)) is None) == (T > 0.1)

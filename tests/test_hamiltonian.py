@@ -210,9 +210,9 @@ def test_truncate_action_set():
     # truncation to the length-N prefix is ActionFamily.prefix
     fam = ActionFamily("three", lambda i: float(i + 1), size=3)
     t2 = fam.prefix(2)
-    assert list(t2.values) == [1.0, 2.0] and t2.truncated
+    assert list(t2.values) == [1.0, 2.0]
     t5 = fam.prefix(5)
-    assert list(t5.values) == [1.0, 2.0, 3.0] and t5.truncated
+    assert list(t5.values) == [1.0, 2.0, 3.0]
     with pytest.raises(CoefficientError):
         fam.prefix(0)
 

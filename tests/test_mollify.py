@@ -16,6 +16,7 @@ from hjblab.mollify import (
     _kernel_constants,
     _stencil,
     coefficient_ladder,
+    interior_mask,
     kernel_normalization_error,
     kernel_value,
     mollify_field,
@@ -158,7 +159,7 @@ def test_gradient_bound_proxy():
 
 def test_ladder_rates_and_monotonicity():
     g = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
-    smooth = make_smooth_baseline(g, T=g.T)
+    smooth = make_smooth_baseline(g)
     lad = coefficient_ladder(smooth, 1.0, g, [0.4, 0.2, 0.1])
     d = lad.distances()
     assert all(b <= a + 1e-10 for a, b in zip(d, d[1:]))
@@ -185,6 +186,30 @@ def test_ladder_requires_decreasing():
     oracle = make_constant_drift(g, c=1.0)
     with pytest.raises(MollifyError):
         coefficient_ladder(oracle, 1.0, g, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("eps", [0.25, 0.3])
+def test_interior_mask_drops_the_eps_layers_of_a_box(dim, eps):
+    # a node is dropped when it lies within eps of t = 0, of t = T or of a
+    # box edge; one exactly eps away (0.25 is a whole number of steps) stays
+    g = build_grid("box", dim, (-1.0, 1.0), 9, 1.0, 8)
+    X = g.points()
+    expect = np.zeros((g.n_levels,) + g.space_shape, dtype=bool)
+    time_only = np.zeros_like(expect)
+    for n, t in enumerate(g.times()):
+        for node in np.ndindex(g.space_shape):
+            in_time = min(t, g.T - t) >= eps - 1e-12
+            in_space = all(min(X[node][k] - lo, hi - X[node][k]) >= eps - 1e-12
+                           for k, (lo, hi) in enumerate(g.extent))
+            expect[(n,) + node] = in_time and in_space
+            time_only[(n,) + node] = in_time
+    assert np.array_equal(interior_mask(g, eps), expect)
+    assert expect.any() and not expect.all()
+    # the coefficient ladder's band, and a torus, inset time alone
+    assert np.array_equal(interior_mask(g, eps, space=False), time_only)
+    torus = build_grid("torus", dim, (-1.0, 1.0), 9, 1.0, 8)
+    assert np.array_equal(interior_mask(torus, eps), time_only)
 
 
 def test_mollify_2d_constant_interior():

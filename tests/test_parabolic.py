@@ -183,7 +183,7 @@ def test_scheme_validation():
 
 
 def _smooth_problem(grid):
-    oracle = make_smooth_baseline(grid, T=grid.T)
+    oracle = make_smooth_baseline(grid)
     B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     exact = np.stack([oracle.exact_value(t, grid.points(), grid.T) for t in grid.times()])
     return B[0], F[0], None, exact

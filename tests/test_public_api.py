@@ -150,3 +150,62 @@ def test_every_tracer_target_resolves(monkeypatch):
         if obj is None:
             unresolved.append(target.where)
     assert tracer.TARGETS and unresolved == []
+
+
+def _scopes(tree, match):
+    """The enclosing class, function and lambda names of every node that
+    ``match`` accepts, one entry per node."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                yield ".".join(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                yield from visit(child, scope + (getattr(child, "name", "<lambda>"),))
+            else:
+                yield from visit(child, scope)
+
+    return visit(tree, ())
+
+
+def _is_level_tolerance(node):
+    """1e-9 * max(1, <grid>.T), the tolerance of "t lies on a time level"."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1e-9
+            and isinstance(node.right, ast.Call) and getattr(node.right.func, "id", None) == "max"
+            and any(isinstance(a, ast.Attribute) and a.attr == "T" for a in node.right.args))
+
+
+def _is_ladder_order(node):
+    """A comprehension over zip(v, v[1:]) that compares each pair as it
+    stands, with no tolerance: the order of an epsilon ladder."""
+    if not isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+        return False
+    it, elt = node.generators[0].iter, node.elt
+    return (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "zip"
+            and len(it.args) == 2 and isinstance(it.args[1], ast.Subscript)
+            and isinstance(elt, ast.Compare) and isinstance(elt.left, ast.Name)
+            and all(isinstance(c, ast.Name) for c in elt.comparators))
+
+
+def _is_band_slack(node):
+    """A comparison against <...eps...> -/+ 1e-12: an edge of the interior
+    band that an eps-wide zero-extension layer misses."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(c, ast.BinOp) and isinstance(c.right, ast.Constant) and c.right.value == 1e-12
+        and any(isinstance(n, ast.Name) and n.id.startswith("eps") for n in ast.walk(c.left))
+        for c in node.comparators)
+
+
+def test_each_rule_is_written_once():
+    # the time-level test, the epsilon ladder's order and the interior band
+    # each have one definition, which every other module calls
+    found = {"level": set(), "ladder": set(), "band": set()}
+    for path in sorted((ROOT / "src" / "hjblab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for rule, match in (("level", _is_level_tolerance), ("ladder", _is_ladder_order),
+                            ("band", _is_band_slack)):
+            found[rule] |= {f"{path.name}:{scope}" for scope in _scopes(tree, match)}
+    assert found == {"level": {"grids.py:Grid.level_index"},
+                     "ladder": {"mollify.py:strictly_decreasing"},
+                     "band": {"mollify.py:interior_mask"}}
