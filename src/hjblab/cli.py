@@ -169,6 +169,7 @@ def cmd_counterexample(cfg, args, manifest):
     manifest.write_json("counterexample.json", _replayable(cfg, sim, rep))
     rep.to_csv(manifest.path("counterexample_rows.csv"))
     manifest.add_check("strict_gap", rep.gap_pass, f"gap(0,0)={rep.gap_at_origin:.4f}")
+    manifest.add_check("closed_forms", *rep.closed_forms())
     manifest.add_check("mc_crosscheck", rep.mc_pass, "")
     manifest.add_check("boundary_contamination", rep.contamination <= rep.contamination_tol,
                        rep.advice or f"{rep.contamination:.2e}")

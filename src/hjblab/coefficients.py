@@ -37,12 +37,16 @@ def _promote_points(x, dim):
 
 
 def _torus_dist2(X, domain):
-    """Squared torus distance to the origin, per point."""
-    d2 = np.zeros(X.shape[:-1])
+    """Squared torus distance to the origin, per point: (x - L rint(x / L))^2
+    summed over the axes, each axis formed in one buffer."""
     for k in range(X.shape[-1]):
         L = domain.extent[k][1] - domain.extent[k][0]
-        d = X[..., k] - L * np.rint(X[..., k] / L)
-        d2 = d2 + d**2
+        d = np.divide(X[..., k], L, out=np.empty(X.shape[:-1]))
+        np.rint(d, out=d)
+        d *= L
+        np.subtract(X[..., k], d, out=d)
+        d *= d
+        d2 = d if k == 0 else np.add(d2, d, out=d2)
     return d2
 
 
@@ -219,8 +223,7 @@ def _multiplier_entry(name, domain, shape_fn, shape_sup):
 
     def eval_fn(t, X, a):
         s = np.asarray(a, dtype=float) * shape_fn(t, X)  # shape_fn spans X's leading shape
-        b = np.zeros(s.shape + X.shape[-1:])
-        b[..., 0] = s
+        b = s[..., None] if dim == 1 else np.stack([s] + [np.zeros_like(s)] * (dim - 1), axis=-1)
         return b, _dist2(X, domain)
 
     def bound_fn(t, X):

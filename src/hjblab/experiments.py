@@ -325,6 +325,17 @@ class CounterexampleReport:
     def to_json(self):
         return asdict(self)
 
+    def closed_forms(self):
+        """(passed, detail): V(0,0) and V_lim(0,0) each within 2% of its
+        closed form (1 and 4/3 at T = 1); a report without x = 0 fails."""
+        row = next((r for r in self.rows if abs(r.x) < 1e-12), None)
+        if row is None:
+            return False, "no row at x = 0"
+        return (abs(row.v_num - row.v_exact) <= 0.02 * abs(row.v_exact)
+                and abs(row.v_lim_num - row.v_lim_exact) <= 0.02 * abs(row.v_lim_exact),
+                f"V(0,0)={row.v_num:.4f} of {row.v_exact:.4f}, "
+                f"Vlim(0,0)={row.v_lim_num:.4f} of {row.v_lim_exact:.4f}")
+
 
 def _solve_effective(c, grid, scheme):
     """Value field of the injected effective Hamiltonian H = c p1 + |x|^2.

@@ -93,17 +93,18 @@ class FeedbackRule:
 
 
 class GridPolicyControl:
-    """Feedback from a grid Policy: nearest node in space, left time node."""
+    """Feedback from a grid Policy: nearest node in space, left time node.
+    The actions are read from the policy once, at construction, into a
+    (level, node) table that later changes to the policy do not reach."""
 
     def __init__(self, policy, name="grid_policy"):
         self.policy = policy
         self.name = name
+        self._table = policy.action_set.values[policy.indices]
 
     def values(self, t, X):
         grid = self.policy.grid
-        it = grid.time_index_left(t)
-        idx = grid.nearest_index(X)
-        return self.policy.action_set.values[self.policy.indices[(it,) + idx]]
+        return self._table[grid.time_index_left(t)][grid.nearest_index(X)]
 
 
 class OpenLoopControl:
@@ -194,8 +195,8 @@ def _block_totals(legs, sim, horizons, grid, u_field, blocks):
     off_box = [0] * len(legs)
     means, m2s, offs = [], [], []
     torus = grid.domain_kind == TORUS
-    # step buffers the loop owns: the clamped points, f dt and b dt
-    clamped, f_dt, b_dt = np.empty((n, d)), np.empty(n), np.empty((n, d))
+    # step buffers the loop owns: the clamped or wrapped points, f dt and b dt
+    spare, f_dt, b_dt = np.empty((n, d)), np.empty(n), np.empty((n, d))
     for i in range(n_steps):
         j = i % NOISE_CHUNK
         if j == 0:
@@ -206,16 +207,17 @@ def _block_totals(legs, sim, horizons, grid, u_field, blocks):
         t = s + i * dt
         for k, (oracle, control) in enumerate(legs):
             # torus paths are kept wrapped, so coefficients see X itself
-            X_eval = X[k] if torus else grid.clamp(X[k], out=clamped)
+            X_eval = X[k] if torus else grid.clamp(X[k], out=spare)
             if not torus:
-                off_box[k] += int(np.count_nonzero(np.any(X[k] != X_eval, axis=-1)))
+                moved = X[k] != X_eval  # in 1d one flag per path: no reduction
+                off_box[k] += int(np.count_nonzero(moved if d == 1 else moved.any(axis=-1)))
             a = control.values(t, X_eval)
             b, f = oracle.eval(t, X_eval, a)
             cost[k] += np.multiply(f, dt, out=f_dt)
             X[k] += np.multiply(b, dt, out=b_dt)
             X[k] += noise[j]
-            if torus:
-                X[k] = grid.wrap(X[k])
+            if torus:  # wrap into the spare buffer, and X[k]'s buffer is the next spare
+                X[k], spare = grid.wrap(X[k], out=spare), X[k]
         for t_end, _ in (h for h in horizons if h[1] == i + 1):
             for k in range(len(legs)):
                 total = cost[k] if u_field is None else cost[k] + value_at(u_field, t_end, X[k])

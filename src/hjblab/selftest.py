@@ -87,9 +87,7 @@ def _crit1_counterexample(record):
                                 mc_enabled=False)
     rt = time.perf_counter() - t0
     row0 = next(r for r in rep.rows if abs(r.x) < 1e-12)
-    ok_v = abs(row0.v_num - 1.0) <= 0.02
-    ok_vl = abs(row0.v_lim_num - 4.0 / 3.0) <= 0.02 * (4.0 / 3.0)
-    ok = ok_v and ok_vl and rep.gap_pass and rt < 10.0 and not rep.advice
+    ok = rep.closed_forms()[0] and rep.gap_pass and rt < 10.0 and not rep.advice
     record.write_json("counterexample.json", rep.to_json())
     rep.to_csv(record.path("counterexample_rows.csv"))
     detail = (f"V(0,0)={row0.v_num:.4f} Vlim(0,0)={row0.v_lim_num:.4f} "

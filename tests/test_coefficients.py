@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjblab.coefficients import (
     ActionFamily,
@@ -18,6 +20,8 @@ from hjblab.coefficients import (
     sample_all,
     sample_to_grid,
     verify_bound,
+    _level_column,
+    _multiplier_entry,
     _promote_points,
     _torus_dist2,
 )
@@ -180,6 +184,59 @@ def test_torus_dist2_matches_mod_formula(extent):
     X = np.random.default_rng(5).uniform(-3 * L, 3 * L, (5000, 2))
     d = np.mod(X + 0.5 * L, L) - 0.5 * L
     assert np.max(np.abs(_torus_dist2(X, grid) - np.sum(d**2, axis=-1))) <= 1e-15
+
+
+def _torus_dist2_reference(X, domain):
+    """The torus distance summed into a zeros array (the reference)."""
+    d2 = np.zeros(X.shape[:-1])
+    for k in range(X.shape[-1]):
+        L = domain.extent[k][1] - domain.extent[k][0]
+        d = X[..., k] - L * np.rint(X[..., k] / L)
+        d2 = d2 + d**2
+    return d2
+
+
+def _multiplier_reference(shape_fn, domain):
+    """The multiplier entry's evaluation with its drift set into zeros (the reference)."""
+    def eval_fn(t, X, a):
+        s = np.asarray(a, dtype=float) * shape_fn(t, X)
+        b = np.zeros(s.shape + X.shape[-1:])
+        b[..., 0] = s
+        dist2 = (_torus_dist2_reference(X, domain) if domain.domain_kind == "torus"
+                 else _reduced_dist2(X))
+        return b, dist2
+    return eval_fn
+
+
+SHAPES = {"ones": lambda t, X: np.ones(X.shape[:-1]),
+          "sign": lambda t, X: np.where(X[..., 0] >= 0.0, 1.0, -1.0),
+          "in_t": lambda t, X: np.cos(3.0 * t + X[..., 0])}  # spans t's shape too
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["torus", "box"]),
+       dim=st.sampled_from([1, 2]), extent=st.sampled_from([(-1.0, 1.0), (0.1, 0.7), (-3.0, 3.0)]),
+       shape=st.sampled_from(sorted(SHAPES)), levels=st.booleans(), per_point=st.booleans(),
+       spread=st.sampled_from([1.0, 10.0, 1e8]), n=st.sampled_from([None, 17]))
+def test_multiplier_kernels_equal_the_zeros_forms(seed, kind, dim, extent, shape, levels,
+                                                  per_point, spread, n):
+    # at a scalar t over path points (or one point), or at the level column over the nodes
+    grid = build_grid(kind, dim, extent, 6, 1.0, 4)
+    rng = np.random.default_rng(seed)
+    if levels:
+        t, X = _level_column(grid), grid.points()
+    else:
+        t, X = float(rng.uniform(0.0, 1.0)), rng.uniform(-spread, spread, (n or 1, dim))
+        if n:
+            X[::4] = -0.0
+        else:
+            X = X[0]
+    assert _torus_dist2(X, grid).tobytes() == _torus_dist2_reference(X, grid).tobytes()
+    a = rng.choice([-1.0, 0.5, 2.0], size=X.shape[:-1]) if per_point else 0.5
+    oracle = _multiplier_entry("m", grid, SHAPES[shape], 1.0)
+    for got, expect in zip(oracle.eval(t, X, a), _multiplier_reference(SHAPES[shape], grid)(
+            t, X, a)):
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def _reduced_dist2(X):

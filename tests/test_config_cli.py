@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjblab import hjb
+from hjblab import experiments, hjb
 from hjblab.cli import main
 from hjblab.coefficients import ActionSet, make_step_drift, sample_to_grid
 from hjblab.config import (
@@ -475,7 +475,7 @@ def test_cli_truncation_study_bad_N_list_exits_2(tmp_path, capsys):
     assert "experiment.N_list" in err and "Traceback" not in err
 
 
-def test_cli_counterexample_small(tmp_path):
+def _ce_small(tmp_path):
     lines = [
         "scenario: ce_small",
         "domain: {kind: box, dim: 1, extent: [-6.0, 6.0], nx: 121}",
@@ -487,11 +487,29 @@ def test_cli_counterexample_small(tmp_path):
     ]
     cfg = tmp_path / "ce.cfg"
     cfg.write_text("\n".join(lines) + "\n")
+    return str(cfg)
+
+
+def test_cli_counterexample_small(tmp_path):
     out = tmp_path / "ce_out"
-    assert main(["counterexample", str(cfg), "--out", str(out)]) == 0
+    assert main(["counterexample", _ce_small(tmp_path), "--out", str(out)]) == 0
     rows = (out / "counterexample_rows.csv").read_text().splitlines()
     assert rows[0] == "s,x,v_exact,v_num,v_lim_exact,v_lim_num,gap_num"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("drift, passed", [(1.0, True), (1.03, False)])
+def test_cli_counterexample_holds_the_closed_forms(tmp_path, monkeypatch, drift, passed):
+    # values 3% off 1 and 4/3 keep the gap above 0.30 and the MC cross-check,
+    # which compares against the closed forms; only closed_forms catches them
+    value_at = experiments.value_at
+    monkeypatch.setattr(experiments, "value_at", lambda *args: drift * value_at(*args))
+    out = tmp_path / "ce_out"
+    assert main(["counterexample", _ce_small(tmp_path), "--out", str(out)]) == (0 if passed else 1)
+    checks = {c["name"]: c for c in json.loads((out / "manifest.json").read_text())["checks"]}
+    assert checks["closed_forms"]["passed"] is passed
+    assert all(c["passed"] for name, c in checks.items() if name != "closed_forms")
+    assert checks["closed_forms"]["detail"].startswith(f"V(0,0)={drift:.2f}")
 
 
 @pytest.mark.parametrize("config, message", [

@@ -13,6 +13,8 @@ from hjblab.coefficients import (
     make_constant_drift,
 )
 from hjblab.experiments import (
+    CounterexampleReport,
+    CounterexampleRow,
     counterexample_report,
     countable_truncation_study,
     dpp_battery,
@@ -86,6 +88,23 @@ def test_counterexample_formulas_small_grid():
     assert r1.v_lim_exact - r1.v_exact == pytest.approx(4.0 / 3.0)
     assert rep.gap_pass
     assert rep.contamination <= rep.contamination_tol
+    assert rep.closed_forms()[0]
+
+
+@pytest.mark.parametrize("v, v_lim, passed", [
+    (1.0199, 4.0 / 3.0, True), (1.0201, 4.0 / 3.0, False), (0.9801, 4.0 / 3.0, True),
+    (1.0, 4.0 / 3.0 * 1.0199, True), (1.0, 4.0 / 3.0 * 0.9799, False)])
+def test_counterexample_closed_forms_hold_each_value_within_2_percent(v, v_lim, passed):
+    rows = [CounterexampleRow(0.0, 1.0, 2.0, 9.0, 10.0 / 3.0, 9.0, 0.0),  # x = 1 is not read
+            CounterexampleRow(0.0, 0.0, 1.0, v, 4.0 / 3.0, v_lim, v_lim - v)]
+    rep = CounterexampleReport(rows, v_lim - v, True, [], True, 0.0, 1e-3, "")
+    assert rep.closed_forms()[0] is passed
+
+
+def test_counterexample_closed_forms_need_the_origin_row():
+    grid = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
+    rep = counterexample_report(1.0, [0.5, 1.0], grid, mc_enabled=False)
+    assert rep.closed_forms() == (False, "no row at x = 0")
 
 
 def test_counterexample_grid_time_mismatch():

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjblab.grids import (
     FieldError,
@@ -242,6 +244,54 @@ def test_wrap_stays_in_fundamental_domain(extent):
     w = grid.wrap(np.stack([inner, inner], axis=-1))
     diff = np.abs(w - (lo + np.mod(inner - lo, L))[:, None])
     assert np.max(np.minimum(diff, L - diff)) <= np.spacing(L)
+
+
+def _wrap_reference(grid, x):
+    """The wrap formula with its fix-up run on every point (the reference)."""
+    out = np.empty_like(x)
+    for k, (lo, hi) in enumerate(grid.extent):
+        r = np.floor((x[..., k] - lo) / (hi - lo)) * (lo - hi) + x[..., k]
+        out[..., k] = np.where((r >= hi) | (r < lo), lo, r)
+    return out
+
+
+WRAP_EXTENTS = [(-1.0, 1.0), (0.1, 0.7), (-0.3, 2.9), (0.0, 2 * np.pi), (0.0, 1.0)]
+
+
+@st.composite
+def _torus_points(draw):
+    """A torus and points on its edges, at -0.0, at large multiples of the
+    period and anywhere in between, as (n, dim)."""
+    dim = draw(st.sampled_from([1, 2]))
+    lo, hi = draw(st.sampled_from(WRAP_EXTENTS))
+    L = hi - lo
+    special = st.sampled_from([hi, lo, -0.0, 0.0, np.nextafter(hi, -np.inf),
+                               np.nextafter(lo, -np.inf), lo - 1e-300, hi + 1e-15])
+    multiple = st.builds(lambda m, x: x + m * L, st.integers(-10**15, 10**15),
+                         st.sampled_from([lo, hi, 0.5 * (lo + hi)]))
+    value = st.one_of(special, multiple, st.floats(lo - 3 * L, hi + 3 * L),
+                      st.floats(-1e300, 1e300))
+    n = draw(st.integers(1, 12))
+    x = np.array(draw(st.lists(value, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    return build_grid("torus", dim, (lo, hi), 8, 1.0, 2), x
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_torus_points())
+def test_wrap_into_a_buffer_equals_the_reference_bit_for_bit(case):
+    grid, x = case
+    expect = _wrap_reference(grid, x).tobytes()
+    assert grid.wrap(x).tobytes() == expect
+    buf = np.full_like(x, np.nan)
+    assert grid.wrap(x, out=buf) is buf and buf.tobytes() == expect
+
+
+def test_wrap_fixes_up_points_that_round_out():
+    # -1e-300 lies one period down, and x + L rounds onto hi: the fix-up maps it to lo
+    grid = build_grid("torus", 1, (0.0, 1.0), 8, 1.0, 2)
+    x = np.array([[-1e-300], [0.5]])
+    assert np.floor(x[0, 0]) * -1.0 + x[0, 0] == 1.0
+    assert grid.wrap(x).tolist() == [[0.0], [0.5]]
 
 
 @pytest.mark.parametrize("T, nt", [(1.0, 4), (0.5, 12), (2.0, 128), (3.7, 7), (1e-3, 10)])

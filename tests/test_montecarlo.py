@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjblab.coefficients import (
     ActionSet,
@@ -114,6 +116,59 @@ def test_policy_lookup_conventions():
     assert control.values(0.0, np.array([[-0.7]]))[0] == 10.0
 
 
+def _nearest_reference(grid, X):
+    """Nearest node indices with the wrap applied to every torus index (the reference)."""
+    idx = []
+    for k, (lo, _) in enumerate(grid.extent):
+        v = (X[..., k] - lo) / grid.dx[k]
+        if grid.domain_kind == "torus":
+            idx.append(np.mod(np.floor(v).astype(np.int64), grid.nx[k]))
+        else:
+            idx.append(np.clip(np.rint(v).astype(np.int64), 0, grid.nx[k] - 1))
+    return tuple(idx)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["torus", "box"]),
+       dim=st.sampled_from([1, 2]), n=st.integers(1, 40),
+       t=st.one_of(st.floats(-0.5, 1.5), st.integers(0, 10).map(lambda i: i / 10)),
+       spread=st.sampled_from([1.0, 3.0, 1e6]))
+def test_policy_table_lookup_equals_the_two_stage_gather(seed, kind, dim, n, t, spread):
+    grid = build_grid(kind, dim, (-1.0, 1.0), 6, 1.0, 10)  # (3 / 10) / dt rounds below 3
+    rng = np.random.default_rng(seed)
+    aset = ActionSet(rng.normal(size=(3, dim)) if dim == 2 else np.array([-1.0, 0.5, 2.0]))
+    policy = Policy(grid, rng.integers(0, 3, (grid.n_levels,) + grid.space_shape), aset)
+    X = rng.uniform(-spread, spread, (n, dim))
+    X[::3] = grid.wrap(X[::3])  # wrapped torus points, on the box points inside and out
+    X[1::5] = -0.0
+    it = min(max(int(np.floor(t / grid.dt + 1e-12)), 0), grid.nt)
+    assert grid.time_index_left(t) == it == grid.time_index_left(np.array(t))
+    expect = aset.values[policy.indices[(it,) + _nearest_reference(grid, X)]]
+    got = GridPolicyControl(policy).values(t, X)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def test_policy_table_is_read_once_at_construction():
+    grid = build_grid("torus", 1, (-1.0, 1.0), 4, 1.0, 2)
+    policy = Policy(grid, np.zeros((3, 4), dtype=int), ActionSet(np.array([10.0, 20.0])))
+
+    class Counting:
+        reads = 0
+        grid, action_set = policy.grid, policy.action_set
+
+        @property
+        def indices(self):
+            Counting.reads += 1
+            return policy.indices
+
+    control = GridPolicyControl(Counting())
+    policy.indices[:] = 1  # a change after construction does not reach the control
+    X = np.array([[-0.75], [0.25]])
+    for t in (0.0, 0.5, 1.0):
+        assert list(control.values(t, X)) == [10.0, 10.0]
+    assert Counting.reads == 1
+
+
 def test_value_at_linear_exact():
     grid = build_grid("box", 1, (0.0, 1.0), 11, 1.0, 2)
     u = _field(grid, lambda t, X: 3.0 * X[..., 0] + 1.0)
@@ -175,6 +230,26 @@ def test_off_box_fraction_reported(box):
     sim = SimConfig(n_paths=500, dt_sim=0.01, seed=13, start_state=(5.9,))
     est = simulate_cost(oracle, constant_control(1.0), sim, box)
     assert est.extra["off_box_fraction"] > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_off_box_fraction_counts_paths(dim):
+    # a path off the box in both axes counts once per step
+    grid = build_grid("box", dim, (-1.0, 1.0), 9, 1.0, 20)
+    sim = SimConfig(n_paths=300, dt_sim=0.05, seed=17, start_state=(0.9,) * dim)
+    oracle, control = make_constant_drift(grid, c=1.0), constant_control(1.0)
+    est = simulate_cost(oracle, control, sim, grid)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(sim.seed, spawn_key=(0,))))
+    noise = rng.standard_normal((20, sim.n_paths, dim))
+    X, off, off_twice = np.tile(sim.start_state, (sim.n_paths, 1)), 0, 0
+    for i in range(20):
+        X_eval = grid.clamp(X)
+        off += int(np.count_nonzero(np.any(X != X_eval, axis=-1)))
+        off_twice += int(np.count_nonzero(np.all(X != X_eval, axis=-1))) if dim == 2 else 1
+        b, _ = oracle.eval(i * 0.05, X_eval, control.values(i * 0.05, X_eval))
+        X = X + b * 0.05 + np.sqrt(2.0 * 0.05) * noise[i]
+    assert 0 < off < 20 * sim.n_paths and off_twice > 0
+    assert est.extra["off_box_fraction"] == off / (20 * sim.n_paths)
 
 
 def test_sim_config_validation():
