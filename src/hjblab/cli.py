@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import CATALOG
+from .coefficients import CATALOG, sample_all
 from .config import ConfigError, RunManifest, load_config
 from .grids import BOX, field_to_csv
 from .experiments import (
@@ -67,7 +67,7 @@ def _solve_direct(cfg, oracle, aset, manifest):
 def cmd_solve_hjb(cfg, args, manifest):
     oracle, aset, _ = _build(cfg, args)
     u = _solve_direct(cfg, oracle, aset, manifest)
-    res = hjb_residual(u.values, oracle, aset, cfg.grid, scheme=cfg.scheme)
+    res, _ = hjb_residual(u.values, *sample_all(oracle, cfg.grid, aset), cfg.grid, cfg.scheme)
     field_to_csv(u, manifest.path("value.csv"))
     manifest.add_check("hjb_residual", res <= 1e-9 * max(1.0, float(np.max(np.abs(u.values)))) + 1e-9,
                        f"residual {res:.3e}")
@@ -77,8 +77,7 @@ def cmd_solve_hjb(cfg, args, manifest):
 
 def cmd_policy_iter(cfg, args, manifest):
     oracle, aset, _ = _build(cfg, args)
-    u, policy, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme,
-                                        tol=cfg.tol, max_iters=cfg.max_iters)
+    u, policy, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme, tol=cfg.tol)
     u_dir = _solve_direct(cfg, oracle, aset, manifest)
     field_to_csv(u, manifest.path("value.csv"))
     trace.to_csv(manifest.path("trace.csv"))

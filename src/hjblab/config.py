@@ -206,7 +206,6 @@ SCHEMA = (
     Key("solver", dict, {}),
     Key("solver.advection", str, UPWIND, *_choice(UPWIND, CENTRAL)),
     Key("solver.tol", float, 1e-8, lambda v, g: v > 0, "must be positive"),
-    Key("solver.max_iters", int, 200, lambda v, g: v >= 1, "must be >= 1"),
     Key("mollify", dict, {}),
     Key("mollify.eps", None, [], lambda v, g: v == [] or (
         _numbers(v) and v[-1] > 0 and strictly_decreasing(v)),
@@ -253,7 +252,6 @@ class ScenarioConfig:
     grid: object
     scheme: str  # the advection stencil, UPWIND or CENTRAL
     tol: float
-    max_iters: int
     eps_list: list
     mc: dict
     experiment: dict
@@ -354,7 +352,7 @@ def validate_config(raw, base_dir="."):
     return ScenarioConfig(
         label=echo["label"], grid=got["grid"],
         scheme=got["solver.advection"],
-        tol=got["solver.tol"], max_iters=got["solver.max_iters"], eps_list=got["mollify.eps"],
+        tol=got["solver.tol"], eps_list=got["mollify.eps"],
         mc=echo["mc"], experiment=echo["experiment"], echo=echo, values=got)
 
 

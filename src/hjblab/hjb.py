@@ -23,6 +23,7 @@ from .hamiltonian import Policy, argmin_level
 from .parabolic import _implicit_bands, _inner, _step, pde_residual, solve_frozen
 from .tridiag import solve_lines
 
+MAX_ITERS = 200  # policy-iteration iterations before it stops unconverged
 MAX_SWEEPS = 5  # inner policy-freeze sweeps per time step of the direct marcher
 TABLE_ENTRIES = 1 << 14  # band and cost entries per table it assembles, so that tables stay small
 
@@ -52,12 +53,12 @@ def _select_fields(B, F, indices):
     return bsel, fsel
 
 
-def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iters=200):
+def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8):
     """Howard-type iteration: exact-argmin policy, then frozen linear solve.
 
     Starts from u^0 = 0; the argmin is exact, so no slack schedule enters.
     Stops when the sup-norm change drops below ``tol`` and the policy is
-    unchanged on at least 99.9 percent of nodes, or at ``max_iters`` (the
+    unchanged on at least 99.9 percent of nodes, or at ``MAX_ITERS`` (the
     best iterate is then returned with the trace flagged, not an error).
     """
     B, F = sample_all(oracle, grid, action_set)
@@ -69,7 +70,7 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iter
     # the residual of each iterate takes the argmin the next iteration freezes
     next_indices = argmin_level(B, F, u, grid, scheme)[0]
 
-    for k in range(1, max_iters + 1):
+    for k in range(1, MAX_ITERS + 1):
         policy_indices = next_indices
         bsel, fsel = _select_fields(B, F, policy_indices)
         u_new = solve_frozen(bsel, fsel, grid, scheme=scheme).values
@@ -80,8 +81,7 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8, max_iter
         trace.max_pos_diffs.append(float(np.max(np.maximum(diff, 0.0))))
         changed = n_nodes if prev_indices is None else int(np.sum(policy_indices != prev_indices))
         trace.policy_changes.append(changed)
-        residual, next_indices = hjb_residual(u_new, oracle, action_set, grid, scheme,
-                                              tables=(B, F), with_indices=True)
+        residual, next_indices = hjb_residual(u_new, B, F, grid, scheme)
         trace.residuals.append(residual)
 
         prev_indices = policy_indices
@@ -167,22 +167,22 @@ def solve_hjb_tables(B, F, grid, scheme=UPWIND, action_set=None):
             flagged_steps.append(n)
         indices[n] = idx
 
-    meta = {"inner_flagged_steps": flagged_steps, "converged": len(flagged_steps) == 0}
+    meta = {"inner_flagged_steps": flagged_steps}
     policy = None if action_set is None else Policy(grid, indices, action_set)
     return SpaceTimeField(grid, u, meta=meta, policy=policy)
 
 
-def hjb_residual(U, oracle, action_set, grid, scheme=UPWIND, tables=None, with_indices=False):
-    """Sup-norm discrete HJB residual over interior nodes, solver stencils.
+def hjb_residual(U, B, F, grid, scheme=UPWIND):
+    """Sup-norm discrete HJB residual over interior nodes, solver stencils,
+    and the argmin indices it takes: (residual, indices).
 
     The exact-argmin policy of the gradient of the value array ``U`` selects
-    the coefficients, and ``pde_residual`` takes the solver's own step with
-    them; solver output therefore has residual at roundoff scale (but
-    for flagged steps).  Box edge nodes are left out, so no edge data
-    enters.  ``with_indices`` also returns the argmin indices.
+    the coefficients from the per-action tables ``B`` (n_actions, levels,
+    ..., dim) and ``F`` (n_actions, levels, ...), and ``pde_residual`` takes
+    the solver's own step with them; solver output therefore has residual at
+    roundoff scale (but for flagged steps).  Box edge nodes are left out, so
+    no edge data enters.
     """
-    B, F = tables if tables is not None else sample_all(oracle, grid, action_set)
     idx = argmin_level(B, F, U, grid, scheme)[0]
     bsel, fsel = _select_fields(B, F, idx)
-    res = float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme))))
-    return (res, idx) if with_indices else res
+    return float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme)))), idx

@@ -17,9 +17,8 @@ in-box point, with the off-box step fraction reported.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +64,13 @@ class MCEstimate:
     mean: float
     se: float
     sim: SimConfig  # the paths, step and seed the estimate ran under
-    elapsed: float
-    extra: dict = field(default_factory=dict)
+    off_box_fraction: float  # the share of path-steps a box clamped
 
     def within(self, target, k_se=3.0, atol=0.0):
         return abs(self.mean - target) <= k_se * self.se + atol
 
     def to_json(self, scenario="", control=""):
-        """The estimate of ``control`` in ``scenario``; the elapsed time stays out."""
+        """The estimate of ``control`` in ``scenario``."""
         return {"scenario": scenario, "control": control, "mean": self.mean, "se": self.se,
                 "M": self.sim.n_paths, "dt_sim": self.sim.dt_sim, "seed": self.sim.seed}
 
@@ -136,9 +134,8 @@ def value_at(u_field, t, X):
     """
     grid = u_field.grid
     level = grid.level_index(t)
-    if level is None:
-        raise SimulationError(f"lookup time {t} is not a grid time level")
-    level = min(max(level, 0), grid.nt)
+    if level is None or not 0 <= level <= grid.nt:
+        raise SimulationError(f"lookup time {t} is not a grid time level in [0, T]")
     vals = u_field.values[level]
     torus = grid.domain_kind == TORUS
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -228,7 +225,7 @@ def _block_totals(legs, sim, horizons, grid, u_field, blocks):
 
 
 def _run(legs, sim, grid, t_ends, u_field=None):
-    """(mean, se, off-box fraction, n_steps) of every leg at every horizon,
+    """(mean, se, off-box fraction) of every leg at every horizon,
     horizon-major in the order given.  Horizons whose step sizes are the same
     double share one step loop; each other step size takes its own."""
     M = sim.n_paths
@@ -260,22 +257,17 @@ def _run(legs, sim, grid, t_ends, u_field=None):
                     n_acc = n_new
                 var = m2 / (M - 1) if M > 1 else 0.0
                 out[t_end, k] = (mean, float(np.sqrt(var / M)),
-                                 sum(r[3][o] for r in results) / (M * n_steps), n_steps)
+                                 sum(r[3][o] for r in results) / (M * n_steps))
     return [out[t_end, k] for t_end in t_ends for k in range(len(legs))]
 
 
 def simulate_costs(legs, sim, grid):
     """Monte Carlo estimates of the running cost over [start_time, T], one per
-    (oracle, control) leg; the legs share the seed's noise and one step loop,
-    and each estimate reports the batch's elapsed time."""
+    (oracle, control) leg; the legs share the seed's noise and one step loop."""
     if not (sim.dt_sim <= grid.T - sim.start_time + 1e-12):
         raise SimulationError("dt_sim exceeds the remaining horizon")
-    t0 = time.perf_counter()
-    runs = _run(legs, sim, grid, [grid.T])
-    elapsed = time.perf_counter() - t0
-    return [MCEstimate(mean=mean, se=se, sim=sim, elapsed=elapsed,
-                       extra={"off_box_fraction": off_frac, "n_steps": n_steps})
-            for mean, se, off_frac, n_steps in runs]
+    return [MCEstimate(mean=mean, se=se, sim=sim, off_box_fraction=off_frac)
+            for mean, se, off_frac in _run(legs, sim, grid, [grid.T])]
 
 
 def simulate_cost(oracle, feedback, sim, grid):
@@ -296,13 +288,10 @@ def dpp_residuals(u_field, legs, t_mids, sim):
     for t_mid in t_mids:
         if not (s < t_mid < grid.T):
             raise SimulationError(f"t_mid={t_mid} outside ({s}, {grid.T})")
-    t0 = time.perf_counter()
-    runs = iter(_run(legs, sim, grid, t_mids, u_field=u_field))
     u_start = float(value_at(u_field, s, np.asarray(sim.start_state)[None, :])[0])
-    elapsed = time.perf_counter() - t0
-    return [[MCEstimate(mean=mean - u_start, se=se, sim=sim, elapsed=elapsed,
-                        extra={"u_start": u_start, "t_mid": t_mid, "off_box_fraction": off_frac})
-             for mean, se, off_frac, _ in (next(runs) for _ in legs)] for t_mid in t_mids]
+    runs = iter(_run(legs, sim, grid, t_mids, u_field=u_field))
+    return [[MCEstimate(mean=mean - u_start, se=se, sim=sim, off_box_fraction=off_frac)
+             for mean, se, off_frac in (next(runs) for _ in legs)] for _ in t_mids]
 
 
 def dpp_residual(u_field, oracle, policy, t_mid, sim):

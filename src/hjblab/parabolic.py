@@ -179,31 +179,26 @@ class ConvergenceOrders:
     space: float
     time: float
     errors: list
-    dxs: list
-    dts: list
     skipped: bool = False
 
 
 def convergence_order(problem_fn, grids, scheme=UPWIND):
     """Observed orders from a ladder of grids with a known exact solution.
 
-    ``problem_fn(grid)`` returns (B, F, g or None, exact_values);
+    ``problem_fn(grid)`` returns (B, F, exact_values);
     the least-squares slopes of log error against log dx and log dt are
     returned.  Ladders shorter than 3 grids are rejected; errors at machine
     precision skip the fit.
     """
     if len(grids) < 3:
         raise SchemeError("convergence ladder needs at least 3 grids")
-    errors, dxs, dts = [], [], []
+    errors = []
     for grid in grids:
-        B, F, boundary, exact = problem_fn(grid)
-        u = solve_frozen(B, F, grid, boundary, scheme)
-        e = np.asarray(exact, dtype=float)
-        errors.append(float(np.max(np.abs(u.values - e))))
-        dxs.append(grid.dx[0])
-        dts.append(grid.dt)
+        B, F, exact = problem_fn(grid)
+        u = solve_frozen(B, F, grid, scheme=scheme)
+        errors.append(float(np.max(np.abs(u.values - np.asarray(exact, dtype=float)))))
     if max(errors) < 1e-12:
-        return ConvergenceOrders(np.nan, np.nan, errors, dxs, dts, skipped=True)
+        return ConvergenceOrders(np.nan, np.nan, errors, skipped=True)
     loge = np.log(errors)
     fit = lambda xs: float(np.polyfit(np.log(xs), loge, 1)[0])
-    return ConvergenceOrders(fit(dxs), fit(dts), errors, dxs, dts)
+    return ConvergenceOrders(fit([g.dx[0] for g in grids]), fit([g.dt for g in grids]), errors)

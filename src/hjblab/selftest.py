@@ -31,6 +31,7 @@ from .config import RunManifest, echo_hash, load_config
 from .experiments import (
     A_EQ_X,
     _gaps_shrink,
+    _origin_row,
     _solve_effective,
     counterexample_report,
     countable_truncation_study,
@@ -86,7 +87,7 @@ def _crit1_counterexample(record):
     rep = counterexample_report(cfg.grid.T, cfg.experiment["x_samples"], cfg.grid,
                                 mc_enabled=False)
     rt = time.perf_counter() - t0
-    row0 = next(r for r in rep.rows if abs(r.x) < 1e-12)
+    row0 = _origin_row(rep.rows)
     ok = rep.closed_forms()[0] and rep.gap_pass and rt < 10.0 and not rep.advice
     record.write_json("counterexample.json", rep.to_json())
     rep.to_csv(record.path("counterexample_rows.csv"))
@@ -276,7 +277,7 @@ def _crit7_sweeps(record, gap_report):
 def _smooth_problem(grid):
     oracle = make_smooth_baseline(grid)
     B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
-    return B[0], F[0], None, oracle.exact_value(_level_column(grid), grid.points(), grid.T)
+    return B[0], F[0], oracle.exact_value(_level_column(grid), grid.points(), grid.T)
 
 
 def _crit8_solver_validation(record):
@@ -408,7 +409,7 @@ def run_selftest(out_dir, threads=1):
     solved, flagged = _crit3_crit4_agreement(record)
     # the counterexample's effective value u0, which criteria 5 and 6 both test
     ce = shipped("counterexample")
-    u0, _ = _solve_effective(0.0, ce.grid, ce.scheme)
+    u0, _ = _solve_effective(0.0, ce.grid)
     _crit5_verification(record, solved["bang_bang"], u0, threads)
     _crit6_dpp(record, solved["bang_bang"], u0, threads)
     flagged += _crit7_sweeps(record, gap_report)

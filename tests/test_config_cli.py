@@ -124,6 +124,8 @@ def test_section_that_is_not_a_mapping_rejected():
 @pytest.mark.parametrize("line, path", [
     ("solver: {slack_delta: 0.01}", "solver.slack_delta"),
     ("solver: {time_stepping: crank_nicolson}", "solver.time_stepping: unknown key"),
+    # the policy-iteration cap is hjb.MAX_ITERS, not a knob
+    ("solver: {max_iters: 5}", "solver.max_iters: unknown key"),
     ("coefficients: {catalog: step_drift, params: {amplitude: 3}}",
      "coefficients.params.amplitude"),
     ("coefficients: {catalog: checkerboard, params: {kx: 0}}",
@@ -243,7 +245,7 @@ def test_tabulated_roundtrip(tmp_path):
 def test_echo_carries_defaults():
     cfg = load_config(shipped("step_drift.cfg"))
     # solver defaults appear explicitly even though the file omits them
-    assert cfg.echo["solver"]["max_iters"] == 200
+    assert cfg.echo["solver"]["tol"] == 1e-8
     assert cfg.echo["mc"]["dt_sim"] == 0.002
     assert cfg.config_hash() == cfg.config_hash()
 
@@ -292,7 +294,7 @@ def test_cli_policy_iter_and_replay(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert all(c["passed"] for c in manifest["checks"])
-    assert manifest["config"]["solver"]["max_iters"] == 200
+    assert manifest["config"]["solver"]["tol"] == 1e-8
 
 
 def test_cli_solve_hjb(tmp_path):

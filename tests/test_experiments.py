@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -105,6 +106,41 @@ def test_counterexample_closed_forms_need_the_origin_row():
     grid = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
     rep = counterexample_report(1.0, [0.5, 1.0], grid, mc_enabled=False)
     assert rep.closed_forms() == (False, "no row at x = 0")
+
+
+@pytest.mark.parametrize("kind, dim", [("torus", 1), ("box", 2)])
+def test_counterexample_report_needs_a_1d_box(kind, dim):
+    # the closed forms hold on the line, which only a 1d box approximates
+    grid = build_grid(kind, dim, (-6.0, 6.0), 25, 1.0, 8)
+    with pytest.raises(ValueError, match="1d box"):
+        counterexample_report(1.0, [0.0], grid, mc_enabled=False)
+
+
+@pytest.mark.parametrize("nx, nt", [(121, 128), (241, 512), (61, 32)])
+def test_counterexample_rows_equal_the_per_x_loop(nx, nt):
+    # x on the nodes (0, 0.5, 1, -6) and off them (0.123, 2.71, -3.33)
+    grid = build_grid("box", 1, (-6.0, 6.0), nx, 1.0, nt)
+    xs = [0.0, 0.123, 0.5, 1.0, 2.71, -3.33, -6.0]
+    rep = counterexample_report(1.0, xs, grid, mc_enabled=False)
+    f = 4.0 / 3.0  # the enlargement of the contamination box
+    big = build_grid("box", 1, (-6.0 * f, 6.0 * f), int(round((nx - 1) * f)) + 1, 1.0, nt)
+    (u0, oracle0), (u1, oracle1) = (experiments._solve_effective(c, grid) for c in (0.0, 1.0))
+    ub0, ub1 = (experiments._solve_effective(c, big)[0] for c in (0.0, 1.0))
+    rows, contamination = [], 0.0
+    for x in xs:  # one point at a time, as the report once did
+        pt = np.array([[float(x)]])
+        v_ex = float(oracle0.exact_value(0.0, pt, 1.0)[0])
+        vl_ex = float(oracle1.exact_value(0.0, pt, 1.0)[0])
+        v_num = float(montecarlo.value_at(u0, 0.0, pt)[0])
+        vl_num = float(montecarlo.value_at(u1, 0.0, pt)[0])
+        rows.append((0.0, float(x), v_ex, v_num, vl_ex, vl_num, vl_num - v_num))
+        contamination = max(contamination,
+                            abs(float(montecarlo.value_at(ub0, 0.0, pt)[0]) - v_num),
+                            abs(float(montecarlo.value_at(ub1, 0.0, pt)[0]) - vl_num))
+    hexed = lambda row: [float.hex(v) for v in row]
+    assert [hexed(astuple(r)) for r in rep.rows] == [hexed(r) for r in rows]
+    assert rep.contamination.hex() == contamination.hex()
+    assert rep.gap_at_origin.hex() == rows[0][-1].hex()
 
 
 def test_counterexample_grid_time_mismatch():

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import hjblab.hjb as hjb_module
 from hjblab.coefficients import (
     ActionSet,
     CoefficientOracle,
@@ -13,7 +14,7 @@ from hjblab.coefficients import (
     sample_all,
 )
 from hjblab.grids import build_grid, spatial_gradient
-from hjblab.hamiltonian import Policy, constant_policy
+from hjblab.hamiltonian import Policy, argmin_level, constant_policy
 from hjblab.hjb import (
     hjb_residual,
     policy_iteration,
@@ -83,23 +84,41 @@ def test_value_domination(bang):
         assert np.max(u_star.values - u_alpha.values) <= 1e-10
 
 
-def test_gradient_convergence_along_iterations(bang):
+def test_gradient_convergence_along_iterations(bang, monkeypatch):
     grid, oracle, aset = bang
     u_final, _, _ = policy_iteration(oracle, aset, grid, tol=1e-12)
     g_final = spatial_gradient(u_final.values, grid)
     sups = []
     for k in (1, 2, 3):
-        u_k, _, _ = policy_iteration(oracle, aset, grid, tol=0.0, max_iters=k)
+        monkeypatch.setattr(hjb_module, "MAX_ITERS", k)
+        u_k, _, _ = policy_iteration(oracle, aset, grid, tol=0.0)
         g_k = spatial_gradient(u_k.values, grid)
         sups.append(float(np.max(np.abs(g_k - g_final))))
     assert sups[-1] <= sups[0] + 1e-12
     assert sups[-1] < 1e-6
 
 
+def test_policy_iteration_stops_at_max_iters(bang, monkeypatch):
+    grid, oracle, aset = bang
+    for k in (1, 2, 4):
+        monkeypatch.setattr(hjb_module, "MAX_ITERS", k)
+        _, _, trace = policy_iteration(oracle, aset, grid, tol=0.0)
+        assert trace.iterations == k and len(trace.residuals) == k and not trace.converged
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_hjb_residual_indices_are_the_argmin(bang, scheme):
+    grid, oracle, aset = bang
+    B, F = sample_all(oracle, grid, aset)
+    u = solve_hjb_direct(oracle, aset, grid, scheme=scheme).values
+    _, idx = hjb_residual(u, B, F, grid, scheme)
+    assert np.array_equal(idx, argmin_level(B, F, u, grid, scheme)[0])
+
+
 def test_hjb_residual_zero_field(bang):
     grid, oracle, aset = bang
     u0 = np.zeros((grid.n_levels,) + grid.space_shape)
-    res = hjb_residual(u0, oracle, aset, grid)
+    res, _ = hjb_residual(u0, *sample_all(oracle, grid, aset), grid)
     # with u = 0 the residual is min_a f = dist^2, sup over the grid
     X = grid.points()
     _, f = oracle.eval(0.0, X, 1.0)
@@ -122,7 +141,7 @@ def test_one_action_hjb_residual_is_pde_residual(kind, dim):
     B = rng.uniform(-1.0, 1.0, size=(1, grid.n_levels) + grid.space_shape + (dim,))
     F = rng.normal(size=(1, grid.n_levels) + grid.space_shape)
     u = rng.normal(size=(grid.n_levels,) + grid.space_shape)
-    res = hjb_residual(u, None, None, grid, scheme, tables=(B, F))
+    res, _ = hjb_residual(u, B, F, grid, scheme)
     assert res > 0.0
     assert res == float(np.max(np.abs(pde_residual(u, B[0], F[0], grid, scheme=scheme))))
 
@@ -130,7 +149,7 @@ def test_one_action_hjb_residual_is_pde_residual(kind, dim):
 def test_direct_flags_are_clean(bang):
     grid, oracle, aset = bang
     u = solve_hjb_direct(oracle, aset, grid)
-    assert u.meta["converged"]
+    assert u.meta["inner_flagged_steps"] == []
     assert u.policy is not None and u.policy.action_set is aset
     # tables without an action set march the same field, with no policy
     bare = solve_hjb_tables(*sample_all(oracle, grid, aset), grid)
@@ -150,7 +169,7 @@ def test_single_action_p_independent_hamiltonian():
     B, F = sample_all(oracle, grid, single)
     u_frozen = solve_frozen(B[0], F[0], grid)
     assert np.max(np.abs(u.values - u_frozen.values)) < 1e-12
-    assert hjb_residual(u.values, oracle, single, grid) < 1e-9
+    assert hjb_residual(u.values, B, F, grid)[0] < 1e-9
 
 
 def test_single_action_hamiltonian_with_gradient_term():
@@ -177,7 +196,6 @@ def test_2d_agreement(kind):
 def test_policy_iteration_takes_each_argmin_once(monkeypatch):
     # the residual's argmin of each iterate is the policy the next iteration
     # freezes: k iterations make k + 1 argmin calls, not 2k
-    import hjblab.hjb as hjb_module
     from hjblab.config import load_config
 
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "bench", "inputs",
@@ -191,7 +209,7 @@ def test_policy_iteration_takes_each_argmin_once(monkeypatch):
 
     monkeypatch.setattr(hjb_module, "argmin_level", counting)
     u, policy, trace = policy_iteration(cfg.build_oracle(), cfg.build_action_set(), cfg.grid,
-                                        scheme=cfg.scheme, tol=cfg.tol, max_iters=cfg.max_iters)
+                                        scheme=cfg.scheme, tol=cfg.tol)
     assert trace.converged and trace.iterations >= 3
     assert len(calls) == trace.iterations + 1
     # the returned policy is the one frozen for the last solve

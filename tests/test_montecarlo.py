@@ -199,6 +199,19 @@ def test_value_at_requires_grid_time():
         value_at(u, 0.33, np.array([[0.5]]))
 
 
+def test_value_at_refuses_levels_outside_the_horizon(box):
+    # a level one step before 0 or past T is no level of the field, not its nearest
+    u = _field(box, lambda t, X: t + X[..., 0])
+    X = np.array([[0.5]])
+    for t in (-box.dt, box.T + box.dt):
+        with pytest.raises(SimulationError, match="not a grid time level"):
+            value_at(u, t, X)
+    assert value_at(u, box.T, X)[0] == pytest.approx(box.T + 0.5, abs=1e-12)
+    sim = SimConfig(n_paths=10, dt_sim=0.01, seed=5, start_time=-box.dt)
+    with pytest.raises(SimulationError, match="not a grid time level"):
+        dpp_residual(u, unit_cost_oracle(), constant_control(0.0), 0.5, sim)
+
+
 def test_dpp_residual_zero_cost(box):
     zero = CoefficientOracle(
         "z", 1,
@@ -229,7 +242,7 @@ def test_off_box_fraction_reported(box):
     oracle = make_constant_drift(box, c=1.0)
     sim = SimConfig(n_paths=500, dt_sim=0.01, seed=13, start_state=(5.9,))
     est = simulate_cost(oracle, constant_control(1.0), sim, box)
-    assert est.extra["off_box_fraction"] > 0.0
+    assert est.off_box_fraction > 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -249,7 +262,7 @@ def test_off_box_fraction_counts_paths(dim):
         b, _ = oracle.eval(i * 0.05, X_eval, control.values(i * 0.05, X_eval))
         X = X + b * 0.05 + np.sqrt(2.0 * 0.05) * noise[i]
     assert 0 < off < 20 * sim.n_paths and off_twice > 0
-    assert est.extra["off_box_fraction"] == off / (20 * sim.n_paths)
+    assert est.off_box_fraction == off / (20 * sim.n_paths)
 
 
 def test_sim_config_validation():
@@ -309,7 +322,7 @@ def test_estimates_bit_identical_across_thread_counts(kind):
         sim = SimConfig(start_state=start, n_threads=threads, **GROUP_SIM)
         est = simulate_cost(oracle, control, sim, grid)
         dpp = dpp_residual(u, oracle, control, 14.0 / 37, sim)
-        out.append((est.mean, est.se, est.extra["off_box_fraction"], dpp.mean, dpp.se))
+        out.append((est.mean, est.se, est.off_box_fraction, dpp.mean, dpp.se))
     assert out[0] == out[1] == out[2]
     assert out[0][1] > 0 and out[0][4] > 0
 
@@ -407,10 +420,10 @@ def test_batch_equals_separate_estimates(kind, threads):
     alone = [simulate_cost(oracle, control, sim, grid) for oracle, control in legs]
     assert len(batch) == len(legs)
     for a, b in zip(batch, alone):
-        assert (a.mean, a.se, a.extra) == (b.mean, b.se, b.extra)
-    offs = [est.extra["off_box_fraction"] for est in batch]
+        assert (a.mean, a.se, a.off_box_fraction) == (b.mean, b.se, b.off_box_fraction)
+    offs = [est.off_box_fraction for est in batch]
     assert all(off > 0 for off in offs) if kind == "box" else offs == [0.0] * 3
-    assert len({est.mean for est in batch}) == 3 and len({est.elapsed for est in batch}) == 1
+    assert len({est.mean for est in batch}) == 3
 
 
 def test_batch_draws_each_block_noise_once(monkeypatch):

@@ -186,7 +186,7 @@ def _smooth_problem(grid):
     oracle = make_smooth_baseline(grid)
     B, F = sample_all(oracle, grid, ActionSet(np.array([1.0])))
     exact = np.stack([oracle.exact_value(t, grid.points(), grid.T) for t in grid.times()])
-    return B[0], F[0], None, exact
+    return B[0], F[0], exact
 
 
 def test_convergence_orders_central():
@@ -208,7 +208,7 @@ def test_convergence_order_skips_machine_precision():
         b = np.zeros((grid.n_levels,) + grid.space_shape + (1,))
         f = np.ones((grid.n_levels,) + grid.space_shape)
         exact = (grid.T - grid.times())[:, None] * np.ones(grid.space_shape)
-        return b, f, None, exact
+        return b, f, exact
 
     grids = [build_grid("torus", 1, 1.0, nx, 1.0, 8) for nx in (8, 16, 32)]
     orders = convergence_order(constant_problem, grids)

@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import hjblab
+from hjblab import config
 
 EXPORTS = {
     # grids
@@ -38,6 +39,26 @@ EXPORTS = {
     "counterexample_report", "countable_truncation_study", "dpp_battery",
     "mollify_value_sweep", "verification_check",
 }
+
+
+# every config key path the schema accepts, pinned the same way
+CONFIG_KEYS = {
+    "scenario",
+    "domain", "domain.kind", "domain.dim", "domain.extent", "domain.nx",
+    "time", "time.T", "time.nt",
+    "coefficients", "coefficients.catalog", "coefficients.params", "coefficients.tabulated",
+    "actions", "actions.list", "actions.family", "actions.N",
+    "solver", "solver.advection", "solver.tol",
+    "mollify", "mollify.eps",
+    "mc", "mc.M", "mc.seed", "mc.start_time", "mc.dt_sim", "mc.start_state",
+    "experiment", "experiment.t_mid", "experiment.x_samples", "experiment.N_list",
+    "experiment.suboptimal_action", "experiment.control", "experiment.control.type",
+    "experiment.control.value",
+}
+
+
+def test_config_keys():
+    assert config.PATHS == CONFIG_KEYS
 
 
 def test_exported_names():
