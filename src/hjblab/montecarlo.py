@@ -1,7 +1,7 @@
 """Euler-Maruyama simulation of the controlled state equation and cost.
 
 X_{n+1} = X_n + b(t_n, X_n, a_n) dt + sqrt(2 dt) xi_n with left-endpoint cost
-quadrature.  Paths run in fixed-size blocks; block j draws from its own
+quadrature.  Paths run in blocks of BLOCK_SIZE; block j draws from its own
 stream, STREAM with spawn key (j,), and reduces its own mean and M2, so
 results are bit-identical for a given SimConfig whatever the thread count.
 The legs of a batch, (oracle, control) pairs under one seed, share that noise
@@ -29,7 +29,7 @@ class SimulationError(ValueError):
     pass
 
 
-BLOCK_SIZE = 4096
+BLOCK_SIZE = 4096  # paths per block, each with its own stream and moments
 NOISE_CHUNK = 16  # steps of noise drawn per block at a time
 # the noise of one block; a seed in [0, 2**64) names one stream per block
 STREAM = "SFC64/SeedSequence(seed, spawn_key=(block,))"
@@ -42,7 +42,6 @@ class SimConfig:
     seed: int
     start_time: float = 0.0
     start_state: tuple = (0.0,)
-    block_size: int = BLOCK_SIZE
     n_threads: int = 1
 
     def __post_init__(self):
@@ -52,9 +51,8 @@ class SimConfig:
             raise SimulationError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (self.dt_sim > 0):
             raise SimulationError(f"dt_sim must be positive, got {self.dt_sim}")
-        if self.block_size < 1 or self.n_threads < 1:
-            raise SimulationError(
-                f"block_size and n_threads must be >= 1, got {self.block_size}, {self.n_threads}")
+        if self.n_threads < 1:
+            raise SimulationError(f"n_threads must be >= 1, got {self.n_threads}")
         state = np.atleast_1d(np.asarray(self.start_state, dtype=float))
         object.__setattr__(self, "start_state", tuple(float(v) for v in state))
 
@@ -66,8 +64,9 @@ class MCEstimate:
     sim: SimConfig  # the paths, step and seed the estimate ran under
     off_box_fraction: float  # the share of path-steps a box clamped
 
-    def within(self, target, k_se=3.0, atol=0.0):
-        return abs(self.mean - target) <= k_se * self.se + atol
+    def within(self, target, atol=0.0):
+        """The two-sided agreement rule: |mean - target| <= 3 SE + atol."""
+        return abs(self.mean - target) <= 3.0 * self.se + atol
 
     def to_json(self, scenario="", control=""):
         """The estimate of ``control`` in ``scenario``."""
@@ -117,9 +116,9 @@ class OpenLoopControl:
         return np.broadcast_to(a, X.shape[:1] + a.shape)
 
 
-def constant_control(value, name=None):
+def constant_control(value):
     value = np.asarray(value, dtype=float)
-    return OpenLoopControl(lambda t: value, name or f"const_{np.round(value, 6)}")
+    return OpenLoopControl(lambda t: value, f"const_{np.round(value, 6)}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,11 @@ def _run(legs, sim, grid, t_ends, u_field=None):
     """(mean, se, off-box fraction) of every leg at every horizon,
     horizon-major in the order given.  Horizons whose step sizes are the same
     double share one step loop; each other step size takes its own."""
+    if len(sim.start_state) != grid.dim:
+        raise SimulationError(f"start state has length {len(sim.start_state)}, "
+                              f"the grid dimension {grid.dim}")
     M = sim.n_paths
-    blocks = [(bi, min(sim.block_size, M - start))
-              for bi, start in enumerate(range(0, M, sim.block_size))]
+    blocks = [(bi, min(BLOCK_SIZE, M - start)) for bi, start in enumerate(range(0, M, BLOCK_SIZE))]
     # one contiguous group of blocks per worker; per-block streams and
     # moments make the estimate independent of the grouping
     groups = np.array_split(np.arange(len(blocks)), min(sim.n_threads, len(blocks)))
@@ -288,8 +289,8 @@ def dpp_residuals(u_field, legs, t_mids, sim):
     for t_mid in t_mids:
         if not (s < t_mid < grid.T):
             raise SimulationError(f"t_mid={t_mid} outside ({s}, {grid.T})")
-    u_start = float(value_at(u_field, s, np.asarray(sim.start_state)[None, :])[0])
     runs = iter(_run(legs, sim, grid, t_mids, u_field=u_field))
+    u_start = float(value_at(u_field, s, np.asarray(sim.start_state)[None, :])[0])
     return [[MCEstimate(mean=mean - u_start, se=se, sim=sim, off_box_fraction=off_frac)
              for mean, se, off_frac in (next(runs) for _ in legs)] for _ in t_mids]
 

@@ -105,9 +105,7 @@ def _crit2_mc_crosscheck(record, threads):
          (make_constant_drift(cfg.grid, c=1.0), constant_control(1.0))],
         cfg.build_sim(seed_override=MASTER_SEED, n_threads=threads), cfg.grid)
     rt = time.perf_counter() - t0
-    ok0 = abs(est0.mean - 1.0) <= 3.0 * est0.se
-    ok1 = abs(est1.mean - 4.0 / 3.0) <= 3.0 * est1.se
-    ok = ok0 and ok1 and rt < 60.0
+    ok = est0.within(1.0) and est1.within(4.0 / 3.0) and rt < 60.0
     record.write_json("mc_crosscheck.json", [
         est0.to_json(scenario="counterexample", control=A_EQ_X.name),
         est1.to_json(scenario="counterexample_mollified_limit", control="const_1"),
@@ -122,16 +120,15 @@ def _crit3_crit4_agreement(record):
     direct solution) that criteria 5 and 6 reuse, and the direct marches'
     flagged steps."""
     t0 = time.perf_counter()
-    tol = 1e-8
     rows = {}
     ok3 = True
     ok4 = True
     solved = {}
     for name, cfg in multi_action_scenarios().items():
         oracle, aset = cfg.build_oracle(), cfg.build_action_set()
-        u_pi, _, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme, tol=tol)
+        u_pi, _, trace = policy_iteration(oracle, aset, cfg.grid, scheme=cfg.scheme, tol=cfg.tol)
         u_dir = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
-        sup, descent, checks = policy_iteration_checks(u_pi, u_dir, trace, tol)
+        sup, descent, checks = policy_iteration_checks(u_pi, u_dir, trace, cfg.tol)
         passed = {check: ok for check, ok, _ in checks}
         flagged = len(u_dir.meta["inner_flagged_steps"])
         rows[name] = {

@@ -839,6 +839,17 @@ def test_smooth_baseline_takes_its_horizon_from_the_grid(tmp_path):
     assert np.max(np.abs(u - exact)) <= 1e-3
 
 
+def test_mollify_sweep_tests_a_box_ladder_on_one_band(tmp_path):
+    # on a box each rung's own interior band is wider than the one before it:
+    # there the sups read 1.82e-3, 2.25e-3 and 1.68e-3, while over the band of
+    # eps 0.4 they fall, 1.82e-3, 8.5e-4 and 5.2e-4
+    cfg = _variant(tmp_path, "bang_bang.cfg", {"domain.kind": "box", "mc.M": 20})
+    code, err = _run(["mollify-sweep", cfg, "--out", str(tmp_path / "out")])
+    checks = _strict_json(tmp_path / "out" / "manifest.json")["checks"]
+    assert code == 0, err
+    assert {check["name"]: check["passed"] for check in checks}["countable_convergence"]
+
+
 def test_mollify_sweep_runs_on_a_box(tmp_path):
     # the sweep's box branch, which insets its interior eps from every edge
     cfg = _variant(tmp_path, "bang_bang.cfg",

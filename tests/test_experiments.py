@@ -22,8 +22,9 @@ from hjblab.experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from hjblab.grids import build_grid
+from hjblab.grids import SpaceTimeField, build_grid
 from hjblab.hjb import solve_hjb_direct
+from hjblab.mollify import MollifierKernel, interior_mask
 from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control, dpp_residual
 from test_coefficients import _count_calls
 
@@ -143,6 +144,16 @@ def test_counterexample_rows_equal_the_per_x_loop(nx, nt):
     assert rep.gap_at_origin.hex() == rows[0][-1].hex()
 
 
+@pytest.mark.parametrize("nx", [124, 100])
+def test_counterexample_contamination_box_keeps_the_grid_nodes(nx):
+    # nx - 1 is no multiple of 6: scaling the box by 4/3 would shift its nodes
+    # off the grid's, and the contamination would read interpolation error
+    grid = build_grid("box", 1, (-6.0, 6.0), nx, 1.0, 128)
+    rep = counterexample_report(1.0, [0.0, 0.5, 1.0], grid, mc_enabled=False)
+    assert rep.contamination <= rep.contamination_tol and rep.advice == ""
+    assert rep.closed_forms()[0] and rep.gap_pass
+
+
 def test_counterexample_grid_time_mismatch():
     grid = build_grid("box", 1, (-6.0, 6.0), 61, 0.5, 32)
     with pytest.raises(ValueError):
@@ -167,6 +178,26 @@ def test_gap_ladder_leaves_out_rungs_without_interior_nodes(sups, threshold, pas
     # the predicate of the sweep's countable-convergence check and of the
     # truncation study's per-N epsilon check
     assert experiments._gaps_shrink(sups, threshold) == passed
+
+
+@pytest.mark.parametrize("inside, outside, passed", [
+    # own bands widen onto larger gaps: their sups rise, the one band's fall
+    ([3e-3, 2e-3, 1e-3], [0.0, 5e-3, 6e-3], True),
+    ([1e-3, 2e-3, 1.5e-3], [0.0, 0.0, 0.0], False),  # the one band's sups rise
+    ([3e-3, 2e-3, 1e-3], [0.0, 0.0, 0.3], False),  # the smallest rung's own band above 5 dx
+])
+def test_sweep_order_is_tested_on_one_band(monkeypatch, inside, outside, passed):
+    # hand-made gap fields: ``inside`` on the band of the largest rung, eps 0.4,
+    # and ``outside`` off it
+    grid = build_grid("box", 1, (-1.0, 1.0), 41, 1.0, 40)
+    band = interior_mask(grid, 0.4)
+    V = SpaceTimeField(grid, np.zeros(band.shape))
+    rungs = [(eps, MollifierKernel(eps), None, SpaceTimeField(grid, np.where(band, a, b)))
+             for eps, a, b in zip([0.4, 0.2, 0.1], inside, outside)]
+    monkeypatch.setattr(experiments, "_eps_walk", lambda *args: (V, iter(rungs)))
+    sw = mollify_value_sweep(make_bang_bang(grid), bang_bang_actions(), grid, [0.4, 0.2, 0.1])
+    assert sw.countable_threshold == pytest.approx(0.25)
+    assert sw.countable_pass == passed
 
 
 def test_sweep_passes_and_reports(bang):
@@ -304,7 +335,8 @@ def test_truncation_fails_on_flagged_inner_steps(bang, monkeypatch):
 ])
 def test_dpp_battery_rows_equal_separate_residuals(bang, monkeypatch, dt_sim, t_mids, loops):
     grid, oracle, _, _, u = bang
-    sim = SimConfig(n_paths=600, dt_sim=dt_sim, seed=127, start_state=(0.5,), block_size=256)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 256)
+    sim = SimConfig(n_paths=600, dt_sim=dt_sim, seed=127, start_state=(0.5,))
     argmin = GridPolicyControl(u.policy, name="argmin")
     plus = constant_control(1.0)
     calls = []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjblab import montecarlo
 from hjblab.coefficients import (
     ActionSet,
     CoefficientOracle,
@@ -11,6 +12,7 @@ from hjblab.coefficients import (
     make_constant_drift,
     make_counterexample,
 )
+from hjblab.experiments import verification_check
 from hjblab.grids import SpaceTimeField, build_grid
 from hjblab.hamiltonian import Policy
 from hjblab.montecarlo import (
@@ -53,15 +55,15 @@ def test_deterministic_integrand_zero_se(box):
     assert est.se <= 1e-9
 
 
-def test_reproducibility_and_thread_invariance(box):
+def test_reproducibility_and_thread_invariance(box, monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 2048)
     oracle = make_constant_drift(box, c=1.0)
     a = simulate_cost(oracle, constant_control(1.0),
-                      SimConfig(n_paths=9000, dt_sim=5e-3, seed=7, block_size=2048), box)
+                      SimConfig(n_paths=9000, dt_sim=5e-3, seed=7), box)
     b = simulate_cost(oracle, constant_control(1.0),
-                      SimConfig(n_paths=9000, dt_sim=5e-3, seed=7, block_size=2048), box)
+                      SimConfig(n_paths=9000, dt_sim=5e-3, seed=7), box)
     c = simulate_cost(oracle, constant_control(1.0),
-                      SimConfig(n_paths=9000, dt_sim=5e-3, seed=7, block_size=2048,
-                                n_threads=2), box)
+                      SimConfig(n_paths=9000, dt_sim=5e-3, seed=7, n_threads=2), box)
     assert a.mean == b.mean and a.se == b.se
     assert a.mean == c.mean and a.se == c.se
 
@@ -95,7 +97,7 @@ def test_ci_calibration_zero_drift_quadratic(box):
     n_seeds = 200
     for seed in range(n_seeds):
         est = simulate_cost(ce, fb, SimConfig(n_paths=400, dt_sim=1e-3, seed=seed), box)
-        hits += int(est.within(1.0, 1.96))
+        hits += int(abs(est.mean - 1.0) <= 1.96 * est.se)
     assert hits >= 0.90 * n_seeds
 
 
@@ -272,13 +274,23 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, dt_sim=-0.1, seed=1)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"block_size": 0}, {"block_size": -4}, {"n_threads": 0}, {"n_threads": -1},
-])
-def test_sim_config_rejects_nonpositive_block_size_and_threads(kwargs):
-    # a zero block size would make the block list in _run grow forever
+@pytest.mark.parametrize("n_threads", [0, -1])
+def test_sim_config_rejects_nonpositive_threads(n_threads):
     with pytest.raises(SimulationError):
-        SimConfig(n_paths=10, dt_sim=0.01, seed=1, **kwargs)
+        SimConfig(n_paths=10, dt_sim=0.01, seed=1, n_threads=n_threads)
+
+
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_start_state_must_fit_the_grid(kind):
+    grid = build_grid(kind, 2, (-1.0, 1.0), 8, 1.0, 4)
+    sim = SimConfig(n_paths=10, dt_sim=0.25, seed=1)  # the default start state, (0.0,)
+    with pytest.raises(SimulationError, match="length 1, the grid dimension 2"):
+        simulate_cost(unit_cost_oracle(dim=2), constant_control(0.0), sim, grid)
+    u = _field(grid, lambda t, X: X[..., 0] + t)
+    with pytest.raises(SimulationError, match="length 1, the grid dimension 2"):
+        dpp_residual(u, unit_cost_oracle(dim=2), constant_control(0.0), 0.5, sim)
+    with pytest.raises(SimulationError, match="length 1, the grid dimension 2"):
+        verification_check(u, unit_cost_oracle(dim=2), sim, [], constant_control(0.0))
 
 
 def test_simulate_2d_deterministic_cost():
@@ -294,7 +306,12 @@ def test_simulate_2d_deterministic_cost():
 
 # 700 paths in blocks of 128 (five full blocks and one of 60); T = 1 at
 # dt_sim = 1/37 gives 37 steps, two full noise chunks and one of 5
-GROUP_SIM = dict(n_paths=700, dt_sim=1.0 / 37, seed=2024, block_size=128)
+GROUP_SIM = dict(n_paths=700, dt_sim=1.0 / 37, seed=2024)
+
+
+@pytest.fixture
+def blocks_of_128(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 128)
 
 
 def _mc_case(kind):
@@ -315,7 +332,7 @@ def _mc_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["box", "torus"])
-def test_estimates_bit_identical_across_thread_counts(kind):
+def test_estimates_bit_identical_across_thread_counts(kind, blocks_of_128):
     grid, oracle, control, u, start = _mc_case(kind)
     out = []
     for threads in (1, 2, 3):
@@ -332,8 +349,8 @@ def _one_draw_estimate(oracle, control, sim, grid, t_end):
     n_steps = max(1, int(round((t_end - sim.start_time) / sim.dt_sim)))
     dt = (t_end - sim.start_time) / n_steps
     stats = []
-    for bi, start in enumerate(range(0, sim.n_paths, sim.block_size)):
-        n_b = min(sim.block_size, sim.n_paths - start)
+    for bi, start in enumerate(range(0, sim.n_paths, montecarlo.BLOCK_SIZE)):
+        n_b = min(montecarlo.BLOCK_SIZE, sim.n_paths - start)
         seq = np.random.SeedSequence(sim.seed, spawn_key=(bi,))
         rng = np.random.Generator(np.random.SFC64(seq))
         noise = rng.standard_normal((n_steps, n_b, grid.dim))
@@ -357,7 +374,7 @@ def _one_draw_estimate(oracle, control, sim, grid, t_end):
 
 
 @pytest.mark.parametrize("kind", ["box", "torus"])
-def test_chunked_noise_equals_one_draw_per_block(kind):
+def test_chunked_noise_equals_one_draw_per_block(kind, blocks_of_128):
     grid, oracle, control, _, start = _mc_case(kind)
     for threads in (1, 2):
         sim = SimConfig(start_state=start, n_threads=threads, **GROUP_SIM)
@@ -379,9 +396,9 @@ def test_noise_draws_span_at_most_one_chunk(monkeypatch):
             return self.gen.standard_normal(size, *args, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", Recording)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 24)
     grid = build_grid("torus", 2, (-1.0, 1.0), 8, 1.0, 4)
-    sim = SimConfig(n_paths=40, dt_sim=1.0 / 200, seed=3, start_state=(0.0, 0.0),
-                    block_size=24, n_threads=2)
+    sim = SimConfig(n_paths=40, dt_sim=1.0 / 200, seed=3, start_state=(0.0, 0.0), n_threads=2)
     simulate_cost(make_bang_bang(grid), constant_control(1.0), sim, grid)
     # step-major (steps, paths, d) draws of at most NOISE_CHUNK steps
     assert shapes and all(s[0] <= NOISE_CHUNK and s[1:] in ((24, 2), (16, 2)) for s in shapes)
@@ -411,11 +428,11 @@ def _batch_case(kind):
 
 @pytest.mark.parametrize("kind", ["box", "torus"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_batch_equals_separate_estimates(kind, threads):
+def test_batch_equals_separate_estimates(kind, threads, monkeypatch):
     # 5000 paths in blocks of 2048: three blocks, split over the threads
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 2048)
     grid, legs, start = _batch_case(kind)
-    sim = SimConfig(n_paths=5000, dt_sim=0.02, seed=31, start_state=start,
-                    block_size=2048, n_threads=threads)
+    sim = SimConfig(n_paths=5000, dt_sim=0.02, seed=31, start_state=start, n_threads=threads)
     batch = simulate_costs(legs, sim, grid)
     alone = [simulate_cost(oracle, control, sim, grid) for oracle, control in legs]
     assert len(batch) == len(legs)
@@ -439,8 +456,9 @@ def test_batch_draws_each_block_noise_once(monkeypatch):
             return self.gen.standard_normal(size, *args, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", Counting)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 128)
     grid, legs, start = _batch_case("torus")
-    sim = SimConfig(n_paths=300, dt_sim=0.02, seed=31, start_state=start, block_size=128)
+    sim = SimConfig(n_paths=300, dt_sim=0.02, seed=31, start_state=start)
     simulate_costs(legs, sim, grid)
     # 50 steps of 300 two-dimensional paths, drawn once for all three legs
     assert sum(drawn) == 50 * 300 * 2
@@ -451,26 +469,27 @@ def test_batch_draws_each_block_noise_once(monkeypatch):
     assert sum(drawn) == 25 * 300 * 2
 
 
-def test_a_seed_names_one_stream():
+def test_a_seed_names_one_stream(monkeypatch):
     # a seed names one stream: outside [0, 2**64) it is rejected, inside no two share noise
     for seed in (-1, 2**64, 2**64 + 5):
         with pytest.raises(SimulationError, match="seed"):
             SimConfig(n_paths=10, dt_sim=0.1, seed=seed)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 16)
     grid = build_grid("torus", 1, (-1.0, 1.0), 8, 1.0, 4)
     means = {simulate_cost(make_bang_bang(grid), constant_control(1.0),
-                           SimConfig(n_paths=64, dt_sim=0.1, seed=seed, block_size=16), grid).mean
+                           SimConfig(n_paths=64, dt_sim=0.1, seed=seed), grid).mean
              for seed in (0, 1, 2**64 - 2, 2**64 - 1)}
     assert len(means) == 4
 
 
-def test_golden_stream_values():
+def test_golden_stream_values(blocks_of_128):
     # a change to the noise stream or the step arithmetic must edit these on purpose
     box = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
-    sim = SimConfig(n_paths=300, dt_sim=0.01, seed=20260810, block_size=128)
+    sim = SimConfig(n_paths=300, dt_sim=0.01, seed=20260810)
     est = simulate_cost(make_counterexample(box), FeedbackRule(lambda t, X: X[:, 0]), sim, box)
     assert (est.mean.hex(), est.se.hex()) == ("0x1.042a275d6b626p+0", "0x1.f60e26e45d71ap-5")
     grid = build_grid("torus", 1, (-1.0, 1.0), 16, 1.0, 16)
     u = _field(grid, lambda t, X: np.cos(np.pi * X[..., 0]) + t)
-    sim = SimConfig(n_paths=300, dt_sim=1 / 64, seed=20260810, start_state=(0.5,), block_size=128)
+    sim = SimConfig(n_paths=300, dt_sim=1 / 64, seed=20260810, start_state=(0.5,))
     dpp = dpp_residual(u, make_bang_bang(grid), constant_control(1.0), 0.5, sim)
     assert (dpp.mean.hex(), dpp.se.hex()) == ("0x1.4a8e7a124a27ep-1", "0x1.37b81db4c9e5ap-5")

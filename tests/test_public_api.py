@@ -9,10 +9,12 @@ import re
 import subprocess
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import hjblab
 from hjblab import config
+from hjblab.montecarlo import SimConfig
 
 EXPORTS = {
     # grids
@@ -56,9 +58,16 @@ CONFIG_KEYS = {
     "experiment.control.value",
 }
 
+# every value a Monte Carlo run sets, pinned the same way
+SIM_FIELDS = {"n_paths", "dt_sim", "seed", "start_time", "start_state", "n_threads"}
+
 
 def test_config_keys():
     assert config.PATHS == CONFIG_KEYS
+
+
+def test_sim_fields():
+    assert {f.name for f in fields(SimConfig)} == SIM_FIELDS
 
 
 def test_exported_names():
