@@ -36,5 +36,6 @@ print("eps    |J_eps - J|      SE")
 for eps, gap, se in report.open_loop_rows:
     print(f"{eps:4.2f}   {gap:.5f}      {se:.5f}")
 
-print(f"\nall checks: monotone={report.monotone_pass}, "
-      f"eps convergence={report.eps_pass}, open loop={report.open_loop_pass}")
+print("\nthe report's checks, as hjblab truncation-study records them:")
+for name, passed, detail in report.checks():
+    print(f"  [{'PASS' if passed else 'FAIL'}] {name} {detail}".rstrip())

@@ -40,5 +40,6 @@ print("eps    sup|V_eps - V| (interior)   min gap     liminf tol")
 for rung in sweep.resolved_rungs():
     print(f"{rung.epsilon:4.2f}   {rung.sup_gap_interior:12.5f}           "
           f"{rung.min_gap_interior:+.5f}   {sweep.liminf_tol[rung.epsilon]:.4f}")
-print(f"\nliminf check: {sweep.liminf_pass}, countable-action convergence: "
-      f"{sweep.countable_pass} (threshold 5 dx = {sweep.countable_threshold:.4f})")
+print("\nthe sweep's checks, as hjblab mollify-sweep records them:")
+for name, passed, detail in sweep.checks():
+    print(f"  [{'PASS' if passed else 'FAIL'}] {name} {detail}".rstrip())

@@ -26,7 +26,13 @@ from .experiments import (
     mollify_value_sweep,
     verification_check,
 )
-from .hjb import hjb_residual, policy_iteration, policy_iteration_checks, solve_hjb_direct
+from .hjb import (
+    hjb_residual,
+    inner_sweeps_check,
+    policy_iteration,
+    policy_iteration_checks,
+    solve_hjb_direct,
+)
 from .mollify import coefficient_ladder
 from .montecarlo import STREAM, GridPolicyControl, constant_control, simulate_cost
 from .selftest import SUMMARY, run_selftest
@@ -60,7 +66,7 @@ def _report(header, violations):
 def _solve_direct(cfg, oracle, aset, manifest):
     """Direct HJB march, with its inner-sweep convergence recorded as a check."""
     u = solve_hjb_direct(oracle, aset, cfg.grid, scheme=cfg.scheme)
-    manifest.add_inner_sweeps(len(u.meta["inner_flagged_steps"]))
+    manifest.add_check(*inner_sweeps_check(len(u.meta["inner_flagged_steps"])))
     return u
 
 
@@ -82,8 +88,7 @@ def cmd_policy_iter(cfg, args, manifest):
     field_to_csv(u, manifest.path("value.csv"))
     trace.to_csv(manifest.path("trace.csv"))
     policy.to_csv(manifest.path("policy.csv"))
-    _, _, checks = policy_iteration_checks(u, u_dir, trace, cfg.tol)
-    for check in checks:
+    for check in policy_iteration_checks(u, u_dir, trace, cfg.tol)[2]:
         manifest.add_check(*check)
 
 
@@ -94,7 +99,8 @@ def cmd_verify(cfg, args, manifest):
                   for i in range(min(len(aset), 5))]
     rep = verification_check(u, oracle, sim, candidates)
     manifest.write_json("verification.json", _replayable(cfg, sim, rep))
-    manifest.add_check("verification", rep.passed, rep.summary())
+    for check in rep.checks():
+        manifest.add_check(*check)
 
 
 def cmd_dpp_check(cfg, args, manifest):
@@ -108,7 +114,8 @@ def cmd_dpp_check(cfg, args, manifest):
     rep = dpp_battery(u, oracle, GridPolicyControl(u.policy, name="argmin"), sim,
                       t_mids, suboptimal_controls=subopt)
     manifest.write_json("dpp.json", rep.to_json())
-    manifest.add_check("dpp", rep.passed, f"{len(rep.rows)} rows")
+    for check in rep.checks():
+        manifest.add_check(*check)
 
 
 def _replayable(cfg, sim, report):
@@ -122,15 +129,13 @@ def cmd_mollify_sweep(cfg, args, manifest):
     sweep = mollify_value_sweep(oracle, aset, cfg.grid, cfg.eps_list,
                                 scheme=cfg.scheme, scenario=cfg.label,
                                 store_fields=True)
-    manifest.add_inner_sweeps(sweep.flagged_steps)
     manifest.write_json("sweep.json", _replayable(cfg, sim, sweep))
     for rung in sweep.resolved_rungs():
         field_to_csv(rung.gap_field, manifest.path(f"gap_eps_{rung.epsilon:g}.csv"))
     ladder = coefficient_ladder(oracle, aset.action(0), cfg.grid, cfg.eps_list)
     ladder.to_csv(manifest.path("ladder.csv"))
-    manifest.add_check("liminf", sweep.liminf_pass, "")
-    manifest.add_check("countable_convergence", sweep.countable_pass,
-                       f"threshold {sweep.countable_threshold:.4f}")
+    for check in sweep.checks():
+        manifest.add_check(*check)
 
 
 def cmd_truncation_study(cfg, args, manifest):
@@ -138,11 +143,9 @@ def cmd_truncation_study(cfg, args, manifest):
     rep = countable_truncation_study(oracle, cfg.family(), cfg.experiment["N_list"],
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list,
                                      scheme=cfg.scheme)
-    manifest.add_inner_sweeps(rep.flagged_steps)
     manifest.write_json("truncation.json", _replayable(cfg, sim, rep))
-    manifest.add_check("value_monotone_in_N", rep.monotone_pass, "")
-    manifest.add_check("eps_convergence_per_N", rep.eps_pass, "")
-    manifest.add_check("open_loop_costs", rep.open_loop_pass, "")
+    for check in rep.checks():
+        manifest.add_check(*check)
 
 
 def cmd_simulate(cfg, args, manifest):
@@ -167,11 +170,8 @@ def cmd_counterexample(cfg, args, manifest):
                                 sim=sim, mc_enabled=True)
     manifest.write_json("counterexample.json", _replayable(cfg, sim, rep))
     rep.to_csv(manifest.path("counterexample_rows.csv"))
-    manifest.add_check("strict_gap", rep.gap_pass, f"gap(0,0)={rep.gap_at_origin:.4f}")
-    manifest.add_check("closed_forms", *rep.closed_forms())
-    manifest.add_check("mc_crosscheck", rep.mc_pass, "")
-    manifest.add_check("boundary_contamination", rep.contamination <= rep.contamination_tol,
-                       rep.advice or f"{rep.contamination:.2e}")
+    for check in rep.checks():
+        manifest.add_check(*check)
 
 
 def cmd_catalog(args, out_dir):

@@ -398,11 +398,6 @@ class RunManifest:
     def add_check(self, name, passed, detail="", **extra):
         self.checks.append({"name": name, "passed": bool(passed), "detail": detail, **extra})
 
-    def add_inner_sweeps(self, n_flagged, **extra):
-        """The direct marcher's check: no step flagged for unsettled inner sweeps."""
-        self.add_check("inner_sweeps_converged", n_flagged == 0, f"{n_flagged} flagged steps",
-                       **extra)
-
     @property
     def all_passed(self):
         return all(c["passed"] for c in self.checks)

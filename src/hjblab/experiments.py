@@ -5,7 +5,9 @@ Limits are replaced by monotonicity-and-threshold checks along finite epsilon
 ladders; each threshold is fixed by the grid and MC step and carried in the
 report.  Interior metrics exclude the epsilon-wide time bands (and, on a box,
 space bands) where the zero extension of the mollified coefficients bites;
-full-cylinder metrics are reported alongside.
+full-cylinder metrics are reported alongside.  Each report's ``checks()``
+states its verdict once, as (name, passed, detail) tuples, which the CLI's
+manifest records and the selftest's criteria read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .coefficients import (
     sample_all,
 )
 from .grids import BOX, CENTRAL, UPWIND, SpaceTimeField, build_grid, lp_norm, write_csv
-from .hjb import solve_hjb_tables
+from .hjb import inner_sweeps_check, solve_hjb_tables
 from .mollify import MollifierKernel, interior_mask, mollify_samples, strictly_decreasing
 from .montecarlo import (
     FeedbackRule,
@@ -62,9 +64,10 @@ class VerificationReport:
     rows: list
     passed: bool
 
-    def summary(self):
+    def checks(self):
         verdict = "passed" if self.passed else "FAILED"
-        return f"verification battery {verdict}: u(s,x)={self.u_start:.6g}, {len(self.rows)} controls"
+        return [("verification", self.passed, f"verification battery {verdict}: "
+                 f"u(s,x)={self.u_start:.6g}, {len(self.rows)} controls")]
 
     def to_json(self):
         return asdict(self)
@@ -129,6 +132,9 @@ class DPPReport:
     rows: list
     passed: bool
 
+    def checks(self):
+        return [("dpp", self.passed, f"{len(self.rows)} rows")]
+
     def to_json(self):
         """The rows; the report passes when every row does."""
         return [asdict(r) for r in self.rows]
@@ -186,6 +192,12 @@ class SweepReport:
     def resolved_rungs(self):
         return [r for r in self.rungs if r.resolved]
 
+    def checks(self):
+        return [inner_sweeps_check(self.flagged_steps),
+                ("liminf", self.liminf_pass, ""),
+                ("countable_convergence", self.countable_pass,
+                 f"threshold {self.countable_threshold:.4f}")]
+
     def to_json(self):
         """Every field; a rung's stored gap field stays out, and is not
         copied as ``asdict`` would."""
@@ -205,27 +217,36 @@ def _gaps_shrink(sups, threshold=np.inf):
 def _eps_walk(B, F, grid, eps_list, scheme, flagged):
     """March the raw tables, then mollify and march them down an epsilon ladder.
 
-    Returns V and an iterator of (eps, kernel, (B_eps, F_eps), V_eps) over the
-    rungs the grid resolves (eps >= max dx and eps >= dt); the ladder must
-    decrease strictly, so the unresolved rungs are its tail.  Every march adds
-    its flagged inner steps to ``flagged``.
+    Returns V and an iterator of (eps, kernel, (B_eps, F_eps), gap, mask,
+    order_sup) over the rungs the grid resolves (eps >= max dx and eps >=
+    dt); the ladder must decrease strictly, so the unresolved rungs are its
+    tail.  ``gap`` is V_eps - V, ``mask`` the rung's own interior band, and
+    ``order_sup`` max |gap| over the one band the ladder's order is tested
+    on: that of the largest eps with an interior node, which every smaller
+    rung's band contains (NaN for a rung with none).  Every march adds its
+    flagged inner steps to ``flagged``.
     """
     eps_list = [float(e) for e in eps_list]
     if not strictly_decreasing(eps_list):
         raise ValueError("eps ladder must be strictly decreasing")
+    resolved = [eps for eps in eps_list if eps >= max(grid.dx) and eps >= grid.dt]
+    masks = [interior_mask(grid, eps) for eps in resolved]
+    band = next((mask for mask in masks if mask.any()), None)
 
     def march(tables):
         V = solve_hjb_tables(*tables, grid, scheme=scheme)
         flagged.extend(V.meta["inner_flagged_steps"])
         return V
 
-    def rung(eps):
+    def rung(eps, mask):
         kernel = MollifierKernel(eps, dim=grid.dim)
         tables = mollify_samples(B, F, kernel, grid)
-        return eps, kernel, tables, march(tables)
+        gap = march(tables).values - V.values
+        return (eps, kernel, tables, gap, mask,
+                float(np.max(np.abs(gap[band]))) if mask.any() else np.nan)
 
-    return march((B, F)), (rung(eps) for eps in eps_list
-                           if eps >= max(grid.dx) and eps >= grid.dt)
+    V = march((B, F))
+    return V, (rung(eps, mask) for eps, mask in zip(resolved, masks))
 
 
 def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
@@ -239,11 +260,9 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     2 * kernel_time_moment * sup Phi bounds the mass lost to the zero
     extension at the time boundary, and the atol covers scheme error.
     The countable-convergence check asserts the sup gap decreasing along
-    the ladder over one band, the interior of the largest epsilon that has
-    an interior node (on a box each rung's own band is wider than the one
-    before it), and the smallest rung's interior sup gap below
-    ``countable_threshold`` (5 dx).  Rungs with eps below the grid spacing
-    are refused.
+    the ladder over the ladder's one order band (see ``_eps_walk``), and the
+    smallest rung's interior sup gap below ``countable_threshold`` (5 dx).
+    Rungs with eps below the grid spacing are refused.
     """
     flagged = []
     B, F = sample_all(oracle, grid, action_set)
@@ -256,15 +275,11 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
 
     resolved = []
     liminf_tols = {}
-    band, order_sups = None, []  # the order's one band, and each rung's sup over it
-    for eps, kernel, tables, V_eps in walk:
+    order_sups = []
+    for eps, kernel, tables, gap, mask, order_sup in walk:
         del tables  # held here, it would outlive the making of the next rung
-        gap = V_eps.values - V.values
-        mask = interior_mask(grid, eps)
         interior = gap[mask]
-        if band is None and interior.size:
-            band = mask
-        order_sups.append(np.nan if band is None else float(np.max(np.abs(gap[band]))))
+        order_sups.append(order_sup)
         coeff = 2.0 * kernel.abs_time_moment * phi_sup
         liminf_tols[eps] = float(liminf_atol + coeff * eps)
         resolved.append(SweepRung(
@@ -284,8 +299,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     checked = [r for r in resolved[-2:] if not np.isnan(r.min_gap_interior)]
     liminf_pass = bool(checked) and all(r.min_gap_interior >= -liminf_tols[r.epsilon]
                                         for r in checked)
-    # the order on one band, which every later rung's own band contains; the
-    # 5 dx gate on the smallest rung's own band
+    # the order on the ladder's one band; the 5 dx gate on the smallest rung's own band
     countable_pass = _gaps_shrink(order_sups) and _gaps_shrink(
         [r.sup_gap_interior for r in resolved][-1:], countable_threshold)
 
@@ -334,16 +348,19 @@ class CounterexampleReport:
     def to_json(self):
         return asdict(self)
 
-    def closed_forms(self):
-        """(passed, detail): V(0,0) and V_lim(0,0) each within 2% of its
-        closed form (1 and 4/3 at T = 1); a report without x = 0 fails."""
+    def checks(self):
+        # closed forms: V(0,0) and V_lim(0,0) each within 2% (1 and 4/3 at T = 1)
         row = _origin_row(self.rows)
-        if row is None:
-            return False, "no row at x = 0"
-        return (abs(row.v_num - row.v_exact) <= 0.02 * abs(row.v_exact)
-                and abs(row.v_lim_num - row.v_lim_exact) <= 0.02 * abs(row.v_lim_exact),
-                f"V(0,0)={row.v_num:.4f} of {row.v_exact:.4f}, "
-                f"Vlim(0,0)={row.v_lim_num:.4f} of {row.v_lim_exact:.4f}")
+        closed_forms = (False, "no row at x = 0") if row is None else (
+            abs(row.v_num - row.v_exact) <= 0.02 * abs(row.v_exact)
+            and abs(row.v_lim_num - row.v_lim_exact) <= 0.02 * abs(row.v_lim_exact),
+            f"V(0,0)={row.v_num:.4f} of {row.v_exact:.4f}, "
+            f"Vlim(0,0)={row.v_lim_num:.4f} of {row.v_lim_exact:.4f}")
+        return [("strict_gap", self.gap_pass, f"gap(0,0)={self.gap_at_origin:.4f}"),
+                ("closed_forms", *closed_forms),
+                ("mc_crosscheck", self.mc_pass, ""),
+                ("boundary_contamination", self.contamination <= self.contamination_tol,
+                 self.advice or f"{self.contamination:.2e}")]
 
 
 def _origin_row(rows):
@@ -407,7 +424,6 @@ def counterexample_report(T, x_samples, grid, sim=None, mc_enabled=True):
 
     # Monte Carlo cross-check of both PDE numbers at the origin
     mc_rows = []
-    mc_pass = True
     if mc_enabled and sim is not None:
         start = np.asarray(sim.start_state)[None, :]
         ests = simulate_costs([(make_counterexample(grid), A_EQ_X),
@@ -416,7 +432,7 @@ def counterexample_report(T, x_samples, grid, sim=None, mc_enabled=True):
             target = float(exact.exact_value(sim.start_time, start, T)[0])
             ok = bool(est.within(target, atol=5.0 * sim.dt_sim))
             mc_rows.append((label, est.mean, est.se, target, ok))
-        mc_pass = all(row[-1] for row in mc_rows)
+    mc_pass = all(row[-1] for row in mc_rows)
 
     return CounterexampleReport(
         rows=rows,
@@ -446,14 +462,11 @@ class TruncationReport:
     open_loop_pass: bool
     flagged_steps: int       # inner-sweep flagged steps over every march
 
-    @property
-    def passed(self):
-        return (self.monotone_pass and self.eps_pass and self.open_loop_pass
-                and self.flagged_steps == 0)
-
-    def summary(self):
-        return (f"truncation study[{self.family}] {'pass' if self.passed else 'FAIL'} "
-                f"over N={self.N_list}, {self.flagged_steps} flagged steps")
+    def checks(self):
+        return [inner_sweeps_check(self.flagged_steps),
+                ("value_monotone_in_N", self.monotone_pass, ""),
+                ("eps_convergence_per_N", self.eps_pass, ""),
+                ("open_loop_costs", self.open_loop_pass, "")]
 
     def to_json(self):
         return asdict(self)
@@ -465,7 +478,8 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
 
     V^N from the truncated action prefix is pointwise nonincreasing in N; for
     each N the mollified values converge back along the epsilon ladder (the
-    interior sup gaps of the rungs that have an interior node decrease); and
+    sup gaps over the ladder's one order band decrease, see ``_eps_walk``;
+    ``eps_table`` records each rung's own interior sup gap); and
     for the fixed open-loop control a = a_1 the regularized costs J_eps
     approach J (checked by Monte Carlo with common random numbers when a sim
     config is given).
@@ -479,11 +493,11 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     for N in N_list:
         B, F = sample_all(oracle, grid, family.prefix(N))
         values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
-        sups = []
-        for eps, _, (B_eps, F_eps), V_eps in walk:
-            interior = np.abs(V_eps.values - values[N].values)[interior_mask(grid, eps)]
-            sups.append(float(np.max(interior)) if interior.size else np.nan)
-            eps_rows.append([N, eps, sups[-1]])
+        order_sups = []
+        for eps, _, (B_eps, F_eps), gap, mask, order_sup in walk:
+            interior = np.abs(gap[mask])
+            eps_rows.append([N, eps, float(np.max(interior)) if interior.size else np.nan])
+            order_sups.append(order_sup)
             if sim is not None and N == N_list[0]:
                 # action 0 of every prefix is a_1: its mollified tables are
                 # prefix 1's; copied, so that the full tables can go
@@ -492,7 +506,7 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
                     constant_control(0))))
             # held here, they would outlive the making of the next rung
             del B_eps, F_eps
-        eps_pass = eps_pass and _gaps_shrink(sups)
+        eps_pass = eps_pass and _gaps_shrink(order_sups)
     open_rows = []
     if open_legs:
         raw = (oracle, constant_control(family.prefix(1).action(0)))

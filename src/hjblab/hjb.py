@@ -172,6 +172,11 @@ def solve_hjb_tables(B, F, grid, scheme=UPWIND, action_set=None):
     return SpaceTimeField(grid, u, meta=meta, policy=policy)
 
 
+def inner_sweeps_check(n_flagged):
+    """The direct marcher's check: no step flagged for unsettled inner sweeps."""
+    return "inner_sweeps_converged", n_flagged == 0, f"{n_flagged} flagged steps"
+
+
 def hjb_residual(U, B, F, grid, scheme=UPWIND):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils,
     and the argmin indices it takes: (residual, indices).

@@ -31,7 +31,6 @@ from .config import RunManifest, echo_hash, load_config
 from .experiments import (
     A_EQ_X,
     _gaps_shrink,
-    _origin_row,
     _solve_effective,
     counterexample_report,
     countable_truncation_study,
@@ -41,7 +40,7 @@ from .experiments import (
 )
 from .grids import CENTRAL, UPWIND, build_grid, write_csv
 from .hamiltonian import Policy, argmin_level
-from .hjb import policy_iteration, policy_iteration_checks, solve_hjb_direct
+from .hjb import inner_sweeps_check, policy_iteration, policy_iteration_checks, solve_hjb_direct
 from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
 from .montecarlo import (
     STREAM,
@@ -81,18 +80,21 @@ def multi_action_scenarios():
 # criteria
 
 
+def _all_pass(*reports):
+    """Every check of every report passes."""
+    return all(passed for rep in reports for _, passed, _ in rep.checks())
+
+
 def _crit1_counterexample(record):
     t0 = time.perf_counter()
     cfg = shipped("counterexample")
     rep = counterexample_report(cfg.grid.T, cfg.experiment["x_samples"], cfg.grid,
                                 mc_enabled=False)
     rt = time.perf_counter() - t0
-    row0 = _origin_row(rep.rows)
-    ok = rep.closed_forms()[0] and rep.gap_pass and rt < 10.0 and not rep.advice
+    ok = _all_pass(rep) and rt < 10.0
     record.write_json("counterexample.json", rep.to_json())
     rep.to_csv(record.path("counterexample_rows.csv"))
-    detail = (f"V(0,0)={row0.v_num:.4f} Vlim(0,0)={row0.v_lim_num:.4f} "
-              f"gap={row0.gap_num:.4f} contamination={rep.contamination:.1e}")
+    detail = "; ".join(f"{name}: {detail}" for name, _, detail in rep.checks() if detail)
     record.add_check("counterexample gap (closed forms)", ok, detail, criterion=1, runtime=rt)
     return rep
 
@@ -177,16 +179,12 @@ def _counterexample_sim(seed, threads):
 
 def _crit5_verification(record, bang_bang, u0, threads):
     t0 = time.perf_counter()
-    ok = True
-    details = []
 
     # scenario 1: bang_bang, argmin feedback from the direct solver's policy
     cfg, oracle, aset, u_dir = bang_bang
     sim = cfg.build_sim(seed_override=MASTER_SEED + 1, n_threads=threads)
     candidates = _bang_bang_candidates(cfg.grid, oracle, aset, u_dir, MASTER_SEED + 2)
     rep1 = verification_check(u_dir, oracle, sim, candidates)
-    ok = ok and rep1.passed
-    details.append(f"bang_bang u={rep1.u_start:.4f}")
     record.write_json("verification_bang_bang.json", rep1.to_json())
 
     # scenario 2: counterexample against the injected effective Hamiltonian
@@ -200,13 +198,12 @@ def _crit5_verification(record, bang_bang, u0, threads):
         ("double_diag", FeedbackRule(lambda t, X: 2.0 * X[:, 0], name="double_diag")),
     ]
     rep2 = verification_check(u0, ce, simc, cand_c, argmin_control=A_EQ_X)
-    ok = ok and rep2.passed
-    details.append(f"counterexample u={rep2.u_start:.4f}")
     record.write_json("verification_counterexample.json", rep2.to_json())
 
     rt = time.perf_counter() - t0
-    record.add_check("verification theorem battery", ok, "; ".join(details), criterion=5,
-                     runtime=rt)
+    record.add_check("verification theorem battery", _all_pass(rep1, rep2),
+                     f"bang_bang u={rep1.u_start:.4f}; counterexample u={rep2.u_start:.4f}",
+                     criterion=5, runtime=rt)
 
 
 def _crit6_dpp(record, bang_bang, u0, threads):
@@ -223,7 +220,7 @@ def _crit6_dpp(record, bang_bang, u0, threads):
     rep2 = dpp_battery(u0, ce, A_EQ_X, simc, t_mids,
                        suboptimal_controls=[("const_0", constant_control(0.0))])
     rt = time.perf_counter() - t0
-    ok = rep1.passed and rep2.passed
+    ok = _all_pass(rep1, rep2)
     record.write_json("dpp.json", rep1.to_json() + rep2.to_json())
     worst = max(abs(r.residual) for r in rep1.rows + rep2.rows if r.expect == "zero")
     record.add_check("DPP residuals", ok, f"max |residual| at argmin feedback {worst:.4f}",
@@ -246,14 +243,14 @@ def _crit7_sweeps(record, gap_report):
                    "min_gap_interior", "lp_gap"],
                   [(r.epsilon, int(r.resolved), r.sup_gap_full, r.sup_gap_interior,
                     r.min_gap_interior, r.lp_gap) for r in sweep.rungs])
-        if not (sweep.liminf_pass and sweep.countable_pass and sweep.flagged_steps == 0):
-            ok = False
-            details.append(f"{name}: liminf={sweep.liminf_pass} countable={sweep.countable_pass}"
-                           f" flagged_steps={sweep.flagged_steps}")
+        failed = ", ".join(f"{check} ({detail})" if detail else check
+                           for check, passed, detail in sweep.checks() if not passed)
+        ok = ok and not failed
         last = sweep.resolved_rungs()[-1]
-        details.append(f"{name}: sup={last.sup_gap_interior:.4f}<=5dx={sweep.countable_threshold:.4f}")
+        details.append(f"{name}: sup={last.sup_gap_interior:.4f}<=5dx={sweep.countable_threshold:.4f}"
+                       + (f", failed {failed}" if failed else ""))
     # the counterexample regime must NOT converge: strict gap stays
-    ok = ok and gap_report.gap_pass
+    ok = ok and next(passed for check, passed, _ in gap_report.checks() if check == "strict_gap")
     details.append(f"counterexample gap {gap_report.gap_at_origin:.3f}>=0.30")
 
     # coefficient ladders (external-interface CSV) for two contrasting entries
@@ -279,23 +276,17 @@ def _smooth_problem(grid):
 
 def _crit8_solver_validation(record):
     t0 = time.perf_counter()
-    payload = {}
-    ok = True
 
-    # orders: coupled ladders dt ~ dx^2 (central) and dt ~ dx (upwind)
+    # orders: coupled ladders dt ~ dx^2 (central) and dt ~ dx (upwind); the
+    # central ladder's error ~ dx^2 ~ dt, so its slopes are 2 in dx and 1 in dt
     grids_c = [build_grid("torus", 1, 1.0, nx, 1.0, nx * nx // 8) for nx in (16, 24, 32, 48)]
     orders_c = convergence_order(_smooth_problem, grids_c, CENTRAL)
     grids_u = [build_grid("torus", 1, 1.0, nx, 1.0, nx) for nx in (32, 48, 64, 96)]
     orders_u = convergence_order(_smooth_problem, grids_u, UPWIND)
-    payload["orders_central"] = {"space": orders_c.space, "time": orders_c.time,
-                                 "errors": orders_c.errors}
-    payload["orders_upwind"] = {"space": orders_u.space, "time": orders_u.time,
-                                "errors": orders_u.errors}
-    # central coupled ladder: error ~ dx^2 ~ dt, so slopes (2 in dx, 1 in dt)
-    if not (abs(orders_c.space - 2.0) <= 0.25 and abs(orders_c.time - 1.0) <= 0.25):
-        ok = False
-    if not (abs(orders_u.space - 1.0) <= 0.25 and abs(orders_u.time - 1.0) <= 0.25):
-        ok = False
+    payload = {f"orders_{name}": {"space": o.space, "time": o.time, "errors": o.errors}
+               for name, o in (("central", orders_c), ("upwind", orders_u))}
+    ok = all(abs(o.space - space) <= 0.25 and abs(o.time - 1.0) <= 0.25
+             for o, space in ((orders_c, 2.0), (orders_u, 1.0)))
 
     # comparison-principle fuzz: 100 ordered pairs, zero violations beyond 1e-12
     rng = np.random.Generator(np.random.Philox(key=np.uint64(MASTER_SEED + 6)))
@@ -313,20 +304,14 @@ def _crit8_solver_validation(record):
         u2 = solve_frozen(b, f2, grid)
         worst = max(worst, float(np.max(u1.values - u2.values)))
     payload["comparison_fuzz_worst"] = worst
-    if worst > 1e-12:
-        ok = False
+    ok = ok and worst <= 1e-12
 
-    # kernel normalization at every shipped epsilon
-    norm_errors = {}
-    for eps in (0.4, 0.2, 0.1, 0.05):
-        err = kernel_normalization_error(MollifierKernel(eps, dim=1))
-        norm_errors[str(eps)] = err
-        if err > 1e-8:
-            ok = False
-    err2d = kernel_normalization_error(MollifierKernel(0.2, dim=2))
-    norm_errors["0.2_d2"] = err2d
-    ok = ok and err2d <= 1e-8
+    # kernel normalization at every shipped epsilon, and at 0.2 in 2d
+    norm_errors = {str(eps): kernel_normalization_error(MollifierKernel(eps, dim=1))
+                   for eps in (0.4, 0.2, 0.1, 0.05)}
+    norm_errors["0.2_d2"] = kernel_normalization_error(MollifierKernel(0.2, dim=2))
     payload["kernel_normalization"] = norm_errors
+    ok = ok and all(err <= 1e-8 for err in norm_errors.values())
 
     rt = time.perf_counter() - t0
     record.write_json("solver_validation.json", payload)
@@ -345,8 +330,9 @@ def _crit_truncation(record, threads):
                                      cfg.grid, sim=sim, eps_list=cfg.eps_list, scheme=cfg.scheme)
     record.write_json("truncation.json", rep.to_json())
     rt = time.perf_counter() - t0
-    record.add_check("countable truncation study", rep.passed, rep.summary(), criterion=7,
-                     runtime=rt)
+    record.add_check("countable truncation study", _all_pass(rep),
+                     f"{rep.family} over N={rep.N_list}, {rep.flagged_steps} flagged steps",
+                     criterion=7, runtime=rt)
     return rep.flagged_steps
 
 
@@ -375,7 +361,6 @@ def _crit9_reproducibility(record, threads):
 def _bound_checks(record):
     """Domination scan for every shipped catalog entry on its default grid."""
     rows = {}
-    ok = True
     scans = {name: (cfg.grid, cfg.build_oracle(), cfg.build_action_set())
              for name, cfg in multi_action_scenarios().items()}
     coarse = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 16)
@@ -386,9 +371,9 @@ def _bound_checks(record):
             grid.domain_kind, grid.dim, list(grid.extent), grid.nx, grid.T, 16)
         rep = verify_bound(oracle, check_grid, aset)
         rows[name] = {"passed": rep.passed, "min_slack": rep.min_slack}
-        ok = ok and rep.passed
     record.write_json("bound_checks.json", rows)
-    record.add_check("catalog domination bounds", ok, "", criterion=0, runtime=0.0)
+    record.add_check("catalog domination bounds", all(row["passed"] for row in rows.values()), "",
+                     criterion=0, runtime=0.0)
 
 
 def run_selftest(out_dir, threads=1):
@@ -415,7 +400,7 @@ def run_selftest(out_dir, threads=1):
     _crit9_reproducibility(record, threads)
     _bound_checks(record)
     # criteria 3 and 7 already fail on a flagged step; this names the total
-    record.add_inner_sweeps(flagged, criterion=0, runtime=0.0)
+    record.add_check(*inner_sweeps_check(flagged), criterion=0, runtime=0.0)
 
     total = time.perf_counter() - t_start
     if total >= 300.0:

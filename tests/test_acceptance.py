@@ -203,10 +203,13 @@ def test_criterion_7_sweeps_fail_on_flagged_inner_steps(tmp_path, monkeypatch):
     # one sweep per step can never see the argmin repeat, so every march flags
     monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
     record = RunManifest(str(tmp_path))
-    _crit7_sweeps(record, SimpleNamespace(gap_at_origin=1.0 / 3.0, gap_pass=True))
+    gap_report = SimpleNamespace(gap_at_origin=1.0 / 3.0,
+                                 checks=lambda: [("strict_gap", True, "gap(0,0)=0.3333")])
+    _crit7_sweeps(record, gap_report)
     o = record.checks[0]
     assert not o["passed"]
-    flagged = [int(n) for n in re.findall(r"flagged_steps=(\d+)", o["detail"])]
+    flagged = [int(n) for n in
+               re.findall(r"inner_sweeps_converged \((\d+) flagged steps\)", o["detail"])]
     assert len(flagged) == len(multi_action_scenarios()) and min(flagged) > 0, o["detail"]
 
 

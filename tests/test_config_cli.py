@@ -860,3 +860,50 @@ def test_mollify_sweep_runs_on_a_box(tmp_path):
     assert "countable_convergence" in {check["name"] for check in manifest["checks"]}
     rungs = _strict_json(tmp_path / "out" / "sweep.json")["report"]["rungs"]
     assert any(r["resolved"] and r["sup_gap_interior"] is not None for r in rungs)
+
+
+def test_truncation_study_tests_a_box_ladder_on_one_band(tmp_path):
+    # the fuzz's 8 nodes resolve only eps 0.4; on 32 nodes and 64 levels each
+    # prefix's own-band sups rise (N = 1: 2.20e-3, 2.52e-3, 1.27e-3), while
+    # over the band of eps 0.4 they fall
+    cfg = _variant(tmp_path, "truncation.cfg", {
+        "domain.kind": "box", "mollify.eps": [0.4, 0.2, 0.1],
+        "domain.nx": 32, "time.nt": 64, "mc.M": 20})
+    code, err = _run(["truncation-study", cfg, "--out", str(tmp_path / "out")])
+    checks = _strict_json(tmp_path / "out" / "manifest.json")["checks"]
+    assert code == 0, (err, checks)
+    assert {check["name"]: check["passed"] for check in checks}["eps_convergence_per_N"]
+
+
+def _report_of(subcommand, cfg):
+    """The report a subcommand writes, built from the config as its handler does."""
+    sim = cfg.build_sim()
+    if subcommand == "counterexample":
+        return experiments.counterexample_report(cfg.grid.T, cfg.experiment["x_samples"],
+                                                 cfg.grid, sim=sim)
+    if subcommand == "mollify-sweep":
+        return experiments.mollify_value_sweep(cfg.build_oracle(), cfg.build_action_set(),
+                                               cfg.grid, cfg.eps_list, scheme=cfg.scheme)
+    return experiments.countable_truncation_study(
+        cfg.build_oracle(), cfg.family(), cfg.experiment["N_list"], cfg.grid, sim=sim,
+        eps_list=cfg.eps_list, scheme=cfg.scheme)
+
+
+@pytest.mark.parametrize("subcommand, name, edits", [
+    ("counterexample", "counterexample.cfg", {}),
+    ("counterexample", "counterexample.cfg", {"domain.nx": 61, "time.nt": 32}),
+    ("mollify-sweep", "bang_bang.cfg", {}),
+    ("mollify-sweep", "bang_bang.cfg", {"domain.nx": 32, "time.nt": 32}),
+    ("truncation-study", "truncation.cfg", {"domain.nx": 32, "time.nt": 32}),
+    ("truncation-study", "truncation.cfg", {"domain.nx": 32, "time.nt": 64, "domain.kind": "box",
+                                            "mollify.eps": [0.4, 0.2, 0.1]}),
+])
+def test_cli_records_the_checks_its_report_states(tmp_path, subcommand, name, edits):
+    # the manifest holds the report's checks() and nothing else: names,
+    # order, verdicts and details
+    cfg = _variant(tmp_path, name, FUZZ_BASE[name] | edits)
+    code, err = _run([subcommand, cfg, "--out", str(tmp_path / "out")])
+    checks = _strict_json(tmp_path / "out" / "manifest.json")["checks"]
+    assert code == (0 if all(c["passed"] for c in checks) else 1), err
+    assert checks == [{"name": check, "passed": bool(passed), "detail": detail}
+                      for check, passed, detail in _report_of(subcommand, load_config(cfg)).checks()]

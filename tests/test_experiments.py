@@ -29,6 +29,11 @@ from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control, dp
 from test_coefficients import _count_calls
 
 
+def _verdicts(rep):
+    """A report's checks as {name: passed}."""
+    return {name: passed for name, passed, _ in rep.checks()}
+
+
 @pytest.fixture(scope="module")
 def bang():
     grid = build_grid("torus", 1, (-1.0, 1.0), 32, 1.0, 64)
@@ -90,7 +95,7 @@ def test_counterexample_formulas_small_grid():
     assert r1.v_lim_exact - r1.v_exact == pytest.approx(4.0 / 3.0)
     assert rep.gap_pass
     assert rep.contamination <= rep.contamination_tol
-    assert rep.closed_forms()[0]
+    assert _verdicts(rep)["closed_forms"]
 
 
 @pytest.mark.parametrize("v, v_lim, passed", [
@@ -100,13 +105,13 @@ def test_counterexample_closed_forms_hold_each_value_within_2_percent(v, v_lim, 
     rows = [CounterexampleRow(0.0, 1.0, 2.0, 9.0, 10.0 / 3.0, 9.0, 0.0),  # x = 1 is not read
             CounterexampleRow(0.0, 0.0, 1.0, v, 4.0 / 3.0, v_lim, v_lim - v)]
     rep = CounterexampleReport(rows, v_lim - v, True, [], True, 0.0, 1e-3, "")
-    assert rep.closed_forms()[0] is passed
+    assert _verdicts(rep)["closed_forms"] is passed
 
 
 def test_counterexample_closed_forms_need_the_origin_row():
     grid = build_grid("box", 1, (-6.0, 6.0), 61, 1.0, 32)
     rep = counterexample_report(1.0, [0.5, 1.0], grid, mc_enabled=False)
-    assert rep.closed_forms() == (False, "no row at x = 0")
+    assert ("closed_forms", False, "no row at x = 0") in rep.checks()
 
 
 @pytest.mark.parametrize("kind, dim", [("torus", 1), ("box", 2)])
@@ -151,7 +156,7 @@ def test_counterexample_contamination_box_keeps_the_grid_nodes(nx):
     grid = build_grid("box", 1, (-6.0, 6.0), nx, 1.0, 128)
     rep = counterexample_report(1.0, [0.0, 0.5, 1.0], grid, mc_enabled=False)
     assert rep.contamination <= rep.contamination_tol and rep.advice == ""
-    assert rep.closed_forms()[0] and rep.gap_pass
+    assert _verdicts(rep)["closed_forms"] and rep.gap_pass
 
 
 def test_counterexample_grid_time_mismatch():
@@ -180,6 +185,19 @@ def test_gap_ladder_leaves_out_rungs_without_interior_nodes(sups, threshold, pas
     assert experiments._gaps_shrink(sups, threshold) == passed
 
 
+def _hand_made_ladder(monkeypatch, inside, outside):
+    """A box grid whose marches return hand-made fields: V = 0, then per rung
+    of the ladder 0.4, 0.2, 0.1 ``inside`` on the band of eps 0.4 and
+    ``outside`` off it; every rung's band choice is left to ``_eps_walk``."""
+    grid = build_grid("box", 1, (-1.0, 1.0), 41, 1.0, 40)
+    band = interior_mask(grid, 0.4)
+    fields = iter([np.zeros(band.shape)] + [np.where(band, a, b) for a, b in zip(inside, outside)])
+    monkeypatch.setattr(experiments, "mollify_samples", lambda B, F, kernel, grid: (B, F))
+    monkeypatch.setattr(experiments, "solve_hjb_tables", lambda *args, **kwargs: SpaceTimeField(
+        grid, next(fields), meta={"inner_flagged_steps": []}))
+    return grid
+
+
 @pytest.mark.parametrize("inside, outside, passed", [
     # own bands widen onto larger gaps: their sups rise, the one band's fall
     ([3e-3, 2e-3, 1e-3], [0.0, 5e-3, 6e-3], True),
@@ -187,17 +205,24 @@ def test_gap_ladder_leaves_out_rungs_without_interior_nodes(sups, threshold, pas
     ([3e-3, 2e-3, 1e-3], [0.0, 0.0, 0.3], False),  # the smallest rung's own band above 5 dx
 ])
 def test_sweep_order_is_tested_on_one_band(monkeypatch, inside, outside, passed):
-    # hand-made gap fields: ``inside`` on the band of the largest rung, eps 0.4,
-    # and ``outside`` off it
-    grid = build_grid("box", 1, (-1.0, 1.0), 41, 1.0, 40)
-    band = interior_mask(grid, 0.4)
-    V = SpaceTimeField(grid, np.zeros(band.shape))
-    rungs = [(eps, MollifierKernel(eps), None, SpaceTimeField(grid, np.where(band, a, b)))
-             for eps, a, b in zip([0.4, 0.2, 0.1], inside, outside)]
-    monkeypatch.setattr(experiments, "_eps_walk", lambda *args: (V, iter(rungs)))
+    grid = _hand_made_ladder(monkeypatch, inside, outside)
     sw = mollify_value_sweep(make_bang_bang(grid), bang_bang_actions(), grid, [0.4, 0.2, 0.1])
     assert sw.countable_threshold == pytest.approx(0.25)
     assert sw.countable_pass == passed
+
+
+@pytest.mark.parametrize("inside, outside, passed", [
+    ([3e-3, 2e-3, 1e-3], [0.0, 5e-3, 6e-3], True),
+    ([1e-3, 2e-3, 1.5e-3], [0.0, 0.0, 0.0], False),
+    ([3e-3, 2e-3, 1e-3], [0.0, 0.0, 0.3], True),  # the study has no 5 dx gate
+])
+def test_truncation_order_is_tested_on_one_band(monkeypatch, inside, outside, passed):
+    # the study reads the sweep's one band; its eps_table keeps each rung's own
+    grid = _hand_made_ladder(monkeypatch, inside, outside)
+    rep = countable_truncation_study(make_bang_bang(grid), bang_bang_family(), [1], grid,
+                                     eps_list=[0.4, 0.2, 0.1])
+    assert rep.eps_pass == passed
+    assert [sup for _, _, sup in rep.eps_table] == [max(a, b) for a, b in zip(inside, outside)]
 
 
 def test_sweep_passes_and_reports(bang):
@@ -322,8 +347,8 @@ def test_truncation_fails_on_flagged_inner_steps(bang, monkeypatch):
     monkeypatch.setattr(hjb, "MAX_SWEEPS", 1)
     rep = countable_truncation_study(oracle, bang_bang_family(), [1, 2], grid,
                                      eps_list=[0.2, 0.1], scheme=scheme)
-    assert rep.flagged_steps > 0 and not rep.passed
-    assert rep.summary().startswith("truncation study[bang_bang] FAIL")
+    assert rep.flagged_steps > 0 and not all(_verdicts(rep).values())
+    assert rep.checks()[0] == ("inner_sweeps_converged", False, f"{rep.flagged_steps} flagged steps")
 
 
 @pytest.mark.parametrize("dt_sim, t_mids, loops", [

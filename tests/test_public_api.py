@@ -239,3 +239,20 @@ def test_each_rule_is_written_once():
     assert found == {"level": {"grids.py:Grid.level_index"},
                      "ladder": {"mollify.py:strictly_decreasing"},
                      "band": {"mollify.py:interior_mask"}}
+
+
+# the report fields that hold a check's verdict
+VERDICT_FIELDS = {"gap_pass", "mc_pass", "liminf_pass", "countable_pass", "monotone_pass",
+                  "eps_pass", "open_loop_pass"}
+
+
+def test_each_verdict_is_read_once():
+    # a report's checks() is the one reader of its verdict fields: the CLI
+    # and the selftest read checks(), never the fields
+    readers = set()
+    for path in sorted((ROOT / "src" / "hjblab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in VERDICT_FIELDS):
+                readers.add(path.name)
+    assert readers == {"experiments.py"}
