@@ -291,7 +291,7 @@ def load_config(path):
     """Parse and validate a scenario config; collect every violation."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.MarkedYAMLError as e:
         mark = e.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

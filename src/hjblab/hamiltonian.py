@@ -9,7 +9,7 @@ The discrete Hamiltonian takes the gradient of the value iterate in the
 convention of the advection stencil of the solver that consumes the policy:
 a central gradient, or one-sided gradient pairs for upwind advection; mixing
 conventions would break the discrete comparison argument behind monotone
-policy iteration.  ``argmin_level`` is the one argmin kernel.
+policy iteration.  ``argmin_level``, the one argmin kernel, contracts by ``einsum``.
 """
 
 from __future__ import annotations
@@ -46,17 +46,18 @@ def argmin_level(B, F, u, grid, advection):
     """(indices, H): the per-action discrete Hamiltonian H = b . grad u + f at
     every node and the indices of its exact minimum, ties to the lowest index.
 
-    ``B`` has shape (n_a, levels, ..., dim), ``F`` (n_a, levels, ...) and
-    ``u`` (levels, ...), for any number of leading time levels (u's levels
-    broadcast against B's).  With upwind advection the gradient is the
-    one-sided pair and H = b+ . g_plus + b- . g_minus + f, the discrete face
-    of b . grad u consistent with the monotone stencil; otherwise central.
+    ``B`` has shape (n_a, levels, ..., dim), ``F`` (n_a, levels, ...) and ``u``
+    (levels, ...), for any number of leading time levels (u's levels broadcast
+    against B's).  With upwind advection the gradient is the one-sided pair and
+    H = b+ . g_plus + b- . g_minus + f, the discrete face of b . grad u of the
+    monotone stencil; otherwise central.  Each dot product is one ``einsum``
+    over dim, bit for bit the sum of the full (n_a, levels, ..., dim) product.
     """
     if advection == UPWIND:
         gp, gm = gradient_pair(u, grid)
-        adv = (np.maximum(B, 0.0) * gp[None]).sum(axis=-1)
-        adv += (np.minimum(B, 0.0) * gm[None]).sum(axis=-1)
+        H = np.einsum("a...d,...d->a...", np.maximum(B, 0.0), gp)
+        H += np.einsum("a...d,...d->a...", np.minimum(B, 0.0), gm)
     else:
-        adv = (B * spatial_gradient(u, grid)[None]).sum(axis=-1)
-    H = adv + F
+        H = np.einsum("a...d,...d->a...", B, spatial_gradient(u, grid))
+    H += F
     return H.argmin(axis=0), H

@@ -47,10 +47,12 @@ class IterationTrace:
 
 
 def _select_fields(B, F, indices):
-    """Coefficient fields along a policy: B (n_a, levels, ..., dim) -> (levels, ..., dim)."""
-    bsel = np.take_along_axis(B, indices[None, ..., None], axis=0)[0]
-    fsel = np.take_along_axis(F, indices[None, ...], axis=0)[0]
-    return bsel, fsel
+    """A policy's selection (indices, bsel, fsel): B (n_a, levels, ..., dim) -> bsel (levels,
+    ..., dim) and F likewise, by one flat gather of row ``indices[m] * nodes + m`` at node m."""
+    rows = indices.reshape(-1) * indices.size
+    rows += np.arange(indices.size)
+    bsel = np.take(B.reshape(-1, B.shape[-1]), rows, axis=0).reshape(indices.shape + B.shape[-1:])
+    return indices, bsel, np.take(F.reshape(-1), rows).reshape(indices.shape)
 
 
 def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8):
@@ -67,31 +69,30 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8):
     trace = IterationTrace()
     n_nodes = u.size
     prev_indices = None
-    # the residual of each iterate takes the argmin the next iteration freezes
-    next_indices = argmin_level(B, F, u, grid, scheme)[0]
+    # each iterate's residual takes the argmin, and the fields, the next iteration freezes
+    selection = _select_fields(B, F, argmin_level(B, F, u, grid, scheme)[0])
 
     for k in range(1, MAX_ITERS + 1):
-        policy_indices = next_indices
-        bsel, fsel = _select_fields(B, F, policy_indices)
+        indices, bsel, fsel = selection
         u_new = solve_frozen(bsel, fsel, grid, scheme=scheme).values
 
         diff = u_new - u
         sup_change = float(np.max(np.abs(diff)))
         trace.sup_changes.append(sup_change)
         trace.max_pos_diffs.append(float(np.max(np.maximum(diff, 0.0))))
-        changed = n_nodes if prev_indices is None else int(np.sum(policy_indices != prev_indices))
+        changed = n_nodes if prev_indices is None else int(np.sum(indices != prev_indices))
         trace.policy_changes.append(changed)
-        residual, next_indices = hjb_residual(u_new, B, F, grid, scheme)
+        residual, selection = hjb_residual(u_new, B, F, grid, scheme)
         trace.residuals.append(residual)
 
-        prev_indices = policy_indices
+        prev_indices = indices
         u = u_new
         trace.iterations = k
         if sup_change < tol and changed <= 1e-3 * n_nodes:
             trace.converged = True
             break
 
-    return SpaceTimeField(grid, u), Policy(grid, policy_indices, action_set), trace
+    return SpaceTimeField(grid, u), Policy(grid, indices, action_set), trace
 
 
 def policy_iteration_checks(u_pi, u_direct, trace, tol):
@@ -108,8 +109,7 @@ def policy_iteration_checks(u_pi, u_direct, trace, tol):
 def solve_policy_value(oracle, policy, grid, scheme=UPWIND):
     """Frozen value under an arbitrary fixed grid policy (u^alpha of the theory)."""
     B, F = sample_all(oracle, grid, policy.action_set)
-    bsel, fsel = _select_fields(B, F, policy.indices)
-    return solve_frozen(bsel, fsel, grid, scheme=scheme)
+    return solve_frozen(*_select_fields(B, F, policy.indices)[1:], grid, scheme=scheme)
 
 
 def solve_hjb_direct(oracle, action_set, grid, scheme=UPWIND):
@@ -179,15 +179,14 @@ def inner_sweeps_check(n_flagged):
 
 def hjb_residual(U, B, F, grid, scheme=UPWIND):
     """Sup-norm discrete HJB residual over interior nodes, solver stencils,
-    and the argmin indices it takes: (residual, indices).
+    and the selection it takes: (residual, (indices, bsel, fsel)).
 
     The exact-argmin policy of the gradient of the value array ``U`` selects
-    the coefficients from the per-action tables ``B`` (n_actions, levels,
-    ..., dim) and ``F`` (n_actions, levels, ...), and ``pde_residual`` takes
-    the solver's own step with them; solver output therefore has residual at
-    roundoff scale (but for flagged steps).  Box edge nodes are left out, so
-    no edge data enters.
+    the coefficients ``bsel``, ``fsel`` from the per-action tables ``B``
+    (n_actions, levels, ..., dim) and ``F`` (n_actions, levels, ...), and
+    ``pde_residual`` takes the solver's own step with them; solver output
+    therefore has residual at roundoff scale (but for flagged steps).  Box
+    edge nodes are left out, so no edge data enters.
     """
-    idx = argmin_level(B, F, U, grid, scheme)[0]
-    bsel, fsel = _select_fields(B, F, idx)
-    return float(np.max(np.abs(pde_residual(U, bsel, fsel, grid, scheme=scheme)))), idx
+    selection = _select_fields(B, F, argmin_level(B, F, U, grid, scheme)[0])
+    return float(np.max(np.abs(pde_residual(U, *selection[1:], grid, scheme)))), selection

@@ -211,7 +211,8 @@ def test_parse_error_reports_position(tmp_path):
     path.write_text("domain: {kind: torus\n  dim: 1\n")
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
-    assert "line" in err.value.violations[0]
+    # the unclosed flow mapping is found at the ':' of "dim: 1"
+    assert err.value.violations[0].startswith("parse error at line 2, column 6: ")
 
 
 def test_tabulated_roundtrip(tmp_path):

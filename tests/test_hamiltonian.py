@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hjblab.coefficients import (
+    CATALOG,
     ActionFamily,
     ActionSet,
     CoefficientError,
@@ -153,6 +156,71 @@ def test_all_levels_equals_per_level(case, advection):
         idx_n, H_n = _minimum(B[:, n:n + 1], F[:, n:n + 1], u[n:n + 1], grid, advection)
         assert np.array_equal(idx_n[0], idx[n])
         assert np.array_equal(H_n[0], H[n])
+
+
+def _product_and_sum(B, F, u, grid, advection):
+    """The kernel as a full (actions, levels, ..., dim) product summed over
+    its last axis: the reference that argmin_level's contraction pins."""
+    if advection == "upwind":
+        gp, gm = gradient_pair(u, grid)
+        adv = (np.maximum(B, 0.0) * gp[None]).sum(axis=-1)
+        adv += (np.minimum(B, 0.0) * gm[None]).sum(axis=-1)
+    else:
+        adv = (B * spatial_gradient(u, grid)[None]).sum(axis=-1)
+    H = adv + F
+    return H.argmin(axis=0), H
+
+
+def _catalog_tables(name, kind, dim):
+    """(grid, B, F, u) for a catalog entry, or for random tables that drift
+    along every axis, so that in 2d each dot product sums two terms."""
+    grid = build_grid(kind, dim, (-1.0, 1.0), 17 if dim == 1 else 8, 0.5, 6)
+    X = grid.points()
+    u = np.stack([np.sin(np.pi * X[..., 0] + t) * np.cos(0.5 * np.pi * X[..., -1] - t)
+                  + t * X[..., -1] for t in grid.times()])
+    if name == "random":
+        rng = np.random.default_rng(dim)
+        B = rng.uniform(-1.0, 1.0, size=(3, grid.n_levels) + grid.space_shape + (dim,))
+        return grid, B, rng.uniform(size=B.shape[:-1]), u
+    if name == "counterexample":
+        aset = ActionSet(X.reshape(-1, dim)[::5] if dim == 2 else grid.space_axis(0)[::3])
+    else:
+        aset = ActionSet(np.array([-1.0, 0.5, 1.0]))
+    return (grid,) + sample_all(CATALOG[name](grid), grid, aset) + (u,)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["random"])
+@pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 1), ("torus", 2), ("box", 2)])
+@pytest.mark.parametrize("advection", ADVECTIONS)
+def test_argmin_bits_match_product_and_sum(name, kind, dim, advection):
+    # every bit of H and every index, over all levels (policy iteration and
+    # the residual) and with u's one level against B's two (the march)
+    grid, B, F, u = _catalog_tables(name, kind, dim)
+    calls = [(B, F, u)] + [(B[:, n - 1:n + 1], F[:, n - 1:n + 1], u[n:n + 1])
+                           for n in range(1, grid.n_levels)]
+    for args in calls:
+        idx, H = argmin_level(*args, grid, advection)
+        ref_idx, ref_H = _product_and_sum(*args, grid, advection)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(H.view(np.int64), ref_H.view(np.int64))
+
+
+def test_central_argmin_holds_no_product():
+    # the peak of an all-levels central call on a 2d table stays below the
+    # gradient, H and the indices (a page over for the arrays' headers);
+    # a (actions, levels, ..., dim) product would add 2 x H bytes
+    grid = build_grid("torus", 2, (-1.0, 1.0), 24, 1.0, 48)
+    rng = np.random.default_rng(0)
+    B = rng.uniform(-1.0, 1.0, size=(2, grid.n_levels) + grid.space_shape + (2,))
+    F = rng.uniform(size=B.shape[:-1])
+    u = rng.normal(size=F.shape[1:])
+    tracemalloc.start()
+    try:
+        idx, H = argmin_level(B, F, u, grid, "central")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u.nbytes + H.nbytes + idx.nbytes + 4096
 
 
 def test_concavity_in_p():

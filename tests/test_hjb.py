@@ -111,8 +111,11 @@ def test_hjb_residual_indices_are_the_argmin(bang, scheme):
     grid, oracle, aset = bang
     B, F = sample_all(oracle, grid, aset)
     u = solve_hjb_direct(oracle, aset, grid, scheme=scheme).values
-    _, idx = hjb_residual(u, B, F, grid, scheme)
+    _, (idx, bsel, fsel) = hjb_residual(u, B, F, grid, scheme)
     assert np.array_equal(idx, argmin_level(B, F, u, grid, scheme)[0])
+    # the fields it returns are the ones that policy selects
+    assert np.array_equal(bsel, np.take_along_axis(B, idx[None, ..., None], axis=0)[0])
+    assert np.array_equal(fsel, np.take_along_axis(F, idx[None], axis=0)[0])
 
 
 def test_hjb_residual_zero_field(bang):
@@ -194,27 +197,42 @@ def test_2d_agreement(kind):
 
 
 def test_policy_iteration_takes_each_argmin_once(monkeypatch):
-    # the residual's argmin of each iterate is the policy the next iteration
-    # freezes: k iterations make k + 1 argmin calls, not 2k
+    # the residual's argmin of each iterate, and the fields it selects, are
+    # the policy the next iteration freezes: k iterations make k + 1 argmin
+    # calls and k + 1 selections, not 2k
     from hjblab.config import load_config
 
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "bench", "inputs",
                                    "bang_bang_2d.cfg"))
     calls = []
-    real = hjb_module.argmin_level
+    for name in ("argmin_level", "_select_fields"):
+        def counting(*args, _name=name, _real=getattr(hjb_module, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hjb_module, "argmin_level", counting)
+        monkeypatch.setattr(hjb_module, name, counting)
     u, policy, trace = policy_iteration(cfg.build_oracle(), cfg.build_action_set(), cfg.grid,
                                         scheme=cfg.scheme, tol=cfg.tol)
     assert trace.converged and trace.iterations >= 3
-    assert len(calls) == trace.iterations + 1
+    assert calls.count("argmin_level") == calls.count("_select_fields") == trace.iterations + 1
     # the returned policy is the one frozen for the last solve
     expect = solve_policy_value(cfg.build_oracle(), policy, cfg.grid, scheme=cfg.scheme)
     assert np.array_equal(expect.values, u.values)
+
+
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 2)])
+def test_select_fields_is_take_along_axis(kind, dim, n_actions):
+    # an exact copy of the chosen action's entries, with the last action's
+    # tables a repeat of the first's, and on a table that is a strided view
+    grid, B, F = _random_tables(kind, dim, 6, n_actions=n_actions, seed=n_actions)
+    B[-1], F[-1] = B[0], F[0]
+    idx = np.random.default_rng(dim).integers(0, n_actions, size=F.shape[1:])
+    for b, f, i in ((B, F, idx), (B[:, ::2], F[:, ::2], idx[::2])):
+        selected, bsel, fsel = hjb_module._select_fields(b, f, i)
+        assert selected is i
+        assert np.array_equal(bsel, np.take_along_axis(b, i[None, ..., None], axis=0)[0])
+        assert np.array_equal(fsel, np.take_along_axis(f, i[None], axis=0)[0])
 
 
 def _random_tables(kind, dim, nx, n_actions=3, seed=3):
