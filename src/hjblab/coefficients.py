@@ -298,6 +298,15 @@ def bang_bang_family():
     return ActionFamily("bang_bang", lambda i: 1.0 if i % 2 == 0 else -1.0, size=2)
 
 
+def bang_bang_dyadic_family():
+    """Enumeration +-(1 - 2^-(i//2 + 1)): (1/2, -1/2, 3/4, -3/4, ...), whose
+    sup, bang_bang's +-1, is not attained; in doubles its 106 distinct
+    elements end at +-(1 - 2^-53)."""
+    return ActionFamily("bang_bang_dyadic",
+                        lambda i: (1.0 - 0.5 ** (i // 2 + 1)) * (1 if i % 2 == 0 else -1),
+                        size=106)
+
+
 def make_smooth_baseline(domain):
     """C-infinity drift and cost manufactured around a known solution.
 

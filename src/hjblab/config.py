@@ -24,6 +24,7 @@ from .coefficients import (
     CATALOG,
     ActionSet,
     bang_bang_actions,
+    bang_bang_dyadic_family,
     bang_bang_family,
     make_oracle,
     make_tabulated,
@@ -45,7 +46,7 @@ class ConfigError(ValueError):
 REQUIRED = object()  # default of a key the config must set
 ABSENT = object()    # default of an optional key the echo leaves out when unset
 
-FAMILIES = {"bang_bang": bang_bang_family}
+FAMILIES = {"bang_bang": bang_bang_family, "bang_bang_dyadic": bang_bang_dyadic_family}
 
 
 @dataclass(frozen=True)

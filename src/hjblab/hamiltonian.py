@@ -52,6 +52,8 @@ def argmin_level(B, F, u, grid, advection):
     H = b+ . g_plus + b- . g_minus + f, the discrete face of b . grad u of the
     monotone stencil; otherwise central.  Each dot product is one ``einsum``
     over dim, bit for bit the sum of the full (n_a, levels, ..., dim) product.
+    The indices are a running strict-less selection over the actions, bit for
+    bit ``H.argmin(axis=0)`` without its copy of H; a non-finite H raises.
     """
     if advection == UPWIND:
         gp, gm = gradient_pair(u, grid)
@@ -60,4 +62,12 @@ def argmin_level(B, F, u, grid, advection):
     else:
         H = np.einsum("a...d,...d->a...", B, spatial_gradient(u, grid))
     H += F
-    return H.argmin(axis=0), H
+    if not np.isfinite(H).all():
+        raise ValueError("non-finite Hamiltonian: no action is the minimum at every node")
+    idx, best = np.zeros(H.shape[1:], dtype=np.intp), H[0]
+    for a in range(1, len(H)):
+        less = H[a] < best
+        idx = less.astype(np.intp) if a == 1 else np.where(less, a, idx)
+        if a + 1 < len(H):
+            best = np.minimum(best, H[a])
+    return idx, H

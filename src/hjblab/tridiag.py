@@ -18,13 +18,39 @@ import numpy as np
 
 def _lapack(name):
     """The LAPACK routine ``name``, bound on first use (commands that solve
-    nothing skip importing scipy.linalg); a binding a test replaced is kept."""
+    nothing load no LAPACK); a binding a test replaced is kept."""
     if name not in ("dgtsv", "dgttrf", "dgttrs"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if name not in globals():
-        from scipy.linalg import lapack
-        globals()[name] = getattr(lapack, name)
+        globals()[name] = getattr(_flapack(), name)
     return globals()[name]
+
+
+def _flapack():
+    """scipy's Fortran LAPACK extension ``scipy.linalg._flapack``, loaded from
+    its file alone: the ``scipy.linalg`` package would import 74 more scipy
+    modules (+25 MB).  CPython enters the single-phase extension in
+    ``sys.modules`` and caches it, so its routines are the objects
+    ``scipy.linalg.lapack`` exports."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    import scipy  # its _distributor_init loads the bundled OpenBLAS
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension {stem}<suffix>, suffixes "
+                      f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
 __getattr__ = _lapack

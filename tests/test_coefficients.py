@@ -9,6 +9,7 @@ from hjblab.coefficients import (
     CoefficientError,
     CoefficientOracle,
     bang_bang_actions,
+    bang_bang_dyadic_family,
     bang_bang_family,
     make_checkerboard,
     make_counterexample,
@@ -122,6 +123,15 @@ def test_family_prefix_consistency():
     p3 = fam.prefix(3)
     assert np.array_equal(p3.values[:1], p1.values)
     assert list(p3.values) == [1.0, -1.0, 1.0][: len(p3)] or len(p3) == 2
+
+
+def test_dyadic_family_never_runs_out():
+    values = bang_bang_dyadic_family().prefix(40).values
+    assert list(values[:6]) == [0.5, -0.5, 0.75, -0.75, 0.875, -0.875]
+    assert len(values) == 40 and np.all(np.abs(values) < 1.0)
+    assert np.array_equal(values[::2], -values[1::2])
+    # past 1 - 2^-53 a double rounds to 1: the prefixes stop at 106 elements
+    assert len(bang_bang_dyadic_family().prefix(500)) == 106
 
 
 def test_family_enumeration_prefix_rule():

@@ -9,6 +9,7 @@ from hjblab.coefficients import (
     ActionFamily,
     ActionSet,
     bang_bang_actions,
+    bang_bang_dyadic_family,
     bang_bang_family,
     make_bang_bang,
     make_constant_drift,
@@ -255,6 +256,36 @@ def test_truncation_bang_family(bang):
     change = rep.value_table["1->2"]
     assert change["max_violation"] <= 1e-10
     assert change["min_decrement"] < -1e-3  # the second action strictly helps
+
+
+# sup(V^N - V_{+-1}) of the dyadic family's prefixes on the bang fixture's
+# grid, measured: 3.57e-2, 1.76e-2, 4.35e-3, 2.71e-4 and 1.06e-6
+DYADIC_N = (2, 4, 8, 16, 32)
+DYADIC_SUP_AT_32 = 1.5e-6
+
+
+def test_dyadic_family_converges_to_its_unattained_sup(bang):
+    # prefixes of +-(1 - 2^-k) never contain +-1, so V^N stays above the
+    # +-1 value, and the gap does not rise as N doubles
+    grid, oracle, _, scheme, u = bang
+    gaps = []
+    for N in DYADIC_N:
+        V = solve_hjb_direct(oracle, bang_bang_dyadic_family().prefix(N), grid, scheme=scheme)
+        assert V.meta["inner_flagged_steps"] == []
+        diff = V.values - u.values
+        assert diff.min() >= 0.0
+        gaps.append(float(diff.max()))
+    assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+    assert gaps[0] > 1e-2 and gaps[-1] < DYADIC_SUP_AT_32
+
+
+def test_truncation_dyadic_family(bang):
+    grid, oracle, _, scheme, _ = bang
+    rep = countable_truncation_study(oracle, bang_bang_dyadic_family(), [1, 2, 4, 8], grid,
+                                     eps_list=[0.2, 0.1], scheme=scheme)
+    assert all(_verdicts(rep).values())
+    # the family never runs out: every doubling of N strictly helps
+    assert all(change["min_decrement"] < 0.0 for change in rep.value_table.values())
 
 
 def test_truncation_first_action_already_optimal():

@@ -160,7 +160,8 @@ def test_all_levels_equals_per_level(case, advection):
 
 def _product_and_sum(B, F, u, grid, advection):
     """The kernel as a full (actions, levels, ..., dim) product summed over
-    its last axis: the reference that argmin_level's contraction pins."""
+    its last axis, and ``H.argmin(axis=0)``: the reference that argmin_level's
+    contraction and strict-less selection pin."""
     if advection == "upwind":
         gp, gm = gradient_pair(u, grid)
         adv = (np.maximum(B, 0.0) * gp[None]).sum(axis=-1)
@@ -203,6 +204,31 @@ def test_argmin_bits_match_product_and_sum(name, kind, dim, advection):
         ref_idx, ref_H = _product_and_sum(*args, grid, advection)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(H.view(np.int64), ref_H.view(np.int64))
+
+
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 5])
+def test_argmin_ties_go_to_the_lowest_index(n_actions):
+    # zero drift leaves H = F: values drawn from {-1, 0, 1} tie at most
+    # nodes, and every index is H.argmin's
+    grid = build_grid("torus", 2, (-1.0, 1.0), 6, 0.5, 4)
+    rng = np.random.default_rng(n_actions)
+    F = rng.choice([-1.0, 0.0, 1.0], size=(n_actions, grid.n_levels) + grid.space_shape)
+    B = np.zeros(F.shape + (2,))
+    u = rng.normal(size=F.shape[1:])
+    for advection in ADVECTIONS:
+        idx, H = argmin_level(B, F, u, grid, advection)
+        assert np.array_equal(H, F)
+        assert idx.dtype == np.intp and np.array_equal(idx, H.argmin(axis=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_hamiltonian_raises(torus, bad):
+    B, F = sample_all(make_bang_bang(torus), torus, bang_bang_actions())
+    F[1, 2, 3] = bad
+    u = np.zeros((torus.n_levels,) + torus.space_shape)
+    for advection in ADVECTIONS:
+        with pytest.raises(ValueError, match="non-finite Hamiltonian"):
+            argmin_level(B, F, u, torus, advection)
 
 
 def test_central_argmin_holds_no_product():

@@ -12,6 +12,9 @@ import types
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+import yaml
+
 import hjblab
 from hjblab import config
 from hjblab.montecarlo import SimConfig
@@ -77,17 +80,49 @@ def test_exported_names():
     assert hjblab.__version__ == "0.1.0"
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # nor scipy.linalg: LAPACK is bound on the first line solve, so commands
-    # that solve nothing do not pay for importing it
+def _fresh(code, *args):
+    """The stdout lines of ``code`` run with ``args`` in a fresh interpreter
+    that imports this hjblab."""
     src = os.path.dirname(os.path.dirname(hjblab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, hjblab.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.linalg'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.splitlines()
+
+
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # nor the scipy.linalg package, which would load 74 more modules: LAPACK
+    # is bound on the first line solve, from scipy's extension module alone
+    cfg = yaml.safe_load((ROOT / "configs" / "checkerboard.cfg").read_text())
+    cfg["domain"]["nx"], cfg["time"]["nt"] = 8, 8
+    path = tmp_path / "small.cfg"
+    path.write_text(yaml.safe_dump(cfg))
+    code = ("import sys, hjblab.cli\n"
+            "names = {'scipy.integrate', 'scipy.linalg', 'scipy.linalg._flapack'}\n"
+            "print(sorted(names & set(sys.modules)))\n"
+            "assert hjblab.cli.main(['solve-hjb', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(names & set(sys.modules)))\n")
+    out = _fresh(code, str(path), str(tmp_path / "out"))
+    assert out[0] == "[]"
+    assert out[-1] == "['scipy.linalg._flapack']"
+
+
+@pytest.mark.parametrize("package_first", [False, True])
+def test_lapack_bindings_are_scipys(package_first):
+    # the routines bound from the extension are the objects scipy.linalg.lapack
+    # exports, whether the package is imported before the first solve or after
+    code = ("import sys\n"
+            + ("import scipy.linalg.lapack\n" if package_first else "")
+            + "import numpy as np\n"
+            "from hjblab import tridiag\n"
+            "bands = np.array([-np.ones(4), 3.0 * np.ones(4), -np.ones(4)])\n"
+            "tridiag.solve_lines(bands, np.ones(4))\n"
+            "names = ('dgtsv', 'dgttrf', 'dgttrs')\n"
+            "bound = [getattr(tridiag, n) for n in names]\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "print([b is getattr(lapack, n) for b, n in zip(bound, names)])\n")
+    assert _fresh(code) == [str(package_first), "[True, True, True]"]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +231,31 @@ def _scopes(tree, match):
                 yield from visit(child, scope)
 
     return visit(tree, ())
+
+
+def _imports_scipy(node):
+    """An import of scipy or of a scipy submodule, by statement or by call."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+          and getattr(node.func, "attr", getattr(node.func, "id", None))
+          in ("import_module", "__import__")):
+        names = [str(node.args[0].value)]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in names)
+
+
+def test_scipy_is_imported_only_by_the_lapack_loader():
+    # one loader reaches scipy, for its LAPACK extension alone: an import of
+    # scipy.linalg anywhere would bring back its 74 modules (+25 MB)
+    found = set()
+    for path in sorted((ROOT / "src" / "hjblab").glob("*.py")):
+        found |= {f"{path.name}:{scope}" for scope in _scopes(ast.parse(path.read_text()),
+                                                               _imports_scipy)}
+    assert found == {"tridiag.py:_flapack"}
 
 
 def _is_level_tolerance(node):

@@ -1,4 +1,6 @@
+import importlib.machinery
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +240,14 @@ def test_singular_level_line_raises_naming_it(monkeypatch, kind, dim):
         parabolic.solve_frozen(B[0], F[0], grid)
 
 
+def test_moved_lapack_extension_raises_naming_the_path(monkeypatch):
+    # one code path: no fallback to importing the scipy.linalg package
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".moved.so"])
+    with pytest.raises(ImportError, match=r"linalg.+_flapack<suffix>.+\.moved\.so"):
+        tridiag._flapack()
+
+
 def _count_lapack(monkeypatch):
     """Record (routine, unknowns, right-hand sides) of every LAPACK call."""
     calls = []
@@ -251,6 +261,7 @@ def _count_lapack(monkeypatch):
             return _original(*args, **kw)
 
         monkeypatch.setattr(tridiag, name, counting)
+        assert tridiag._lapack(name) is counting  # the solves call the replaced binding
     return calls
 
 
