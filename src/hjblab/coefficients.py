@@ -286,7 +286,8 @@ def make_checkerboard(domain, kx=1, kt=0):
 
 def make_bang_bang(domain):
     """b(x, a) = a with A = {-1, +1}; cost dist(x, 0)^2."""
-    return _multiplier_entry("bang_bang", domain, lambda t, X: np.ones(X.shape[:-1]), 1.0)
+    return _multiplier_entry("bang_bang", domain,
+                             lambda t, X: np.broadcast_to(1.0, X.shape[:-1]), 1.0)
 
 
 def bang_bang_actions():

@@ -9,7 +9,7 @@ The discrete Hamiltonian takes the gradient of the value iterate in the
 convention of the advection stencil of the solver that consumes the policy:
 a central gradient, or one-sided gradient pairs for upwind advection; mixing
 conventions would break the discrete comparison argument behind monotone
-policy iteration.  ``argmin_level``, the one argmin kernel, contracts by ``einsum``.
+policy iteration.  ``argmin_level``, the one argmin kernel, sums b . grad u by axis.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ def constant_policy(grid, action_set, index=0):
     return Policy(grid, np.full((grid.n_levels,) + grid.space_shape, int(index)), action_set)
 
 
+def _dot(B, g):
+    """b . g, its axes summed in order; the axes after the first are added one
+    action at a time, so that no temporary spans every action."""
+    s = B[..., 0] * g[..., 0]
+    for k in range(1, B.shape[-1]):
+        for a in range(len(s)):
+            s[a] += B[a, ..., k] * g[..., k]
+    return s
+
+
 def argmin_level(B, F, u, grid, advection):
     """(indices, H): the per-action discrete Hamiltonian H = b . grad u + f at
     every node and the indices of its exact minimum, ties to the lowest index.
@@ -50,17 +60,17 @@ def argmin_level(B, F, u, grid, advection):
     (levels, ...), for any number of leading time levels (u's levels broadcast
     against B's).  With upwind advection the gradient is the one-sided pair and
     H = b+ . g_plus + b- . g_minus + f, the discrete face of b . grad u of the
-    monotone stencil; otherwise central.  Each dot product is one ``einsum``
-    over dim, bit for bit the sum of the full (n_a, levels, ..., dim) product.
+    monotone stencil; otherwise central.  Each dot product sums its axes in order,
+    bit for bit the sum of the full (n_a, levels, ..., dim) product.
     The indices are a running strict-less selection over the actions, bit for
     bit ``H.argmin(axis=0)`` without its copy of H; a non-finite H raises.
     """
     if advection == UPWIND:
         gp, gm = gradient_pair(u, grid)
-        H = np.einsum("a...d,...d->a...", np.maximum(B, 0.0), gp)
-        H += np.einsum("a...d,...d->a...", np.minimum(B, 0.0), gm)
+        H = _dot(np.maximum(B, 0.0), gp)
+        H += _dot(np.minimum(B, 0.0), gm)
     else:
-        H = np.einsum("a...d,...d->a...", B, spatial_gradient(u, grid))
+        H = _dot(B, spatial_gradient(u, grid))
     H += F
     if not np.isfinite(H).all():
         raise ValueError("non-finite Hamiltonian: no action is the minimum at every node")

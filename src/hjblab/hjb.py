@@ -59,9 +59,11 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8):
     """Howard-type iteration: exact-argmin policy, then frozen linear solve.
 
     Starts from u^0 = 0; the argmin is exact, so no slack schedule enters.
-    Stops when the sup-norm change drops below ``tol`` and the policy is
-    unchanged on at least 99.9 percent of nodes, or at ``MAX_ITERS`` (the
-    best iterate is then returned with the trace flagged, not an error).
+    A policy that repeats the last one is not solved again (its solve would
+    return the iterate bit for bit).  Stops when the sup-norm change drops
+    below ``tol`` and the policy is unchanged on at least 99.9 percent of
+    nodes, or at ``MAX_ITERS`` (the best iterate is then returned with the
+    trace flagged, not an error).
     """
     B, F = sample_all(oracle, grid, action_set)
 
@@ -74,19 +76,20 @@ def policy_iteration(oracle, action_set, grid, scheme=UPWIND, tol=1e-8):
 
     for k in range(1, MAX_ITERS + 1):
         indices, bsel, fsel = selection
-        u_new = solve_frozen(bsel, fsel, grid, scheme=scheme).values
-
-        diff = u_new - u
+        changed = n_nodes if prev_indices is None else int(np.sum(indices != prev_indices))
+        if changed:  # a repeated policy solves to u bit for bit: u, residual and selection stand
+            u_new = solve_frozen(bsel, fsel, grid, scheme=scheme).values
+            diff, u = u_new - u, u_new
+            residual, selection = hjb_residual(u, B, F, grid, scheme)
+        else:
+            diff = np.zeros(1)
         sup_change = float(np.max(np.abs(diff)))
         trace.sup_changes.append(sup_change)
         trace.max_pos_diffs.append(float(np.max(np.maximum(diff, 0.0))))
-        changed = n_nodes if prev_indices is None else int(np.sum(indices != prev_indices))
         trace.policy_changes.append(changed)
-        residual, selection = hjb_residual(u_new, B, F, grid, scheme)
         trace.residuals.append(residual)
 
         prev_indices = indices
-        u = u_new
         trace.iterations = k
         if sup_change < tol and changed <= 1e-3 * n_nodes:
             trace.converged = True

@@ -144,7 +144,8 @@ def value_at(u_field, t, X):
         return np.interp(X[:, 0], ax, vals, period=grid.periods[0] if torus else None)
     # bilinear in 2d
     n = np.asarray(grid.nx)
-    pos = (X - [ax[0] for ax in grid.space_axes()]) / np.asarray(grid.dx)
+    pos = np.stack([(X[:, k] - ax[0]) / h for k, (ax, h) in
+                    enumerate(zip(grid.space_axes(), grid.dx))], axis=-1)
     if not torus:
         pos = np.clip(pos, 0, n - 1 - 1e-12)
     i0 = np.floor(pos).astype(np.int64)

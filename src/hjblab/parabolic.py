@@ -31,9 +31,9 @@ class SchemeError(RuntimeError):
 
 
 def _axis_L_coeffs(beta, h, advection):
-    """(lower, diag, upper) of L = d_xx + beta d_x along the last axis; ``h``
-    may be an array broadcast against ``beta``.  ``advection`` is the
-    scheme, UPWIND or CENTRAL; any other raises SchemeError."""
+    """(lower, diag, upper) of L = d_xx + beta d_x along the last axis, whose
+    spacing is the scalar ``h``.  ``advection`` is the scheme, UPWIND or
+    CENTRAL; any other raises SchemeError."""
     if advection not in (UPWIND, CENTRAL):
         raise SchemeError(f"unknown advection {advection!r}")
     inv_h2 = 1.0 / (h * h)
@@ -52,16 +52,19 @@ def _axis_L_coeffs(beta, h, advection):
 
 def _implicit_bands(B, grid, scheme):
     """Rows (Ml, Md, Mu) of M = I - dt L_k, each a (..., space..., dim)
-    array over the drift table ``B``: every level (and action) and axis k in
-    one array operation, with one M-matrix check."""
+    array over the drift table ``B``: every level (and action) in one array
+    operation per axis k, from ``B[..., k]`` and the scalar ``dx[k]``, with
+    one M-matrix check."""
     least = MIN_NODES[grid.domain_kind]
     if min(grid.nx) < least:
         raise SchemeError(f"{grid.domain_kind} line solves need at least {least} nodes "
                           f"per axis, got {min(grid.nx)}")
-    lo, di, up = _axis_L_coeffs(B, np.array(grid.dx), scheme)
-    Ml = -grid.dt * lo
-    Md = 1.0 - grid.dt * di
-    Mu = -grid.dt * up
+    Ml, Md, Mu = (np.empty(B.shape) for _ in range(3))
+    for k, h in enumerate(grid.dx):
+        lo, di, up = _axis_L_coeffs(B[..., k], h, scheme)
+        Ml[..., k] = -grid.dt * lo
+        Md[..., k] = 1.0 - grid.dt * di
+        Mu[..., k] = -grid.dt * up
     if scheme == UPWIND and not (np.all(Ml <= 1e-14) and np.all(Mu <= 1e-14) and np.all(Md > 0)):
         raise SchemeError("monotone scheme assembly produced a non-M-matrix")
     return Ml, Md, Mu

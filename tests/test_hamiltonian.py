@@ -174,12 +174,18 @@ def _product_and_sum(B, F, u, grid, advection):
 
 def _catalog_tables(name, kind, dim):
     """(grid, B, F, u) for a catalog entry, or for random tables that drift
-    along every axis, so that in 2d each dot product sums two terms."""
-    grid = build_grid(kind, dim, (-1.0, 1.0), 17 if dim == 1 else 8, 0.5, 6)
+    along every axis, so that in 2d each dot product sums two terms;
+    "unequal" draws them on axes of different spacing, [-1, 1] x [-2, 2] at
+    12 x 9 nodes, where a gradient or a sum that took the other axis's dx
+    shows."""
+    if name == "unequal":
+        grid = build_grid(kind, dim, [[-1.0, 1.0], [-2.0, 2.0]][:dim], [12, 9][:dim], 0.5, 6)
+    else:
+        grid = build_grid(kind, dim, (-1.0, 1.0), 17 if dim == 1 else 8, 0.5, 6)
     X = grid.points()
     u = np.stack([np.sin(np.pi * X[..., 0] + t) * np.cos(0.5 * np.pi * X[..., -1] - t)
                   + t * X[..., -1] for t in grid.times()])
-    if name == "random":
+    if name in ("random", "unequal"):
         rng = np.random.default_rng(dim)
         B = rng.uniform(-1.0, 1.0, size=(3, grid.n_levels) + grid.space_shape + (dim,))
         return grid, B, rng.uniform(size=B.shape[:-1]), u
@@ -190,7 +196,7 @@ def _catalog_tables(name, kind, dim):
     return (grid,) + sample_all(CATALOG[name](grid), grid, aset) + (u,)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG) + ["random"])
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["random", "unequal"])
 @pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 1), ("torus", 2), ("box", 2)])
 @pytest.mark.parametrize("advection", ADVECTIONS)
 def test_argmin_bits_match_product_and_sum(name, kind, dim, advection):

@@ -198,14 +198,15 @@ def test_2d_agreement(kind):
 
 def test_policy_iteration_takes_each_argmin_once(monkeypatch):
     # the residual's argmin of each iterate, and the fields it selects, are
-    # the policy the next iteration freezes: k iterations make k + 1 argmin
-    # calls and k + 1 selections, not 2k
+    # the policy the next iteration freezes, and a repeated policy is neither
+    # solved nor checked again: k iterations that end on a repeat make k
+    # argmin calls and k selections, not 2k, and k - 1 frozen solves
     from hjblab.config import load_config
 
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "bench", "inputs",
                                    "bang_bang_2d.cfg"))
     calls = []
-    for name in ("argmin_level", "_select_fields"):
+    for name in ("argmin_level", "_select_fields", "solve_frozen"):
         def counting(*args, _name=name, _real=getattr(hjb_module, name), **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -213,8 +214,9 @@ def test_policy_iteration_takes_each_argmin_once(monkeypatch):
         monkeypatch.setattr(hjb_module, name, counting)
     u, policy, trace = policy_iteration(cfg.build_oracle(), cfg.build_action_set(), cfg.grid,
                                         scheme=cfg.scheme, tol=cfg.tol)
-    assert trace.converged and trace.iterations >= 3
-    assert calls.count("argmin_level") == calls.count("_select_fields") == trace.iterations + 1
+    assert trace.converged and trace.iterations >= 3 and trace.policy_changes[-1] == 0
+    assert calls.count("argmin_level") == calls.count("_select_fields") == trace.iterations
+    assert calls.count("solve_frozen") == trace.iterations - 1
     # the returned policy is the one frozen for the last solve
     expect = solve_policy_value(cfg.build_oracle(), policy, cfg.grid, scheme=cfg.scheme)
     assert np.array_equal(expect.values, u.values)

@@ -194,6 +194,25 @@ def test_value_at_2d_bilinear_exact():
     assert value_at(u, 0.0, pts) == pytest.approx(expect, abs=1e-12)
 
 
+# value_at on [-1, 1] x [-2, 2] at 12 x 9 nodes, at points inside, past an
+# edge and on a node, taken from the lookup that divided by an array of dx
+VALUE_AT_PINNED = {
+    "torus": ["-0x1.8fbdf7bd7a161p-3", "0x1.0e0d1b981d800p-1", "-0x1.e391e6d131ebfp-1",
+              "-0x1.435d0272e48dep-1", "0x1.f9c454d67204dp-2"],
+    "box": ["-0x1.d928f7607c213p-4", "0x1.b413b4cbf4377p-1", "-0x1.927c8d0d6b145p+0",
+            "-0x1.138ecc9d122e0p-3", "0x1.f9c454d67204dp-2"],
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUE_AT_PINNED))
+def test_value_at_2d_on_unequal_axes_is_bit_identical_to_the_pinned_values(kind):
+    grid = build_grid(kind, 2, [[-1.0, 1.0], [-2.0, 2.0]], [12, 9], 0.5, 4)
+    rng = np.random.default_rng(3)
+    u = SpaceTimeField(grid, rng.normal(size=(grid.n_levels,) + grid.space_shape))
+    X = np.array([[0.3, -1.7], [-0.95, 1.9], [1.4, 2.6], [-1.2, -2.3], [0.0, 0.0]])
+    assert [float(v).hex() for v in value_at(u, 0.25, X)] == VALUE_AT_PINNED[kind]
+
+
 def test_value_at_requires_grid_time():
     grid = build_grid("box", 1, (0.0, 1.0), 5, 1.0, 4)
     u = _field(grid, lambda t, X: X[..., 0])

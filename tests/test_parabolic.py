@@ -320,6 +320,33 @@ def test_upwind_implicit_bands_are_m_matrix_rows(seed, kind, dim, nx, length, T,
     assert np.all(np.abs(Md + Ml + Mu - 1.0) <= 1e-14 * Md)
 
 
+def _broadcast_bands(B, g, scheme):
+    """The bands with the spacing an array broadcast along B's last axis:
+    the reference that the per-axis assembly pins bit for bit."""
+    h = np.array(g.dx)
+    inv_h2 = 1.0 / (h * h)
+    if scheme == "upwind":
+        bp, bm = np.maximum(B, 0.0), np.minimum(B, 0.0)
+        lo, up, di = inv_h2 - bm / h, inv_h2 + bp / h, -2.0 * inv_h2 - (bp - bm) / h
+    else:
+        lo, up, di = inv_h2 - B / (2.0 * h), inv_h2 + B / (2.0 * h), np.full(B.shape, -2.0 * inv_h2)
+    return -g.dt * lo, 1.0 - g.dt * di, -g.dt * up
+
+
+@pytest.mark.parametrize("kind", ["torus", "box"])
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_implicit_bands_bits_on_unequal_axes(kind, scheme):
+    # axes of different spacing, so that a band built with the other axis's
+    # dx shows: every level of a frozen solve, and a march's two-level view
+    g = build_grid(kind, 2, [[-1.0, 1.0], [-2.0, 2.0]], [12, 9], 0.5, 6)
+    inner = parabolic._inner(g)
+    B = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, g.n_levels) + g.space_shape + (2,))
+    for table in (B[0, :-1][(slice(None),) + inner], B[:, 2:4][(slice(None),) * 2 + inner]):
+        for got, ref in zip(parabolic._implicit_bands(table, g, scheme),
+                            _broadcast_bands(table, g, scheme)):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_non_finite_values_raise_scheme_error():
     # box lines carry no finiteness check of their own: an overflowing cost
     # reaches the solve's own check, which runs before the field is built

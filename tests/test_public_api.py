@@ -316,3 +316,29 @@ def test_each_verdict_is_read_once():
                     and node.attr in VERDICT_FIELDS):
                 readers.add(path.name)
     assert readers == {"experiments.py"}
+
+
+ARRAY_BUILDERS = {"array", "asarray", "asanyarray", "ascontiguousarray", "fromiter"}
+
+
+def _builds_array_from_dx(node):
+    """An np.array-like call on an expression that reads ``.dx``: the per-axis
+    spacing made an array, which a kernel then broadcasts along a length-dim
+    axis, one short inner loop per node."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr in ARRAY_BUILDERS and isinstance(func.value, ast.Name)
+            and func.value.id == "np" and any(
+                isinstance(n, ast.Attribute) and n.attr == "dx"
+                for arg in node.args for n in ast.walk(arg)))
+
+
+def test_no_array_is_built_from_the_spacing():
+    # kernels take dx[k] one axis at a time, a scalar
+    assert all(_builds_array_from_dx(ast.parse(code).body[0].value)
+               for code in ("np.array(grid.dx)", "np.asarray(g.dx)", "np.array(list(grid.dx))"))
+    found = set()
+    for path in sorted((ROOT / "src" / "hjblab").glob("*.py")):
+        found |= {f"{path.name}:{scope}" for scope in _scopes(ast.parse(path.read_text()),
+                                                               _builds_array_from_dx)}
+    assert found == set()
