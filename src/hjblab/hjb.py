@@ -140,27 +140,27 @@ def solve_hjb_tables(B, F, grid, scheme=UPWIND, action_set=None):
     periodic, inside = grid.domain_kind == TORUS, _inner(grid)
     inner = (slice(None),) * 2 + inside
     u = np.zeros((grid.n_levels,) + grid.space_shape)
-    nodes = np.arange(u[0][inside].size).reshape(u[0][inside].shape)
+    size = u[0][inside].size
+    # per axis k, the places of the band layout, whose lines run along the last axis
+    lines = [np.arange(size).reshape(u[0][inside].swapaxes(k, -1).shape) for k in range(grid.dim)]
     indices, flagged_steps = np.zeros(u.shape, dtype=np.int64), []
-    chunk, lo = max(1, TABLE_ENTRIES // (B.shape[0] * nodes.size * (3 * grid.dim + 1))), grid.nt
+    chunk, lo = max(1, TABLE_ENTRIES // (B.shape[0] * size * (3 * grid.dim + 1))), grid.nt
     # the argmin at u[n + 1] of level n (its first sweep) and of n + 1 (its check)
     found = argmin_level(B[:, -2:], F[:, -2:], u[-1:], grid, scheme)[0]
     indices[-1] = found[-1]
     for n in range(grid.nt - 1, -1, -1):
         if n < lo:
-            # every action's band rows, axis by axis, and cost at levels lo..n, flat: a
-            # sweep gathers the chosen action's at (action * levels + level - lo) * nodes.size + node
+            # every action's bands and cost at levels lo..n, flat: a sweep gathers the chosen
+            # action's at (action * levels + level - lo) * size + the node's place
             lo, levels = max(0, n + 1 - chunk), min(n + 1, chunk)
-            M = _implicit_bands(B[:, lo:n + 1][inner], grid, scheme)
-            rows = [m[..., k] for k in range(grid.dim) for m in M] + [F[:, lo:n + 1][inner]]
-            table = np.stack(rows).reshape(len(rows), -1)
+            tables = [m.reshape(3, -1) for m in _implicit_bands(B[:, lo:n + 1][inner], grid, scheme)]
+            costs = F[:, lo:n + 1][inner].reshape(-1)
         idx = found[0]
         for sweep in range(1, MAX_SWEEPS + 1):
-            chosen = table[:, idx[inside] * (levels * nodes.size) + (n - lo) * nodes.size + nodes]
-            # each axis's rows, its lines along the last axis
-            solves = [partial(solve_lines, chosen[3 * k:3 * k + 3].swapaxes(k + 1, -1),
-                              periodic=periodic) for k in range(grid.dim)]
-            u[n][inside] = _step(u[n + 1][inside] + grid.dt * chosen[-1], solves)
+            cols = (idx[inside] * levels + n - lo) * size
+            solves = [partial(solve_lines, np.take(table, cols.swapaxes(k, -1) + lines[k], axis=1),
+                              periodic=periodic) for k, table in enumerate(tables)]
+            u[n][inside] = _step(u[n + 1][inside] + grid.dt * np.take(costs, cols + lines[-1]), solves)
             found = argmin_level(B[:, max(n - 1, 0):n + 1], F[:, max(n - 1, 0):n + 1], u[n:n + 1],
                                  grid, scheme)[0]
             if sweep == MAX_SWEEPS or (found[-1] == idx).all():

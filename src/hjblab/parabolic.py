@@ -1,16 +1,18 @@
 """Backward linear parabolic solver: d_s u + Lap u + b . grad u + f = 0, u(T) = 0.
 
-Implicit Euler in time, upwind (default) or central advection in space: a
-step from level n+1 to level n solves u[n] against u[n+1] + dt f[n] with the
+Implicit Euler in time, upwind (default) or central advection in space: a step
+from level n+1 to level n solves u[n] against u[n+1] + dt f[n] with the
 implicit operator (I - dt L_x)(I - dt L_y), one factor per axis
 (``_step_operator``, which the residuals and the Dirichlet lift apply to all
-levels in one call).  A solve assembles every level's band rows in one array
+levels in one call).  The one band layout, which ``tridiag`` reads, holds axis
+k's (lower, diag, upper) rows in a C-contiguous (3, ..., n_k) array, its lines
+along the last axis.  A solve assembles every level's bands in one array
 operation and factors them with one pivoting LAPACK call per axis (central
 advection at large b dx stays stable; an exactly singular line raises), so a
 step is one ``dgttrs`` call per axis (``tridiag.LevelFactors``).  A box line
-holds zero on its edges; ``solve_frozen`` alone takes Dirichlet data, and
-lifts it.  Upwind steps are M-matrices for any dt, dx and bounded drift,
-checked once per solve, so the discrete comparison principle is a theorem.
+holds zero on its edges; ``solve_frozen`` alone takes Dirichlet data, and lifts
+it.  Upwind steps are M-matrices for any dt, dx and bounded drift, checked once
+per solve, so the discrete comparison principle is a theorem.
 """
 
 from __future__ import annotations
@@ -30,56 +32,58 @@ class SchemeError(RuntimeError):
     pass
 
 
-def _axis_L_coeffs(beta, h, advection):
-    """(lower, diag, upper) of L = d_xx + beta d_x along the last axis, whose
-    spacing is the scalar ``h``.  ``advection`` is the scheme, UPWIND or
-    CENTRAL; any other raises SchemeError."""
+def _axis_L_coeffs(B, k, grid, advection):
+    """The (lower, diag, upper) rows of L_k = d_kk + b_k d_k over the drift
+    array ``B`` (..., space..., dim), in the band layout.  ``advection`` is the
+    scheme, UPWIND or CENTRAL; any other raises SchemeError."""
     if advection not in (UPWIND, CENTRAL):
         raise SchemeError(f"unknown advection {advection!r}")
+    beta, h = B[..., k].swapaxes(k - grid.dim, -1), grid.dx[k]
     inv_h2 = 1.0 / (h * h)
+    L = np.empty((3,) + beta.shape)
     if advection == UPWIND:
         bp = np.maximum(beta, 0.0)
         bm = np.minimum(beta, 0.0)
-        lower = inv_h2 - bm / h
-        upper = inv_h2 + bp / h
-        diag = -2.0 * inv_h2 - (bp - bm) / h
+        np.subtract(inv_h2, bm / h, out=L[0])
+        np.add(inv_h2, bp / h, out=L[2])
+        np.subtract(-2.0 * inv_h2, (bp - bm) / h, out=L[1])
     else:
-        lower = inv_h2 - beta / (2.0 * h)
-        upper = inv_h2 + beta / (2.0 * h)
-        diag = np.full_like(np.asarray(beta, dtype=float), -2.0 * inv_h2)
-    return lower, diag, upper
+        np.subtract(inv_h2, beta / (2.0 * h), out=L[0])
+        np.add(inv_h2, beta / (2.0 * h), out=L[2])
+        L[1] = -2.0 * inv_h2
+    return L
 
 
 def _implicit_bands(B, grid, scheme):
-    """Rows (Ml, Md, Mu) of M = I - dt L_k, each a (..., space..., dim)
-    array over the drift table ``B``: every level (and action) in one array
-    operation per axis k, from ``B[..., k]`` and the scalar ``dx[k]``, with
-    one M-matrix check."""
+    """Per axis k, the rows of M = I - dt L_k over the drift table ``B`` in
+    the band layout: every level (and action) in one array operation, with
+    one M-matrix check per axis."""
     least = MIN_NODES[grid.domain_kind]
     if min(grid.nx) < least:
         raise SchemeError(f"{grid.domain_kind} line solves need at least {least} nodes "
                           f"per axis, got {min(grid.nx)}")
-    Ml, Md, Mu = (np.empty(B.shape) for _ in range(3))
-    for k, h in enumerate(grid.dx):
-        lo, di, up = _axis_L_coeffs(B[..., k], h, scheme)
-        Ml[..., k] = -grid.dt * lo
-        Md[..., k] = 1.0 - grid.dt * di
-        Mu[..., k] = -grid.dt * up
-    if scheme == UPWIND and not (np.all(Ml <= 1e-14) and np.all(Mu <= 1e-14) and np.all(Md > 0)):
-        raise SchemeError("monotone scheme assembly produced a non-M-matrix")
-    return Ml, Md, Mu
+    bands = []
+    for k in range(grid.dim):
+        M = _axis_L_coeffs(B, k, grid, scheme)
+        M *= -grid.dt  # -dt L; the diagonal's 1 + (-dt L) is 1 - dt L bit for bit
+        M[1] += 1.0
+        if scheme == UPWIND and not (np.all(M[0::2] <= 1e-14) and np.all(M[1] > 0)):
+            raise SchemeError("monotone scheme assembly produced a non-M-matrix")
+        bands.append(M)
+    return bands
 
 
-def _apply_L_axis(u, beta, h, advection, axis, periodic):
-    """L u along the space axis ``axis`` < 0, counted from the last, so that
-    leading (level) axes pass through; wraps on the torus, one-sided garbage
-    at box edges (callers restrict to interior rows on the box)."""
-    lo, di, up = _axis_L_coeffs(beta.swapaxes(axis, -1), h, advection)
-    v = u.swapaxes(axis, -1)
+def _apply_L_axis(u, B, grid, advection, k):
+    """L_k u along space axis k over any leading (level) axes of ``u`` and the
+    drift array ``B``; wraps on the torus, one-sided garbage at box edges
+    (callers restrict to interior rows on the box)."""
+    lo, di, up = _axis_L_coeffs(B, k, grid, advection)
+    v = u.swapaxes(k - grid.dim, -1)
     vm = np.empty(np.broadcast_shapes(v.shape, lo.shape))
     vp = np.empty_like(vm)
     vm[..., 1:] = v[..., :-1]
     vp[..., :-1] = v[..., 1:]
+    periodic = grid.domain_kind == TORUS
     vm[..., 0] = v[..., -1 if periodic else 0]
     vp[..., -1] = v[..., 0 if periodic else -1]
     # lo vm + di v + up vp, summed in that order, in place
@@ -88,7 +92,7 @@ def _apply_L_axis(u, beta, h, advection, axis, periodic):
     vm += di
     vp *= up
     vm += vp
-    return vm.swapaxes(-1, axis)
+    return vm.swapaxes(-1, k - grid.dim)
 
 
 def _inner(grid):
@@ -129,10 +133,9 @@ def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
         raise SchemeError(f"drift field has shape {B.shape}, expected levels x space x dim")
 
     inside = _inner(grid)
-    M = _implicit_bands(B[(slice(0, -1),) + inside], grid, scheme)  # the solved levels and nodes
-    # per axis its bands, its lines along the last axis, which the factors overwrite
-    M = [np.array([m[..., k].swapaxes(k - grid.dim, -1) for m in M]) for k in range(grid.dim)]
-    factors = [tridiag.LevelFactors(m, periodic) for m in M]
+    # the solved levels' and nodes' bands, which the factors overwrite
+    factors = [tridiag.LevelFactors(m, periodic)
+               for m in _implicit_bands(B[(slice(0, -1),) + inside], grid, scheme)]
     u = np.zeros((grid.n_levels,) + grid.space_shape)
     if boundary is not None:
         edge = np.ones(grid.space_shape, dtype=bool)
@@ -154,11 +157,9 @@ def solve_frozen(B, F, grid, boundary=None, scheme=UPWIND):
 def _step_operator(u_lvl, b_lvl, grid, scheme):
     """Apply (I - dt L_x)(I - dt L_y), one factor in 1d, on any leading level
     axes: the exact implicit operator the stepper inverts."""
-    periodic = grid.domain_kind == TORUS
     out = u_lvl
     for k in range(grid.dim - 1, -1, -1):
-        out = out - grid.dt * _apply_L_axis(out, b_lvl[..., k], grid.dx[k],
-                                          scheme, k - grid.dim, periodic)
+        out = out - grid.dt * _apply_L_axis(out, b_lvl, grid, scheme, k)
     return out
 
 

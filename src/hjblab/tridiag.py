@@ -63,8 +63,7 @@ def _line_name(index, batch):
 
 def _call(routine, bands, *args, **flags):
     """The outputs but ``info`` of LAPACK ``routine`` on bands (3, ..., n),
-    which it overwrites (a C-contiguous copy, if they are not), couplings
-    across line boundaries zeroed."""
+    which it overwrites, couplings across line boundaries zeroed."""
     bands[0, ..., 0] = bands[2, ..., -1] = 0.0
     dl, d, du = bands.reshape(3, -1)
     *out, info = _lapack(routine)(dl[1:], d, du[:-1], *args, overwrite_dl=1, overwrite_d=1,

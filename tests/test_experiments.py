@@ -99,6 +99,24 @@ def test_counterexample_formulas_small_grid():
     assert _verdicts(rep)["closed_forms"]
 
 
+def test_strict_gap_under_refinement():
+    # the errors of V(0,0) = 1 and V_lim(0,0) = 4/3 are dt and about 2 dt, so
+    # both converge at order 1, and one Richardson step, 2 V(dt/2) - V(dt),
+    # leaves a gap of 1/3 within 1e-5: twice the 5.0e-6 that the finest pair
+    # measures (7.8e-5 and 2.0e-5 on the coarser pairs, shrinking at order 2)
+    V, V_lim = [], []
+    for nx, nt in [(61, 64), (121, 128), (241, 256), (481, 512)]:
+        grid = build_grid("box", 1, (-6.0, 6.0), nx, 1.0, nt)
+        origin = counterexample_report(1.0, [0.0], grid, mc_enabled=False).rows[0]
+        V.append(origin.v_num)
+        V_lim.append(origin.v_lim_num)
+    V, V_lim = np.array(V), np.array(V_lim)
+    for err in (V - 1.0, V_lim - 4.0 / 3.0):
+        assert np.all(np.abs(np.log2(err[:-1] / err[1:]) - 1.0) <= 0.05)
+    gap = (2.0 * V_lim[-1] - V_lim[-2]) - (2.0 * V[-1] - V[-2])
+    assert abs(gap - 1.0 / 3.0) <= 1e-5
+
+
 @pytest.mark.parametrize("v, v_lim, passed", [
     (1.0199, 4.0 / 3.0, True), (1.0201, 4.0 / 3.0, False), (0.9801, 4.0 / 3.0, True),
     (1.0, 4.0 / 3.0 * 1.0199, True), (1.0, 4.0 / 3.0 * 0.9799, False)])

@@ -315,3 +315,16 @@ def test_policy_iteration_fuzz_1d_tabulated(seed):
     _, _, checks = policy_iteration_checks(u_pi, u_dir, trace, tol)
     assert all(passed for _, passed, _ in checks), checks
     assert u_dir.meta["inner_flagged_steps"] == []
+    # the discrete verification inequality: no grid policy beats the march's
+    # value, and the march's own policy returns it, both up to rounding
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(u_dir.values))))
+    own = u_dir.policy.indices
+    u_own = solve_policy_value(oracle, u_dir.policy, grid, scheme=scheme)
+    assert np.max(np.abs(u_own.values - u_dir.values)) <= floor
+    for _ in range(2):
+        perturbed = own.copy()
+        at = rng.uniform(size=own.shape) < 0.05
+        perturbed[at] = rng.integers(0, n_a, size=int(at.sum()))
+        for idx in (rng.integers(0, n_a, size=own.shape), perturbed):
+            u_alpha = solve_policy_value(oracle, Policy(grid, idx, aset), grid, scheme=scheme)
+            assert np.min(u_alpha.values - u_dir.values) >= -floor

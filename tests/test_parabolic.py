@@ -141,11 +141,11 @@ def test_monotonicity_flags(monkeypatch):
     # when they stand in for upwind's
     g = build_grid("torus", 1, 1.0, 8, 1.0, 4)
     B = _const(g, 40.0, 1)[:-1]
-    Ml, _, _ = parabolic._implicit_bands(B, g, "central")
+    (Ml, _, _), = parabolic._implicit_bands(B, g, "central")
     assert np.any(Ml > 0.0)
     central = parabolic._axis_L_coeffs
     monkeypatch.setattr(parabolic, "_axis_L_coeffs",
-                        lambda beta, h, advection: central(beta, h, "central"))
+                        lambda B, k, grid, advection: central(B, k, grid, "central"))
     with pytest.raises(SchemeError, match="non-M-matrix"):
         parabolic._implicit_bands(B, g, "upwind")
 
@@ -310,19 +310,20 @@ def test_comparison_principle_fuzz(seed, kind, dim, nx, nt):
 def test_upwind_implicit_bands_are_m_matrix_rows(seed, kind, dim, nx, length, T, nt, scale):
     # Barles-Souganidis: every row of the upwind implicit Euler step matrix,
     # assembled for all levels and axes at once, has nonpositive
-    # off-diagonals and a positive diagonal that exceeds their sum by 1
+    # off-diagonals and a positive diagonal that exceeds their sum by 1; axis
+    # k's rows have its lines along the last axis
     rng = np.random.default_rng(seed)
     g = build_grid(kind, dim, (0.0, length), nx, T, nt)
     B = scale * rng.standard_normal(size=(g.nt,) + g.space_shape + (dim,))
-    Ml, Md, Mu = parabolic._implicit_bands(B, g, "upwind")
-    assert Md.shape == B.shape
-    assert np.all(Ml <= 0.0) and np.all(Mu <= 0.0) and np.all(Md > 0.0)
-    assert np.all(np.abs(Md + Ml + Mu - 1.0) <= 1e-14 * Md)
+    for k, (Ml, Md, Mu) in enumerate(parabolic._implicit_bands(B, g, "upwind")):
+        assert Md.shape == B[..., k].swapaxes(k - dim, -1).shape
+        assert np.all(Ml <= 0.0) and np.all(Mu <= 0.0) and np.all(Md > 0.0)
+        assert np.all(np.abs(Md + Ml + Mu - 1.0) <= 1e-14 * Md)
 
 
 def _broadcast_bands(B, g, scheme):
-    """The bands with the spacing an array broadcast along B's last axis:
-    the reference that the per-axis assembly pins bit for bit."""
+    """The bands with the spacing an array broadcast along B's last axis,
+    ``dim`` last: the reference that the per-axis assembly pins bit for bit."""
     h = np.array(g.dx)
     inv_h2 = 1.0 / (h * h)
     if scheme == "upwind":
@@ -342,9 +343,11 @@ def test_implicit_bands_bits_on_unequal_axes(kind, scheme):
     inner = parabolic._inner(g)
     B = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, g.n_levels) + g.space_shape + (2,))
     for table in (B[0, :-1][(slice(None),) + inner], B[:, 2:4][(slice(None),) * 2 + inner]):
-        for got, ref in zip(parabolic._implicit_bands(table, g, scheme),
-                            _broadcast_bands(table, g, scheme)):
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        ref = _broadcast_bands(table, g, scheme)
+        for k, got in enumerate(parabolic._implicit_bands(table, g, scheme)):
+            # the reference in the band layout: axis k's lines along the last axis
+            ref_k = np.array([m[..., k].swapaxes(k - 2, -1) for m in ref])
+            assert np.array_equal(got.view(np.int64), ref_k.view(np.int64))
 
 
 def test_non_finite_values_raise_scheme_error():

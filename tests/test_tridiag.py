@@ -217,14 +217,15 @@ def _singular_at(monkeypatch, grid, level, line):
     real = parabolic._implicit_bands
 
     def bands(B, grid, scheme):
-        Ml, Md, Mu = (m.copy() for m in real(B, grid, scheme))
-        at = (level,) + line + (slice(None), grid.dim - 1)  # a line along the last axis
+        M = real(B, grid, scheme)
+        Ml, Md, Mu = M[-1]  # the last axis's, which is the node layout
+        at = (level,) + line + (slice(None),)  # a line along the last axis
         if grid.domain_kind == "torus":
             Ml[at], Md[at], Mu[at] = -1.0, 2.0, -1.0
         else:
             Ml[at], Md[at], Mu[at] = 0.0, 1.0, 0.0
             Ml[at][1] = Mu[at][0] = 1.0
-        return Ml, Md, Mu
+        return M
 
     monkeypatch.setattr(parabolic, "_implicit_bands", bands)
 
@@ -303,3 +304,23 @@ def test_one_lapack_call_per_axis_march_sweep(monkeypatch, kind, dim):
     # the policy changes between sweeps, so the bands are solved as gathered;
     # a torus line solves its Sherman-Morrison vector beside the right-hand side
     assert all(call[0] == "dgtsv" and call[2] == (2 if kind == "torus" else 1) for call in calls)
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+@pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 1), ("box", 2), ("torus", 2)])
+def test_bands_reach_lapack_c_contiguous(monkeypatch, kind, dim, scheme):
+    # one band layout from assembly on: the frozen solve's factoring and every
+    # march sweep hand LAPACK C-contiguous bands, which no reshape copies
+    seen = []
+    real = tridiag._call
+
+    def spy(routine, bands, *args, **flags):
+        seen.append((routine, bands.flags.c_contiguous))
+        return real(routine, bands, *args, **flags)
+
+    monkeypatch.setattr(tridiag, "_call", spy)
+    grid, B, F = _tables(kind, dim, 3)
+    parabolic.solve_frozen(B[0], F[0], grid, scheme=scheme)
+    hjb.solve_hjb_tables(B, F, grid, scheme)
+    assert {routine for routine, _ in seen} == {"dgttrf", "dgtsv"}
+    assert [routine for routine, contiguous in seen if not contiguous] == []
