@@ -11,27 +11,19 @@ line, or a periodic one without a finite solution, raises ``ValueError``.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 
-def _lapack(name):
-    """The LAPACK routine ``name``, bound on first use (commands that solve
-    nothing load no LAPACK); a binding a test replaced is kept."""
-    if name not in ("dgtsv", "dgttrf", "dgttrs"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in globals():
-        globals()[name] = getattr(_flapack(), name)
-    return globals()[name]
-
-
+@lru_cache(maxsize=None)
 def _flapack():
-    """scipy's Fortran LAPACK extension ``scipy.linalg._flapack``, loaded from
-    its file alone: the ``scipy.linalg`` package would import 74 more scipy
+    """scipy's Fortran LAPACK extension ``scipy.linalg._flapack``, loaded once,
+    on the first solve (commands that solve nothing load no LAPACK), from its
+    file alone: the ``scipy.linalg`` package would import 74 more scipy
     modules (+25 MB).  CPython enters the single-phase extension in
-    ``sys.modules`` and caches it, so its routines are the objects
-    ``scipy.linalg.lapack`` exports."""
+    ``sys.modules``, so its routines are the objects ``scipy.linalg.lapack``
+    exports in either import order."""
     import importlib.machinery
     import importlib.util
     import os
@@ -53,9 +45,6 @@ def _flapack():
                       f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-__getattr__ = _lapack
-
-
 def _line_name(index, batch):
     """Name of line ``index`` (flat) of a batch of lines of shape ``batch``."""
     return f"line {tuple(int(i) for i in np.unravel_index(index, batch))}" if batch else "the line"
@@ -66,8 +55,8 @@ def _call(routine, bands, *args, **flags):
     which it overwrites, couplings across line boundaries zeroed."""
     bands[0, ..., 0] = bands[2, ..., -1] = 0.0
     dl, d, du = bands.reshape(3, -1)
-    *out, info = _lapack(routine)(dl[1:], d, du[:-1], *args, overwrite_dl=1, overwrite_d=1,
-                                  overwrite_du=1, **flags)
+    *out, info = getattr(_flapack(), routine)(dl[1:], d, du[:-1], *args, overwrite_dl=1,
+                                              overwrite_d=1, overwrite_du=1, **flags)
     if info < 0:
         raise ValueError(f"{routine} rejected argument {-info}")
     if info > 0:
@@ -127,7 +116,9 @@ def solve_tridiag(lower, diag, upper, rhs, periodic=False):
     """Solve tri(lower, diag, upper) x = rhs along the last axis: ``lower[..., i]``
     multiplies x[..., i-1] in row i and ``upper[..., i]`` x[..., i+1]; ``lower[..., 0]``
     and ``upper[..., -1]`` are unused, or on ``periodic`` lines couple row 0 to
-    x[..., -1] and row n-1 to x[..., 0]."""
+    x[..., -1] and row n-1 to x[..., 0].  No solver calls it or ``solve_cyclic``:
+    they stay as the bench tracer's line-solve targets and the tests' reference
+    solves until the tracer binds ``LevelFactors`` and ``solve_lines``."""
     bands = np.array(np.broadcast_arrays(lower, diag, upper, rhs)[:3], dtype=float)
     return solve_lines(bands, rhs, periodic)
 
@@ -148,7 +139,7 @@ class LevelFactors:
         ratio = _shift(bands, e := np.empty(bands.shape[1:])) if periodic else None
         dl, d, du, du2, ipiv = _call("dgttrf", bands)
         if periodic:
-            z = _lapack("dgttrs")(dl, d, du, du2, ipiv, e.ravel(), overwrite_b=1)[0].reshape(e.shape)
+            z = _flapack().dgttrs(dl, d, du, du2, ipiv, e.ravel(), overwrite_b=1)[0].reshape(e.shape)
             denom = 1.0 + (z[..., :1] + ratio * z[..., -1:])
             _check_solvable((denom != 0.0) & np.isfinite(z).all(axis=-1, keepdims=True), e.shape[:-1])
         self._corrections = list(zip(z, ratio, denom)) if periodic else None
@@ -160,5 +151,5 @@ class LevelFactors:
 
     def solve(self, level, rhs):
         """Solve level ``level``'s lines for ``rhs`` (..., n)."""
-        y = _lapack("dgttrs")(*self._levels[level], rhs.reshape(-1))[0].reshape(rhs.shape)
+        y = _flapack().dgttrs(*self._levels[level], rhs.reshape(-1))[0].reshape(rhs.shape)
         return y if self._corrections is None else _corrected(y, *self._corrections[level])

@@ -10,6 +10,7 @@ from hjblab.coefficients import (
     bang_bang_actions,
     make_bang_bang,
     make_constant_drift,
+    make_oracle,
     make_tabulated,
     sample_all,
 )
@@ -23,6 +24,7 @@ from hjblab.hjb import (
     solve_hjb_tables,
     solve_policy_value,
 )
+from hjblab.montecarlo import value_at
 from hjblab.parabolic import SchemeError, pde_residual, solve_frozen
 
 
@@ -186,7 +188,7 @@ def test_single_action_hamiltonian_with_gradient_term():
 @pytest.mark.parametrize("kind", ["torus", "box"])
 def test_2d_agreement(kind):
     # agreement and convergence only: on a 2d box policy iteration's
-    # descent is not monotone (see ROADMAP item 3)
+    # descent is not monotone (see ROADMAP item 5)
     grid = build_grid(kind, 2, (-1.0, 1.0), 12, 0.5, 12)
     oracle = make_bang_bang(grid)
     aset = bang_bang_actions()
@@ -194,6 +196,23 @@ def test_2d_agreement(kind):
     u_dir = solve_hjb_direct(oracle, aset, grid)
     assert np.max(np.abs(u_pi.values - u_dir.values)) <= 1e-7
     assert trace.converged
+
+
+@pytest.mark.parametrize("name,params", [("step_drift", {"c": 1.0}),
+                                         ("checkerboard", {"kx": 2, "kt": 1})])
+def test_self_convergence_under_a_discontinuous_hamiltonian(name, params):
+    # min over {0, 1} of a b(x) p jumps where b does; V(0, .) at the 96 cell
+    # centres of [-1, 1] settles as the grid refines.  The march flags steps
+    # on these ladders (argmin ties), so nothing is asserted about them.
+    X = (-1.0 + (np.arange(96) + 0.5) / 48.0)[:, None]
+    samples = []
+    for nx in (32, 64, 128, 256):
+        grid = build_grid("torus", 1, (-1.0, 1.0), nx, 1.0, 2 * nx)
+        oracle = make_oracle(name, grid, **params)
+        samples.append(value_at(solve_hjb_direct(oracle, ActionSet(np.array([0.0, 1.0])), grid),
+                                0.0, X))
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(samples, samples[1:])]
+    assert diffs[0] > diffs[1] > diffs[2]
 
 
 def test_policy_iteration_takes_each_argmin_once(monkeypatch):

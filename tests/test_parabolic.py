@@ -242,6 +242,41 @@ def test_2d_box_quadratic():
     assert np.max(np.abs(u.values - exact)) < 10 * (g.dx[0] ** 2 + g.dt)
 
 
+def _smooth_problem_2d(grid):
+    """u = A (T - t) sin(pi x) sin(pi y) under a drift that varies on both
+    axes; u vanishes on the edges of [0, 1]^2, so zero Dirichlet data is exact."""
+    A, t = 0.25, grid.times()[:, None, None]
+    x, y = grid.meshes()
+    sx, cx, sy, cy = np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
+    b = np.stack([0.5 * cx * sy + 0.3, -0.4 * sx * cy + 0.2], axis=-1)
+    B = np.broadcast_to(b, (grid.n_levels,) + b.shape)
+    ds_u = -A * sx * sy
+    lap_u = -2.0 * np.pi ** 2 * A * (grid.T - t) * sx * sy
+    b_grad_u = np.pi * A * (grid.T - t) * (B[..., 0] * cx * sy + B[..., 1] * sx * cy)
+    F = -(ds_u + lap_u + b_grad_u)
+    return B, F, A * (grid.T - t) * sx * sy
+
+
+# per advection: the (nx, nt) ladder and criterion 8's (space, time) orders;
+# the central ladder refines dt with dx^2
+_LADDERS_2D = {
+    "central": ([(nx, nx * nx // 8) for nx in (16, 24, 32, 48)], (2.0, 1.0)),
+    "upwind": ([(nx, nx) for nx in (32, 48, 64, 96)], (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("scheme", ["central", "upwind"])
+@pytest.mark.parametrize("kind", ["torus", "box"])
+def test_2d_convergence_orders(kind, scheme):
+    # criterion 8's 1d orders hold in 2d: on the period-2 torus, and on the
+    # box [0, 1]^2 with nx + 1 nodes per axis
+    ladder, order = _LADDERS_2D[scheme]
+    extent, extra = ((-1.0, 1.0), 0) if kind == "torus" else ((0.0, 1.0), 1)
+    grids = [build_grid(kind, 2, extent, nx + extra, 1.0, nt) for nx, nt in ladder]
+    orders = convergence_order(_smooth_problem_2d, grids, scheme)
+    assert (orders.space, orders.time) == pytest.approx(order, abs=0.25)
+
+
 def test_2d_solver_residual_roundoff():
     g = build_grid("torus", 2, 1.0, 8, 0.5, 8)
     rng = np.random.default_rng(3)

@@ -118,7 +118,7 @@ def test_lapack_bindings_are_scipys(package_first):
             "bands = np.array([-np.ones(4), 3.0 * np.ones(4), -np.ones(4)])\n"
             "tridiag.solve_lines(bands, np.ones(4))\n"
             "names = ('dgtsv', 'dgttrf', 'dgttrs')\n"
-            "bound = [getattr(tridiag, n) for n in names]\n"
+            "bound = [getattr(tridiag._flapack(), n) for n in names]\n"
             "print('scipy.linalg' in sys.modules)\n"
             "import scipy.linalg.lapack as lapack\n"
             "print([b is getattr(lapack, n) for b, n in zip(bound, names)])\n")
@@ -256,6 +256,40 @@ def test_scipy_is_imported_only_by_the_lapack_loader():
         found |= {f"{path.name}:{scope}" for scope in _scopes(ast.parse(path.read_text()),
                                                                _imports_scipy)}
     assert found == {"tridiag.py:_flapack"}
+
+
+def _names_getattr(node):
+    """A definition of, or an assignment to, the name ``__getattr__``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name == "__getattr__"
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return any(getattr(t, "id", None) == "__getattr__" for t in targets)
+
+
+def test_lapack_is_bound_through_one_cached_loader():
+    # the routines are looked up on the cached extension: no module hook
+    # resolves names, and nothing writes into a module's namespace
+    found = set()
+    for path in sorted((ROOT / "src" / "hjblab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= {f"{path.name}:__getattr__" for node in tree.body if _names_getattr(node)}
+        found |= {f"{path.name}:globals()" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals"}
+    assert found == set()
+    # a frozen solve and a march, box and torus, run the loader's body once
+    code = ("import numpy as np\n"
+            "from hjblab import hjb, parabolic, tridiag\n"
+            "from hjblab.grids import build_grid\n"
+            "for kind in ('box', 'torus'):\n"
+            "    grid = build_grid(kind, 2, (-1.0, 1.0), 9, 1.0, 4)\n"
+            "    rng = np.random.default_rng(7)\n"
+            "    B = rng.uniform(-1.0, 1.0, size=(2, grid.n_levels) + grid.space_shape + (2,))\n"
+            "    F = rng.normal(size=(2, grid.n_levels) + grid.space_shape)\n"
+            "    parabolic.solve_frozen(B[0], F[0], grid)\n"
+            "    hjb.solve_hjb_tables(B, F, grid)\n"
+            "info = tridiag._flapack.cache_info()\n"
+            "print(info.misses, info.hits > 0)\n")
+    assert _fresh(code) == ["1 True"]
 
 
 def _is_level_tolerance(node):

@@ -1,6 +1,7 @@
 import importlib.machinery
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -246,23 +247,25 @@ def test_moved_lapack_extension_raises_naming_the_path(monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".moved.so"])
     with pytest.raises(ImportError, match=r"linalg.+_flapack<suffix>.+\.moved\.so"):
-        tridiag._flapack()
+        tridiag._flapack.__wrapped__()  # the loader's body, past its cache
 
 
 def _count_lapack(monkeypatch):
     """Record (routine, unknowns, right-hand sides) of every LAPACK call."""
-    calls = []
-    # the argument whose rows are the unknowns: the right-hand side, or the diagonal
-    for name, at in (("dgtsv", 3), ("dgttrf", 1), ("dgttrs", 5)):
-        original = getattr(tridiag, name)
+    calls, real = [], tridiag._flapack()
 
-        def counting(*args, _name=name, _at=at, _original=original, **kw):
-            rows = args[_at]
-            calls.append((_name, rows.shape[0], rows.shape[1] if rows.ndim == 2 else 1))
-            return _original(*args, **kw)
+    def counting(name, at):
+        def call(*args, **kw):
+            rows = args[at]
+            calls.append((name, rows.shape[0], rows.shape[1] if rows.ndim == 2 else 1))
+            return getattr(real, name)(*args, **kw)
+        return call
 
-        monkeypatch.setattr(tridiag, name, counting)
-        assert tridiag._lapack(name) is counting  # the solves call the replaced binding
+    # the argument whose rows are the unknowns: the right-hand side, or the
+    # diagonal; a solve that looked up any other routine would raise
+    lapack = types.SimpleNamespace(**{name: counting(name, at) for name, at in
+                                      (("dgtsv", 3), ("dgttrf", 1), ("dgttrs", 5))})
+    monkeypatch.setattr(tridiag, "_flapack", lambda: lapack)
     return calls
 
 
