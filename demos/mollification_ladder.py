@@ -9,7 +9,7 @@ diagonal-drift counterexample keeps a finite gap no matter how small eps is
 
 import numpy as np
 
-from hjblab import MollifierKernel, build_grid, kernel_normalization_error
+from hjblab import build_grid, kernel_normalization_error
 from hjblab.coefficients import ActionSet, make_smooth_baseline, make_step_drift
 from hjblab.experiments import mollify_value_sweep
 from hjblab.mollify import coefficient_ladder
@@ -18,7 +18,7 @@ grid = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 128)
 
 print("kernel normalization error by eps:")
 for eps in (0.4, 0.2, 0.1):
-    print(f"  eps={eps}: {kernel_normalization_error(MollifierKernel(eps, dim=1)):.2e}")
+    print(f"  eps={eps}: {kernel_normalization_error(eps, 1):.2e}")
 
 print("\ncoefficient L2 distances ||g_eps - g|| along the ladder:")
 for label, oracle in (

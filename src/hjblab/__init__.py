@@ -33,7 +33,6 @@ from .coefficients import (  # noqa: F401
     verify_bound,
 )
 from .mollify import (  # noqa: F401
-    MollifierKernel,
     coefficient_ladder,
     kernel_normalization_error,
     kernel_value,

@@ -37,11 +37,6 @@ from .mollify import coefficient_ladder
 from .montecarlo import STREAM, GridPolicyControl, constant_control, simulate_cost
 from .selftest import SUMMARY, run_selftest
 
-def _out_dir(args):
-    root = args.out or os.environ.get("HJBLAB_OUT", ".")
-    os.makedirs(root, exist_ok=True)
-    return root
-
 
 def _build(cfg, args):
     oracle = cfg.build_oracle()
@@ -174,7 +169,7 @@ def cmd_counterexample(cfg, args, manifest):
         manifest.add_check(*check)
 
 
-def cmd_catalog(args, out_dir):
+def cmd_catalog():
     """Each catalog entry with its constructor's summary line and parameters."""
     for name, make in sorted(CATALOG.items()):
         params = list(inspect.signature(make).parameters)[1:]  # after domain
@@ -220,9 +215,9 @@ def main(argv=None):
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
 
-    out_dir = _out_dir(args)
+    out_dir = args.out or os.environ.get("HJBLAB_OUT", ".")
     if args.subcommand == "catalog":
-        return cmd_catalog(args, out_dir)
+        return cmd_catalog()
     if args.subcommand == "selftest":
         return cmd_selftest(args, out_dir)
 
@@ -239,6 +234,7 @@ def main(argv=None):
     if unmet:
         return _report("config invalid for this subcommand:", unmet)
 
+    os.makedirs(out_dir, exist_ok=True)  # made only for a run that writes, as the selftest's is
     manifest = RunManifest(out_dir, cfg.config_hash(), cfg.echo,
                            {"mc": cfg.mc["seed"], "override": args.seed_override,
                             "stream": STREAM})

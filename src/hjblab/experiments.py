@@ -26,7 +26,7 @@ from .coefficients import (
 )
 from .grids import BOX, CENTRAL, UPWIND, SpaceTimeField, build_grid, lp_norm, write_csv
 from .hjb import inner_sweeps_check, solve_hjb_tables
-from .mollify import MollifierKernel, interior_mask, mollify_samples, strictly_decreasing
+from .mollify import abs_time_moment, interior_mask, mollify_samples, strictly_decreasing
 from .montecarlo import (
     FeedbackRule,
     GridPolicyControl,
@@ -217,14 +217,15 @@ def _gaps_shrink(sups, threshold=np.inf):
 def _eps_walk(B, F, grid, eps_list, scheme, flagged):
     """March the raw tables, then mollify and march them down an epsilon ladder.
 
-    Returns V and an iterator of (eps, kernel, (B_eps, F_eps), gap, mask,
-    order_sup) over the rungs the grid resolves (eps >= max dx and eps >=
-    dt); the ladder must decrease strictly, so the unresolved rungs are its
-    tail.  ``gap`` is V_eps - V, ``mask`` the rung's own interior band, and
-    ``order_sup`` max |gap| over the one band the ladder's order is tested
-    on: that of the largest eps with an interior node, which every smaller
-    rung's band contains (NaN for a rung with none).  Every march adds its
-    flagged inner steps to ``flagged``.
+    Returns V and an iterator of (eps, (B_eps, F_eps), gap, mask, order_sup)
+    over the rungs the grid resolves (eps >= max dx and eps >= dt), where
+    (B_eps, F_eps) are the tables mollified at eps; the ladder must decrease
+    strictly, so the unresolved rungs are its tail.  ``gap`` is V_eps - V,
+    ``mask`` the rung's own interior band, and ``order_sup`` max |gap| over
+    the one band the ladder's order is tested on: that of the largest eps
+    with an interior node, which every smaller rung's band contains (NaN for
+    a rung with none).  Every march adds its flagged inner steps to
+    ``flagged``.
     """
     eps_list = [float(e) for e in eps_list]
     if not strictly_decreasing(eps_list):
@@ -239,10 +240,9 @@ def _eps_walk(B, F, grid, eps_list, scheme, flagged):
         return V
 
     def rung(eps, mask):
-        kernel = MollifierKernel(eps, dim=grid.dim)
-        tables = mollify_samples(B, F, kernel, grid)
+        tables = mollify_samples(B, F, eps, grid)
         gap = march(tables).values - V.values
-        return (eps, kernel, tables, gap, mask,
+        return (eps, tables, gap, mask,
                 float(np.max(np.abs(gap[band]))) if mask.any() else np.nan)
 
     V = march((B, F))
@@ -257,7 +257,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     solver, and tabulate V_eps - V.  The liminf check asserts, at the two
     smallest resolved epsilons, min over interior nodes of (V_eps - V) >=
     -(liminf_atol + coeff * eps); the epsilon coefficient
-    2 * kernel_time_moment * sup Phi bounds the mass lost to the zero
+    2 * abs_time_moment(dim) * sup Phi bounds the mass lost to the zero
     extension at the time boundary, and the atol covers scheme error.
     The countable-convergence check asserts the sup gap decreasing along
     the ladder over the ladder's one order band (see ``_eps_walk``), and the
@@ -276,11 +276,11 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     resolved = []
     liminf_tols = {}
     order_sups = []
-    for eps, kernel, tables, gap, mask, order_sup in walk:
+    for eps, tables, gap, mask, order_sup in walk:
         del tables  # held here, it would outlive the making of the next rung
         interior = gap[mask]
         order_sups.append(order_sup)
-        coeff = 2.0 * kernel.abs_time_moment * phi_sup
+        coeff = 2.0 * abs_time_moment(grid.dim) * phi_sup
         liminf_tols[eps] = float(liminf_atol + coeff * eps)
         resolved.append(SweepRung(
             epsilon=eps,
@@ -494,7 +494,7 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
         B, F = sample_all(oracle, grid, family.prefix(N))
         values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
         order_sups = []
-        for eps, _, (B_eps, F_eps), gap, mask, order_sup in walk:
+        for eps, (B_eps, F_eps), gap, mask, order_sup in walk:
             interior = np.abs(gap[mask])
             eps_rows.append([N, eps, float(np.max(interior)) if interior.size else np.nan])
             order_sups.append(order_sup)

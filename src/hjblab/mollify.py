@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import sample_to_grid
+from .coefficients import _promote_points, sample_to_grid
 from .grids import BOX, TORUS, build_grid, lp_norm, write_csv
 
 
@@ -45,95 +45,72 @@ _SPHERE_ABS1 = {1: 4.0, 2: 2.0 * np.pi}
 
 @lru_cache(maxsize=None)
 def _kernel_constants(dim):
-    """(mass Z, L1 norm of the gradient, first absolute time moment) for eps = 1.
-
-    The radial integrals over [0, 1] use a 128-node Gauss-Legendre rule; the
-    integrands are C-infinity and vanish to all orders at r = 1.
-    """
+    """(mass Z, first absolute time moment M / Z) of zeta in ``dim`` space
+    dimensions at eps = 1.  The radial integrals over [0, 1] use a 128-node
+    Gauss-Legendre rule; the integrands are C-infinity and vanish to all
+    orders at r = 1."""
     if dim not in (1, 2):
         raise MollifyError(f"kernel supports spatial dim 1 or 2, got {dim}")
     nodes, weights = np.polynomial.legendre.leggauss(128)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     radial = np.exp(-1.0 / (1.0 - r * r))
-    dradial = 2.0 * r / (1.0 - r * r) ** 2 * radial  # |d radial / dr|
 
     Z = _SPHERE_AREA[dim] * np.dot(w, radial * r**dim)
-    G = _SPHERE_AREA[dim] * np.dot(w, dradial * r**dim)
     M = _SPHERE_ABS1[dim] * np.dot(w, radial * r ** (dim + 1))
-    return float(Z), float(G / Z), float(M / Z)
+    return float(Z), float(M / Z)
 
 
-@dataclass(frozen=True)
-class MollifierKernel:
-    """Scaled mollifier zeta_eps(t, x) = eps^-(d+1) zeta(t/eps, x/eps)."""
-
-    epsilon: float
-    dim: int = 1
-
-    def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise MollifyError(f"epsilon must be positive, got {self.epsilon}")
-        _kernel_constants(self.dim)  # validates dim, warms the cache
-
-    @property
-    def mass_constant(self):
-        return _kernel_constants(self.dim)[0]
-
-    @property
-    def grad_l1(self):
-        """L1 norm of grad zeta at eps = 1; |grad g_eps| <= grad_l1 / eps * sup|g|."""
-        return _kernel_constants(self.dim)[1]
-
-    @property
-    def abs_time_moment(self):
-        """Mean |t| under zeta; the zero-extension layer loses at most
-        2 * abs_time_moment * eps * sup|g| of time-integrated mass."""
-        return _kernel_constants(self.dim)[2]
+def abs_time_moment(dim):
+    """Mean |t| under zeta; the zero-extension layer loses at most
+    2 * abs_time_moment(dim) * eps * sup|g| of time-integrated mass."""
+    return _kernel_constants(dim)[1]
 
 
-def kernel_value(kernel, t, x):
-    """Evaluate zeta_eps at (t, x); exactly zero for |(t, x)| >= eps."""
-    eps = kernel.epsilon
-    x = np.asarray(x, dtype=float)
-    if kernel.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        x = x[..., None]
+def _check(eps, dim):
+    """The one check of a mollifier, made before any warning or work: eps is
+    positive, and the kernel supports ``dim``."""
+    if not (eps > 0):
+        raise MollifyError(f"epsilon must be positive, got {eps}")
+    _kernel_constants(dim)
+
+
+def kernel_value(eps, dim, t, x):
+    """Evaluate zeta_eps(t, x) = eps^-(d+1) zeta(t/eps, x/eps) in ``dim``
+    space dimensions; exactly zero for |(t, x)| >= eps."""
+    _check(eps, dim)
+    x = _promote_points(x, dim)
     r2 = (np.asarray(t, dtype=float) / eps) ** 2 + np.sum((x / eps) ** 2, axis=-1)
-    Z = kernel.mass_constant
-    return _bump(r2) / Z * eps ** (-(kernel.dim + 1))
+    return _bump(r2) / _kernel_constants(dim)[0] * eps ** (-(dim + 1))
 
 
-def kernel_normalization_error(kernel):
+def kernel_normalization_error(eps, dim):
     """|midpoint quadrature of zeta_eps over its support - 1|.
 
     The midpoint grid scales with eps, so the result is eps-independent; the
     profile is smooth and compactly supported, making the quadrature
     superalgebraically accurate.
     """
-    dim = kernel.dim
+    _check(eps, dim)
     n = 401 if dim == 1 else 161
-    eps = kernel.epsilon
     axis = (-eps + (np.arange(n) + 0.5) * (2 * eps / n))
-    grids = np.meshgrid(*([axis] * (dim + 1)), indexing="ij")
-    t = grids[0]
-    x = np.stack(grids[1:], axis=-1)
-    total = np.sum(kernel_value(kernel, t, x)) * (2 * eps / n) ** (dim + 1)
+    t, *x = np.meshgrid(*([axis] * (dim + 1)), indexing="ij")
+    total = np.sum(kernel_value(eps, dim, t, np.stack(x, axis=-1))) * (2 * eps / n) ** (dim + 1)
     return abs(float(total) - 1.0)
 
 
-def _stencil(kernel, grid):
+def _stencil(eps, grid):
     """Grid-aligned stencil: kernel weights on the node offsets -r..r of each
     axis (time first), renormalized to sum to 1, and the radii r."""
-    eps = kernel.epsilon
     steps = (grid.dt,) + tuple(grid.dx)
     radii = [int(np.floor(eps / h)) for h in steps]
     mesh = np.meshgrid(*(np.arange(-r, r + 1) * h for r, h in zip(radii, steps)), indexing="ij")
     # the center node always carries weight, so the sum is positive
-    w = kernel_value(kernel, mesh[0], np.stack(mesh[1:], axis=-1))
+    w = kernel_value(eps, grid.dim, mesh[0], np.stack(mesh[1:], axis=-1))
     return w / w.sum(), radii
 
 
-def mollify_field(field, kernel, grid):
+def mollify_field(field, eps, grid):
     """Discrete space-time convolution zeta_eps * field of an array on ``grid``.
 
     Time uses zero extension outside [0, T]; torus space wraps periodically;
@@ -141,8 +118,8 @@ def mollify_field(field, kernel, grid):
     after the time and space axes are components and are convolved
     independently.  Warns when eps is not resolved by the grid spacing.
     """
+    _check(eps, grid.dim)
     values = np.asarray(field, dtype=float)
-    eps = kernel.epsilon
     if eps < max(grid.dx):
         warnings.warn(
             f"mollifier eps={eps:g} below grid spacing max(dx)={max(grid.dx):g}; "
@@ -150,7 +127,7 @@ def mollify_field(field, kernel, grid):
             stacklevel=2,
         )
     periodic = grid.domain_kind == TORUS
-    weights, radii = _stencil(kernel, grid)
+    weights, radii = _stencil(eps, grid)
     axes = tuple(range(1 + grid.dim))
     shape = values.shape[:len(axes)]
     # circular convolution of length n on a torus axis; on the time axis and
@@ -170,12 +147,13 @@ def mollify_field(field, kernel, grid):
     return out
 
 
-def mollify_samples(B, F, kernel, grid):
+def mollify_samples(B, F, eps, grid):
     """Mollify stacked per-action coefficient samples (see sample_all) in one
     mollify_field call: the action axis moves behind the space axes, and F
     rides as one more component behind those of B."""
+    _check(eps, grid.dim)
     stacked = np.concatenate([np.moveaxis(B, 0, -2), np.moveaxis(F, 0, -1)[..., None]], axis=-1)
-    out = np.moveaxis(mollify_field(stacked, kernel, grid), -2, 0)
+    out = np.moveaxis(mollify_field(stacked, eps, grid), -2, 0)
     return np.ascontiguousarray(out[..., :-1]), np.ascontiguousarray(out[..., -1])
 
 
@@ -242,8 +220,7 @@ def coefficient_ladder(oracle, action, grid, eps_list):
     band = interior_mask(fine, eps_list[0], space=False)
     rungs = []
     for eps in eps_list:
-        kernel = MollifierKernel(eps, dim=grid.dim)
-        B_eps, F_eps = mollify_samples(b_raw[None], f_raw[None], kernel, fine)
+        B_eps, F_eps = mollify_samples(b_raw[None], f_raw[None], eps, fine)
         db = B_eps[0] - b_raw
         df = F_eps[0] - f_raw
         # zero out the time boundary layers so the distance reflects interior decay

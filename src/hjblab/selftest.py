@@ -41,7 +41,7 @@ from .experiments import (
 from .grids import CENTRAL, UPWIND, build_grid, write_csv
 from .hamiltonian import Policy, argmin_level
 from .hjb import inner_sweeps_check, policy_iteration, policy_iteration_checks, solve_hjb_direct
-from .mollify import MollifierKernel, coefficient_ladder, kernel_normalization_error
+from .mollify import coefficient_ladder, kernel_normalization_error
 from .montecarlo import (
     STREAM,
     FeedbackRule,
@@ -307,9 +307,8 @@ def _crit8_solver_validation(record):
     ok = ok and worst <= 1e-12
 
     # kernel normalization at every shipped epsilon, and at 0.2 in 2d
-    norm_errors = {str(eps): kernel_normalization_error(MollifierKernel(eps, dim=1))
-                   for eps in (0.4, 0.2, 0.1, 0.05)}
-    norm_errors["0.2_d2"] = kernel_normalization_error(MollifierKernel(0.2, dim=2))
+    norm_errors = {str(eps): kernel_normalization_error(eps, 1) for eps in (0.4, 0.2, 0.1, 0.05)}
+    norm_errors["0.2_d2"] = kernel_normalization_error(0.2, 2)
     payload["kernel_normalization"] = norm_errors
     ok = ok and all(err <= 1e-8 for err in norm_errors.values())
 

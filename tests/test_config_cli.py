@@ -463,6 +463,25 @@ def test_cli_catalog(capsys):
     assert "checkerboard: Sign pattern" in text and "(params: kx, kt)" in text
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["catalog"], 0, ""),
+    (["solve-hjb", "{tmp}/nope.cfg"], 2, "cannot read config"),
+    (["solve-hjb", "{tmp}/list.cfg"], 2, "config must be a mapping of sections"),
+    (["solve-hjb", "{tmp}/bad.cfg"], 2, "time.nt: must be >= 1"),
+    (["mollify-sweep", "{tmp}/small.cfg"], 2, "mollify.eps: mollify-sweep needs"),
+    (["simulate", "{tmp}/small.cfg", "--seed-override", "-1"], 2, "--seed-override"),
+])
+def test_cli_makes_no_output_directory_for_a_run_that_writes_nothing(tmp_path, capsys,
+                                                                      argv, code, message):
+    (tmp_path / "list.cfg").write_text("- domain\n- time\n")
+    (tmp_path / "bad.cfg").write_text("time: {T: 1.0, nt: 0}\n")
+    _small_cfg(tmp_path, mollify="{eps: []}")
+    out = tmp_path / "out"
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("time: {T: 1.0, nt: 0}\n")

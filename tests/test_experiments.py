@@ -25,7 +25,7 @@ from hjblab.experiments import (
 )
 from hjblab.grids import SpaceTimeField, build_grid
 from hjblab.hjb import solve_hjb_direct
-from hjblab.mollify import MollifierKernel, interior_mask
+from hjblab.mollify import interior_mask
 from hjblab.montecarlo import GridPolicyControl, SimConfig, constant_control, dpp_residual
 from test_coefficients import _count_calls
 
@@ -211,7 +211,7 @@ def _hand_made_ladder(monkeypatch, inside, outside):
     grid = build_grid("box", 1, (-1.0, 1.0), 41, 1.0, 40)
     band = interior_mask(grid, 0.4)
     fields = iter([np.zeros(band.shape)] + [np.where(band, a, b) for a, b in zip(inside, outside)])
-    monkeypatch.setattr(experiments, "mollify_samples", lambda B, F, kernel, grid: (B, F))
+    monkeypatch.setattr(experiments, "mollify_samples", lambda B, F, eps, grid: (B, F))
     monkeypatch.setattr(experiments, "solve_hjb_tables", lambda *args, **kwargs: SpaceTimeField(
         grid, next(fields), meta={"inner_flagged_steps": []}))
     return grid

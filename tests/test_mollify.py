@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,16 @@ from hjblab.coefficients import (
 )
 from hjblab.grids import build_grid, spatial_gradient
 from hjblab.mollify import (
-    MollifierKernel,
     MollifyError,
     _kernel_constants,
     _stencil,
+    abs_time_moment,
     coefficient_ladder,
     interior_mask,
     kernel_normalization_error,
     kernel_value,
     mollify_field,
+    mollify_samples,
 )
 
 
@@ -32,10 +35,10 @@ def _sample(g, fn):
     return np.stack([np.asarray(fn(t, g.points()), dtype=float) for t in g.times()])
 
 
-# (Z, G / Z, M / Z) from adaptive quadrature (scipy.integrate.quad, limit=200)
+# (Z, M / Z) from adaptive quadrature (scipy.integrate.quad, limit=200)
 QUAD_CONSTANTS = {
-    1: (0.4665123931783276, 2.9899478159838386, 0.30096296595550287),
-    2: (0.4410888872765992, 4.230552223237379, 0.2763726731469139),
+    1: (0.4665123931783276, 0.30096296595550287),
+    2: (0.4410888872765992, 0.2763726731469139),
 }
 
 
@@ -43,44 +46,69 @@ QUAD_CONSTANTS = {
 def test_kernel_constants_match_adaptive_quadrature(dim):
     for value, reference in zip(_kernel_constants(dim), QUAD_CONSTANTS[dim]):
         assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+    assert abs_time_moment(dim) == _kernel_constants(dim)[1]
 
 
 def test_kernel_support_and_positivity():
-    k = MollifierKernel(0.25, dim=1)
-    assert kernel_value(k, 0.25, 0.0) == 0.0
-    assert kernel_value(k, 0.0, [0.25]) == 0.0
-    assert kernel_value(k, 0.3, [0.3]) == 0.0
-    assert kernel_value(k, 0.0, [0.0]) > 0.0
-    assert kernel_value(k, 0.1, [-0.1]) > 0.0
+    assert kernel_value(0.25, 1, 0.25, 0.0) == 0.0
+    assert kernel_value(0.25, 1, 0.0, [0.25]) == 0.0
+    assert kernel_value(0.25, 1, 0.3, [0.3]) == 0.0
+    assert kernel_value(0.25, 1, 0.0, [0.0]) > 0.0
+    assert kernel_value(0.25, 1, 0.1, [-0.1]) > 0.0
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.4, 0.1, 0.01])
 def test_kernel_normalization(eps):
-    assert kernel_normalization_error(MollifierKernel(eps, dim=1)) <= 1e-8
+    assert kernel_normalization_error(eps, 1) <= 1e-8
 
 
 def test_kernel_normalization_2d():
-    assert kernel_normalization_error(MollifierKernel(0.2, dim=2)) <= 1e-8
+    assert kernel_normalization_error(0.2, 2) <= 1e-8
 
 
 def test_kernel_scaling_identity():
-    z0 = kernel_value(MollifierKernel(1.0, dim=1), 0.0, [0.0])
+    z0 = kernel_value(1.0, 1, 0.0, [0.0])
     for eps in (0.5, 0.2):
-        k = MollifierKernel(eps, dim=1)
-        assert kernel_value(k, 0.0, [0.0]) == pytest.approx(eps ** -2 * z0, rel=1e-12)
+        assert kernel_value(eps, 1, 0.0, [0.0]) == pytest.approx(eps ** -2 * z0, rel=1e-12)
 
 
 def test_kernel_rejects_bad_eps():
-    with pytest.raises(MollifyError):
-        MollifierKernel(0.0, dim=1)
-    with pytest.raises(MollifyError):
-        MollifierKernel(0.1, dim=3)
+    # every entry point, before any warning: an unresolved eps would warn in
+    # mollify_field, and the check comes first
+    g = build_grid("torus", 1, 1.0, 8, 1.0, 8)
+    B, F = _const(g, 1.0)[None, ..., None], _const(g, 1.0)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (0.0, -0.1, float("nan")):
+            for call in (lambda: kernel_value(eps, 1, 0.0, [0.0]),
+                         lambda: kernel_normalization_error(eps, 1),
+                         lambda: mollify_field(F[0], eps, g),
+                         lambda: mollify_samples(B, F, eps, g)):
+                with pytest.raises(MollifyError, match="epsilon must be positive"):
+                    call()
+
+
+def test_kernel_rejects_an_unsupported_dim():
+    for call in (lambda: kernel_value(0.1, 3, 0.0, [0.0, 0.0, 0.0]),
+                 lambda: kernel_normalization_error(0.1, 3)):
+        with pytest.raises(MollifyError, match="dim 1 or 2"):
+            call()
+
+
+def test_kernel_value_reads_points_by_the_dim_it_is_given():
+    # x of shape (2,) is two points in 1d and one point in 2d
+    two = kernel_value(0.5, 1, 0.0, [0.1, 0.2])
+    assert two.shape == (2,)
+    assert two[1] == kernel_value(0.5, 1, 0.0, 0.2)
+    one = kernel_value(0.5, 2, 0.0, [0.1, 0.2])
+    assert one.shape == ()
+    assert one == kernel_value(0.5, 2, 0.0, [[0.1, 0.2]])[0]
 
 
 def test_mollify_constant_interior_exact():
     g = build_grid("torus", 1, 1.0, 32, 1.0, 64)
     c = 2.5
-    out = mollify_field(_const(g, c), MollifierKernel(0.1, dim=1), g)
+    out = mollify_field(_const(g, c), 0.1, g)
     tt = g.times()
     band = (tt >= 0.1) & (tt <= 0.9)
     # renormalized weights reproduce constants exactly away from the time ends
@@ -91,7 +119,7 @@ def test_mollify_step_half_at_jump():
     # the deviation from 1/2 scales like the dx-wide jump column mass ~ dx/eps
     g = build_grid("box", 1, (-1.0, 1.0), 513, 1.0, 64)  # node exactly at 0
     step = _sample(g, lambda t, X: (X[..., 0] > 0).astype(float))
-    out = mollify_field(step, MollifierKernel(0.1, dim=1), g)
+    out = mollify_field(step, 0.1, g)
     i0 = 256
     assert g.space_axis(0)[i0] == 0.0
     assert out[32, i0] == pytest.approx(0.5, abs=0.03)
@@ -104,7 +132,7 @@ def test_mollify_washes_out_counterexample_diagonal():
     bf, _ = sample_to_grid(ce, g, a)
     raw = bf[..., 0]
     assert raw[0, 256] == 0.0
-    out = mollify_field(bf, MollifierKernel(0.1, dim=1), g)
+    out = mollify_field(bf, 0.1, g)
     # the null set {x = a} is washed out up to its dx-wide discrete column
     assert out[32, 256, 0] == pytest.approx(1.0, abs=0.03)
 
@@ -112,7 +140,7 @@ def test_mollify_washes_out_counterexample_diagonal():
 def test_mollify_warns_underresolved():
     g = build_grid("torus", 1, 1.0, 8, 1.0, 8)
     with pytest.warns(UserWarning):
-        mollify_field(_const(g, 1.0), MollifierKernel(0.05, dim=1), g)
+        mollify_field(_const(g, 1.0), 0.05, g)
 
 
 def test_domination_transfer():
@@ -120,14 +148,13 @@ def test_domination_transfer():
     oracle = make_step_drift(g, c=1.0)
     bf, ff = sample_to_grid(oracle, g, 1.0)
     phi = _sample(g, lambda t, X: oracle.bound(t, X))
-    kernel = MollifierKernel(0.15, dim=1)
-    f_eps = mollify_field(ff, kernel, g)
-    phi_eps = mollify_field(phi, kernel, g)
+    f_eps = mollify_field(ff, 0.15, g)
+    phi_eps = mollify_field(phi, 0.15, g)
     assert np.max(np.abs(f_eps)) <= np.max(np.abs(ff)) + 1e-12
     tt = g.times()
     band = (tt >= 0.15) & (tt <= 1.0 - 0.15)
     # |f_eps| <= (zeta_eps * Phi) pointwise on the time interior
-    b_eps = mollify_field(bf, kernel, g)
+    b_eps = mollify_field(bf, 0.15, g)
     mag = np.abs(b_eps[band][..., 0]) + np.abs(f_eps[band])
     assert np.all(mag <= phi_eps[band] + 1e-10)
 
@@ -136,8 +163,7 @@ def test_mass_preserved_on_interior_band():
     g = build_grid("torus", 1, (-1.0, 1.0), 64, 1.0, 64)
     # time-constant field: torus shifts preserve the space integral exactly
     f = _sample(g, lambda t, X: np.sign(X[..., 0]) + 0.3)
-    kernel = MollifierKernel(0.2, dim=1)
-    out = mollify_field(f, kernel, g)
+    out = mollify_field(f, 0.2, g)
     tt = g.times()
     band = (tt >= 0.2) & (tt <= 0.8)
     w = g.space_weights()
@@ -150,10 +176,19 @@ def test_gradient_bound_proxy():
     g = build_grid("torus", 1, (-1.0, 1.0), 128, 1.0, 64)
     oracle = make_step_drift(g, c=1.0)
     bf, _ = sample_to_grid(oracle, g, 1.0)
-    kernel = MollifierKernel(0.1, dim=1)
-    out = mollify_field(bf, kernel, g)
+    eps = 0.1
+    out = mollify_field(bf, eps, g)
     grad = spatial_gradient(out[..., 0], g)
-    bound = kernel.grad_l1 / kernel.epsilon * np.max(np.abs(bf))
+    # |grad g_eps| <= ||grad zeta||_L1 / eps * sup|g|, with ||grad zeta||_L1
+    # at eps = 1 the radial integral of |d profile / dr| over the unit disc
+    # of R^2 (time and x) over that of the profile; the disc's 2 pi cancels
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    r = 0.5 * (nodes + 1.0)
+    radial = np.exp(-1.0 / (1.0 - r * r))
+    mass, slope = (np.dot(weights, f * r) for f in (radial, 2.0 * r / (1.0 - r * r) ** 2 * radial))
+    grad_l1 = slope / mass
+    assert grad_l1 == pytest.approx(2.9899478159838386, rel=1e-13)  # scipy.integrate.quad
+    bound = grad_l1 / eps * np.max(np.abs(bf))
     assert np.max(np.abs(grad)) <= bound + 1e-10
 
 
@@ -214,7 +249,7 @@ def test_interior_mask_drops_the_eps_layers_of_a_box(dim, eps):
 
 def test_mollify_2d_constant_interior():
     g = build_grid("torus", 2, 1.0, 16, 1.0, 16)
-    out = mollify_field(_const(g, 3.0), MollifierKernel(0.2, dim=2), g)
+    out = mollify_field(_const(g, 3.0), 0.2, g)
     tt = g.times()
     band = (tt >= 0.2) & (tt <= 0.8)
     assert np.max(np.abs(out[band] - 3.0)) < 1e-12
@@ -223,7 +258,7 @@ def test_mollify_2d_constant_interior():
 def test_mollify_2d_step_plane():
     g = build_grid("box", 2, (-1.0, 1.0), 65, 1.0, 16)
     step = _sample(g, lambda t, X: (X[..., 0] > 0).astype(float))
-    out = mollify_field(step, MollifierKernel(0.2, dim=2), g)
+    out = mollify_field(step, 0.2, g)
     # jump-plane value is 1/2 up to the dx-wide column mass ~ dx / eps
     assert out[8, 32, 32] == pytest.approx(0.5, abs=0.1)
 
@@ -238,10 +273,10 @@ def test_ladder_csv_format(tmp_path):
     assert len(lines) == 3
 
 
-def _mollify_by_loops(values, kernel, grid):
+def _mollify_by_loops(values, eps, grid):
     """zeta_eps * values by a loop over nodes and stencil offsets: zero
     outside [0, T] in time, wrapped on torus axes, zero off a box."""
-    weights, radii = _stencil(kernel, grid)
+    weights, radii = _stencil(eps, grid)
     out = np.zeros_like(values)
     for node in np.ndindex(values.shape[:1 + grid.dim]):
         for loc in np.ndindex(weights.shape):
@@ -267,9 +302,8 @@ def test_mollify_matches_direct_loops(kind, dim, eps, components):
                    21 if (kind, dim) == ("box", 1) else 8, 1.0, 16 if dim == 1 else 8)
     rng = np.random.default_rng(5)
     values = rng.normal(size=(g.n_levels,) + g.space_shape + ((components,) if components else ()))
-    kernel = MollifierKernel(eps, dim=dim)
-    out = mollify_field(values, kernel, g)
-    assert np.max(np.abs(out - _mollify_by_loops(values, kernel, g))) < 1e-14
+    out = mollify_field(values, eps, g)
+    assert np.max(np.abs(out - _mollify_by_loops(values, eps, g))) < 1e-14
 
 
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 2)])
@@ -280,8 +314,7 @@ def test_mollify_samples_one_field_call_matches_per_action(kind, dim, monkeypatc
     rng = np.random.default_rng(11)
     B = rng.normal(size=(3, g.n_levels) + g.space_shape + (dim,))
     F = rng.normal(size=(3, g.n_levels) + g.space_shape)
-    kernel = MollifierKernel(0.3, dim=dim)
-    expected = [(mollify_field(B[i], kernel, g), mollify_field(F[i], kernel, g)) for i in range(3)]
+    expected = [(mollify_field(B[i], 0.3, g), mollify_field(F[i], 0.3, g)) for i in range(3)]
     calls = []
 
     def counted(*args, **kwargs):
@@ -289,7 +322,7 @@ def test_mollify_samples_one_field_call_matches_per_action(kind, dim, monkeypatc
         return mollify_field(*args, **kwargs)
 
     monkeypatch.setattr(mollify, "mollify_field", counted)
-    B_eps, F_eps = mollify.mollify_samples(B, F, kernel, g)
+    B_eps, F_eps = mollify.mollify_samples(B, F, 0.3, g)
     assert len(calls) == 1
     assert B_eps.shape == B.shape and F_eps.shape == F.shape
     for i, (b, f) in enumerate(expected):

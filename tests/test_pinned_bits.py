@@ -6,17 +6,24 @@ trace.  The frozen box solves carry Dirichlet data and are pinned at the
 lifted solver, within 2 ulps per value entry of the edge-row solver before
 it; the direct march takes no data, and its box pins are zero-data values of
 the edge-row solver.  Restructuring the backward march must leave every
-floating-point operation of every node as it was."""
+floating-point operation of every node as it was.
+
+The mollification is pinned the same way: a few entries of mollify_field on
+a 1d torus, a 1d box and a 2d torus, the epsilon sweep's liminf tolerances
+in 1d and 2d, and the kernel normalization errors that the selftest's
+criterion 8 records."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hjblab.coefficients import bang_bang_actions, make_bang_bang
+from hjblab.coefficients import ActionSet, bang_bang_actions, make_bang_bang, make_step_drift
 from hjblab.config import load_config
 from hjblab.grids import build_grid
+from hjblab.experiments import mollify_value_sweep
 from hjblab.hjb import policy_iteration, solve_hjb_tables
+from hjblab.mollify import kernel_normalization_error, mollify_field
 from hjblab.parabolic import pde_residual, solve_frozen
 
 # (solver, kind, dim, advection): U[0, N//2 + 1], U[0, 1], U[3, N - 2],
@@ -169,3 +176,45 @@ def test_policy_iteration_is_bit_identical_to_the_pinned_values(name):
     assert trace.policy_changes == pin["policy_changes"]
     for key in ("sup_changes", "max_pos_diffs", "residuals"):
         assert [v.hex() for v in getattr(trace, key)] == pin[key]
+
+
+# mollify_field of a uniform random field: entries [0, 0], [3, N//2] and
+# [6, N - 1] of the (level, flat node) table, per (kind, dim, eps)
+MOLLIFY_PINNED = {
+    ("torus", 1, 0.3): ["-0x1.a3c6d066fbfc5p-6", "0x1.1a865d727b535p-6", "-0x1.2ff0c4e17e9dfp-3"],
+    ("box", 1, 0.3): ["-0x1.2cab181d5d71ep-5", "0x1.cac66fc64a440p-7", "-0x1.21f2ca055fe0dp-3"],
+    ("torus", 2, 0.4): ["-0x1.315cb301fc905p-3", "0x1.0a3a774c797dfp-3", "-0x1.55e59535c684dp-5"],
+}
+
+
+@pytest.mark.parametrize("case", list(MOLLIFY_PINNED),
+                         ids=["-".join(map(str, c)) for c in MOLLIFY_PINNED])
+def test_mollify_field_is_bit_identical_to_the_pinned_values(case):
+    kind, dim, eps = case
+    grid = build_grid(kind, dim, (-1.0, 1.0), 11 if dim == 1 else 7, 0.5, 6)
+    values = np.random.default_rng(2024).uniform(-1.0, 1.0, size=(grid.n_levels,) + grid.space_shape)
+    out = mollify_field(values, eps, grid).reshape(grid.n_levels, -1)
+    N = out.shape[1]
+    assert [float(v).hex() for v in (out[0, 0], out[3, N // 2], out[6, N - 1])] == MOLLIFY_PINNED[case]
+
+
+# the step drift's two-action sweep on a torus: eps -> liminf tolerance
+SWEEP_TOL_PINNED = {
+    1: {0.5: "0x1.58c36032d9646p+0", 0.25: "0x1.1061b0196cb23p+0"},
+    2: {0.5: "0x1.f316e8f5f4d20p+0", 0.25: "0x1.998b747afa690p+0"},
+}
+
+
+@pytest.mark.parametrize("dim", list(SWEEP_TOL_PINNED))
+def test_sweep_liminf_tolerances_are_bit_identical_to_the_pinned_values(dim):
+    grid = build_grid("torus", dim, (-1.0, 1.0), 16 if dim == 1 else 8, 1.0, 16)
+    sweep = mollify_value_sweep(make_step_drift(grid, c=1.0), ActionSet(np.array([-1.0, 1.0])),
+                                grid, [0.5, 0.25], scheme="upwind")
+    assert {eps: tol.hex() for eps, tol in sweep.liminf_tol.items()} == SWEEP_TOL_PINNED[dim]
+
+
+def test_kernel_normalization_errors_are_bit_identical_to_the_pinned_values():
+    # criterion 8's four 1d epsilons and its 2d one
+    errors = [kernel_normalization_error(eps, 1) for eps in (0.4, 0.2, 0.1, 0.05)]
+    errors.append(kernel_normalization_error(0.2, 2))
+    assert [e.hex() for e in errors] == ["0x1.c000000000000p-48"] * 4 + ["0x1.5410000000000p-41"]

@@ -28,8 +28,7 @@ EXPORTS = {
     "bang_bang_family", "catalog_names", "make_oracle", "make_tabulated",
     "sample_to_grid", "verify_bound",
     # mollify
-    "MollifierKernel", "coefficient_ladder", "kernel_normalization_error", "kernel_value",
-    "mollify_field",
+    "coefficient_ladder", "kernel_normalization_error", "kernel_value", "mollify_field",
     # parabolic
     "convergence_order", "pde_residual", "solve_frozen",
     # hamiltonian
@@ -127,11 +126,6 @@ def test_lapack_bindings_are_scipys(package_first):
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# names defined in src/hjblab that no program code refers to, kept on purpose
-ALLOWED_UNUSED = {
-    "grad_l1": "documents the mollifier gradient bound |grad g_eps| <= grad_l1 / eps sup|g|",
-}
-
 
 def _defined_names(tree):
     """Module-level functions and classes, and the non-dunder methods."""
@@ -163,8 +157,7 @@ def test_no_test_only_helpers():
     callers = ([path for path in modules if path.name != "__init__.py"]
                + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")))
     referenced = {name for path in callers for name in _referenced_names(ast.parse(path.read_text()))}
-    assert set(ALLOWED_UNUSED) <= defined
-    assert defined - referenced - set(ALLOWED_UNUSED) == set()
+    assert defined - referenced == set()
 
 
 def _json_dump_scopes(tree):
@@ -215,6 +208,17 @@ def test_every_tracer_target_resolves(monkeypatch):
         if obj is None:
             unresolved.append(target.where)
     assert tracer.TARGETS and unresolved == []
+
+
+@pytest.mark.parametrize("script", ["bench/selfcheck.py", "demos/mollification_ladder.py"])
+def test_script_runs_with_every_check_passing(script):
+    # the benchmark's own selfcheck (its one traced pass per workload works in
+    # a .bench_tmp/ that it removes), and the demo of the mollifier's calls
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, script], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0 and "FAIL" not in run.stdout, run.stdout + run.stderr
 
 
 def _scopes(tree, match):
