@@ -150,10 +150,11 @@ def sample_to_grid(oracle, grid, action):
     return b, f
 
 
-def sample_all(oracle, grid, action_set):
-    """Stacked per-action samples: B (n_a, levels, ..., dim), F (n_a, levels, ...)."""
-    B = np.empty((len(action_set), grid.n_levels) + grid.space_shape + (grid.dim,))
-    F = np.empty((len(action_set), grid.n_levels) + grid.space_shape)
+def sample_all(oracle, grid, action_set, out=None):
+    """Stacked per-action samples: B (n_a, levels, ..., dim), F (n_a, levels, ...),
+    written into ``out`` = (B, F) when given."""
+    B, F = out or (np.empty((len(action_set), grid.n_levels) + grid.space_shape + (grid.dim,)),
+                   np.empty((len(action_set), grid.n_levels) + grid.space_shape))
     for ia in range(len(action_set)):
         B[ia], F[ia] = sample_to_grid(oracle, grid, action_set.action(ia))
     return B, F

@@ -25,7 +25,7 @@ from .coefficients import (
     sample_all,
 )
 from .grids import BOX, CENTRAL, UPWIND, SpaceTimeField, build_grid, lp_norm, write_csv
-from .hjb import inner_sweeps_check, solve_hjb_tables
+from .hjb import inner_sweeps_check, solve_hjb_batch
 from .mollify import abs_time_moment, interior_mask, mollify_samples, strictly_decreasing
 from .montecarlo import (
     FeedbackRule,
@@ -214,13 +214,16 @@ def _gaps_shrink(sups, threshold=np.inf):
             and all(b <= a + 1e-10 for a, b in zip(sups, sups[1:])))
 
 
-def _eps_walk(B, F, grid, eps_list, scheme, flagged):
-    """March the raw tables, then mollify and march them down an epsilon ladder.
+def _eps_walk(oracle, action_set, grid, eps_list, scheme, flagged):
+    """Sample the tables, mollify them down an epsilon ladder, and march the
+    raw tables and every rung in one batched march.
 
     Returns V and an iterator of (eps, (B_eps, F_eps), gap, mask, order_sup)
     over the rungs the grid resolves (eps >= max dx and eps >= dt), where
     (B_eps, F_eps) are the tables mollified at eps; the ladder must decrease
-    strictly, so the unresolved rungs are its tail.  ``gap`` is V_eps - V,
+    strictly, so the unresolved rungs are its tail.  The raw tables fill
+    slot 0 of one batch and each rung's tables its own slot, so the walk
+    holds R + 1 tables at once.  ``gap`` is V_eps - V,
     ``mask`` the rung's own interior band, and ``order_sup`` max |gap| over
     the one band the ladder's order is tested on: that of the largest eps
     with an interior node, which every smaller rung's band contains (NaN for
@@ -234,19 +237,22 @@ def _eps_walk(B, F, grid, eps_list, scheme, flagged):
     masks = [interior_mask(grid, eps) for eps in resolved]
     band = next((mask for mask in masks if mask.any()), None)
 
-    def march(tables):
-        V = solve_hjb_tables(*tables, grid, scheme=scheme)
-        flagged.extend(V.meta["inner_flagged_steps"])
-        return V
+    batch = (len(action_set), 1 + len(resolved), grid.n_levels) + grid.space_shape
+    B, F = np.empty(batch + (grid.dim,)), np.empty(batch)
+    sample_all(oracle, grid, action_set, out=(B[:, 0], F[:, 0]))
+    for r, eps in enumerate(resolved, 1):
+        mollify_samples(B[:, 0], F[:, 0], eps, grid, out=(B[:, r], F[:, r]))
+    V, *marches = solve_hjb_batch(B, F, grid, scheme)
+    for W in (V, *marches):
+        flagged.extend(W.meta["inner_flagged_steps"])
 
-    def rung(eps, mask):
-        tables = mollify_samples(B, F, eps, grid)
-        gap = march(tables).values - V.values
-        return (eps, tables, gap, mask,
-                float(np.max(np.abs(gap[band]))) if mask.any() else np.nan)
+    def rungs():
+        for r, (eps, mask, W) in enumerate(zip(resolved, masks, marches), 1):
+            gap = W.values - V.values
+            yield (eps, (B[:, r], F[:, r]), gap, mask,
+                   float(np.max(np.abs(gap[band]))) if mask.any() else np.nan)
 
-    V = march((B, F))
-    return V, (rung(eps, mask) for eps, mask in zip(resolved, masks))
+    return V, rungs()
 
 
 def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
@@ -265,8 +271,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     Rungs with eps below the grid spacing are refused.
     """
     flagged = []
-    B, F = sample_all(oracle, grid, action_set)
-    V, walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
+    V, walk = _eps_walk(oracle, action_set, grid, eps_list, scheme, flagged)
 
     phi_sup = max(0.0, float(np.max(oracle.bound(_level_column(grid), grid.points()))))
 
@@ -276,8 +281,7 @@ def mollify_value_sweep(oracle, action_set, grid, eps_list, scheme=UPWIND,
     resolved = []
     liminf_tols = {}
     order_sups = []
-    for eps, tables, gap, mask, order_sup in walk:
-        del tables  # held here, it would outlive the making of the next rung
+    for eps, _, gap, mask, order_sup in walk:
         interior = gap[mask]
         order_sups.append(order_sup)
         coeff = 2.0 * abs_time_moment(grid.dim) * phi_sup
@@ -491,8 +495,7 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
     eps_pass = True
     open_legs = []  # (eps, leg) of the first prefix's rungs
     for N in N_list:
-        B, F = sample_all(oracle, grid, family.prefix(N))
-        values[N], walk = _eps_walk(B, F, grid, eps_list, scheme, flagged)
+        values[N], walk = _eps_walk(oracle, family.prefix(N), grid, eps_list, scheme, flagged)
         order_sups = []
         for eps, (B_eps, F_eps), gap, mask, order_sup in walk:
             interior = np.abs(gap[mask])
@@ -504,7 +507,7 @@ def countable_truncation_study(oracle, family, N_list, grid, sim=None,
                 open_legs.append((eps, (make_tabulated(
                     grid, B_eps[:1].copy(), F_eps[:1].copy(), name=f"{oracle.name}_eps"),
                     constant_control(0))))
-            # held here, they would outlive the making of the next rung
+            # views into the walk's batch: held, they would keep it through the next prefix's walk
             del B_eps, F_eps
         eps_pass = eps_pass and _gaps_shrink(order_sups)
     open_rows = []

@@ -312,8 +312,9 @@ def write_csv(path_or_buf, columns, rows, grid=None):
     Without ``grid`` each row is a sequence of cells.  With ``grid``,
     ``rows`` holds one array of node values per time level, and the columns
     and every line are prefixed with t,x[,y]: node coordinate strings are
-    formatted once, each level's time once, and the file is written one
-    level at a time.
+    formatted once, each level's time once, nonnegative integer cells are
+    read from a table of their reprs, and each level is written as one join
+    of (t, node, cell, newline) slots, the fixed ones filled once.
     """
     own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
     fh = open(path_or_buf, "w") if own else path_or_buf
@@ -324,10 +325,18 @@ def write_csv(path_or_buf, columns, rows, grid=None):
             return
         fh.write(",".join(["t", "x", "y"][:grid.dim + 1] + list(columns)) + "\n")
         nodes = [",".join(map(repr, x)) + "," for x in grid.points().reshape(-1, grid.dim).tolist()]
+        n = len(nodes)
+        slots = [None] * (4 * n)
+        slots[1::4], slots[3::4] = nodes, ["\n"] * n
         for t, level in zip(grid.times().tolist(), rows):
-            t = f"{t!r},"
-            fh.write("".join(f"{t}{x}{v!r}\n"
-                             for x, v in zip(nodes, np.reshape(level, -1).tolist())))
+            level = np.reshape(level, -1)
+            slots[0::4] = [f"{t!r},"] * n
+            if level.dtype.kind in "iu" and 0 <= level.min() and level.max() < n:
+                table = [repr(i) for i in range(level.max() + 1)]
+                slots[2::4] = [table[i] for i in level.tolist()]
+            else:
+                slots[2::4] = map(repr, level.tolist())
+            fh.write("".join(slots))
     finally:
         if own:
             fh.close()

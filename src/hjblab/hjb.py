@@ -132,47 +132,79 @@ def solve_hjb_tables(B, F, grid, scheme=UPWIND, action_set=None):
     """Direct HJB march on pre-sampled per-action coefficient tables.
 
     ``B`` has shape (n_actions, levels, ..., dim) and ``F`` (n_actions,
-    levels, ...); this is the entry point for mollified-coefficient sweeps
-    where the tables are produced by convolution rather than sampling.  The
+    levels, ...); this is ``solve_hjb_batch`` on a batch of one.  The
     result's ``policy`` holds the argmin indices, or None without an
     ``action_set``.
     """
+    return solve_hjb_batch(B[:, None], F[:, None], grid, scheme, action_set)[0]
+
+
+def solve_hjb_batch(B, F, grid, scheme=UPWIND, action_set=None):
+    """Direct HJB marches of R problems on one grid in one backward loop.
+
+    ``B`` has shape (n_actions, R, levels, ..., dim) and ``F`` (n_actions,
+    R, levels, ...).  A sweep solves the problems whose policy has not yet
+    repeated at its step: one band gather and one stacked ``dgtsv`` call per
+    axis, and one argmin call, for all of them.  So each problem keeps its
+    own policy, sweep count and flagged steps, and its field is bit for bit
+    its own march.  Returns one value field per problem, its flagged steps
+    in ``meta`` and its argmin indices as ``policy`` (None without an
+    ``action_set``).
+    """
     periodic, inside = grid.domain_kind == TORUS, _inner(grid)
-    inner = (slice(None),) * 2 + inside
-    u = np.zeros((grid.n_levels,) + grid.space_shape)
-    size = u[0][inside].size
-    # per axis k, the places of the band layout, whose lines run along the last axis
-    lines = [np.arange(size).reshape(u[0][inside].swapaxes(k, -1).shape) for k in range(grid.dim)]
-    indices, flagged_steps = np.zeros(u.shape, dtype=np.int64), []
-    chunk, lo = max(1, TABLE_ENTRIES // (B.shape[0] * size * (3 * grid.dim + 1))), grid.nt
+    R, spaces = B.shape[1], (slice(None),) + inside
+    inner = (slice(None),) * 2 + spaces
+    u = np.zeros((R, grid.n_levels) + grid.space_shape)
+    size = u[0, 0][inside].size
+    # per axis k, the places of the band layout, whose lines run along the last axis, behind a
+    # batch axis of length 1: the index sums add arrays of one rank, which numpy does fastest
+    lines = [np.arange(size).reshape((1,) + u[0, 0][inside].swapaxes(k, -1).shape)
+             for k in range(grid.dim)]
+    indices, flagged = np.zeros(u.shape, dtype=np.int64), [[] for _ in range(R)]
+    chunk = max(1, TABLE_ENTRIES // (B.shape[0] * R * size * (3 * grid.dim + 1)))
+    lo, every = grid.nt, np.arange(R)
     # the argmin at u[n + 1] of level n (its first sweep) and of n + 1 (its check)
-    found = argmin_level(B[:, -2:], F[:, -2:], u[-1:], grid, scheme)[0]
-    indices[-1] = found[-1]
+    found = argmin_level(B[:, :, -2:], F[:, :, -2:], u[:, -1:], grid, scheme)[0]
+    first, idx = found[:, 0].copy(), np.empty_like(found[:, 0])
+    indices[:, -1] = found[:, -1]
     for n in range(grid.nt - 1, -1, -1):
         if n < lo:
-            # every action's bands and cost at levels lo..n, flat: a sweep gathers the chosen
-            # action's at (action * levels + level - lo) * size + the node's place
+            # every problem's and action's bands and cost at levels lo..n, flat: a sweep gathers
+            # the chosen action's at ((action * R + problem) * levels + level - lo) * size + place
             lo, levels = max(0, n + 1 - chunk), min(n + 1, chunk)
-            tables = [m.reshape(3, -1) for m in _implicit_bands(B[:, lo:n + 1][inner], grid, scheme)]
-            costs = F[:, lo:n + 1][inner].reshape(-1)
-        idx = found[0]
+            tables = [m.reshape(3, -1)
+                      for m in _implicit_bands(B[:, :, lo:n + 1][inner], grid, scheme)]
+            costs = F[:, :, lo:n + 1][inner].reshape(-1)
+            stride = R * levels * size
+            starts = (every * levels * size).reshape((-1,) + (1,) * grid.dim)
+        # idx takes the level's first policies and the other buffer collects the next level's;
+        # live: the problems whose policy has not repeated at this step
+        offsets, (idx, first), live = starts + (n - lo) * size, (first, idx), every
         for sweep in range(1, MAX_SWEEPS + 1):
-            cols = (idx[inside] * levels + n - lo) * size
-            solves = [partial(solve_lines, np.take(table, cols.swapaxes(k, -1) + lines[k], axis=1),
-                              periodic=periodic) for k, table in enumerate(tables)]
-            u[n][inside] = _step(u[n + 1][inside] + grid.dt * np.take(costs, cols + lines[-1]), solves)
-            found = argmin_level(B[:, max(n - 1, 0):n + 1], F[:, max(n - 1, 0):n + 1], u[n:n + 1],
-                                 grid, scheme)[0]
-            if sweep == MAX_SWEEPS or (found[-1] == idx).all():
+            sel = live if live.size < R else slice(None)  # a slice takes no copies
+            cols = idx[sel][spaces] * stride + offsets[sel]
+            solves = [partial(solve_lines, table.take(cols.swapaxes(k - grid.dim, -1) + lines[k],
+                                                      axis=1), periodic=periodic)
+                      for k, table in enumerate(tables)]
+            u[(sel, n) + inside] = _step(u[sel, n + 1][spaces]
+                                         + grid.dt * costs.take(cols + lines[-1]), solves)
+            found = argmin_level(B[:, sel, max(n - 1, 0):n + 1], F[:, sel, max(n - 1, 0):n + 1],
+                                 u[sel, n:n + 1], grid, scheme)[0]
+            first[sel] = found[:, 0]
+            same = found[:, -1] == idx[sel]
+            if sweep == MAX_SWEEPS or same.all():
                 break
-            idx = found[-1]
+            idx[sel] = found[:, -1]  # a repeated policy is its own update
+            if live.size > 1:  # the problems whose policy repeated leave the sweeps
+                live = live[~same.reshape(live.size, -1).all(axis=1)]
         if sweep == MAX_SWEEPS:  # the policy had not repeated before the last sweep
-            flagged_steps.append(n)
-        indices[n] = idx
+            for r in live:
+                flagged[r].append(n)
+        indices[:, n] = idx
 
-    meta = {"inner_flagged_steps": flagged_steps}
-    policy = None if action_set is None else Policy(grid, indices, action_set)
-    return SpaceTimeField(grid, u, meta=meta, policy=policy)
+    return [SpaceTimeField(grid, u[r], meta={"inner_flagged_steps": flagged[r]},
+                           policy=None if action_set is None else Policy(grid, indices[r], action_set))
+            for r in range(R)]
 
 
 def inner_sweeps_check(n_flagged):

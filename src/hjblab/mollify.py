@@ -110,26 +110,21 @@ def _stencil(eps, grid):
     return w / w.sum(), radii
 
 
-def mollify_field(field, eps, grid):
-    """Discrete space-time convolution zeta_eps * field of an array on ``grid``.
-
-    Time uses zero extension outside [0, T]; torus space wraps periodically;
-    box space zero-extends (an eps-wide boundary layer is distorted).  Axes
-    after the time and space axes are components and are convolved
-    independently.  Warns when eps is not resolved by the grid spacing.
-    """
+def _convolver(eps, grid, shape):
+    """The convolution zeta_eps * g of a scalar array g of ``shape`` (levels,
+    space...) on ``grid``, as ``convolve(g, out)``, which writes into ``out``;
+    the kernel is transformed once, here.  Checks the mollifier and warns
+    when eps is not resolved by the grid spacing."""
     _check(eps, grid.dim)
-    values = np.asarray(field, dtype=float)
     if eps < max(grid.dx):
         warnings.warn(
             f"mollifier eps={eps:g} below grid spacing max(dx)={max(grid.dx):g}; "
             "the discrete kernel degenerates toward a point mass",
-            stacklevel=2,
+            stacklevel=3,
         )
     periodic = grid.domain_kind == TORUS
     weights, radii = _stencil(eps, grid)
     axes = tuple(range(1 + grid.dim))
-    shape = values.shape[:len(axes)]
     # circular convolution of length n on a torus axis; on the time axis and
     # box axes length n + r, where no shift of at most r wraps onto a node
     sizes = [n if periodic and ax else n + r for ax, n, r in zip(axes, shape, radii)]
@@ -139,22 +134,44 @@ def mollify_field(field, eps, grid):
     np.add.at(kern, np.ix_(*[np.arange(-r, r + 1) % n for r, n in zip(radii, sizes)]), weights)
     spectrum = np.fft.rfftn(kern)
     crop = tuple(slice(n) for n in shape)
-    # one component at a time: padded complex copies of one table only are held
+
+    def convolve(values, out):
+        # padded complex copies of one component only are held
+        spec = np.fft.rfftn(values, sizes, axes)
+        spec *= spectrum
+        out[...] = np.fft.irfftn(spec, sizes, axes)[crop]
+
+    return convolve
+
+
+def mollify_field(field, eps, grid):
+    """Discrete space-time convolution zeta_eps * field of an array on ``grid``.
+
+    Time uses zero extension outside [0, T]; torus space wraps periodically;
+    box space zero-extends (an eps-wide boundary layer is distorted).  Axes
+    after the time and space axes are components and are convolved
+    independently.  Warns when eps is not resolved by the grid spacing.
+    """
+    values = np.asarray(field, dtype=float)
+    convolve = _convolver(eps, grid, values.shape[:1 + grid.dim])
     out = np.empty_like(values)
-    for c in np.ndindex(values.shape[len(axes):]):
-        spec = np.fft.rfftn(values[(...,) + c], sizes, axes) * spectrum
-        out[(...,) + c] = np.fft.irfftn(spec, sizes, axes)[crop]
+    for c in np.ndindex(values.shape[1 + grid.dim:]):
+        convolve(values[(...,) + c], out[(...,) + c])
     return out
 
 
-def mollify_samples(B, F, eps, grid):
-    """Mollify stacked per-action coefficient samples (see sample_all) in one
-    mollify_field call: the action axis moves behind the space axes, and F
-    rides as one more component behind those of B."""
-    _check(eps, grid.dim)
-    stacked = np.concatenate([np.moveaxis(B, 0, -2), np.moveaxis(F, 0, -1)[..., None]], axis=-1)
-    out = np.moveaxis(mollify_field(stacked, eps, grid), -2, 0)
-    return np.ascontiguousarray(out[..., :-1]), np.ascontiguousarray(out[..., -1])
+def mollify_samples(B, F, eps, grid, out=None):
+    """Mollify stacked per-action coefficient samples (see sample_all): each
+    action's drift components and cost are convolved, on one transform of
+    the kernel, straight into ``out`` = (B_eps, F_eps), new tables when None,
+    which it returns."""
+    convolve = _convolver(eps, grid, F.shape[1:])
+    B_eps, F_eps = out or (np.empty(B.shape), np.empty(F.shape))
+    for a in range(len(F)):
+        for k in range(grid.dim):
+            convolve(B[a, ..., k], B_eps[a, ..., k])
+        convolve(F[a], F_eps[a])
+    return B_eps, F_eps
 
 
 def strictly_decreasing(eps_list):

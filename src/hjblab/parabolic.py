@@ -104,11 +104,12 @@ def _inner(grid):
 def _step(rhs, solves):
     """One backward step: solve (I - dt L_x)(I - dt L_y) u = ``rhs`` on the
     ``_inner`` nodes, ``solves`` holding per axis the solve of the level's
-    axis factor for a right-hand side whose last axis runs along its lines."""
+    axis factor for a right-hand side whose last axis runs along its lines.
+    Leading axes of ``rhs`` before its space axes (a batch) pass through."""
     u = rhs
     for k, solve in enumerate(solves):
         # two space axes at most, so swapping an axis with the last one moves it there
-        u = solve(u.swapaxes(k, -1)).swapaxes(-1, k)
+        u = solve(u.swapaxes(k - len(solves), -1)).swapaxes(-1, k - len(solves))
     return u
 
 

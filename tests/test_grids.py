@@ -226,6 +226,37 @@ def test_csv_golden_bytes():
     assert buf.getvalue() == "k,value\n1,0.1\n2,-0.0\n3,1e+16\n"
 
 
+def test_csv_golden_bytes_of_integer_fields():
+    # policy cells of up to 12 actions, two-digit indices among them, whose
+    # reprs the writer reads from a table; a level with a negative cell
+    # formats each cell by repr, to the same bytes
+    g1 = build_grid("box", 1, (0.0, 10.0), 11, 1.0, 1)
+    a1 = np.array([[10, 0, 2, 1, 10, 3, 0, 0, 2, 1, 10], [2, 0, 1, 10, -1, 0, 0, 3, 2, 11, 1]])
+    buf = io.StringIO()
+    write_csv(buf, ["action_index"], a1, grid=g1)
+    assert buf.getvalue() == (
+        "t,x,action_index\n"
+        "0.0,0.0,10\n0.0,1.0,0\n0.0,2.0,2\n0.0,3.0,1\n0.0,4.0,10\n0.0,5.0,3\n"
+        "0.0,6.0,0\n0.0,7.0,0\n0.0,8.0,2\n0.0,9.0,1\n0.0,10.0,10\n"
+        "1.0,0.0,2\n1.0,1.0,0\n1.0,2.0,1\n1.0,3.0,10\n1.0,4.0,-1\n1.0,5.0,0\n"
+        "1.0,6.0,0\n1.0,7.0,3\n1.0,8.0,2\n1.0,9.0,11\n1.0,10.0,1\n"
+    )
+    g2 = build_grid("torus", 2, [(0.0, 2.0), (0.0, 3.0)], [2, 6], 1.0, 1)
+    a2 = np.array([[[0, 1, 2, 10, 11, 3], [4, 5, 6, 7, 8, 9]],
+                   [[11, 10, 9, 8, 7, 6], [5, 4, 3, 2, 1, 0]]])
+    buf = io.StringIO()
+    write_csv(buf, ["action_index"], a2, grid=g2)
+    assert buf.getvalue() == (
+        "t,x,y,action_index\n"
+        "0.0,0.5,0.25,0\n0.0,0.5,0.75,1\n0.0,0.5,1.25,2\n0.0,0.5,1.75,10\n"
+        "0.0,0.5,2.25,11\n0.0,0.5,2.75,3\n0.0,1.5,0.25,4\n0.0,1.5,0.75,5\n"
+        "0.0,1.5,1.25,6\n0.0,1.5,1.75,7\n0.0,1.5,2.25,8\n0.0,1.5,2.75,9\n"
+        "1.0,0.5,0.25,11\n1.0,0.5,0.75,10\n1.0,0.5,1.25,9\n1.0,0.5,1.75,8\n"
+        "1.0,0.5,2.25,7\n1.0,0.5,2.75,6\n1.0,1.5,0.25,5\n1.0,1.5,0.75,4\n"
+        "1.0,1.5,1.25,3\n1.0,1.5,1.75,2\n1.0,1.5,2.25,1\n1.0,1.5,2.75,0\n"
+    )
+
+
 @pytest.mark.parametrize("extent", [(-1.0, 1.0), (0.1, 0.7), (-0.3, 2.9), (0.0, 2 * np.pi)])
 def test_wrap_stays_in_fundamental_domain(extent):
     lo, hi = extent

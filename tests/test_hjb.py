@@ -20,6 +20,7 @@ from hjblab.hjb import (
     hjb_residual,
     policy_iteration,
     policy_iteration_checks,
+    solve_hjb_batch,
     solve_hjb_direct,
     solve_hjb_tables,
     solve_policy_value,
@@ -287,6 +288,40 @@ def test_too_small_grids_name_the_minimum(kind, nx, least, dim):
         solve_frozen(B[0], F[0], grid)
     with pytest.raises(SchemeError, match=f"{kind} line solves need at least {least} nodes"):
         solve_hjb_tables(B, F, grid)
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+@pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 1), ("torus", 2), ("box", 2)])
+def test_batched_march_is_bit_for_bit_each_problem_s_own(monkeypatch, kind, dim, scheme):
+    # a stack of step_drift on the actions [0, 1] (its ties flag steps),
+    # random tables, and random tables whose action 0 always wins (one sweep
+    # per step): the problems need different sweep counts, and the batch
+    # gives each its own values, policy and flagged steps
+    grid = build_grid(kind, dim, (-1.0, 1.0), 16 if dim == 1 else 8, 1.0, 16 if dim == 1 else 8)
+    aset = ActionSet(np.array([0.0, 1.0]))
+    B0, F0 = sample_all(make_oracle("step_drift", grid), grid, aset)
+    rng = np.random.default_rng(5)
+    B1, F1 = rng.uniform(-1.0, 1.0, size=B0.shape), rng.uniform(0.0, 1.0, size=F0.shape)
+    F2 = F1.copy()
+    F2[1] += 10.0
+    B, F = np.stack([B0, B1, B1], axis=1), np.stack([F0, F1, F2], axis=1)
+    real_step = hjb_module._step
+    for max_sweeps in (hjb_module.MAX_SWEEPS, 2):
+        monkeypatch.setattr(hjb_module, "MAX_SWEEPS", max_sweeps)
+        sweeps, flags = [], []
+        for r in range(3):
+            steps = []
+            monkeypatch.setattr(hjb_module, "_step", lambda *a: steps.append(1) or real_step(*a))
+            own = solve_hjb_tables(B[:, r], F[:, r], grid, scheme, action_set=aset)
+            monkeypatch.setattr(hjb_module, "_step", real_step)
+            batched = solve_hjb_batch(B, F, grid, scheme, action_set=aset)[r]
+            assert batched.values.tobytes() == own.values.tobytes()
+            assert np.array_equal(batched.policy.indices, own.policy.indices)
+            assert batched.meta == own.meta
+            sweeps.append(len(steps))
+            flags.append(len(own.meta["inner_flagged_steps"]))
+        assert len(set(sweeps)) > 1 and sweeps[2] == grid.nt and flags[2] == 0
+    assert max(flags[:2]) > 0  # at two sweeps a step, the first two problems flag steps
 
 
 @pytest.mark.parametrize("kind,dim", [("torus", 1), ("box", 1), ("torus", 2), ("box", 2)])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -308,23 +309,46 @@ def test_mollify_matches_direct_loops(kind, dim, eps, components):
 
 @pytest.mark.parametrize("kind,dim", [("box", 1), ("torus", 2)])
 def test_mollify_samples_one_field_call_matches_per_action(kind, dim, monkeypatch):
-    # B and F of every action go through one mollify_field call (one kernel
-    # transform), and each table equals its own mollify_field
+    # B and F of every action are convolved on one kernel transform, and
+    # each table equals its own mollify_field
     g = build_grid(kind, dim, (-1.0, 1.0), 16 if dim == 1 else 8, 1.0, 16)
     rng = np.random.default_rng(11)
     B = rng.normal(size=(3, g.n_levels) + g.space_shape + (dim,))
     F = rng.normal(size=(3, g.n_levels) + g.space_shape)
     expected = [(mollify_field(B[i], 0.3, g), mollify_field(F[i], 0.3, g)) for i in range(3)]
-    calls = []
+    calls, real = [], mollify._convolver
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return mollify_field(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(mollify, "mollify_field", counted)
+    monkeypatch.setattr(mollify, "_convolver", counted)
     B_eps, F_eps = mollify.mollify_samples(B, F, 0.3, g)
     assert len(calls) == 1
     assert B_eps.shape == B.shape and F_eps.shape == F.shape
     for i, (b, f) in enumerate(expected):
         assert np.max(np.abs(B_eps[i] - b)) < 1e-14
         assert np.max(np.abs(F_eps[i] - f)) < 1e-14
+
+
+@pytest.mark.parametrize("kind,dim,eps", [("box", 1, 0.2), ("torus", 2, 0.3), ("box", 2, 0.15)])
+def test_mollify_samples_holds_its_outputs_and_one_component_s_transforms(kind, dim, eps):
+    # no stacked copy of the input and no copy of the output: the traced peak
+    # is the returned tables plus the transforms of the kernel and of one
+    # padded component (measured 4.0 padded complex spectra; bound 5)
+    g = build_grid(kind, dim, (-1.0, 1.0), 64 if dim == 1 else 16, 1.0, 32)
+    rng = np.random.default_rng(13)
+    B = rng.normal(size=(6, g.n_levels) + g.space_shape + (dim,))
+    F = rng.normal(size=(6, g.n_levels) + g.space_shape)
+    radii = mollify._stencil(eps, g)[1]
+    sizes = [n if kind == "torus" and ax else n + r
+             for ax, (n, r) in enumerate(zip(F.shape[1:], radii))]
+    spectrum = 16 * int(np.prod(sizes[:-1])) * (sizes[-1] // 2 + 1)
+    mollify_samples(B, F, eps, g)  # numpy's FFT plan caches fill outside the trace
+    tracemalloc.start()
+    try:
+        B_eps, F_eps = mollify_samples(B, F, eps, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= B_eps.nbytes + F_eps.nbytes + 5 * spectrum
